@@ -148,7 +148,7 @@ class Allocator:
         return base + PAGE_SIZE
 
     def _huge_free(self, addr):
-        header = self._read_huge_header(addr)
+        self._read_huge_header(addr)   # validation only: raises WildFree
         self.provider.unmap(addr - PAGE_SIZE)
 
     def _read_huge_header(self, addr):

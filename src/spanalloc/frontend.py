@@ -28,12 +28,10 @@ from .atomic import AtomicWord
 from .config import CLAB, TLAB
 from .size_classes import NUM_CLASSES
 from .span import (
-    STATE_FLOATING, STATE_FREE, STATE_HOT, STATE_REUSABLE,
-    TERMINATED, epoch_state, next_epoch_word, owner_lab_ref, pack_owner,
+    LINK_NEXT_MASK, LINK_PREV_SHIFT, STATE_FLOATING, STATE_FREE, STATE_HOT,
+    STATE_REUSABLE, TERMINATED, epoch_state, next_epoch_word, owner_lab_ref,
+    pack_owner,
 )
-
-LINK_NEXT_MASK = (1 << 24) - 1
-LINK_PREV_SHIFT = 24
 
 
 def _link_next(link):

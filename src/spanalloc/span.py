@@ -50,6 +50,11 @@ LEGAL_EDGES = frozenset([
 OWNER_REF_MASK = (1 << 48) - 1
 TERMINATED = -1
 
+# Link word: next span's reference (slot + 1; 0 ends the chain) in the low
+# 24 bits, for pool stacks and reusable sets; reusable sets keep prev above.
+LINK_NEXT_MASK = (1 << 24) - 1
+LINK_PREV_SHIFT = 24
+
 # Remote free list word: 16-bit element count above the 48-bit arena
 # offset of the head block. Offset 0 is never a block, so 0 is empty.
 REMOTE_OFFSET_MASK = (1 << 48) - 1

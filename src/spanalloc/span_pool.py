@@ -20,10 +20,10 @@ the arena while puts are in flight, by design.
 from .atomic import AtomicWord
 from .config import DECOMMIT_THRESHOLD, PAGE_SIZE
 from .size_classes import NUM_REAL_SPAN_SIZES, TABLE, real_span_index_for_size
+from .span import LINK_NEXT_MASK
 
 TOP_REF_MASK = (1 << 48) - 1
 TAG_SHIFT = 48
-LINK_NEXT_MASK = (1 << 24) - 1
 
 
 class TaggedStack:

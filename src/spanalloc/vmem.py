@@ -9,19 +9,28 @@ through a provider that reserves address space, releases physical backing
   page_size times the number of pages written and not since decommitted.
   This is what makes memory-consumption claims assertable in tests.
 
-* OsProvider - real anonymous mappings; decommit is madvise(DONTNEED),
-  so the kernel reclaims the physical frames. Committed bytes are
-  reported as the process resident set size (best effort, not
-  range-exact). Benchmarks use this; tests use sim.
+* OsProvider - real anonymous mappings, reserved with MAP_NORESERVE so a
+  large arena costs no swap or overcommit charge until it is touched;
+  decommit is madvise(DONTNEED), so the kernel reclaims the physical
+  frames. Committed bytes are reported as the process resident set size
+  (best effort, not range-exact). Benchmarks use this; tests use sim.
 
 Addresses are plain integers assigned by the provider from a private
-cursor, always 2MB-aligned for reservations and page-aligned for page
-mappings. Address 0 is never handed out and doubles as the null
-sentinel.
+cursor, always 2MB-aligned, with one unused 2MB slot of slack after each
+reservation or page mapping, so no two of them share a slot. Address 0
+is never handed out and doubles as the null sentinel.
+
+Cost model: finding the reservation or mapping that holds an address is
+O(1) - a check of the short list of arena reservations, then one lookup
+in an index of page mappings keyed by 2MB slot. `unmap` and sim
+`decommit` cost is proportional to the pages committed in the 2MB slots
+their range touches, not to the length of the range.
 """
 
+import mmap
 import threading
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 
 from .config import PAGE_SIZE, VIRTUAL_SPAN_SIZE
 from .errors import GuardViolation, ReservationError
@@ -29,6 +38,10 @@ from .errors import GuardViolation, ReservationError
 # First address handed out; keeps 0 free for the null sentinel and makes
 # accidental small-integer addresses stand out.
 _BASE_CURSOR = 1 << 33
+_SLOT_SHIFT = VIRTUAL_SPAN_SIZE.bit_length() - 1
+_SLOT_PAGE_SHIFT = (VIRTUAL_SPAN_SIZE // PAGE_SIZE).bit_length() - 1
+# Python's mmap module does not export MAP_NORESERVE (Linux value).
+_MAP_NORESERVE = 0x4000
 
 
 @dataclass
@@ -53,27 +66,20 @@ class VmStats:
     reserve_calls: int = 0
 
 
-class SimProvider:
-    """Byte-array backed provider with exact page accounting.
-
-    Pages commit on first write (reads of uncommitted pages return
-    zeros without committing, mirroring on-demand zero pages). All
-    bookkeeping mutations are serialized internally; data writes to
-    already-committed pages rely on callers targeting disjoint ranges.
+class _Provider:
+    """Reservation bookkeeping both providers share. A record is
+    (base, length, backing), the backing being the os provider's mmap
+    object (None on sim). Arena reservations sit in a short list; a page
+    mapping is indexed under every 2MB slot it covers, slack slots never.
     """
 
-    name = "sim"
-    supports_guards = True
-
-    def __init__(self, reservation_cap=1 << 46):
+    def __init__(self, reservation_cap):
         self._lock = threading.Lock()
         self._cursor = _BASE_CURSOR
         self._cap = reservation_cap
         self._reserved = 0
-        self._regions = []            # VmRegion, reservation order
-        self._mappings = {}           # base -> length (page mappings)
-        self._pages = {}              # page index -> bytearray(PAGE_SIZE)
-        self._guards = set()          # guarded page indices
+        self._regions = []            # arena reservation records
+        self._slots = {}              # 2MB slot -> page-mapping record
         self.stats = VmStats()
         self.map_calls = 0
         self.unmap_calls = 0
@@ -86,58 +92,104 @@ class SimProvider:
         if length <= 0 or length % VIRTUAL_SPAN_SIZE:
             raise ValueError("reservation must be a positive multiple of 2MB")
         with self._lock:
-            if self._reserved + length > self._cap:
-                raise ReservationError(
-                    f"reservation of {length:#x} exceeds cap {self._cap:#x}")
-            base = self._cursor
-            self._cursor = base + length + VIRTUAL_SPAN_SIZE  # slack keeps regions disjoint
-            self._reserved += length
-            region = VmRegion(base, length)
-            self._regions.append(region)
+            record = self._claim(length, length)
+            self._regions.append(record)
             self.stats.reserve_calls += 1
-            return region
+        return VmRegion(record[0], length)
 
     def map_pages(self, length):
         """Reserve a standalone page-granular mapping (huge objects)."""
         if length <= 0 or length % PAGE_SIZE:
             raise ValueError("mapping must be a positive multiple of the page size")
         with self._lock:
-            if self._reserved + length > self._cap:
-                raise ReservationError("mapping exceeds reservation cap")
-            base = self._cursor
-            self._cursor = base + _round_up(length, VIRTUAL_SPAN_SIZE) \
-                + VIRTUAL_SPAN_SIZE
-            self._reserved += length
-            self._mappings[base] = length
+            record = self._claim(length, _round_up(length, VIRTUAL_SPAN_SIZE))
+            for slot in _slots_of(record[0], length):
+                self._slots[slot] = record
             self.map_calls += 1
-            return base
+        return record[0]
 
     def unmap(self, base):
         """Drop a page mapping and all of its committed pages."""
         with self._lock:
-            length = self._mappings.pop(base)
+            record = self._slots.get(base >> _SLOT_SHIFT)
+            if record is None or record[0] != base:
+                raise ValueError(f"unmap of unknown mapping {base:#x}")
+            for slot in _slots_of(base, record[1]):
+                del self._slots[slot]
+            self._reserved -= record[1]
             self.unmap_calls += 1
-            for idx in range(base // PAGE_SIZE, (base + length) // PAGE_SIZE):
-                if self._pages.pop(idx, None) is not None:
-                    self.stats.committed_bytes -= PAGE_SIZE
-            self._reserved -= length
+            self._release(record)
 
     def mapping_length(self, base):
-        return self._mappings.get(base)
-
-    # -- decommit / guards ----------------------------------------------
+        record = self._slots.get(base >> _SLOT_SHIFT)
+        return record[1] if record is not None and record[0] == base else None
 
     def decommit(self, base, length):
         if base % PAGE_SIZE or length % PAGE_SIZE:
             raise ValueError("decommit range must be page-aligned")
-        if not self._in_bounds(base, length):
-            raise ValueError(f"decommit outside any reservation: {base:#x}+{length:#x}")
+        record = self._locate(base, length)
         with self._lock:
             self.stats.decommit_calls += 1
-            pages = self._pages
-            for idx in range(base // PAGE_SIZE, (base + length) // PAGE_SIZE):
-                if pages.pop(idx, None) is not None:
-                    self.stats.committed_bytes -= PAGE_SIZE
+            self._decommit(record, base, length)
+
+    # -- accounting -------------------------------------------------------
+
+    def begin_window(self):
+        with self._lock:
+            self._window_peak = self.committed_bytes
+
+    @property
+    def window_peak(self):
+        return self._window_peak
+
+    # -- internals --------------------------------------------------------
+
+    def _claim(self, length, footprint):
+        """Take the next range off the cursor; the caller holds the lock."""
+        if self._reserved + length > self._cap:
+            raise ReservationError(
+                f"reservation of {length:#x} exceeds cap {self._cap:#x}")
+        record = (self._cursor, length, self._back(length))
+        self._cursor += footprint + VIRTUAL_SPAN_SIZE
+        self._reserved += length
+        return record
+
+    def _back(self, length):
+        return None
+
+    def _locate(self, addr, n):
+        """The record holding all of [addr, addr+n); ValueError if none."""
+        end = addr + n
+        for record in self._regions:
+            if record[0] <= addr and end <= record[0] + record[1]:
+                return record
+        # A slot's record starts at or below the slot, so only the end
+        # needs checking.
+        record = self._slots.get(addr >> _SLOT_SHIFT)
+        if record is not None and end <= record[0] + record[1]:
+            return record
+        raise ValueError(f"{addr:#x}+{n:#x} outside any reservation or mapping")
+
+
+class SimProvider(_Provider):
+    """Byte-array backed provider with exact page accounting.
+
+    Pages commit on first write (reads of uncommitted pages return
+    zeros without committing, mirroring on-demand zero pages). All
+    bookkeeping mutations are serialized internally; data writes to
+    already-committed pages rely on callers targeting disjoint ranges.
+    """
+
+    name = "sim"
+    supports_guards = True
+
+    def __init__(self, reservation_cap=1 << 46):
+        super().__init__(reservation_cap)
+        self._pages = {}              # page index -> bytearray(PAGE_SIZE)
+        self._committed = defaultdict(set)  # 2MB slot -> its page indices in _pages
+        self._guards = set()          # guarded page indices
+
+    # -- guards ---------------------------------------------------------
 
     def protect_guard(self, base, length, enable):
         if base % PAGE_SIZE or length % PAGE_SIZE:
@@ -239,14 +291,6 @@ class SimProvider:
         """Shadow page-set oracle: every page currently backed."""
         return set(self._pages)
 
-    def begin_window(self):
-        with self._lock:
-            self._window_peak = self.stats.committed_bytes
-
-    @property
-    def window_peak(self):
-        return self._window_peak
-
     # -- internals --------------------------------------------------------
 
     def _commit_page(self, idx):
@@ -256,11 +300,10 @@ class SimProvider:
                 return page
             if self._guards and idx in self._guards:
                 raise GuardViolation(f"write inside guarded page {idx:#x}")
-            base = idx * PAGE_SIZE
-            if not self._in_bounds(base, PAGE_SIZE):
-                raise ValueError(f"write outside any reservation: {base:#x}")
+            self._locate(idx * PAGE_SIZE, PAGE_SIZE)
             page = bytearray(PAGE_SIZE)
             self._pages[idx] = page
+            self._committed[idx >> _SLOT_PAGE_SHIFT].add(idx)
             committed = self.stats.committed_bytes + PAGE_SIZE
             self.stats.committed_bytes = committed
             if committed > self.peak_committed_bytes:
@@ -269,18 +312,29 @@ class SimProvider:
                 self._window_peak = committed
             return page
 
-    def _in_bounds(self, base, length):
-        end = base + length
-        for region in self._regions:
-            if region.base <= base and end <= region.end:
-                return True
-        for mbase, mlen in self._mappings.items():
-            if mbase <= base and end <= mbase + mlen:
-                return True
-        return False
+    def _decommit(self, record, base, length):
+        """Drop the committed pages in [base, base+length), visiting each
+        touched slot's committed set; the caller holds the lock."""
+        lo, hi = base // PAGE_SIZE, (base + length) // PAGE_SIZE
+        dropped = 0
+        for slot in _slots_of(base, length):
+            held = self._committed.get(slot)
+            if not held:
+                continue
+            doomed = [idx for idx in held if lo <= idx < hi]
+            for idx in doomed:
+                held.remove(idx)
+                del self._pages[idx]
+            if not held:
+                del self._committed[slot]
+            dropped += len(doomed)
+        self.stats.committed_bytes -= dropped * PAGE_SIZE
+
+    def _release(self, record):
+        self._decommit(record, record[0], record[1])
 
 
-class OsProvider:
+class OsProvider(_Provider):
     """Real anonymous mappings; decommit is madvise(MADV_DONTNEED).
 
     Committed-bytes reporting is the process RSS (page-granular but
@@ -292,77 +346,8 @@ class OsProvider:
     supports_guards = False
 
     def __init__(self, reservation_cap=1 << 46):
-        import mmap as _mmap
-        self._mmap = _mmap
-        self._lock = threading.Lock()
-        self._cursor = _BASE_CURSOR
-        self._cap = reservation_cap
-        self._reserved = 0
-        self._maps = []               # (base, length, mmap) sorted by base
-        self.stats = VmStats()
-        self.map_calls = 0
-        self.unmap_calls = 0
-        self.peak_committed_bytes = 0
-        self._window_peak = 0
+        super().__init__(reservation_cap)
         self._guard_warned = False
-
-    def reserve(self, length):
-        if length <= 0 or length % VIRTUAL_SPAN_SIZE:
-            raise ValueError("reservation must be a positive multiple of 2MB")
-        mm = self._map(length)
-        with self._lock:
-            base = self._cursor
-            self._cursor = base + length + VIRTUAL_SPAN_SIZE
-            self._maps.append((base, length, mm))
-            self.stats.reserve_calls += 1
-        return VmRegion(base, length)
-
-    def map_pages(self, length):
-        if length <= 0 or length % PAGE_SIZE:
-            raise ValueError("mapping must be a positive multiple of the page size")
-        mm = self._map(length)
-        with self._lock:
-            base = self._cursor
-            self._cursor = base + _round_up(length, VIRTUAL_SPAN_SIZE) \
-                + VIRTUAL_SPAN_SIZE
-            self._maps.append((base, length, mm))
-            self.map_calls += 1
-        return base
-
-    def _map(self, length):
-        try:
-            with self._lock:
-                if self._reserved + length > self._cap:
-                    raise ReservationError("mapping exceeds reservation cap")
-                self._reserved += length
-            return self._mmap.mmap(-1, length)
-        except (OSError, OverflowError) as exc:
-            raise ReservationError(f"OS refused mapping of {length:#x}: {exc}") from exc
-
-    def unmap(self, base):
-        with self._lock:
-            for i, (mbase, mlen, mm) in enumerate(self._maps):
-                if mbase == base:
-                    del self._maps[i]
-                    self._reserved -= mlen
-                    self.unmap_calls += 1
-                    mm.close()
-                    return
-        raise ValueError(f"unmap of unknown mapping {base:#x}")
-
-    def mapping_length(self, base):
-        for mbase, mlen, _ in self._maps:
-            if mbase == base:
-                return mlen
-        return None
-
-    def decommit(self, base, length):
-        if base % PAGE_SIZE or length % PAGE_SIZE:
-            raise ValueError("decommit range must be page-aligned")
-        mbase, _, mm = self._locate(base, length)
-        self.stats.decommit_calls += 1
-        if hasattr(mm, "madvise"):
-            mm.madvise(self._mmap.MADV_DONTNEED, base - mbase, length)
 
     def protect_guard(self, base, length, enable):
         if not self._guard_warned:
@@ -406,22 +391,30 @@ class OsProvider:
     def committed_in(self, base, length):
         raise NotImplementedError("range-exact accounting needs the sim provider")
 
-    def begin_window(self):
-        self._window_peak = self.committed_bytes
+    def _back(self, length):
+        try:
+            return mmap.mmap(-1, length, flags=mmap.MAP_PRIVATE
+                             | mmap.MAP_ANONYMOUS | _MAP_NORESERVE)
+        except (OSError, OverflowError) as exc:
+            raise ReservationError(
+                f"OS refused mapping of {length:#x}: {exc}") from exc
 
-    @property
-    def window_peak(self):
-        return self._window_peak
+    def _decommit(self, record, base, length):
+        mbase, _, mm = record
+        if hasattr(mm, "madvise"):
+            mm.madvise(mmap.MADV_DONTNEED, base - mbase, length)
 
-    def _locate(self, addr, n):
-        for mbase, mlen, mm in self._maps:
-            if mbase <= addr and addr + n <= mbase + mlen:
-                return mbase, mlen, mm
-        raise ValueError(f"address {addr:#x} outside any mapping")
+    def _release(self, record):
+        record[2].close()
 
 
 def _round_up(value, step):
     return -(-value // step) * step
+
+
+def _slots_of(base, length):
+    """The 2MB slots that [base, base+length) touches."""
+    return range(base >> _SLOT_SHIFT, ((base + length - 1) >> _SLOT_SHIFT) + 1)
 
 
 def _process_rss_bytes():

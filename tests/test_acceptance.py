@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from conftest import frag_oracle, make_allocator, validate_transition_trace, walk_oracle
+from helpers import frag_oracle, make_allocator, validate_transition_trace, walk_oracle
 from spanalloc.arena import Arena
 from spanalloc.bench import WorkloadConfig, ablate, run
 from spanalloc.config import PAGE_SIZE, VIRTUAL_SPAN_SIZE

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import make_allocator
+from helpers import make_allocator
 from spanalloc import NULL, GuardViolation, WildFree
 from spanalloc.api import HUGE_MAGIC, HugeHeader
 from spanalloc.config import PAGE_SIZE, VIRTUAL_SPAN_SIZE

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import SMALL_ARENA
+from helpers import SMALL_ARENA
 from spanalloc.bench import (
     ABLATION_FLAGS, RunReport, WorkloadConfig, ablate, run, write_csv,
 )

@@ -1,6 +1,6 @@
 import random
 
-from conftest import frag_oracle, make_allocator, walk_oracle
+from helpers import frag_oracle, make_allocator, walk_oracle
 from spanalloc.size_classes import TABLE, class_for_size
 
 C64 = class_for_size(64)

@@ -1,6 +1,6 @@
 import threading
 
-from conftest import make_allocator, validate_transition_trace
+from helpers import make_allocator, validate_transition_trace
 from spanalloc.config import CLAB
 from spanalloc.size_classes import TABLE, class_for_size
 from spanalloc.span import (

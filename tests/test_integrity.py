@@ -6,7 +6,7 @@ remote frees, drains, and pool cycling."""
 import random
 import threading
 
-from conftest import make_allocator
+from helpers import make_allocator
 
 
 def token_for(addr, nonce):

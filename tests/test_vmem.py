@@ -161,6 +161,72 @@ def test_shadow_page_set_oracle_random_ops():
     assert p.peak_committed_bytes >= p.committed_bytes
 
 
+def test_shadow_page_set_oracle_with_page_mappings():
+    # Exact accounting with page mappings live: random maps (up to 1100
+    # pages, three 2MB slots), writes and decommits that cross slot
+    # boundaries, and unmaps, recounted against a shadow page set.
+    p = SimProvider()
+    r = p.reserve(2 * MB2)
+    rng = random.Random(11)
+    live = {}                              # base -> length
+    shadow = set()
+
+    def pages(base, length):
+        return set(range(base // PAGE_SIZE, (base + length) // PAGE_SIZE))
+
+    def pick_page(base, length):
+        # Half the picks land within two pages of a 2MB slot boundary.
+        if rng.random() < 0.5 and length > MB2:
+            off = rng.randrange(MB2, length, MB2) \
+                + rng.randrange(-2, 2) * PAGE_SIZE
+        else:
+            off = rng.randrange(0, length, PAGE_SIZE)
+        return base + off
+
+    for _ in range(1500):
+        op = rng.random()
+        ranges = [(r.base, r.length)] + list(live.items())
+        if op < 0.12 or not live:
+            length = rng.choice([1, 3, 511, 512, 513, 1025, 1100]) * PAGE_SIZE
+            base = p.map_pages(length)
+            live[base] = length
+            assert p.mapping_length(base) == length
+            slack = base + -(-length // MB2) * MB2
+            for addr in (base + length, slack, slack + MB2 - PAGE_SIZE):
+                with pytest.raises(ValueError):
+                    p.write(addr, b"x")
+            with pytest.raises(ValueError):
+                p.decommit(base + length - PAGE_SIZE, 2 * PAGE_SIZE)
+        elif op < 0.2:
+            base = rng.choice(list(live))
+            length = live.pop(base)
+            p.unmap(base)
+            shadow -= pages(base, length)
+            assert p.mapping_length(base) is None
+            with pytest.raises(ValueError):
+                p.write(base, b"x")
+        elif op < 0.65:
+            base, length = rng.choice(ranges)
+            addr = pick_page(base, length) + rng.randrange(PAGE_SIZE)
+            n = min(rng.randint(1, 3 * PAGE_SIZE), base + length - addr)
+            p.write(addr, b"w" * n)
+            shadow |= set(range(addr // PAGE_SIZE, -(-(addr + n) // PAGE_SIZE)))
+        else:
+            base, length = rng.choice(ranges)
+            addr = pick_page(base, length)
+            n = min(rng.randint(1, 700) * PAGE_SIZE, base + length - addr)
+            p.decommit(addr, n)
+            shadow -= pages(addr, n)
+        assert p.committed_page_indices() == shadow
+        assert p.committed_bytes == len(shadow) * PAGE_SIZE
+        base, length = rng.choice([(r.base, r.length)] + list(live.items()))
+        assert p.committed_in(base, length) == \
+            len(shadow & pages(base, length)) * PAGE_SIZE
+    for base in list(live):
+        p.unmap(base)
+    assert p.committed_bytes == len(shadow & pages(r.base, r.length)) * PAGE_SIZE
+
+
 def test_window_peak():
     p = SimProvider()
     r = p.reserve(2 * MB2)
@@ -198,6 +264,22 @@ def test_os_provider_roundtrip():
     p.write(base, b"q")
     p.unmap(base)
     assert p.committed_bytes % PAGE_SIZE == 0
+
+
+def test_os_provider_reserves_default_arena():
+    # The default 32 GB arena exceeds the memory of many hosts; it is
+    # reserved with MAP_NORESERVE, which only strict overcommit refuses.
+    try:
+        with open("/proc/sys/vm/overcommit_memory") as fh:
+            strict = fh.read().strip() == "2"
+    except OSError:                        # pragma: no cover
+        strict = False
+    if strict:                             # pragma: no cover
+        pytest.skip("strict overcommit refuses unbacked reservations")
+    p = OsProvider()
+    region = p.reserve(1 << 35)
+    p.write(region.end - PAGE_SIZE, b"tail")
+    assert p.read(region.end - PAGE_SIZE, 4) == b"tail"
 
 
 def test_os_provider_guards_unsupported():
