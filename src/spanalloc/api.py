@@ -86,7 +86,7 @@ class Allocator:
         if self.arena.contains(addr):
             try:
                 self.frontend.deallocate(addr)
-            except KeyError:
+            except LookupError:
                 raise WildFree(
                     f"{addr:#x} is in the arena but not in any span") from None
         else:

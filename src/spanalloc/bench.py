@@ -660,13 +660,15 @@ def build_arg_parser():
     parser.add_argument("--csv", type=str, default=None)
     parser.add_argument("--ablate", type=str, default="",
                         help="comma list of " + ",".join(ABLATION_FLAGS))
-    parser.add_argument("--provider", choices=("os", "sim"), default="os")
+    # Allocator flags default to None: an omitted flag leaves its knob
+    # to SPANALLOC_* and then to the library default.
+    parser.add_argument("--provider", choices=("os", "sim"), default=None)
     parser.add_argument("--pool-width", type=int, default=None)
-    parser.add_argument("--reuse-threshold", type=int, default=80,
+    parser.add_argument("--reuse-threshold", type=int, default=None,
                         metavar="PCT")
     parser.add_argument("--arena-bytes", type=int, default=None)
-    parser.add_argument("--lab-mode", choices=("tlab", "clab"), default="tlab")
-    parser.add_argument("--guard-pages", action="store_true")
+    parser.add_argument("--lab-mode", choices=("tlab", "clab"), default=None)
+    parser.add_argument("--guard-pages", action="store_true", default=None)
     parser.add_argument("--no-touch", action="store_true",
                         help="skip writing into allocated objects")
     parser.add_argument("--instrument", action="store_true",
@@ -686,17 +688,16 @@ def main(argv=None):
         sys.stdout.write(dump_csv())
         return 0
 
-    overrides = dict(
+    given = dict(
         provider=args.provider,
         reuse_percent=args.reuse_threshold,
         lab_mode=args.lab_mode,
         guard_pages=args.guard_pages,
-        instrument=args.instrument or args.frag_csv is not None,
+        pool_width=args.pool_width,
+        arena_bytes=args.arena_bytes,
     )
-    if args.pool_width is not None:
-        overrides["pool_width"] = args.pool_width
-    if args.arena_bytes is not None:
-        overrides["arena_bytes"] = args.arena_bytes
+    overrides = {k: v for k, v in given.items() if v is not None}
+    overrides["instrument"] = args.instrument or args.frag_csv is not None
     flags = tuple(f for f in args.ablate.split(",") if f)
     allocator = ablate(flags, base_config=AllocatorConfig.from_env(),
                        **overrides)

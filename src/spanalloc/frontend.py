@@ -9,11 +9,17 @@ spans (spans whose free-block count crossed the reusability threshold).
 Allocation serves from the hot span's local list or bump region. When
 that runs dry it drains the remote list if enough blocks accumulated,
 otherwise the hot span goes floating and a replacement comes from the
-reusable set, the span pool, or the arena. Deallocation pushes the
-block on the local list (own span, TLAB) or the remote list, adopts
-orphaned spans, and drives the floating -> reusable -> free transitions;
-a span whose last block is freed goes back to the span pool inside that
-same call unless the deferred-reclamation ablation is on.
+reusable set, the span pool, or the arena.
+
+Deallocation first rejects, in O(1), an address that is not a handed-out
+block of a live span. A TLAB free into a span the caller owns takes the
+fast path: a local-list push, then only the check the span's
+snapshotted state needs (none when hot, the reusability threshold when
+floating, emptiness when reusable). Every other free (remote, CLAB, or
+into an orphan) pushes on the remote list and adopts orphaned spans.
+Both drive the same floating -> reusable -> free transitions; a span
+whose last block is freed goes back to the span pool inside that same
+call unless the deferred-reclamation ablation is on.
 
 All cross-thread handoffs ride on the epoch word: a stale snapshot
 fails its conditional replace and the loser simply moves on.
@@ -26,11 +32,12 @@ import weakref
 
 from .atomic import AtomicWord
 from .config import CLAB, TLAB
+from .errors import WildFree
 from .size_classes import NUM_CLASSES
 from .span import (
-    LINK_NEXT_MASK, LINK_PREV_SHIFT, STATE_FLOATING, STATE_FREE, STATE_HOT,
-    STATE_REUSABLE, TERMINATED, epoch_state, next_epoch_word, owner_lab_ref,
-    pack_owner,
+    EPOCH_STATE_SHIFT, LINK_NEXT_MASK, LINK_PREV_SHIFT, STATE_FLOATING,
+    STATE_FREE, STATE_HOT, STATE_REUSABLE, TERMINATED, epoch_state,
+    next_epoch_word, owner_lab_ref, pack_owner,
 )
 
 
@@ -157,6 +164,12 @@ class LAB:
         return word
 
 
+# ThreadStats counters that add up across threads; the other one,
+# max_fetches_per_alloc, takes the maximum.
+_SUMMED_STATS = ("allocs", "frees_local", "frees_remote", "pool_fetches",
+                 "set_fetches", "drains", "adopts")
+
+
 class ThreadStats:
     __slots__ = ("thread_id", "allocs", "frees_local", "frees_remote",
                  "pool_fetches", "set_fetches", "drains", "adopts",
@@ -176,6 +189,13 @@ class ThreadStats:
     def as_dict(self):
         return {k: getattr(self, k) for k in self.__slots__}
 
+    def fold_into(self, totals):
+        """Add these counters to `totals`, a ThreadStats of sums."""
+        for key in _SUMMED_STATS:
+            setattr(totals, key, getattr(totals, key) + getattr(self, key))
+        if self.max_fetches_per_alloc > totals.max_fetches_per_alloc:
+            totals.max_fetches_per_alloc = self.max_fetches_per_alloc
+
 
 class Frontend:
     def __init__(self, space, pool, config, ledger=None):
@@ -188,17 +208,21 @@ class Frontend:
         self.labs = []
         self._free_labs = []
         self._mgr_lock = threading.Lock()
+        # Per thread, one attribute: the (lab, tid, stats) record of its
+        # attachment, absent while detached.
         self._tls = threading.local()
         self._tid_counter = itertools.count()
-        self.thread_stats = {}
+        self.thread_stats = {}              # attached threads only
+        self.retired_stats = ThreadStats(None)
 
     # -- thread registration ----------------------------------------------
 
     def attach(self):
         """Register the calling thread; idempotent."""
         tls = self._tls
-        if getattr(tls, "lab", None) is not None:
-            return tls.lab
+        attached = getattr(tls, "attached", None)
+        if attached is not None:
+            return attached[0]
         with self._mgr_lock:
             tid = next(self._tid_counter)
             if self.tlab:
@@ -217,42 +241,37 @@ class Frontend:
             lab.attached += 1
             stats = ThreadStats(tid)
             self.thread_stats[tid] = stats
-        tls.lab = lab
-        tls.tid = tid
-        tls.stats = stats
-        tls.generation = lab.generation
-        # Safety net for threads that never detach explicitly: terminate
-        # the LAB when the Thread object is collected after exit.
-        weakref.finalize(threading.current_thread(), self._finalize,
-                         lab.index, lab.generation)
+        tls.attached = (lab, tid, stats)
+        # Safety net for threads that never detach explicitly: release
+        # the attachment when the Thread object is collected after exit.
+        weakref.finalize(threading.current_thread(), self._release, lab, tid)
         return lab
 
     def detach(self):
         """Unregister the calling thread, terminating its LAB when it
         was the last user."""
         tls = self._tls
-        lab = getattr(tls, "lab", None)
-        if lab is None:
+        attached = getattr(tls, "attached", None)
+        if attached is None:
             return
-        tid, generation = tls.tid, tls.generation
-        tls.lab = None
-        tls.tid = None
-        tls.stats = None
-        tls.generation = None
-        self._release(lab, generation, tid)
+        lab, tid, _ = attached
+        del tls.attached
+        self._release(lab, tid)
 
-    def _finalize(self, lab_index, generation):
-        lab = self.labs[lab_index]
-        self._release(lab, generation, None)
-
-    def _release(self, lab, generation, tid):
+    def _release(self, lab, tid):
+        """End attachment `tid` of `lab`, once: from detach or from the
+        thread's finalizer, whichever comes first. Its counters fold
+        into the retired total, so `thread_stats` lists attached
+        threads only."""
         with self._mgr_lock:
-            if lab.generation != generation or lab.attached == 0:
-                return  # already detached and possibly reused
+            stats = self.thread_stats.pop(tid, None)
+            if stats is None:
+                return  # already released
+            stats.fold_into(self.retired_stats)
             lab.attached -= 1
             if lab.attached > 0:
                 return
-            self._terminate_lab(lab, tid)
+            self._terminate_lab(lab)
             if self.tlab:
                 self._free_labs.append(lab.index)
 
@@ -262,11 +281,13 @@ class Frontend:
         return lab
 
     def _current(self):
-        tls = self._tls
-        lab = getattr(tls, "lab", None)
-        if lab is None:
-            lab = self.attach()
-        return lab, self._tls.tid, self._tls.stats
+        """The caller's (lab, tid, stats), attaching on first use; one
+        thread-local read when attached."""
+        try:
+            return self._tls.attached
+        except AttributeError:
+            self.attach()
+            return self._tls.attached
 
     # -- allocation ---------------------------------------------------------
 
@@ -351,44 +372,63 @@ class Frontend:
 
     def deallocate(self, addr):
         span = self.space.span_of(addr)
-        sc = span.size_class
         # Snapshot before the free: the state transitions below must
         # fail if anything moved in between.
         old_owner = span.owner.load()
         old_epoch = span.epoch.load()
+        old_state = old_epoch >> EPOCH_STATE_SHIFT
+        # O(1) misuse checks before any list push. A live block's span
+        # is never free, so the state test also covers headers that
+        # were never initialized (block size 0).
+        off = addr - span.payload
+        size = span.block_size
+        if old_state == STATE_FREE or off < 0 or off % size \
+                or off >= span.bump_limit * size:
+            raise WildFree(f"{addr:#x} is not a handed-out block of its span")
         lab, tid, stats = self._current()
         mine = lab.owner_word.load()
         if old_owner == mine and self.tlab:
+            # Own span: no orphan check or adoption, and a hot span
+            # needs no state work at all.
             span.free_local(addr)
             stats.frees_local += 1
+            pooled = old_state != STATE_HOT and \
+                self._settle(span, old_owner, old_epoch, tid)
         else:
             span.free_remote(addr)
             stats.frees_remote += 1
-        if self._is_orphan(old_owner):
-            if span.try_adopt(old_owner, mine):
-                stats.adopts += 1
-        pooled = False
+            if self._is_orphan(old_owner):
+                if span.try_adopt(old_owner, mine):
+                    stats.adopts += 1
+            pooled = self._settle(span, old_owner, old_epoch, tid)
+        if self.ledger is not None:
+            self.ledger.on_free(pooled, size, size * span.blocks_per_span)
+
+    def _settle(self, span, old_owner, old_epoch, tid):
+        """The state work after a free into a span whose epoch read
+        `old_epoch` before it: a floating span that crossed the
+        threshold goes reusable, a reusable span that emptied goes free
+        and back to the pool. True when this call pooled the span."""
         old_state = epoch_state(old_epoch)
-        if span.free_block_count() > span.reuse_threshold_blocks:
-            if old_state == STATE_FLOATING:
-                if span.try_transition(old_epoch, STATE_REUSABLE):
-                    owner_lab = self.labs[owner_lab_ref(old_owner)]
-                    owner_lab.reusable[sc].put(old_owner, span)
-                    # This call's own marking refreshes the snapshot, so
-                    # a free that both crossed the threshold and emptied
-                    # the span can still pool it below, on this call.
-                    old_epoch = next_epoch_word(old_epoch, STATE_REUSABLE)
-                    old_state = STATE_REUSABLE
+        sc = span.size_class
+        if old_state == STATE_FLOATING \
+                and span.free_block_count() > span.reuse_threshold_blocks:
+            if span.try_transition(old_epoch, STATE_REUSABLE):
+                owner_lab = self.labs[owner_lab_ref(old_owner)]
+                owner_lab.reusable[sc].put(old_owner, span)
+                # This call's own marking refreshes the snapshot, so
+                # a free that both crossed the threshold and emptied
+                # the span can still pool it below, on this call.
+                old_epoch = next_epoch_word(old_epoch, STATE_REUSABLE)
+                old_state = STATE_REUSABLE
         if self.eager_reclaim and old_state == STATE_REUSABLE \
                 and span.is_empty():
             if span.try_transition(old_epoch, STATE_FREE):
                 owner_lab = self.labs[owner_lab_ref(old_owner)]
                 owner_lab.reusable[sc].remove(old_owner, span)
                 self.pool.put(span, tid)
-                pooled = True
-        if self.ledger is not None:
-            self.ledger.on_free(pooled, span.block_size,
-                                span.block_size * span.blocks_per_span)
+                return True
+        return False
 
     def _is_orphan(self, span_owner_word):
         lab = self.labs[owner_lab_ref(span_owner_word)]
@@ -396,7 +436,7 @@ class Frontend:
 
     # -- termination --------------------------------------------------------
 
-    def _terminate_lab(self, lab, tid):
+    def _terminate_lab(self, lab):
         """Close the sets, float every hot and reusable span, mark the
         LAB terminated. Spans with live blocks become orphans that
         later frees adopt."""
@@ -423,21 +463,15 @@ class Frontend:
     # -- reporting ----------------------------------------------------------
 
     def aggregate_stats(self):
-        totals = {
-            "allocs": 0, "frees_local": 0, "frees_remote": 0,
-            "pool_fetches": 0, "set_fetches": 0, "drains": 0, "adopts": 0,
-            "max_fetches_per_alloc": 0,
-        }
+        totals = ThreadStats(None)
         with self._mgr_lock:
-            stats = list(self.thread_stats.values())
-        for s in stats:
-            for key in totals:
-                if key == "max_fetches_per_alloc":
-                    totals[key] = max(totals[key], s.max_fetches_per_alloc)
-                else:
-                    totals[key] += getattr(s, key)
-        frees = totals["frees_local"] + totals["frees_remote"]
-        totals["frees"] = frees
-        totals["remote_free_fraction"] = \
-            totals["frees_remote"] / frees if frees else 0.0
-        return totals
+            self.retired_stats.fold_into(totals)
+            for s in self.thread_stats.values():
+                s.fold_into(totals)
+        out = totals.as_dict()
+        del out["thread_id"]
+        frees = totals.frees_local + totals.frees_remote
+        out["frees"] = frees
+        out["remote_free_fraction"] = \
+            totals.frees_remote / frees if frees else 0.0
+        return out

@@ -17,6 +17,9 @@ written. Every successful transition is a single conditional replace
 of the epoch word.
 """
 
+import threading
+
+from .arena import SPAN_SHIFT
 from .atomic import AtomicWord
 from .config import VIRTUAL_SPAN_SIZE
 from .errors import DoubleFree
@@ -144,8 +147,9 @@ class SpanHeader:
         """Pop the local free list, else bump; 0 when exhausted."""
         head = self.local_head
         if head:
-            addr = self.space.arena_base + head
-            self.local_head = self.space.provider.read_word(addr)
+            space = self.space
+            addr = space.arena_base + head
+            self.local_head = space.provider.read_word(addr)
             self.local_count -= 1
             return addr
         b = self.bump_limit
@@ -156,11 +160,11 @@ class SpanHeader:
 
     def free_local(self, addr):
         """Push onto the local list (LIFO); returns the new local count."""
-        if self.space.debug_checks:
+        space = self.space
+        if space.debug_checks:
             self._debug_check_not_free(addr)
-        off = addr - self.space.arena_base
-        self.space.provider.write_word(addr, self.local_head)
-        self.local_head = off
+        space.provider.write_word(addr, self.local_head)
+        self.local_head = addr - space.arena_base
         count = self.local_count + 1
         self.local_count = count
         return count
@@ -307,6 +311,9 @@ class SpanSpace:
 
     Header objects are created on a slot's first use and mutated in
     place across reuses, mirroring headers living at the span base.
+    `headers` is indexed by slot and grows when a header is created (on
+    the arena slow path), so `span_of` is one subtract, one shift and
+    one index; a slot without a header below the last one holds None.
     """
 
     def __init__(self, arena, provider, reuse_percent=80, guard_pages=False,
@@ -318,23 +325,35 @@ class SpanSpace:
         self.guard_pages = guard_pages and provider.supports_guards
         self.debug_checks = debug_checks
         self.trace = [] if trace_transitions else None
-        self.headers = {}
+        self.headers = []
+        self._grow_lock = threading.Lock()
 
     def header_for_base(self, base, create=False):
         slot = self.arena.slot_of(base)
-        header = self.headers.get(slot)
+        headers = self.headers
+        header = headers[slot] if slot < len(headers) else None
         if header is None:
             if not create:
                 raise KeyError(f"no span header at {base:#x}")
-            header = self.headers.setdefault(slot, SpanHeader(self, slot, base))
+            with self._grow_lock:
+                if slot >= len(headers):
+                    headers.extend([None] * (slot + 1 - len(headers)))
+                header = headers[slot]
+                if header is None:
+                    header = headers[slot] = SpanHeader(self, slot, base)
         return header
 
     def span_of(self, addr):
-        """Header of the span containing `addr` (which must be in-arena)."""
-        return self.headers[self.arena.slot_of(self.arena.owning_span_base(addr))]
+        """Header of the span containing `addr` (which must be in-arena).
+        A LookupError when its slot has no header: IndexError past the
+        last header created, KeyError in a gap before it."""
+        header = self.headers[(addr - self.arena_base) >> SPAN_SHIFT]
+        if header is None:
+            raise KeyError(f"no span header at {addr:#x}")
+        return header
 
     def iter_headers(self):
-        return iter(list(self.headers.values()))
+        return (h for h in list(self.headers) if h is not None)
 
     def adjust_guards(self, header):
         """Unprotect the real span, guard the rest of the virtual span."""

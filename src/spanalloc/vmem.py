@@ -28,6 +28,7 @@ their range touches, not to the length of the range.
 """
 
 import mmap
+import struct
 import threading
 from collections import defaultdict
 from dataclasses import dataclass
@@ -42,6 +43,13 @@ _SLOT_SHIFT = VIRTUAL_SPAN_SIZE.bit_length() - 1
 _SLOT_PAGE_SHIFT = (VIRTUAL_SPAN_SIZE // PAGE_SIZE).bit_length() - 1
 # Python's mmap module does not export MAP_NORESERVE (Linux value).
 _MAP_NORESERVE = 0x4000
+# Sim word access packs straight into the page's bytearray. A typed view
+# kept per page (memoryview or array) would be an object the cyclic
+# collector tracks, one per committed page, and more frequent
+# collections show up in the allocator's tail latency.
+_WORD = struct.Struct("<Q")
+_pack_word = _WORD.pack_into
+_unpack_word = _WORD.unpack_from
 
 
 @dataclass
@@ -240,8 +248,7 @@ class SimProvider(_Provider):
         page = self._pages.get(idx)
         if page is None:
             page = self._commit_page(idx)
-        off = addr & 0xFFF
-        page[off:off + 8] = value.to_bytes(8, "little")
+        _pack_word(page, addr & 0xFFF, value)
 
     def read_word(self, addr):
         page = self._pages.get(addr >> 12)
@@ -249,8 +256,7 @@ class SimProvider(_Provider):
             if self._guards and (addr >> 12) in self._guards:
                 raise GuardViolation(f"read inside guarded page {addr >> 12:#x}")
             return 0
-        off = addr & 0xFFF
-        return int.from_bytes(page[off:off + 8], "little")
+        return _unpack_word(page, addr & 0xFFF)[0]
 
     def touch(self, addr, nbytes):
         """Commit every page overlapping [addr, addr+nbytes).

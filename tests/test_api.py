@@ -78,7 +78,55 @@ def test_wild_free_detected(alloc):
     with pytest.raises(WildFree):
         # In-arena address of a slot that holds no span.
         alloc.free(alloc.arena.base + 10 * VIRTUAL_SPAN_SIZE + 64)
+    # A header created past the others leaves a gap of empty slots, and
+    # is itself uninitialized until its span is handed out.
+    alloc.space.header_for_base(alloc.arena.base_of_slot(20), create=True)
+    for slot in (15, 20):
+        with pytest.raises(WildFree):
+            alloc.free(alloc.arena.base_of_slot(slot) + PAGE_SIZE)
     alloc.free(q)
+
+
+def test_interior_free_rejected(alloc):
+    p = alloc.malloc(64)
+    with pytest.raises(WildFree):
+        alloc.free(p + 8)                  # not a block boundary
+    with pytest.raises(WildFree):
+        alloc.free(alloc.space.span_of(p).payload - 16)   # in the header
+    q = alloc.malloc(64)
+    assert q != p + 8 and (q - p) % 64 == 0
+    alloc.free(p)
+    alloc.free(q)
+    assert alloc.stats()["frees"] == 2
+
+
+def test_free_of_never_handed_out_block_rejected(alloc):
+    p = alloc.malloc(64)
+    span = alloc.space.span_of(p)
+    assert span.bump_limit == 1
+    with pytest.raises(WildFree):
+        alloc.free(p + 64)                 # index == bump_limit
+    with pytest.raises(WildFree):
+        alloc.free(p + 10 * 64)            # above it
+    assert span.local_count == 0 and span.remote_count() == 0
+    alloc.free(p)
+
+
+def test_free_into_pooled_span_rejected(alloc):
+    # 1MB blocks have a span each; freeing `a` after its span floated
+    # empties it and pools it, so a second free finds it in state free.
+    a = alloc.malloc(1 << 20)
+    b = alloc.malloc(1 << 20)
+    alloc.free(a)
+    puts = alloc.pool.puts.load()
+    with pytest.raises(WildFree):
+        alloc.free(a)
+    assert alloc.pool.puts.load() == puts
+    c = alloc.malloc(1 << 20)
+    d = alloc.malloc(1 << 20)
+    assert c != d                           # not handed out twice
+    for x in (b, c, d):
+        alloc.free(x)
 
 
 def test_calloc_zeroes_recycled_blocks(alloc):

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import SMALL_ARENA
 from spanalloc.bench import (
-    ABLATION_FLAGS, RunReport, WorkloadConfig, ablate, run, write_csv,
+    ABLATION_FLAGS, RunReport, WorkloadConfig, ablate, main, run, write_csv,
 )
 from spanalloc.config import AllocatorConfig
 
@@ -132,6 +132,33 @@ def test_cli_end_to_end(tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows[0]["ablation"] == "no_decommit"
     assert rows[0]["provider"] == "sim"
+
+
+def test_cli_takes_omitted_flags_from_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("SPANALLOC_PROVIDER", "sim")
+    monkeypatch.setenv("SPANALLOC_REUSE_PERCENT", "65")
+    monkeypatch.setenv("SPANALLOC_LAB_MODE", "clab")
+    path = tmp_path / "env.csv"
+    argv = ["--workload", "threadtest", "--rounds", "1", "--objects", "50",
+            "--arena-bytes", str(SMALL_ARENA), "--csv", str(path)]
+    assert main(argv) == 0
+    assert main(argv + ["--reuse-threshold", "70"]) == 0    # flag wins
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["provider"] for r in rows] == ["sim", "sim"]
+    assert [r["lab_mode"] for r in rows] == ["clab", "clab"]
+    assert [r["reuse_percent"] for r in rows] == ["65", "70"]
+
+
+def test_cli_default_provider_is_the_library_default(tmp_path, monkeypatch):
+    monkeypatch.delenv("SPANALLOC_PROVIDER", raising=False)
+    path = tmp_path / "default.csv"
+    assert main(["--workload", "threadtest", "--rounds", "1",
+                 "--objects", "50", "--arena-bytes", str(SMALL_ARENA),
+                 "--csv", str(path)]) == 0
+    with open(path) as fh:
+        row = next(csv.DictReader(fh))
+    assert row["provider"] == AllocatorConfig.provider == "sim"
 
 
 def test_workload_config_validation():

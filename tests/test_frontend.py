@@ -1,6 +1,12 @@
+import gc
+import random
 import threading
 
-from helpers import make_allocator, validate_transition_trace
+import pytest
+
+from helpers import (
+    frag_oracle, make_allocator, validate_transition_trace, walk_oracle,
+)
 from spanalloc.config import CLAB
 from spanalloc.size_classes import TABLE, class_for_size
 from spanalloc.span import (
@@ -544,3 +550,156 @@ def test_crossing_and_emptying_in_one_free_still_pools(alloc):
     assert span.set_token is None
     assert alloc.frontend.labs[0].reusable[span.size_class].size == 0
     alloc.free(b)
+
+
+# -- own-span fast path: same transitions, memory and counts ----------------
+
+SEQUENCE_SIZES = [64, 64, 256, 1 << 19]     # 508, 127 and 2 blocks per span
+
+
+def own_span_sequence(alloc, seed=11):
+    """Grow and shrink a live set from one thread, checking the oracles
+    after every phase. Returns how many frees found their span hot,
+    floating or reusable, and how many frees both crossed the threshold
+    and emptied their span."""
+    rng = random.Random(seed)
+    live = []
+    seen = {STATE_HOT: 0, STATE_FLOATING: 0, STATE_REUSABLE: 0,
+            "cross_and_empty": 0}
+    for target in (1500, 100, 1200, 300, 0):
+        while len(live) < target:
+            p = alloc.malloc(rng.choice(SEQUENCE_SIZES))
+            assert p
+            live.append(p)
+        while len(live) > target:
+            p = live.pop(rng.randrange(len(live)))
+            span = span_of(alloc, p)
+            before = state_of(span)
+            alloc.free(p)
+            seen[before] += 1
+            if before == STATE_FLOATING and state_of(span) == STATE_FREE:
+                seen["cross_and_empty"] += 1
+        validate_transition_trace(alloc)
+        assert walk_oracle(alloc) == frag_oracle(alloc) == alloc.ledger.f
+    return seen
+
+
+# committed_bytes and stats() of own_span_sequence, recorded from the
+# implementation before the own-span fast path existed.
+SEQUENCE_BEFORE = {
+    "tlab": (966656, {
+        "allocs": 2600, "frees_local": 2600, "frees_remote": 0,
+        "pool_fetches": 341, "set_fetches": 3, "drains": 0, "adopts": 0,
+        "max_fetches_per_alloc": 1, "frees": 2600,
+        "remote_free_fraction": 0.0, "pool_puts": 338, "pool_gets": 142,
+        "arena_spans": 199, "stack_pushes": 338, "stack_pops": 142,
+        "stack_retries": 0, "frag_bytes": 1113600}),
+    CLAB: (962560, {
+        "allocs": 2600, "frees_local": 0, "frees_remote": 2600,
+        "pool_fetches": 342, "set_fetches": 3, "drains": 4, "adopts": 0,
+        "max_fetches_per_alloc": 1, "frees": 2600,
+        "remote_free_fraction": 1.0, "pool_puts": 339, "pool_gets": 143,
+        "arena_spans": 199, "stack_pushes": 339, "stack_pops": 143,
+        "stack_retries": 0, "frag_bytes": 1113600}),
+}
+
+
+@pytest.mark.parametrize("lab_mode", ["tlab", CLAB])
+def test_own_span_sequence_matches_slow_path_results(lab_mode):
+    alloc = make_allocator(lab_mode=lab_mode, arena_bytes=1 << 31,
+                           instrument=True, trace_transitions=True,
+                           debug_checks=True)
+    seen = own_span_sequence(alloc)
+    assert seen[STATE_HOT] and seen[STATE_FLOATING] \
+        and seen[STATE_REUSABLE] and seen["cross_and_empty"]
+    committed, stats = SEQUENCE_BEFORE[lab_mode]
+    assert alloc.committed_bytes == committed
+    assert alloc.stats() == stats
+    # CLAB frees always take the remote path, TLAB own-span frees never.
+    assert stats["frees_remote"] == (stats["frees"] if lab_mode == CLAB else 0)
+
+
+# -- per-thread counters stay bounded ----------------------------------------
+
+def test_thread_stats_fold_into_retired_total(alloc):
+    keep = [alloc.malloc(64) for _ in range(50)]
+    snapshots = []
+
+    def short_lived(i):
+        alloc.attach_thread()
+        mine = [alloc.malloc(64) for _ in range(3)]
+        alloc.free(mine[0])
+        alloc.free(mine[1])
+        alloc.free(keep[i])                 # remote: the main thread's span
+        snapshots.append(alloc.stats())     # still attached
+        alloc.detach_thread()
+        snapshots.append(alloc.stats())     # retired
+        alloc.free(mine[2])                 # re-attaches; detached below
+        alloc.detach_thread()
+
+    for i in range(50):
+        run_in_thread(short_lived, i)
+        assert len(alloc.frontend.thread_stats) <= 1      # the main thread
+    for attached, retired in zip(snapshots[::2], snapshots[1::2]):
+        assert attached == retired
+    stats = alloc.stats()
+    assert stats["allocs"] == 50 + 50 * 3
+    assert stats["frees"] == 50 * 4
+    assert stats["frees_remote"] == 50 * 2
+    assert stats["remote_free_fraction"] == 0.5
+    assert stats["max_fetches_per_alloc"] == 1
+
+
+def test_finalizer_folds_threads_that_never_detach(alloc):
+    def no_detach():
+        alloc.free(alloc.malloc(64))
+
+    threads = [threading.Thread(target=no_detach) for _ in range(20)]
+    for t in threads:
+        t.start()
+        t.join()
+    del threads, t
+    gc.collect()
+    assert len(alloc.frontend.thread_stats) == 0
+    stats = alloc.stats()
+    assert stats["allocs"] == stats["frees"] == stats["frees_local"] == 20
+
+
+def test_clab_finalizer_does_not_release_a_detached_thread_again():
+    # Two threads share one CLAB LAB. The one that detached explicitly
+    # must not release the LAB a second time when its Thread object is
+    # collected, which would terminate it under the thread still on it.
+    alloc = make_allocator(lab_mode=CLAB)
+    fe = alloc.frontend
+    width = fe.clab_width
+    go = threading.Event()
+    seen = {}
+
+    def long_lived():
+        alloc.attach_thread()
+        p = alloc.malloc(64)
+        go.wait(10)
+        lab = fe.labs[0]
+        seen["attached"] = lab.attached
+        seen["live"] = lab.owner_word.load() != TERMINATED
+        alloc.free(p)
+        alloc.detach_thread()
+
+    def short_lived():
+        alloc.attach_thread()
+        alloc.malloc(64)
+        alloc.detach_thread()
+
+    holder = threading.Thread(target=long_lived)    # tid 0 -> LAB 0
+    holder.start()
+    for _ in range(width - 1):                       # tids 1..width-1
+        run_in_thread(short_lived)
+    sharer = threading.Thread(target=short_lived)   # tid width -> LAB 0
+    sharer.start()
+    sharer.join()
+    del sharer
+    gc.collect()
+    go.set()
+    holder.join(10)
+    assert not holder.is_alive()
+    assert seen == {"attached": 1, "live": True}

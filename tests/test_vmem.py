@@ -64,6 +64,23 @@ def test_word_roundtrip_and_cross_page_write():
     assert p.read(r.base + PAGE_SIZE - 100, len(blob)) == blob
 
 
+def test_words_agree_with_bytes_and_follow_commit():
+    p = SimProvider()
+    r = p.reserve(2 * MB2)
+    last = r.base + PAGE_SIZE - 8          # last word of the first page
+    p.write_word(last, (1 << 64) - 2)
+    assert p.read(last, 8) == ((1 << 64) - 2).to_bytes(8, "little")
+    assert p.read(last + 8, 8) == bytes(8)              # next page untouched
+    assert p.committed_bytes == PAGE_SIZE
+    p.write(r.base + 16, (0x0102030405060708).to_bytes(8, "little"))
+    assert p.read_word(r.base + 16) == 0x0102030405060708
+    p.decommit(r.base, PAGE_SIZE)
+    assert p.read_word(last) == 0 and p.committed_bytes == 0
+    p.write_word(last, 7)                  # recommits a zeroed page
+    assert p.read_word(last) == 7 and p.read_word(r.base + 16) == 0
+    assert p.committed_bytes == PAGE_SIZE
+
+
 def test_decommit_releases_and_reads_zero():
     p = SimProvider()
     r = p.reserve(2 * MB2)
