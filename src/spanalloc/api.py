@@ -55,18 +55,16 @@ class Allocator:
         self.provider = make_provider(config)
         self.region = self.provider.reserve(config.arena_bytes)
         self.arena = Arena(self.region)
+        self.ledger = FragLedger() if config.instrument else None
         self.space = SpanSpace(
             self.arena, self.provider,
             reuse_percent=config.reuse_percent,
             guard_pages=config.guard_pages,
-            trace_transitions=config.trace_transitions,
-            debug_checks=config.debug_checks,
+            ledger=self.ledger,
         )
         self.pool = SpanPool(self.space, config.effective_pool_width(),
                              decommit_enabled=config.decommit_enabled)
-        self.ledger = FragLedger() if config.instrument else None
-        self.frontend = Frontend(self.space, self.pool, config,
-                                 ledger=self.ledger)
+        self.frontend = Frontend(self.space, self.pool, config)
 
     # -- allocation entry points ------------------------------------------
 
@@ -84,11 +82,7 @@ class Allocator:
         if addr == NULL:
             return
         if self.arena.contains(addr):
-            try:
-                self.frontend.deallocate(addr)
-            except LookupError:
-                raise WildFree(
-                    f"{addr:#x} is in the arena but not in any span") from None
+            self.frontend.deallocate(addr)
         else:
             self._huge_free(addr)
 
@@ -107,6 +101,8 @@ class Allocator:
         if size == 0:
             self.free(addr)
             return self.malloc(0)
+        if self.arena.contains(addr):
+            self.space.block_span(addr)    # WildFree before, not after, malloc
         old_usable = self.usable_size(addr)
         new = self.malloc(size)
         if new == NULL:
@@ -129,10 +125,11 @@ class Allocator:
         return self.malloc(rounded)
 
     def usable_size(self, addr):
+        """Usable bytes of the handed-out block that holds `addr`;
+        WildFree when no handed-out block or huge mapping holds it."""
         if self.arena.contains(addr):
-            return self.space.span_of(addr).block_size
-        header = self._read_huge_header(addr)
-        return header.payload_size
+            return self.space.block_span(addr, interior=True)[0].block_size
+        return self._read_huge_header(addr).payload_size
 
     # -- huge objects -------------------------------------------------------
 

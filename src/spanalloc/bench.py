@@ -38,7 +38,13 @@ from .config import AllocatorConfig
 from .errors import SpanAllocError
 from .size_classes import dump_csv
 
-ABLATION_FLAGS = ("no_decommit", "pool_width_1", "lazy_reclaim")
+# Each ablation flag and the AllocatorConfig fields it sets.
+ABLATIONS = {
+    "no_decommit": {"decommit_enabled": False},
+    "pool_width_1": {"pool_width": 1},
+    "lazy_reclaim": {"eager_reclaim": False},
+}
+ABLATION_FLAGS = tuple(ABLATIONS)
 
 WORKLOADS = (
     "threadtest", "shbench_like", "larson_like", "prodcons",
@@ -139,28 +145,22 @@ def ablate(flags=(), base_config=None, **overrides):
     every thread onto one stack per real-span size, lazy_reclaim defers
     empty-span returns to the next slow-path allocation.
     """
-    unknown = set(flags) - set(ABLATION_FLAGS)
+    unknown = set(flags) - set(ABLATIONS)
     if unknown:
         raise ValueError(f"unknown ablation flags: {sorted(unknown)}")
-    config = base_config or AllocatorConfig()
-    if overrides:
-        config = replace(config, **overrides)
-    if "no_decommit" in flags:
-        config = replace(config, decommit_enabled=False)
-    if "pool_width_1" in flags:
-        config = replace(config, pool_width=1)
-    if "lazy_reclaim" in flags:
-        config = replace(config, eager_reclaim=False)
+    config = replace(base_config or AllocatorConfig(), **overrides)
+    for flag in flags:
+        config = replace(config, **ABLATIONS[flag])
     return Allocator(config)
 
 
 def ablation_of(allocator):
+    """Which ablations the allocator runs under. The pool width is read
+    as in effect, so a detected width of 1 counts as pool_width_1."""
     c = allocator.config
-    return {
-        "no_decommit": not c.decommit_enabled,
-        "pool_width_1": c.effective_pool_width() == 1,
-        "lazy_reclaim": not c.eager_reclaim,
-    }
+    c = replace(c, pool_width=c.effective_pool_width())
+    return {flag: all(getattr(c, k) == v for k, v in fields.items())
+            for flag, fields in ABLATIONS.items()}
 
 
 class _Worker(threading.Thread):
@@ -173,12 +173,6 @@ class _Worker(threading.Thread):
         self.index = index
         self.alloc_time = 0.0
         self.error = None
-
-    def timed(self, fn, *args):
-        t0 = time.perf_counter()
-        result = fn(*args)
-        self.alloc_time += time.perf_counter() - t0
-        return result
 
     def run(self):
         try:
@@ -236,11 +230,9 @@ def run(config, allocator=None):
     stats = allocator.stats()
     ops = stats["allocs"] + stats["frees"]
     extra.setdefault("remote_free_fraction", stats["remote_free_fraction"])
-    extra["pool_puts"] = stats["pool_puts"]
-    extra["pool_gets"] = stats["pool_gets"]
-    extra["stack_pushes"] = stats["stack_pushes"]
-    extra["stack_pops"] = stats["stack_pops"]
-    extra["stack_retries"] = stats["stack_retries"]
+    for key in ("pool_puts", "pool_gets", "stack_pushes", "stack_pops",
+                "stack_retries"):
+        extra[key] = stats[key]
     extra["leaked_blocks"] = stats["allocs"] - stats["frees"]
 
     return RunReport(
@@ -672,9 +664,7 @@ def build_arg_parser():
     parser.add_argument("--no-touch", action="store_true",
                         help="skip writing into allocated objects")
     parser.add_argument("--instrument", action="store_true",
-                        help="attach the fragmentation ledger")
-    parser.add_argument("--frag-csv", type=str, default=None,
-                        help="dump the ledger event log (implies --instrument)")
+                        help="attach the ledger (fragmentation, DoubleFree)")
     parser.add_argument("--stacks-csv", type=str, default=None,
                         help="dump per-stack pool counters")
     parser.add_argument("--dump-size-classes", action="store_true",
@@ -697,7 +687,7 @@ def main(argv=None):
         arena_bytes=args.arena_bytes,
     )
     overrides = {k: v for k, v in given.items() if v is not None}
-    overrides["instrument"] = args.instrument or args.frag_csv is not None
+    overrides["instrument"] = args.instrument
     flags = tuple(f for f in args.ablate.split(",") if f)
     allocator = ablate(flags, base_config=AllocatorConfig.from_env(),
                        **overrides)
@@ -729,10 +719,6 @@ def main(argv=None):
     if args.csv:
         write_csv(args.csv, report, allocator.config)
         print(f"csv row appended to {args.csv}")
-    if args.frag_csv:
-        with open(args.frag_csv, "w", newline="") as fh:
-            allocator.ledger.dump_csv(fh)
-        print(f"ledger events written to {args.frag_csv}")
     if args.stacks_csv:
         write_stack_csv(args.stacks_csv, allocator)
         print(f"per-stack counters written to {args.stacks_csv}")

@@ -56,13 +56,9 @@ class AllocatorConfig:
     # Ablation toggles (see bench.ablate).
     decommit_enabled: bool = True
     eager_reclaim: bool = True
-    # Test-build instrumentation: fragmentation ledger, transition
-    # traces, and double-free scans. All off for plain runs.
+    # Test-build instrumentation: one FragLedger (fragmentation total,
+    # live blocks for DoubleFree, transition trace). Off for plain runs.
     instrument: bool = False
-    trace_transitions: bool = False
-    debug_checks: bool = False
-    # Upper bound on total reserved address space per provider.
-    reservation_cap: int = 1 << 46
 
     def __post_init__(self):
         if self.arena_bytes <= 0 or self.arena_bytes % VIRTUAL_SPAN_SIZE:

@@ -27,4 +27,5 @@ class WildFree(SpanAllocError):
 
 
 class DoubleFree(SpanAllocError):
-    """Best-effort double-free detection tripped (debug checks only)."""
+    """free() was called on a block that is not handed out (checked on
+    instrumented allocators only)."""

@@ -1,68 +1,52 @@
-"""Running account of span-internal fragmentation.
+"""The one instrumentation object of an instrumented allocator.
 
-Tracks f, the bytes assigned to in-use real spans that are free but
-unavailable to other size classes or LABs. The closed-form updates:
+A FragLedger exists only when `AllocatorConfig.instrument` is set. It
+holds `f`, the span-internal fragmentation (bytes of in-use real spans
+that are free but unavailable to other size classes or LABs); `live`,
+the handed-out block addresses, so a repeated free raises DoubleFree
+with one set lookup; and `trace`, one (slot, old epoch, new epoch) entry
+per successful span transition.
 
-  allocation  - a call that had to fetch a span from the backend adds
-                the new span's payload and subtracts the block size
-                (f += u - size); any other allocation just consumes a
-                free block (f -= size).
-  deallocation - every free returns a block (f += size); if that free
-                emptied the span and sent it back to the backend, the
-                whole payload stops counting (f -= u).
+Closed-form updates of f, each inside the malloc or free that caused
+it: a span taken from the pool adds its payload u, a block handed out
+subtracts its size, a freed block adds it back, a span put back in the
+pool subtracts u. At quiescence f equals the brute-force sum of free
+payload bytes over all spans in the frontend; single-threaded tests
+assert exact equality after every operation.
 
-At quiescence f equals the brute-force sum of free payload bytes over
-all spans currently in the frontend; instrumented tests assert exact
-equality after every operation in single-threaded runs.
-
-The ledger only exists on instrumented allocators; otherwise the hooks
-are never called. Updates are serialized by one event latch.
+`live` needs no lock (each add or remove is one call under the GIL);
+a lock serializes the updates of f.
 """
 
-import csv
 import threading
+
+from .errors import DoubleFree
 
 
 class FragLedger:
-    def __init__(self, log_events=True):
+    def __init__(self):
         self.f = 0
+        self.live = set()
+        self.trace = []
         self._lock = threading.Lock()
-        self.events = [] if log_events else None
 
-    def on_alloc(self, fetched_new_span, size, payload):
+    def on_span_in(self, payload):
         with self._lock:
-            if fetched_new_span:
-                self.f += payload - size
-                case = "new_span"
-            else:
-                self.f -= size
-                case = "existing_span"
-            if self.events is not None:
-                self.events.append(("alloc", size, case))
-        return self.f
+            self.f += payload
 
-    def on_free(self, span_reclaimed, size, payload):
-        with self._lock:
-            self.f += size
-            case = "ordinary"
-            if span_reclaimed:
-                self.f -= payload
-                case = "last_block"
-            if self.events is not None:
-                self.events.append(("free", size, case))
-        return self.f
-
-    def on_lazy_reclaim(self, payload):
-        """Span returned to the backend from the allocation slow path
-        (deferred-reclamation ablation)."""
+    def on_span_out(self, payload):
         with self._lock:
             self.f -= payload
-            if self.events is not None:
-                self.events.append(("reclaim", payload, "lazy"))
-        return self.f
 
-    def dump_csv(self, fileobj):
-        writer = csv.writer(fileobj)
-        writer.writerow(["op", "size", "case"])
-        for row in self.events or ():
-            writer.writerow(row)
+    def on_alloc(self, addr, size):
+        self.live.add(addr)
+        with self._lock:
+            self.f -= size
+
+    def on_free(self, addr, size):
+        try:
+            self.live.remove(addr)
+        except KeyError:
+            raise DoubleFree(f"block {addr:#x} is not handed out") from None
+        with self._lock:
+            self.f += size

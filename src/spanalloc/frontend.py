@@ -11,15 +11,17 @@ that runs dry it drains the remote list if enough blocks accumulated,
 otherwise the hot span goes floating and a replacement comes from the
 reusable set, the span pool, or the arena.
 
-Deallocation first rejects, in O(1), an address that is not a handed-out
-block of a live span. A TLAB free into a span the caller owns takes the
-fast path: a local-list push, then only the check the span's
-snapshotted state needs (none when hot, the reusability threshold when
-floating, emptiness when reusable). Every other free (remote, CLAB, or
-into an orphan) pushes on the remote list and adopts orphaned spans.
-Both drive the same floating -> reusable -> free transitions; a span
-whose last block is freed goes back to the span pool inside that same
-call unless the deferred-reclamation ablation is on.
+Deallocation first rejects, in O(1) and before any list push, an
+address that is not a handed-out block of a live span (WildFree) and,
+when instrumented, a block that is not live (DoubleFree). A TLAB free
+into a span the caller owns takes the fast path: a local-list push,
+then only the check the span's snapshotted state needs (none when hot,
+the reusability threshold when floating, emptiness when reusable).
+Every other free (remote, CLAB, or into an orphan) pushes on the remote
+list and adopts orphaned spans. Both drive the same floating ->
+reusable -> free transitions; a span whose last block is freed goes
+back to the span pool inside that same call unless lazy reclamation is
+on.
 
 All cross-thread handoffs ride on the epoch word: a stale snapshot
 fails its conditional replace and the loser simply moves on.
@@ -32,7 +34,6 @@ import weakref
 
 from .atomic import AtomicWord
 from .config import CLAB, TLAB
-from .errors import WildFree
 from .size_classes import NUM_CLASSES
 from .span import (
     EPOCH_STATE_SHIFT, LINK_NEXT_MASK, LINK_PREV_SHIFT, STATE_FLOATING,
@@ -198,10 +199,10 @@ class ThreadStats:
 
 
 class Frontend:
-    def __init__(self, space, pool, config, ledger=None):
+    def __init__(self, space, pool, config):
         self.space = space
         self.pool = pool
-        self.ledger = ledger
+        self.ledger = space.ledger
         self.tlab = config.lab_mode == TLAB
         self.eager_reclaim = config.eager_reclaim
         self.clab_width = os.cpu_count() or 1
@@ -301,22 +302,18 @@ class Frontend:
     def _allocate(self, lab, tid, stats, sc):
         stats.allocs += 1
         fetches = 0
-        fetched_new = False
         hot = lab.hot_spans[sc]
         while True:
             if hot is None:
-                hot, from_pool = self._get_span(lab, tid, stats, sc)
+                hot = self._get_span(lab, tid, stats, sc)
                 lab.hot_spans[sc] = hot
                 fetches += 1
-                fetched_new = fetched_new or from_pool
             block = hot.alloc_block()
             if block:
                 if fetches > stats.max_fetches_per_alloc:
                     stats.max_fetches_per_alloc = fetches
                 if self.ledger is not None:
-                    self.ledger.on_alloc(
-                        fetched_new, hot.block_size,
-                        hot.block_size * hot.blocks_per_span)
+                    self.ledger.on_alloc(block, hot.block_size)
                 return block
             if hot.drain_remotes() > 0:
                 stats.drains += 1
@@ -347,14 +344,16 @@ class Frontend:
                     break  # raced to free; it lives in the pool now
                 if span.try_transition(observed, STATE_HOT):
                     stats.set_fetches += 1
-                    return span, False
+                    return span
         span = self.pool.get(sc, tid)
         span.init_for_class(sc, lab.owner_word.load())
         observed = span.epoch.load()
         took = span.try_transition(observed, STATE_HOT)
         assert took, "free -> hot does not compete with anyone"
         stats.pool_fetches += 1
-        return span, True
+        if self.ledger is not None:
+            self.ledger.on_span_in(span.block_size * span.blocks_per_span)
+        return span
 
     def _reclaim(self, span, tid):
         while True:
@@ -362,29 +361,24 @@ class Frontend:
             if epoch_state(observed) != STATE_REUSABLE:
                 return  # someone else already freed it
             if span.try_transition(observed, STATE_FREE):
-                self.pool.put(span, tid)
-                if self.ledger is not None:
-                    self.ledger.on_lazy_reclaim(
-                        span.block_size * span.blocks_per_span)
+                self._pool_put(span, tid)
                 return
+
+    def _pool_put(self, span, tid):
+        """Hand a span this call moved to free back to the span pool."""
+        if self.ledger is not None:
+            # Before the put: once pooled, another thread may re-class it.
+            self.ledger.on_span_out(span.block_size * span.blocks_per_span)
+        self.pool.put(span, tid)
 
     # -- deallocation ---------------------------------------------------------
 
     def deallocate(self, addr):
-        span = self.space.span_of(addr)
-        # Snapshot before the free: the state transitions below must
-        # fail if anything moved in between.
-        old_owner = span.owner.load()
-        old_epoch = span.epoch.load()
-        old_state = old_epoch >> EPOCH_STATE_SHIFT
-        # O(1) misuse checks before any list push. A live block's span
-        # is never free, so the state test also covers headers that
-        # were never initialized (block size 0).
-        off = addr - span.payload
-        size = span.block_size
-        if old_state == STATE_FREE or off < 0 or off % size \
-                or off >= span.bump_limit * size:
-            raise WildFree(f"{addr:#x} is not a handed-out block of its span")
+        # The owner and epoch snapshots come from before the free: the
+        # state transitions below must fail if anything moved in between.
+        span, old_owner, old_epoch = self.space.block_span(addr)
+        if self.ledger is not None:
+            self.ledger.on_free(addr, span.block_size)
         lab, tid, stats = self._current()
         mine = lab.owner_word.load()
         if old_owner == mine and self.tlab:
@@ -392,7 +386,7 @@ class Frontend:
             # needs no state work at all.
             span.free_local(addr)
             stats.frees_local += 1
-            pooled = old_state != STATE_HOT and \
+            if old_epoch >> EPOCH_STATE_SHIFT != STATE_HOT:
                 self._settle(span, old_owner, old_epoch, tid)
         else:
             span.free_remote(addr)
@@ -400,15 +394,13 @@ class Frontend:
             if self._is_orphan(old_owner):
                 if span.try_adopt(old_owner, mine):
                     stats.adopts += 1
-            pooled = self._settle(span, old_owner, old_epoch, tid)
-        if self.ledger is not None:
-            self.ledger.on_free(pooled, size, size * span.blocks_per_span)
+            self._settle(span, old_owner, old_epoch, tid)
 
     def _settle(self, span, old_owner, old_epoch, tid):
         """The state work after a free into a span whose epoch read
         `old_epoch` before it: a floating span that crossed the
         threshold goes reusable, a reusable span that emptied goes free
-        and back to the pool. True when this call pooled the span."""
+        and back to the pool."""
         old_state = epoch_state(old_epoch)
         sc = span.size_class
         if old_state == STATE_FLOATING \
@@ -426,9 +418,7 @@ class Frontend:
             if span.try_transition(old_epoch, STATE_FREE):
                 owner_lab = self.labs[owner_lab_ref(old_owner)]
                 owner_lab.reusable[sc].remove(old_owner, span)
-                self.pool.put(span, tid)
-                return True
-        return False
+                self._pool_put(span, tid)
 
     def _is_orphan(self, span_owner_word):
         lab = self.labs[owner_lab_ref(span_owner_word)]

@@ -103,10 +103,6 @@ def geometry(class_id):
     return TABLE[class_id]
 
 
-def block_size(class_id):
-    return TABLE[class_id].block_size
-
-
 def real_span_index_for_size(real_span_size):
     try:
         return _RS_INDEX[real_span_size]

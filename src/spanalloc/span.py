@@ -14,7 +14,7 @@ Life cycle: free -> hot -> floating -> reusable -> {hot, free}, with
 floating also reachable from reusable at thread termination. Fresh
 arena slots are implicitly "expected" until their header is first
 written. Every successful transition is a single conditional replace
-of the epoch word.
+of the epoch word, recorded in the ledger's trace when instrumented.
 """
 
 import threading
@@ -22,7 +22,7 @@ import threading
 from .arena import SPAN_SHIFT
 from .atomic import AtomicWord
 from .config import VIRTUAL_SPAN_SIZE
-from .errors import DoubleFree
+from .errors import WildFree
 from .size_classes import TABLE
 
 # Epoch word: one-hot state in the top four bits, counter below.
@@ -161,8 +161,6 @@ class SpanHeader:
     def free_local(self, addr):
         """Push onto the local list (LIFO); returns the new local count."""
         space = self.space
-        if space.debug_checks:
-            self._debug_check_not_free(addr)
         space.provider.write_word(addr, self.local_head)
         self.local_head = addr - space.arena_base
         count = self.local_count + 1
@@ -179,8 +177,6 @@ class SpanHeader:
         swap, so a top value coming back around changes nothing the
         consumer relies on.
         """
-        if self.space.debug_checks:
-            self._debug_check_not_free(addr)
         off = addr - self.space.arena_base
         provider = self.space.provider
         remote = self.remote
@@ -256,9 +252,9 @@ class SpanHeader:
         new = next_epoch_word(observed_epoch, target_state)
         if not self.epoch.compare_exchange(observed_epoch, new):
             return False
-        trace = self.space.trace
-        if trace is not None:
-            trace.append((self.slot, observed_epoch, new))
+        ledger = self.space.ledger
+        if ledger is not None:
+            ledger.trace.append((self.slot, observed_epoch, new))
         return True
 
     def try_adopt(self, expected_owner, new_owner):
@@ -268,36 +264,22 @@ class SpanHeader:
     # -- test / debug helpers --------------------------------------------
 
     def walk_local(self):
-        provider = self.space.provider
-        base = self.space.arena_base
-        off = self.local_head
-        seen = []
-        while off:
-            seen.append(off)
-            off = provider.read_word(base + off)
-            if len(seen) > self.blocks_per_span:
-                raise AssertionError("local free list cycle")
-        return seen
+        return self._walk(self.local_head, "local")
 
     def walk_remote(self):
+        return self._walk(self.remote.load() & REMOTE_OFFSET_MASK, "remote")
+
+    def _walk(self, off, name):
+        """Arena offsets of a free list's blocks, from head `off`."""
         provider = self.space.provider
         base = self.space.arena_base
-        off = self.remote.load() & REMOTE_OFFSET_MASK
         seen = []
         while off:
             seen.append(off)
             off = provider.read_word(base + off)
             if len(seen) > self.blocks_per_span:
-                raise AssertionError("remote free list cycle")
+                raise AssertionError(f"{name} free list cycle")
         return seen
-
-    def _debug_check_not_free(self, addr):
-        off = addr - self.space.arena_base
-        idx = (addr - self.payload) // self.block_size
-        if idx >= self.bump_limit:
-            raise DoubleFree(f"block {addr:#x} was never allocated")
-        if off in self.walk_local() or off in self.walk_remote():
-            raise DoubleFree(f"block {addr:#x} is already free")
 
     def __repr__(self):
         e = self.epoch.load()
@@ -317,14 +299,13 @@ class SpanSpace:
     """
 
     def __init__(self, arena, provider, reuse_percent=80, guard_pages=False,
-                 trace_transitions=False, debug_checks=False):
+                 ledger=None):
         self.arena = arena
         self.arena_base = arena.base
         self.provider = provider
         self.reuse_percent = reuse_percent
         self.guard_pages = guard_pages and provider.supports_guards
-        self.debug_checks = debug_checks
-        self.trace = [] if trace_transitions else None
+        self.ledger = ledger        # a FragLedger on instrumented allocators
         self.headers = []
         self._grow_lock = threading.Lock()
 
@@ -351,6 +332,27 @@ class SpanSpace:
         if header is None:
             raise KeyError(f"no span header at {addr:#x}")
         return header
+
+    def block_span(self, addr, interior=False):
+        """`(span, owner word, epoch word)` for `addr`, a handed-out
+        block (with `interior`, any address inside one), the words read
+        once, owner first. O(1) WildFree when the slot has no header,
+        the span is free (or was never initialized), or `addr` is not a
+        block below the bump limit."""
+        try:
+            span = self.span_of(addr)
+        except LookupError:
+            raise WildFree(
+                f"{addr:#x} is in the arena but not in any span") from None
+        owner = span.owner.load()
+        epoch = span.epoch.load()
+        off = addr - span.payload
+        size = span.block_size
+        if epoch >> EPOCH_STATE_SHIFT == STATE_FREE or off < 0 \
+                or off >= span.bump_limit * size \
+                or (off % size and not interior):
+            raise WildFree(f"{addr:#x} is not a handed-out block of its span")
+        return span, owner, epoch
 
     def iter_headers(self):
         return (h for h in list(self.headers) if h is not None)

@@ -11,8 +11,8 @@ nothing of its own.
 
 put() decommits all but the first page of real spans strictly larger
 than the 32KB threshold before pushing, so pooled large spans cost one
-page. get() tries the caller's own stack, then scans every stack in
-ascending (real-span index, pool index) order, and finally falls back
+page. get() tries the caller's own stack, then scans every other stack
+in ascending (real-span index, pool index) order, and finally falls back
 to a fresh arena slot. Emptiness is not linearizable: a get may reach
 the arena while puts are in flight, by design.
 """
@@ -86,6 +86,7 @@ class SpanPool:
         self.decommit_enabled = decommit_enabled
         self.stacks = [[TaggedStack() for _ in range(width)]
                        for _ in range(NUM_REAL_SPAN_SIZES)]
+        self._scan_order = [stack for row in self.stacks for stack in row]
         # Exact pool-level counters (the eager-reclamation hook).
         self.puts = AtomicWord(0)
         self.gets_from_pool = AtomicWord(0)
@@ -101,29 +102,28 @@ class SpanPool:
         self.puts.fetch_add(1)
 
     def get(self, class_id, thread_id):
-        """A span for `class_id`: own stack, then full scan, then arena.
+        """A span for `class_id`: own stack, then every other stack, then
+        the arena.
 
         The returned span is in state free (pool hit, possibly of a
         different real-span size) or brand new; either way the caller
         reinitializes its header for the class.
         """
         rs_idx = TABLE[class_id].real_span_index
-        span = self.stacks[rs_idx][thread_id % self.width].pop(self.space)
+        own = self.stacks[rs_idx][thread_id % self.width]
+        span = own.pop(self.space)
+        if span is None:
+            for stack in self._scan_order:
+                if stack is not own:
+                    span = stack.pop(self.space)
+                    if span is not None:
+                        break
         if span is not None:
             self.gets_from_pool.fetch_add(1)
             return span
-        for row in self.stacks:
-            for stack in row:
-                span = stack.pop(self.space)
-                if span is not None:
-                    self.gets_from_pool.fetch_add(1)
-                    return span
         base = self.arena.acquire_virtual_span()
         self.gets_from_arena.fetch_add(1)
         return self.space.header_for_base(base, create=True)
-
-    def approximate_size(self):
-        return self.puts.load() - self.gets_from_pool.load()
 
     def stack_counters(self):
         """Per-stack (rs_index, pool_index, pushes, pops, retries) rows."""

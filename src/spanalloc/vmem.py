@@ -41,6 +41,8 @@ from .errors import GuardViolation, ReservationError
 _BASE_CURSOR = 1 << 33
 _SLOT_SHIFT = VIRTUAL_SPAN_SIZE.bit_length() - 1
 _SLOT_PAGE_SHIFT = (VIRTUAL_SPAN_SIZE // PAGE_SIZE).bit_length() - 1
+# Upper bound on the address space one provider reserves in total.
+RESERVATION_CAP = 1 << 46
 # Python's mmap module does not export MAP_NORESERVE (Linux value).
 _MAP_NORESERVE = 0x4000
 # Sim word access packs straight into the page's bytearray. A typed view
@@ -191,7 +193,7 @@ class SimProvider(_Provider):
     name = "sim"
     supports_guards = True
 
-    def __init__(self, reservation_cap=1 << 46):
+    def __init__(self, reservation_cap=RESERVATION_CAP):
         super().__init__(reservation_cap)
         self._pages = {}              # page index -> bytearray(PAGE_SIZE)
         self._committed = defaultdict(set)  # 2MB slot -> its page indices in _pages
@@ -351,7 +353,7 @@ class OsProvider(_Provider):
     name = "os"
     supports_guards = False
 
-    def __init__(self, reservation_cap=1 << 46):
+    def __init__(self, reservation_cap=RESERVATION_CAP):
         super().__init__(reservation_cap)
         self._guard_warned = False
 
@@ -433,5 +435,5 @@ def _process_rss_bytes():
 
 def make_provider(config):
     if config.provider == "os":
-        return OsProvider(reservation_cap=config.reservation_cap)
-    return SimProvider(reservation_cap=config.reservation_cap)
+        return OsProvider()
+    return SimProvider()

@@ -10,4 +10,4 @@ def alloc():
 
 @pytest.fixture
 def traced_alloc():
-    return make_allocator(trace_transitions=True, instrument=True)
+    return make_allocator(instrument=True)

@@ -50,9 +50,9 @@ def validate_transition_trace(allocator):
     increasing per-span epoch counters."""
     from spanalloc.span import LEGAL_EDGES
 
-    assert allocator.space.trace is not None, "allocator not traced"
+    assert allocator.ledger is not None, "allocator not instrumented"
     per_span = {}
-    for slot, old, new in allocator.space.trace:
+    for slot, old, new in allocator.ledger.trace:
         per_span.setdefault(slot, []).append((old, new))
     for slot, entries in per_span.items():
         entries.sort(key=lambda e: epoch_counter(e[0]))

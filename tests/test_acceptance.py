@@ -268,7 +268,7 @@ def test_c06_pool_counting_lifo_aba():
 # -- 7: frontend safety ---------------------------------------------------------------------
 
 def test_c07_frontend_safety_stress():
-    alloc = make_allocator(arena_bytes=1 << 31, trace_transitions=True)
+    alloc = make_allocator(arena_bytes=1 << 31, instrument=True)
     n_threads = 8
     ops_per_thread = 100_000
     live_lock = threading.Lock()

@@ -129,6 +129,39 @@ def test_free_into_pooled_span_rejected(alloc):
         alloc.free(x)
 
 
+def test_usable_size_validates_like_free(alloc):
+    p = alloc.malloc(64)
+    span = alloc.space.span_of(p)
+    # An address inside a handed-out block answers for that block.
+    assert alloc.usable_size(p + 8) == alloc.usable_size(p) == 64
+    for bad in (
+        span.payload - 16,                  # in the header
+        p + 64,                             # at the bump limit
+        alloc.arena.base + 10 * VIRTUAL_SPAN_SIZE + 64,   # past every header
+    ):
+        with pytest.raises(WildFree):
+            alloc.usable_size(bad)
+    alloc.space.header_for_base(alloc.arena.base_of_slot(20), create=True)
+    for slot in (15, 20):                   # a gap slot, an unused header
+        with pytest.raises(WildFree):
+            alloc.usable_size(alloc.arena.base_of_slot(slot) + PAGE_SIZE)
+    a = alloc.malloc(1 << 20)
+    alloc.malloc(1 << 20)                   # floats a's span
+    alloc.free(a)                           # empties and pools it
+    with pytest.raises(WildFree):
+        alloc.usable_size(a)
+    alloc.free(p)
+
+
+def test_realloc_of_interior_pointer_rejected_before_allocating(alloc):
+    p = alloc.malloc(64)
+    allocs = alloc.stats()["allocs"]
+    with pytest.raises(WildFree):
+        alloc.realloc(p + 8, 128)
+    assert alloc.stats()["allocs"] == allocs
+    assert alloc.realloc(p, 128) != NULL
+
+
 def test_calloc_zeroes_recycled_blocks(alloc):
     p = alloc.malloc(256)
     alloc.provider.write(p, b"\xa5" * 256)

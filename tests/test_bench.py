@@ -134,6 +134,16 @@ def test_cli_end_to_end(tmp_path):
     assert rows[0]["provider"] == "sim"
 
 
+def test_cli_instrument_prints_frag_bytes():
+    out = subprocess.run(
+        [sys.executable, "-m", "spanalloc.bench",
+         "--workload", "threadtest", "--rounds", "1", "--objects", "100",
+         "--provider", "sim", "--arena-bytes", str(SMALL_ARENA),
+         "--instrument"],
+        capture_output=True, text=True, check=True)
+    assert "frag_bytes=" in out.stdout
+
+
 def test_cli_takes_omitted_flags_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("SPANALLOC_PROVIDER", "sim")
     monkeypatch.setenv("SPANALLOC_REUSE_PERCENT", "65")

@@ -1,6 +1,10 @@
 import random
+import threading
+
+import pytest
 
 from helpers import frag_oracle, make_allocator, walk_oracle
+from spanalloc import DoubleFree
 from spanalloc.size_classes import TABLE, class_for_size
 
 C64 = class_for_size(64)
@@ -26,7 +30,6 @@ def test_alloc_from_hot_span_decreases():
     before = alloc.ledger.f
     alloc.malloc(64)
     assert alloc.ledger.f == before - 64
-    assert alloc.ledger.events[-1] == ("alloc", 64, "existing_span")
 
 
 def test_exhausting_span_takes_new_span_branch():
@@ -35,7 +38,6 @@ def test_exhausting_span_takes_new_span_branch():
         alloc.malloc(64)
     assert alloc.ledger.f == U64 - B64 * 64 == 0
     alloc.malloc(64)                       # forces a fresh span
-    assert alloc.ledger.events[-1] == ("alloc", 64, "new_span")
     assert alloc.ledger.f == U64 - 64
     assert alloc.ledger.f == frag_oracle(alloc)
 
@@ -47,7 +49,6 @@ def test_ordinary_free_increases_by_class_size():
     before = alloc.ledger.f
     alloc.free(p)
     assert alloc.ledger.f == before + 64
-    assert alloc.ledger.events[-1] == ("free", 64, "ordinary")
 
 
 def test_last_block_free_releases_whole_payload():
@@ -58,7 +59,6 @@ def test_last_block_free_releases_whole_payload():
         alloc.free(b)
     before = alloc.ledger.f
     alloc.free(blocks[-1])                 # empties + pools the span
-    assert alloc.ledger.events[-1] == ("free", 64, "last_block")
     assert alloc.ledger.f == before + 64 - U64
     assert alloc.ledger.f == frag_oracle(alloc)
 
@@ -113,8 +113,6 @@ def test_lazy_reclaim_keeps_oracle_equality():
 
 
 def test_multithreaded_checked_at_quiescence():
-    import threading
-
     alloc = instrumented()
     n = 4
 
@@ -141,14 +139,63 @@ def test_multithreaded_checked_at_quiescence():
     assert alloc.ledger.f == frag_oracle(alloc) == walk_oracle(alloc)
 
 
-def test_event_log_csv_dump():
-    import io
-
+def test_double_free_raises_and_leaves_the_lists_alone():
     alloc = instrumented()
+    keep = alloc.malloc(64)                 # keeps the span out of the pool
+    p = alloc.malloc(64)
+    span = alloc.space.span_of(p)
+
+    def lists():
+        return span.walk_local(), span.walk_remote()
+
+    alloc.free(p)
+    before, f = lists(), alloc.ledger.f
+    with pytest.raises(DoubleFree):         # local repeat free
+        alloc.free(p)
+
+    raised = []
+
+    def free_elsewhere():                   # remote repeat free
+        try:
+            alloc.free(p)
+        except DoubleFree:
+            raised.append(True)
+        alloc.detach_thread()
+
+    t = threading.Thread(target=free_elsewhere)
+    t.start()
+    t.join()
+    assert raised == [True]
+    assert lists() == before and alloc.ledger.f == f
+    assert alloc.stats()["frees"] == 1
+
+    q = alloc.malloc(64)                    # the block handed out again
+    assert q == p
+    alloc.free(q)
+    with pytest.raises(DoubleFree):
+        alloc.free(p)
+    handed = [alloc.malloc(64) for _ in range(3)]
+    assert len(set(handed)) == 3 and keep not in handed
+    for x in handed + [keep]:
+        alloc.free(x)
+    assert alloc.ledger.f == frag_oracle(alloc) == walk_oracle(alloc)
+
+
+def test_live_set_empties_when_every_block_is_freed():
+    alloc = instrumented()
+    rng = random.Random(3)
+    blocks = [alloc.malloc(rng.choice([16, 64, 256, 4096]))
+              for _ in range(3000)]
+    assert len(alloc.ledger.live) == len(blocks)
+    rng.shuffle(blocks)
+    for b in blocks:
+        alloc.free(b)
+    assert alloc.ledger.live == set()
+
+
+def test_plain_allocator_has_no_ledger():
+    alloc = make_allocator()
+    assert alloc.ledger is None and alloc.space.ledger is None
     p = alloc.malloc(64)
     alloc.free(p)
-    buf = io.StringIO()
-    alloc.ledger.dump_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "op,size,case"
-    assert len(lines) == 3
+    assert "frag_bytes" not in alloc.stats()

@@ -607,8 +607,7 @@ SEQUENCE_BEFORE = {
 @pytest.mark.parametrize("lab_mode", ["tlab", CLAB])
 def test_own_span_sequence_matches_slow_path_results(lab_mode):
     alloc = make_allocator(lab_mode=lab_mode, arena_bytes=1 << 31,
-                           instrument=True, trace_transitions=True,
-                           debug_checks=True)
+                           instrument=True)
     seen = own_span_sequence(alloc)
     assert seen[STATE_HOT] and seen[STATE_FLOATING] \
         and seen[STATE_REUSABLE] and seen["cross_and_empty"]

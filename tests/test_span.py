@@ -4,7 +4,7 @@ import pytest
 
 from spanalloc.arena import Arena
 from spanalloc.config import PAGE_SIZE, VIRTUAL_SPAN_SIZE
-from spanalloc.errors import DoubleFree
+from spanalloc.fragmeter import FragLedger
 from spanalloc.size_classes import class_for_size
 from spanalloc.span import (
     STATE_FLOATING, STATE_FREE, STATE_HOT, STATE_REUSABLE,
@@ -187,7 +187,7 @@ def test_transitions_happy_path_and_stale_failure():
     assert span.try_transition(e2, STATE_REUSABLE)
     e3 = span.epoch.load()
     assert span.try_transition(e3, STATE_FREE)
-    assert [epoch_state(w) for _, _, w in (space.trace or [])] == []
+    assert space.ledger is None                 # nothing traced
 
 
 def test_transition_race_single_winner():
@@ -253,27 +253,12 @@ def test_reinit_same_real_span_is_header_rewrite():
 
 
 def test_trace_records_transitions():
-    space, provider, arena = make_space(trace_transitions=True)
+    space, provider, arena = make_space(ledger=FragLedger())
     span = fresh_span(space, arena, 64)
     e = span.epoch.load()
     span.try_transition(e, STATE_HOT)
     span.try_transition(span.epoch.load(), STATE_FLOATING)
-    assert len(space.trace) == 2
-    slot, old, new = space.trace[0]
+    assert len(space.ledger.trace) == 2
+    slot, old, new = space.ledger.trace[0]
     assert slot == span.slot
     assert epoch_state(old) == STATE_FREE and epoch_state(new) == STATE_HOT
-
-
-def test_double_free_detection_debug_only():
-    space, provider, arena = make_space(debug_checks=True)
-    span = fresh_span(space, arena, 64)
-    b = span.alloc_block()
-    span.free_local(b)
-    with pytest.raises(DoubleFree):
-        span.free_local(b)
-    with pytest.raises(DoubleFree):
-        span.free_remote(b)
-    c = span.alloc_block()
-    never = span.payload + 64 * 17          # beyond bump limit
-    with pytest.raises(DoubleFree):
-        span.free_local(never)

@@ -5,9 +5,9 @@ import pytest
 from spanalloc.arena import Arena
 from spanalloc.config import PAGE_SIZE, VIRTUAL_SPAN_SIZE
 from spanalloc.errors import ArenaExhausted
-from spanalloc.size_classes import class_for_size
+from spanalloc.size_classes import NUM_REAL_SPAN_SIZES, class_for_size
 from spanalloc.span import STATE_FREE, SpanSpace, epoch_state, pack_owner
-from spanalloc.span_pool import SpanPool
+from spanalloc.span_pool import SpanPool, TaggedStack
 from spanalloc.vmem import SimProvider
 
 OWNER = pack_owner(1, 0)
@@ -67,6 +67,23 @@ def test_get_empty_pool_falls_back_to_arena():
     span = pool.get(class_for_size(64), thread_id=0)
     assert span.base == arena.base
     assert epoch_state(span.epoch.load()) == STATE_FREE
+    assert pool.gets_from_arena.load() == 1
+
+
+def test_miss_pops_each_stack_once(monkeypatch):
+    pool, space, provider, arena = make_pool(width=4)
+    popped = []
+    real_pop = TaggedStack.pop
+
+    def counting_pop(stack, space):
+        popped.append(stack)
+        return real_pop(stack, space)
+
+    monkeypatch.setattr(TaggedStack, "pop", counting_pop)
+    pool.get(class_for_size(64), thread_id=1)         # every stack empty
+    assert len(popped) == NUM_REAL_SPAN_SIZES * 4
+    assert len(set(map(id, popped))) == len(popped)
+    assert popped[0] is pool.stacks[0][1]             # own stack first
     assert pool.gets_from_arena.load() == 1
 
 
