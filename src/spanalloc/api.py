@@ -102,7 +102,10 @@ class Allocator:
             self.free(addr)
             return self.malloc(0)
         if self.arena.contains(addr):
-            self.space.block_span(addr)    # WildFree before, not after, malloc
+            # WildFree and DoubleFree before, not after, malloc.
+            self.space.block_span(addr)
+            if self.ledger is not None:
+                self.ledger.check_live(addr)
         old_usable = self.usable_size(addr)
         new = self.malloc(size)
         if new == NULL:

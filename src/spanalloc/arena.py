@@ -8,12 +8,8 @@ huge object.
 """
 
 from .atomic import AtomicWord
-from .config import VIRTUAL_SPAN_SIZE
+from .config import SPAN_SHIFT, VIRTUAL_SPAN_SIZE
 from .errors import ArenaExhausted
-
-SPAN_SHIFT = VIRTUAL_SPAN_SIZE.bit_length() - 1
-# Span slot references must fit the 24-bit link-word fields.
-MAX_SPANS = (1 << 24) - 1
 
 
 class Arena:
@@ -22,9 +18,6 @@ class Arena:
         self.base = region.base
         self.end = region.base + region.length
         self.capacity = region.length >> SPAN_SHIFT
-        if self.capacity > MAX_SPANS:
-            raise ValueError(
-                f"arena of {self.capacity} spans exceeds the {MAX_SPANS}-slot limit")
         self._cursor = AtomicWord(0)
 
     def acquire_virtual_span(self):

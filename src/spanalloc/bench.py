@@ -27,11 +27,12 @@ Workloads:
 import argparse
 import csv
 import os
+import queue
 import random
 import sys
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .api import NULL, Allocator
 from .config import AllocatorConfig
@@ -45,11 +46,6 @@ ABLATIONS = {
     "lazy_reclaim": {"eager_reclaim": False},
 }
 ABLATION_FLAGS = tuple(ABLATIONS)
-
-WORKLOADS = (
-    "threadtest", "shbench_like", "larson_like", "prodcons",
-    "sizesweep", "falseshare_active", "falseshare_passive", "locality",
-)
 
 _RSS_SAMPLE_PERIOD = 0.010
 
@@ -84,58 +80,37 @@ class WorkloadConfig:
 
 @dataclass
 class RunReport:
+    """One run. The fields up to `stack_retries` are the CSV columns, in
+    order; `size_min`/`size_max` are empty without a size range."""
     workload: str
     threads: int
+    rounds: int
+    objects_per_round: int
+    object_size: int
+    size_min: int | str
+    size_max: int | str
+    seed: int
+    provider: str
+    pool_width: int
+    reuse_percent: int
+    lab_mode: str
+    ablation: str               # "+"-joined flags in effect, or "none"
     ops: int
     elapsed_s: float
-    ops_per_second: float
+    ops_per_sec: float
     peak_committed_bytes: int
+    thread_alloc_time_mean_s: float
+    remote_free_fraction: float
+    pool_puts: int
+    pool_gets: int
+    stack_pushes: int
+    stack_pops: int
+    stack_retries: int
     thread_alloc_times_s: list[float]
-    ablation: dict
-    config: WorkloadConfig
-    extra: dict = field(default_factory=dict)
+    extra: dict = field(default_factory=dict)   # workload-specific results
 
-    CSV_COLUMNS = [
-        "workload", "threads", "rounds", "objects_per_round", "object_size",
-        "size_min", "size_max", "seed", "provider", "pool_width",
-        "reuse_percent", "lab_mode", "ablation", "ops", "elapsed_s",
-        "ops_per_sec", "peak_committed_bytes", "thread_alloc_time_mean_s",
-        "remote_free_fraction", "pool_puts", "pool_gets",
-        "stack_pushes", "stack_pops", "stack_retries",
-    ]
 
-    def csv_row(self, alloc_config):
-        times = self.thread_alloc_times_s
-        mean_time = sum(times) / len(times) if times else 0.0
-        size_min, size_max = self.config.size_range or ("", "")
-        flags = "+".join(k for k, v in self.ablation.items() if v) or "none"
-        return {
-            "workload": self.workload,
-            "threads": self.threads,
-            "rounds": self.config.rounds,
-            "objects_per_round": self.config.objects(),
-            "object_size": self.config.object_size,
-            "size_min": size_min,
-            "size_max": size_max,
-            "seed": self.config.seed,
-            "provider": alloc_config.provider,
-            "pool_width": alloc_config.effective_pool_width(),
-            "reuse_percent": alloc_config.reuse_percent,
-            "lab_mode": alloc_config.lab_mode,
-            "ablation": flags,
-            "ops": self.ops,
-            "elapsed_s": round(self.elapsed_s, 6),
-            "ops_per_sec": round(self.ops_per_second, 1),
-            "peak_committed_bytes": self.peak_committed_bytes,
-            "thread_alloc_time_mean_s": round(mean_time, 6),
-            "remote_free_fraction": round(
-                self.extra.get("remote_free_fraction", 0.0), 4),
-            "pool_puts": self.extra.get("pool_puts", 0),
-            "pool_gets": self.extra.get("pool_gets", 0),
-            "stack_pushes": self.extra.get("stack_pushes", 0),
-            "stack_pops": self.extra.get("stack_pops", 0),
-            "stack_retries": self.extra.get("stack_retries", 0),
-        }
+CSV_COLUMNS = [f.name for f in fields(RunReport)][:-2]
 
 
 def ablate(flags=(), base_config=None, **overrides):
@@ -155,12 +130,14 @@ def ablate(flags=(), base_config=None, **overrides):
 
 
 def ablation_of(allocator):
-    """Which ablations the allocator runs under. The pool width is read
-    as in effect, so a detected width of 1 counts as pool_width_1."""
-    c = allocator.config
-    c = replace(c, pool_width=c.effective_pool_width())
-    return {flag: all(getattr(c, k) == v for k, v in fields.items())
-            for flag, fields in ABLATIONS.items()}
+    """The ablations the allocator runs under, "+"-joined, or "none".
+    The pool width is read as in effect, so a detected width of 1 counts
+    as pool_width_1."""
+    c = replace(allocator.config,
+                pool_width=allocator.config.effective_pool_width())
+    return "+".join(flag for flag, values in ABLATIONS.items()
+                    if all(getattr(c, k) == v for k, v in values.items())) \
+        or "none"
 
 
 class _Worker(threading.Thread):
@@ -185,68 +162,58 @@ class _Worker(threading.Thread):
             self.error = exc
 
 
-class _RssSampler(threading.Thread):
-    def __init__(self, provider):
-        super().__init__(daemon=True)
-        self.provider = provider
-        self.peak = 0
-        self._halt = threading.Event()   # must not shadow Thread._stop
-
-    def run(self):
-        while not self._halt.is_set():
-            self.peak = max(self.peak, self.provider.committed_bytes)
-            self._halt.wait(_RSS_SAMPLE_PERIOD)
-
-    def stop(self):
-        self._halt.set()
-        self.join()
+def _sample_rss(provider, halt):
+    """Read the os provider's committed bytes (process RSS) until
+    `halt`; each read raises the provider's window peak."""
+    while not halt.is_set():
+        provider.committed_bytes
+        halt.wait(_RSS_SAMPLE_PERIOD)
 
 
 def run(config, allocator=None):
     """Execute a workload; returns the RunReport."""
-    own = allocator is None
-    if own:
+    if allocator is None:
         allocator = Allocator(AllocatorConfig.from_env())
     provider = allocator.provider
-    sim = provider.name == "sim"
+    provider.begin_window()
+    halt = threading.Event()
     sampler = None
-    if sim:
-        provider.begin_window()
-    else:
-        sampler = _RssSampler(provider)
+    if provider.name != "sim":
+        sampler = threading.Thread(target=_sample_rss, args=(provider, halt),
+                                   daemon=True)
         sampler.start()
 
     runner = _WORKLOAD_RUNNERS[config.name]
     started = time.perf_counter()
     workers, extra = runner(allocator, config)
     elapsed = time.perf_counter() - started
-
     if sampler is not None:
-        sampler.stop()
-        peak = sampler.peak
-    else:
-        peak = provider.window_peak
+        halt.set()
+        sampler.join()
 
     stats = allocator.stats()
-    ops = stats["allocs"] + stats["frees"]
-    extra.setdefault("remote_free_fraction", stats["remote_free_fraction"])
-    for key in ("pool_puts", "pool_gets", "stack_pushes", "stack_pops",
-                "stack_retries"):
-        extra[key] = stats[key]
     extra["leaked_blocks"] = stats["allocs"] - stats["frees"]
-
+    ops = stats["allocs"] + stats["frees"]
+    times = [w.alloc_time for w in workers]
+    mean_time = sum(times) / len(times) if times else 0.0
+    size_min, size_max = config.size_range or ("", "")
+    c = allocator.config
     return RunReport(
-        workload=config.name,
-        threads=config.threads,
-        ops=ops,
-        elapsed_s=elapsed,
-        ops_per_second=ops / elapsed if elapsed > 0 else 0.0,
-        peak_committed_bytes=peak,
-        thread_alloc_times_s=[w.alloc_time for w in workers],
+        workload=config.name, threads=config.threads, rounds=config.rounds,
+        objects_per_round=config.objects(), object_size=config.object_size,
+        size_min=size_min, size_max=size_max, seed=config.seed,
+        provider=c.provider, pool_width=c.effective_pool_width(),
+        reuse_percent=c.reuse_percent, lab_mode=c.lab_mode,
         ablation=ablation_of(allocator),
-        config=config,
-        extra=extra,
-    )
+        ops=ops, elapsed_s=round(elapsed, 6),
+        ops_per_sec=round(ops / elapsed if elapsed > 0 else 0.0, 1),
+        peak_committed_bytes=provider.window_peak,
+        thread_alloc_time_mean_s=round(mean_time, 6),
+        remote_free_fraction=round(stats["remote_free_fraction"], 4),
+        pool_puts=stats["pool_puts"], pool_gets=stats["pool_gets"],
+        stack_pushes=stats["stack_pushes"], stack_pops=stats["stack_pops"],
+        stack_retries=stats["stack_retries"],
+        thread_alloc_times_s=times, extra=extra)
 
 
 def _spawn(allocator, bodies):
@@ -327,8 +294,7 @@ def _run_larson(allocator, config):
     """
     objects = config.objects()
     lo, hi = config.size_range or (7, 8)
-    results = []
-    results_lock = threading.Lock()
+    continuations = []
     deadline = time.monotonic() + config.duration if config.duration else None
 
     def link_body(chain, slots, handoffs_left, rng):
@@ -345,9 +311,8 @@ def _run_larson(allocator, config):
                 nxt = _Worker(allocator,
                               link_body(chain, slots, handoffs_left - 1, rng),
                               worker.index)
+                continuations.append(nxt)
                 nxt.start()
-                with results_lock:
-                    results.append(nxt)
             else:
                 for p in slots:
                     free(p)
@@ -362,19 +327,13 @@ def _run_larson(allocator, config):
         return body
 
     workers = _spawn(allocator, [seed_body(c) for c in range(config.threads)])
-    # Join spawned continuation threads; joining one may reveal more.
-    while True:
-        with results_lock:
-            snapshot = list(results)
-        for w in snapshot:
-            w.join()
-            if w.error is not None:
-                raise w.error
-        with results_lock:
-            done = len(results) == len(snapshot)
-        if done:
-            break
-    return workers + snapshot, {}
+    # A link appends its successor before it exits, so once every thread
+    # in the list is joined the list is complete; it grows while iterated.
+    for w in continuations:
+        w.join()
+        if w.error is not None:
+            raise w.error
+    return workers + continuations, {}
 
 
 # -- producer/consumer ------------------------------------------------------------
@@ -388,8 +347,6 @@ def _run_prodcons(allocator, config):
     `producers` threads allocate, the rest only free. An epoch barrier
     keeps queues drained.
     """
-    import queue
-
     n = config.threads
     producers = config.producers
     symmetric = producers is None
@@ -495,10 +452,6 @@ def _run_sizesweep(allocator, config):
 
 # -- false sharing probes -------------------------------------------------------------
 
-def _span_base(allocator, addr):
-    return allocator.arena.owning_span_base(addr)
-
-
 def _run_falseshare_active(allocator, config):
     """Two or more threads allocate with no frees; spans must stay
     private to their allocating thread."""
@@ -514,7 +467,8 @@ def _run_falseshare_active(allocator, config):
         for _ in range(objects):
             p = allocator.malloc(size)
             ptrs[worker.index].append(p)
-            per_thread_spans[worker.index].add(_span_base(allocator, p))
+            per_thread_spans[worker.index].add(
+                allocator.arena.owning_span_base(p))
         worker.alloc_time += time.perf_counter() - t0
 
     workers = _spawn(allocator, [body] * config.threads)
@@ -602,19 +556,20 @@ _WORKLOAD_RUNNERS = {
     "falseshare_passive": _run_falseshare_passive,
     "locality": _run_locality,
 }
+WORKLOADS = tuple(_WORKLOAD_RUNNERS)
 
 
 # -- CLI ---------------------------------------------------------------------------
 
 
-def write_csv(path, report, alloc_config):
-    row = report.csv_row(alloc_config)
+def write_csv(path, report):
+    """Append the report's row, with the header first in a new file."""
     exists = os.path.exists(path)
     with open(path, "a", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RunReport.CSV_COLUMNS)
+        writer = csv.writer(fh)
         if not exists:
-            writer.writeheader()
-        writer.writerow(row)
+            writer.writerow(CSV_COLUMNS)
+        writer.writerow([getattr(report, c) for c in CSV_COLUMNS])
 
 
 def write_stack_csv(path, allocator):
@@ -632,15 +587,18 @@ def _parse_size_range(text):
 
 
 def build_arg_parser():
+    """Each workload and allocator flag's dest is the name of its
+    WorkloadConfig or AllocatorConfig field."""
     parser = argparse.ArgumentParser(
         prog="spanalloc-bench",
         description="Run allocator workloads and emit CSV metrics.")
-    parser.add_argument("--workload", choices=WORKLOADS, default="threadtest")
+    parser.add_argument("--workload", dest="name", choices=WORKLOADS,
+                        default="threadtest")
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--objects", type=int, default=None,
+    parser.add_argument("--objects", dest="objects_per_round", type=int,
                         help="objects per round (default: 100000/threads)")
-    parser.add_argument("--size", type=int, default=64)
+    parser.add_argument("--size", dest="object_size", type=int, default=64)
     parser.add_argument("--size-range", type=_parse_size_range, default=None,
                         metavar="MIN:MAX")
     parser.add_argument("--duration", type=float, default=None,
@@ -656,13 +614,13 @@ def build_arg_parser():
     # to SPANALLOC_* and then to the library default.
     parser.add_argument("--provider", choices=("os", "sim"), default=None)
     parser.add_argument("--pool-width", type=int, default=None)
-    parser.add_argument("--reuse-threshold", type=int, default=None,
-                        metavar="PCT")
+    parser.add_argument("--reuse-threshold", dest="reuse_percent", type=int,
+                        default=None, metavar="PCT")
     parser.add_argument("--arena-bytes", type=int, default=None)
     parser.add_argument("--lab-mode", choices=("tlab", "clab"), default=None)
     parser.add_argument("--guard-pages", action="store_true", default=None)
-    parser.add_argument("--no-touch", action="store_true",
-                        help="skip writing into allocated objects")
+    parser.add_argument("--no-touch", dest="touch_objects",
+                        action="store_false", help="skip writing into objects")
     parser.add_argument("--instrument", action="store_true",
                         help="attach the ledger (fragmentation, DoubleFree)")
     parser.add_argument("--stacks-csv", type=str, default=None,
@@ -678,46 +636,28 @@ def main(argv=None):
         sys.stdout.write(dump_csv())
         return 0
 
-    given = dict(
-        provider=args.provider,
-        reuse_percent=args.reuse_threshold,
-        lab_mode=args.lab_mode,
-        guard_pages=args.guard_pages,
-        pool_width=args.pool_width,
-        arena_bytes=args.arena_bytes,
-    )
-    overrides = {k: v for k, v in given.items() if v is not None}
-    overrides["instrument"] = args.instrument
+    values = vars(args)
+    overrides = {f.name: values[f.name] for f in fields(AllocatorConfig)
+                 if values.get(f.name) is not None}
     flags = tuple(f for f in args.ablate.split(",") if f)
     allocator = ablate(flags, base_config=AllocatorConfig.from_env(),
                        **overrides)
-
     config = WorkloadConfig(
-        name=args.workload,
-        threads=args.threads,
-        rounds=args.rounds,
-        objects_per_round=args.objects,
-        object_size=args.size,
-        size_range=args.size_range,
-        duration=args.duration,
-        handoffs=args.handoffs,
-        producers=args.producers,
-        seed=args.seed,
-        touch_objects=not args.no_touch,
-    )
+        **{f.name: values[f.name] for f in fields(WorkloadConfig)})
     report = run(config, allocator)
 
     print(f"workload={report.workload} threads={report.threads} "
           f"ops={report.ops} elapsed={report.elapsed_s:.3f}s "
-          f"ops/s={report.ops_per_second:,.0f} "
+          f"ops/s={report.ops_per_sec:,.0f} "
           f"peak_committed={report.peak_committed_bytes}")
-    for key in ("remote_free_fraction", "probe_ok", "leaked_blocks"):
+    print(f"  remote_free_fraction={report.remote_free_fraction}")
+    for key in ("probe_ok", "leaked_blocks"):
         if key in report.extra:
             print(f"  {key}={report.extra[key]}")
     if allocator.ledger is not None:
         print(f"  frag_bytes={allocator.ledger.f}")
     if args.csv:
-        write_csv(args.csv, report, allocator.config)
+        write_csv(args.csv, report)
         print(f"csv row appended to {args.csv}")
     if args.stacks_csv:
         write_stack_csv(args.stacks_csv, allocator)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 # Geometry constants. Virtual spans are fixed 2MB-aligned slots; pages
 # are the 4KB system granularity everything else is a multiple of.
 VIRTUAL_SPAN_SIZE = 2 * 1024 * 1024
+SPAN_SHIFT = VIRTUAL_SPAN_SIZE.bit_length() - 1
 PAGE_SIZE = 4096
 
 # Real spans strictly larger than this are decommitted (all but their

@@ -43,10 +43,13 @@ class FragLedger:
         with self._lock:
             self.f -= size
 
+    def check_live(self, addr):
+        """DoubleFree unless `addr` is a handed-out block."""
+        if addr not in self.live:
+            raise DoubleFree(f"block {addr:#x} is not handed out")
+
     def on_free(self, addr, size):
-        try:
-            self.live.remove(addr)
-        except KeyError:
-            raise DoubleFree(f"block {addr:#x} is not handed out") from None
+        self.check_live(addr)
+        self.live.remove(addr)
         with self._lock:
             self.f += size

@@ -3,8 +3,10 @@
 Each attached thread owns a LAB (TLAB mode, the default); in CLAB mode
 threads with equal ids modulo the core count share one LAB and the
 per-class fast path takes that LAB's class latch. Per class a LAB holds
-the unique hot span serving allocations and a latched deque of reusable
-spans (spans whose free-block count crossed the reusability threshold).
+the unique hot span serving allocations and a latched FIFO set of
+reusable spans (spans whose free-block count crossed the reusability
+threshold). The free that empties a reusable span takes it out of its
+set, wherever it sits, in constant time before pooling it.
 
 Allocation serves from the hot span's local list or bump region. When
 that runs dry it drains the remote list if enough blocks accumulated,
@@ -31,47 +33,40 @@ import itertools
 import os
 import threading
 import weakref
+from collections import OrderedDict
 
 from .atomic import AtomicWord
 from .config import CLAB, TLAB
 from .size_classes import NUM_CLASSES
 from .span import (
-    EPOCH_STATE_SHIFT, LINK_NEXT_MASK, LINK_PREV_SHIFT, STATE_FLOATING,
-    STATE_FREE, STATE_HOT, STATE_REUSABLE, TERMINATED, epoch_state,
-    next_epoch_word, owner_lab_ref, pack_owner,
+    EPOCH_STATE_SHIFT, STATE_FLOATING, STATE_FREE, STATE_HOT, STATE_REUSABLE,
+    TERMINATED, epoch_state, next_epoch_word, owner_lab_ref, pack_owner,
 )
 
 
-def _link_next(link):
-    return link & LINK_NEXT_MASK
-
-
-def _link_prev(link):
-    return (link >> LINK_PREV_SHIFT) & LINK_NEXT_MASK
-
-
-def _pack_link(prev_ref, next_ref):
-    return (prev_ref << LINK_PREV_SHIFT) | next_ref
-
-
 class ReusableSet:
-    """Latched intrusive deque of reusable spans, gated by owner.
+    """Latched FIFO of reusable spans, gated by owner.
 
     put and remove are refused when the caller's expected owner does
-    not match the gate (stale generation or closed set); take pops
-    whatever is at the front. Every operation is a constant number of
-    steps under the latch.
+    not match the gate (stale generation or closed set); take pops the
+    oldest span. The spans are the keys of one OrderedDict, so every
+    operation, including removal from the middle, is a constant number
+    of steps under the latch. (Not a plain dict: taking its first key
+    over and over walks the deleted slots left at its front.)
     """
 
-    __slots__ = ("_latch", "gate", "space", "_head", "_tail", "size")
+    __slots__ = ("_latch", "gate", "_spans")
 
-    def __init__(self, space):
+    def __init__(self):
         self._latch = threading.Lock()
         self.gate = TERMINATED
-        self.space = space
-        self._head = 0          # slot+1 refs through header link words
-        self._tail = 0
-        self.size = 0
+        self._spans = OrderedDict()
+
+    def __len__(self):
+        return len(self._spans)
+
+    def __contains__(self, span):
+        return span in self._spans
 
     def open(self, owner_word):
         with self._latch:
@@ -88,69 +83,42 @@ class ReusableSet:
             if epoch_state(span.epoch.load()) != STATE_REUSABLE:
                 # The span raced away between its reusable-marking and
                 # this insert (a last free emptied and pooled it, or it
-                # is already hot again). Linking it here would let the
-                # set and the pool fight over the link word; membership
-                # is only legal while reusable. The remove that fronts
-                # every pool insertion serializes with this latch, so
-                # the check cannot be stale in the dangerous direction.
+                # is already hot again). A span sits in at most one set,
+                # and only while reusable: a pooled span left here could
+                # later be taken by this LAB while it is reusable in
+                # another LAB's set. The remove that fronts every pool
+                # insertion serializes with this latch, so the check
+                # cannot be stale in the dangerous direction.
                 return False
-            ref = span.slot + 1
-            span.link = _pack_link(self._tail, 0)
-            span.set_token = self
-            if self._tail:
-                tail = self.space.headers[self._tail - 1]
-                tail.link = _pack_link(_link_prev(tail.link), ref)
-            else:
-                self._head = ref
-            self._tail = ref
-            self.size += 1
+            self._spans[span] = None
             return True
 
     def take(self):
         with self._latch:
-            ref = self._head
-            if not ref:
+            if not self._spans:
                 return None
-            span = self.space.headers[ref - 1]
-            self._unlink(span)
-            return span
+            return self._spans.popitem(last=False)[0]
 
     def remove(self, expected_owner, span):
         with self._latch:
             if self.gate != expected_owner or expected_owner == TERMINATED:
                 return False
-            if span.set_token is not self:
+            if span not in self._spans:
                 return False
-            self._unlink(span)
+            del self._spans[span]
             return True
-
-    def _unlink(self, span):
-        prev, nxt = _link_prev(span.link), _link_next(span.link)
-        headers = self.space.headers
-        if prev:
-            p = headers[prev - 1]
-            p.link = _pack_link(_link_prev(p.link), nxt)
-        else:
-            self._head = nxt
-        if nxt:
-            n = headers[nxt - 1]
-            n.link = _pack_link(prev, _link_next(n.link))
-        else:
-            self._tail = prev
-        span.set_token = None
-        self.size -= 1
 
 
 class LAB:
     __slots__ = ("index", "generation", "owner_word", "hot_spans",
                  "reusable", "class_latches", "attached")
 
-    def __init__(self, index, space, latched):
+    def __init__(self, index, latched):
         self.index = index
         self.generation = 0
         self.owner_word = AtomicWord(TERMINATED)
         self.hot_spans = [None] * NUM_CLASSES
-        self.reusable = [ReusableSet(space) for _ in range(NUM_CLASSES)]
+        self.reusable = [ReusableSet() for _ in range(NUM_CLASSES)]
         self.class_latches = \
             [threading.RLock() for _ in range(NUM_CLASSES)] if latched else None
         self.attached = 0
@@ -277,7 +245,7 @@ class Frontend:
                 self._free_labs.append(lab.index)
 
     def _new_lab(self):
-        lab = LAB(len(self.labs), self.space, latched=not self.tlab)
+        lab = LAB(len(self.labs), latched=not self.tlab)
         self.labs.append(lab)
         return lab
 

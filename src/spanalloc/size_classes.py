@@ -73,13 +73,12 @@ def _build_table():
         blocks = (rs - header) // block
         assert blocks >= 1
         table.append(SizeClass(cid, block, rs, header, blocks, rs_index[rs]))
-    return tuple(table), tuple(distinct)
+    return tuple(table), tuple(distinct), rs_index
 
 
-TABLE, REAL_SPAN_SIZES = _build_table()
+TABLE, REAL_SPAN_SIZES, _RS_INDEX = _build_table()
 NUM_CLASSES = len(TABLE)
 NUM_REAL_SPAN_SIZES = len(REAL_SPAN_SIZES)
-_RS_INDEX = {rs: i for i, rs in enumerate(REAL_SPAN_SIZES)}
 
 
 def class_for_size(request):

@@ -1,14 +1,15 @@
 """Real-span headers, block free lists, and the span state machine.
 
-A virtual span's first bytes hold its header: a link word (chains spans
-through the span pool and reusable sets), an epoch word (life-cycle
-state plus a counter bumped on every transition, which is what defeats
-ABA on state changes), an owner word (LAB generation and reference),
-the owner-private local free list, and the concurrent remote free list
-whose single atomic word carries both the list head and the element
-count. Blocks carry no metadata while live; a freed block's first word
-becomes the next-pointer of whichever free list it sits on, written
-straight into span memory so page accounting sees it.
+A virtual span's first bytes hold its header: a link word (chains
+pooled spans through a span pool stack, which alone reads and writes
+it), an epoch word (life-cycle state plus a counter bumped on every
+transition, which is what defeats ABA on state changes), an owner word
+(LAB generation and reference), the owner-private local free list, and
+the concurrent remote free list whose single atomic word carries both
+the list head and the element count. Blocks carry no metadata while
+live; a freed block's first word becomes the next-pointer of whichever
+free list it sits on, written straight into span memory so page
+accounting sees it.
 
 Life cycle: free -> hot -> floating -> reusable -> {hot, free}, with
 floating also reachable from reusable at thread termination. Fresh
@@ -19,9 +20,8 @@ of the epoch word, recorded in the ledger's trace when instrumented.
 
 import threading
 
-from .arena import SPAN_SHIFT
 from .atomic import AtomicWord
-from .config import VIRTUAL_SPAN_SIZE
+from .config import SPAN_SHIFT, VIRTUAL_SPAN_SIZE
 from .errors import WildFree
 from .size_classes import TABLE
 
@@ -52,11 +52,6 @@ LEGAL_EDGES = frozenset([
 # Owner word: 16-bit generation above a 48-bit LAB reference.
 OWNER_REF_MASK = (1 << 48) - 1
 TERMINATED = -1
-
-# Link word: next span's reference (slot + 1; 0 ends the chain) in the low
-# 24 bits, for pool stacks and reusable sets; reusable sets keep prev above.
-LINK_NEXT_MASK = (1 << 24) - 1
-LINK_PREV_SHIFT = 24
 
 # Remote free list word: 16-bit element count above the 48-bit arena
 # offset of the head block. Offset 0 is never a block, so 0 is empty.
@@ -92,7 +87,6 @@ class SpanHeader:
         "size_class", "block_size", "blocks_per_span", "real_span_size",
         "payload", "reuse_threshold_blocks",
         "local_head", "local_count", "bump_limit", "remote",
-        "set_token",
     )
 
     def __init__(self, space, slot, base):
@@ -112,7 +106,6 @@ class SpanHeader:
         self.local_head = 0
         self.local_count = 0
         self.bump_limit = 0
-        self.set_token = None
 
     # -- initialization --------------------------------------------------
 

@@ -6,7 +6,9 @@ pairs hit the same stack and stay local. Each stack is one atomic top
 word: a 48-bit element reference plus a 16-bit tag bumped on every
 successful replacement, which makes the classic removed-and-reinserted
 top race fail its conditional replace instead of corrupting the list.
-Elements chain through the span headers' link words; the pool allocates
+Elements chain through the span headers' link words, each holding the
+next element's reference (slot + 1; 0 at the bottom of the stack). The
+pool is the only reader and writer of that word, and it allocates
 nothing of its own.
 
 put() decommits all but the first page of real spans strictly larger
@@ -20,7 +22,6 @@ the arena while puts are in flight, by design.
 from .atomic import AtomicWord
 from .config import DECOMMIT_THRESHOLD, PAGE_SIZE
 from .size_classes import NUM_REAL_SPAN_SIZES, TABLE, real_span_index_for_size
-from .span import LINK_NEXT_MASK
 
 TOP_REF_MASK = (1 << 48) - 1
 TAG_SHIFT = 48
@@ -54,7 +55,7 @@ class TaggedStack:
         top = self._top
         while True:
             old = top.load()
-            span.link = (span.link & ~LINK_NEXT_MASK) | (old & TOP_REF_MASK)
+            span.link = old & TOP_REF_MASK
             new = ((((old >> TAG_SHIFT) + 1) & 0xFFFF) << TAG_SHIFT) | ref
             if top.compare_exchange(old, new):
                 self.pushes += 1
@@ -69,8 +70,8 @@ class TaggedStack:
             if ref == 0:
                 return None
             span = space.headers[ref - 1]
-            next_ref = span.link & LINK_NEXT_MASK
-            new = ((((old >> TAG_SHIFT) + 1) & 0xFFFF) << TAG_SHIFT) | next_ref
+            new = ((((old >> TAG_SHIFT) + 1) & 0xFFFF) << TAG_SHIFT) \
+                | span.link
             if top.compare_exchange(old, new):
                 self.pops += 1
                 return span

@@ -33,13 +33,12 @@ import threading
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .config import PAGE_SIZE, VIRTUAL_SPAN_SIZE
+from .config import PAGE_SIZE, SPAN_SHIFT, VIRTUAL_SPAN_SIZE
 from .errors import GuardViolation, ReservationError
 
 # First address handed out; keeps 0 free for the null sentinel and makes
 # accidental small-integer addresses stand out.
 _BASE_CURSOR = 1 << 33
-_SLOT_SHIFT = VIRTUAL_SPAN_SIZE.bit_length() - 1
 _SLOT_PAGE_SHIFT = (VIRTUAL_SPAN_SIZE // PAGE_SIZE).bit_length() - 1
 # Upper bound on the address space one provider reserves in total.
 RESERVATION_CAP = 1 << 46
@@ -121,7 +120,7 @@ class _Provider:
     def unmap(self, base):
         """Drop a page mapping and all of its committed pages."""
         with self._lock:
-            record = self._slots.get(base >> _SLOT_SHIFT)
+            record = self._slots.get(base >> SPAN_SHIFT)
             if record is None or record[0] != base:
                 raise ValueError(f"unmap of unknown mapping {base:#x}")
             for slot in _slots_of(base, record[1]):
@@ -131,7 +130,7 @@ class _Provider:
             self._release(record)
 
     def mapping_length(self, base):
-        record = self._slots.get(base >> _SLOT_SHIFT)
+        record = self._slots.get(base >> SPAN_SHIFT)
         return record[1] if record is not None and record[0] == base else None
 
     def decommit(self, base, length):
@@ -175,7 +174,7 @@ class _Provider:
                 return record
         # A slot's record starts at or below the slot, so only the end
         # needs checking.
-        record = self._slots.get(addr >> _SLOT_SHIFT)
+        record = self._slots.get(addr >> SPAN_SHIFT)
         if record is not None and end <= record[0] + record[1]:
             return record
         raise ValueError(f"{addr:#x}+{n:#x} outside any reservation or mapping")
@@ -422,7 +421,7 @@ def _round_up(value, step):
 
 def _slots_of(base, length):
     """The 2MB slots that [base, base+length) touches."""
-    return range(base >> _SLOT_SHIFT, ((base + length - 1) >> _SLOT_SHIFT) + 1)
+    return range(base >> SPAN_SHIFT, ((base + length - 1) >> SPAN_SHIFT) + 1)
 
 
 def _process_rss_bytes():

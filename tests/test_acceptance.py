@@ -415,7 +415,7 @@ def test_c11_directional_scalability():
                              objects_per_round=4000, object_size=64,
                              seed=2, touch_objects=False)
         report = run(cfg, ablate(flags, arena_bytes=1 << 31))
-        return report.ops_per_second
+        return report.ops_per_sec
 
     t1 = throughput(1)
     t8 = throughput(8)

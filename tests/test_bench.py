@@ -7,9 +7,10 @@ import pytest
 
 from helpers import SMALL_ARENA
 from spanalloc.bench import (
-    ABLATION_FLAGS, RunReport, WorkloadConfig, ablate, main, run, write_csv,
+    ABLATION_FLAGS, WorkloadConfig, ablate, main, run, write_csv,
 )
 from spanalloc.config import AllocatorConfig
+from spanalloc.size_classes import NUM_REAL_SPAN_SIZES
 
 
 def bench_alloc(**kw):
@@ -58,14 +59,14 @@ def test_prodcons_remote_fraction_half_for_two_threads():
     cfg = WorkloadConfig(name="prodcons", threads=2, rounds=10,
                          objects_per_round=400, seed=3)
     report = run(cfg, bench_alloc())
-    assert abs(report.extra["remote_free_fraction"] - 0.5) < 0.05
+    assert abs(report.remote_free_fraction - 0.5) < 0.05
 
 
 def test_prodcons_split_roles_all_remote():
     cfg = WorkloadConfig(name="prodcons", threads=4, rounds=4,
                          objects_per_round=200, producers=2)
     report = run(cfg, bench_alloc())
-    assert report.extra["remote_free_fraction"] == 1.0
+    assert report.remote_free_fraction == 1.0
     assert report.extra["leaked_blocks"] == 0
 
 
@@ -98,12 +99,19 @@ def test_csv_schema_stable(tmp_path):
     path = tmp_path / "runs.csv"
     alloc = bench_alloc()
     report = run(small("threadtest", threads=1), alloc)
-    write_csv(str(path), report, alloc.config)
-    write_csv(str(path), report, alloc.config)
+    write_csv(str(path), report)
+    write_csv(str(path), report)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
-    assert list(rows[0]) == RunReport.CSV_COLUMNS
+    assert list(rows[0]) == [
+        "workload", "threads", "rounds", "objects_per_round", "object_size",
+        "size_min", "size_max", "seed", "provider", "pool_width",
+        "reuse_percent", "lab_mode", "ablation", "ops", "elapsed_s",
+        "ops_per_sec", "peak_committed_bytes", "thread_alloc_time_mean_s",
+        "remote_free_fraction", "pool_puts", "pool_gets",
+        "stack_pushes", "stack_pops", "stack_retries",
+    ]
     assert rows[0]["workload"] == "threadtest"
     assert int(rows[0]["ops"]) == report.ops
     assert rows[0]["ablation"] == "none"
@@ -132,6 +140,23 @@ def test_cli_end_to_end(tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows[0]["ablation"] == "no_decommit"
     assert rows[0]["provider"] == "sim"
+
+
+def test_cli_stacks_csv_counts_every_push(tmp_path):
+    stacks, runs = tmp_path / "stacks.csv", tmp_path / "runs.csv"
+    assert main(["--workload", "threadtest", "--threads", "2",
+                 "--rounds", "2", "--objects", "2000", "--provider", "sim",
+                 "--arena-bytes", str(SMALL_ARENA), "--pool-width", "3",
+                 "--csv", str(runs), "--stacks-csv", str(stacks)]) == 0
+    with open(stacks) as fh:
+        rows = list(csv.DictReader(fh))
+    with open(runs) as fh:
+        run_row = next(csv.DictReader(fh))
+    assert list(rows[0]) == ["real_span_index", "pool_index",
+                             "pushes", "pops", "retries"]
+    assert len(rows) == NUM_REAL_SPAN_SIZES * 3
+    assert sum(int(r["pushes"]) for r in rows) \
+        == int(run_row["stack_pushes"]) > 0
 
 
 def test_cli_instrument_prints_frag_bytes():

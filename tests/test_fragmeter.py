@@ -181,6 +181,20 @@ def test_double_free_raises_and_leaves_the_lists_alone():
     assert alloc.ledger.f == frag_oracle(alloc) == walk_oracle(alloc)
 
 
+def test_realloc_of_freed_block_raises_before_allocating():
+    alloc = instrumented()
+    keep = alloc.malloc(64)                 # keeps the span out of the pool
+    p = alloc.malloc(64)
+    alloc.free(p)
+    allocs, live, f = alloc.stats()["allocs"], set(alloc.ledger.live), \
+        alloc.ledger.f
+    with pytest.raises(DoubleFree):
+        alloc.realloc(p, 128)
+    assert alloc.stats()["allocs"] == allocs
+    assert alloc.ledger.live == live == {keep}
+    assert alloc.ledger.f == f
+
+
 def test_live_set_empties_when_every_block_is_freed():
     alloc = instrumented()
     rng = random.Random(3)

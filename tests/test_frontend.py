@@ -27,6 +27,11 @@ def state_of(span):
     return epoch_state(span.epoch.load())
 
 
+def in_a_set(alloc, span):
+    """Whether any LAB's reusable set holds `span`."""
+    return any(span in s for lab in alloc.frontend.labs for s in lab.reusable)
+
+
 def run_in_thread(fn, *args):
     out = {}
 
@@ -107,14 +112,14 @@ def test_local_frees_drive_floating_to_reusable_to_reuse(alloc):
     assert state_of(span) == STATE_FLOATING   # at threshold: not yet
     alloc.free(blocks[T64])
     assert state_of(span) == STATE_REUSABLE   # crossed strictly
-    assert span.set_token is not None
+    assert in_a_set(alloc, span)
     # Exhaust the current hot span; the reusable one must come back.
     current = span_of(alloc, extra)
     fills = [alloc.malloc(64) for _ in range(B64 - 1)]
     again = alloc.malloc(64)
     assert span_of(alloc, again) is span
     assert state_of(span) == STATE_HOT
-    assert span.set_token is None
+    assert not in_a_set(alloc, span)
 
 
 def test_eager_reclamation_pools_before_free_returns(alloc):
@@ -128,7 +133,7 @@ def test_eager_reclamation_pools_before_free_returns(alloc):
     alloc.free(blocks[-1])              # last block
     assert alloc.pool.puts.load() == puts_before + 1
     assert state_of(span) == STATE_FREE
-    assert span.set_token is None
+    assert not in_a_set(alloc, span)
 
 
 def test_lazy_reclaim_defers_to_allocation_slow_path():
@@ -162,7 +167,7 @@ def test_remote_frees_insert_into_owners_set(alloc):
     run_in_thread(remote_free_past_threshold)
     assert state_of(span) == STATE_REUSABLE
     owner_lab = alloc.frontend.labs[0]
-    assert span.set_token is owner_lab.reusable[C64]
+    assert span in owner_lab.reusable[C64]
     assert alloc.stats()["adopts"] == 0    # owner alive: no adoption
 
 
@@ -178,7 +183,7 @@ def test_remote_last_free_pools_span(alloc):
     run_in_thread(remote_free_all)
     assert state_of(span) == STATE_FREE
     assert alloc.pool.puts.load() == 1
-    assert span.set_token is None
+    assert not in_a_set(alloc, span)
 
 
 def test_block_never_live_twice_mixed_workload(alloc):
@@ -340,7 +345,7 @@ def test_terminate_races_last_free_single_winner(alloc):
         if st == STATE_FLOATING:
             # Orphaned with zero live blocks; anyone freeing later would
             # adopt, but it is consistent: not in any set, not pooled.
-            assert span.set_token is None
+            assert not in_a_set(alloc, span)
         # Clean up for the next round: leftover hot-span block.
 
 
@@ -352,7 +357,7 @@ def make_reusable(span):
 def test_generation_gating_after_lab_reuse(alloc):
     from spanalloc.frontend import ReusableSet
 
-    s = ReusableSet(alloc.space)
+    s = ReusableSet()
     word1 = pack_owner(1, 0)
     word2 = pack_owner(2, 0)
     span = alloc.space.header_for_base(alloc.arena.acquire_virtual_span(),
@@ -375,7 +380,7 @@ def test_generation_gating_after_lab_reuse(alloc):
 def test_reusable_set_put_take_remove_order(alloc):
     from spanalloc.frontend import ReusableSet
 
-    s = ReusableSet(alloc.space)
+    s = ReusableSet()
     word = pack_owner(1, 0)
     s.open(word)
     spans = []
@@ -385,13 +390,22 @@ def test_reusable_set_put_take_remove_order(alloc):
         sp.init_for_class(C64, word)
         make_reusable(sp)
         spans.append(sp)
-        assert s.put(word, sp)
-    assert s.size == 3
-    assert s.remove(word, spans[1])        # middle removal, O(1)
-    assert s.take() is spans[0]
-    assert s.take() is spans[2]
-    assert s.take() is None
-    assert s.size == 0
+    # (removed index, put it back?, expected take order): removal from
+    # the middle, the head and the tail is O(1); a span removed and put
+    # again comes back last.
+    cases = [(1, False, [0, 2]), (0, False, [1, 2]), (2, False, [0, 1]),
+             (1, True, [0, 2, 1])]
+    for removed, put_again, order in cases:
+        for sp in spans:
+            assert s.put(word, sp)
+        assert len(s) == 3
+        assert s.remove(word, spans[removed])
+        assert spans[removed] not in s
+        if put_again:
+            assert s.put(word, spans[removed])
+        assert [s.take() for _ in order] == [spans[i] for i in order]
+        assert s.take() is None
+        assert len(s) == 0
 
 
 def test_clab_mode_shares_lab_and_frees_remotely():
@@ -443,7 +457,7 @@ def test_get_span_skips_span_raced_to_free(alloc):
     extra = alloc.malloc(64)
     for b in blocks[:T64 + 1]:
         alloc.free(b)
-    assert state_of(span) == STATE_REUSABLE and span.set_token is not None
+    assert state_of(span) == STATE_REUSABLE and in_a_set(alloc, span)
     for b in blocks[T64 + 1:]:
         span.free_local(b)                     # backdoor: no state work
     assert span.is_empty()
@@ -458,7 +472,7 @@ def test_get_span_skips_span_raced_to_free(alloc):
     assert p != 0
     assert span_of(alloc, p) is span           # recovered via the pool
     assert state_of(span) == STATE_HOT
-    assert alloc.frontend.labs[0].reusable[C64].size == 0
+    assert len(alloc.frontend.labs[0].reusable[C64]) == 0
 
 
 def test_clab_contention_stress_conserves_blocks():
@@ -525,7 +539,7 @@ def test_set_put_rejects_span_no_longer_reusable(alloc):
     assert span.try_transition(e, STATE_FREE)       # racing last free wins
     alloc.pool.put(span, 0)
     assert not the_set.put(owner_word, span)        # late insert refused
-    assert span.set_token is None and the_set.size == 0
+    assert not in_a_set(alloc, span) and len(the_set) == 0
     # The pooled span must come back intact.
     got = alloc.pool.get(C64, 0)
     assert got is span
@@ -547,8 +561,8 @@ def test_crossing_and_emptying_in_one_free_still_pools(alloc):
     alloc.free(a)
     assert state_of(span) == STATE_FREE
     assert alloc.pool.puts.load() == puts_before + 1
-    assert span.set_token is None
-    assert alloc.frontend.labs[0].reusable[span.size_class].size == 0
+    assert not in_a_set(alloc, span)
+    assert len(alloc.frontend.labs[0].reusable[span.size_class]) == 0
     alloc.free(b)
 
 

@@ -2,12 +2,13 @@ import threading
 
 import pytest
 
+from helpers import make_allocator
 from spanalloc.arena import Arena
 from spanalloc.config import PAGE_SIZE, VIRTUAL_SPAN_SIZE
 from spanalloc.errors import ArenaExhausted
-from spanalloc.size_classes import NUM_REAL_SPAN_SIZES, class_for_size
+from spanalloc.size_classes import NUM_REAL_SPAN_SIZES, TABLE, class_for_size
 from spanalloc.span import STATE_FREE, SpanSpace, epoch_state, pack_owner
-from spanalloc.span_pool import SpanPool, TaggedStack
+from spanalloc.span_pool import TOP_REF_MASK, SpanPool, TaggedStack
 from spanalloc.vmem import SimProvider
 
 OWNER = pack_owner(1, 0)
@@ -154,6 +155,30 @@ def test_aba_interleaving_probe():
         assert got is a
         assert stack.pop(space) is None   # b must not reappear
         assert stack.load_top() & ((1 << 48) - 1) == 0
+
+
+def test_pooled_span_link_holds_only_the_next_reference():
+    # Two spans pass through a reusable set side by side before each is
+    # emptied and pooled; the link word then chains the stack and holds
+    # nothing else.
+    alloc = make_allocator()
+    c64 = class_for_size(64)
+    blocks = TABLE[c64].blocks_per_span
+    threshold = blocks * 80 // 100
+    a = [alloc.malloc(64) for _ in range(blocks)]
+    b = [alloc.malloc(64) for _ in range(blocks)]
+    alloc.malloc(64)                      # floats both spans
+    span_a, span_b = alloc.space.span_of(a[0]), alloc.space.span_of(b[0])
+    for x in a[:threshold + 1] + b[:threshold + 1]:
+        alloc.free(x)                     # both reusable, a before b
+    for x in b[threshold + 1:] + a[threshold + 1:]:
+        alloc.free(x)                     # b, still behind a, empties first
+    assert alloc.pool.puts.load() == 2
+    assert span_b.link == 0               # bottom of the stack
+    assert span_a.link == span_b.slot + 1     # pushed on top of b
+    tops = [s.load_top() & TOP_REF_MASK for row in alloc.pool.stacks
+            for s in row]
+    assert span_a.slot + 1 in tops
 
 
 def test_counting_stress_no_loss_no_duplication():
