@@ -9,7 +9,7 @@ from .config import (
     AllocatorConfig,
 )
 from .errors import (
-    ArenaExhausted, DoubleFree, GuardViolation, OutOfMemory,
+    ArenaExhausted, DoubleFree, OutOfMemory,
     ReservationError, SpanAllocError, WildFree,
 )
 from .size_classes import HUGE, NUM_CLASSES, TABLE, class_for_size, geometry
@@ -23,6 +23,6 @@ __all__ = [
     "HUGE", "NUM_CLASSES", "TABLE", "class_for_size", "geometry",
     "SimProvider", "OsProvider", "VmRegion", "VmStats",
     "SpanAllocError", "OutOfMemory", "ArenaExhausted", "ReservationError",
-    "GuardViolation", "WildFree", "DoubleFree",
+    "WildFree", "DoubleFree",
     "__version__",
 ]

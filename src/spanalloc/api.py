@@ -59,7 +59,6 @@ class Allocator:
         self.space = SpanSpace(
             self.arena, self.provider,
             reuse_percent=config.reuse_percent,
-            guard_pages=config.guard_pages,
             ledger=self.ledger,
         )
         self.pool = SpanPool(self.space, config.effective_pool_width(),
@@ -69,7 +68,8 @@ class Allocator:
     # -- allocation entry points ------------------------------------------
 
     def malloc(self, size):
-        """A block of at least `size` bytes; NULL on out-of-memory."""
+        """A block of at least `size` bytes; NULL on out-of-memory,
+        ValueError for a negative size."""
         sc = class_for_size(size)
         if sc == HUGE:
             return self._huge_alloc(size)
@@ -87,6 +87,8 @@ class Allocator:
             self._huge_free(addr)
 
     def calloc(self, nmemb, size):
+        if nmemb < 0 or size < 0:
+            raise ValueError("negative calloc argument")
         total = nmemb * size
         addr = self.malloc(total)
         if addr != NULL and self.arena.contains(addr):
@@ -96,6 +98,7 @@ class Allocator:
         return addr
 
     def realloc(self, addr, size):
+        # A negative size fails in malloc, before anything is freed.
         if addr == NULL:
             return self.malloc(size)
         if size == 0:
@@ -122,6 +125,8 @@ class Allocator:
             raise ValueError("alignment must be a power of two")
         if alignment > MAX_ALIGNMENT:
             raise ValueError(f"alignment above {MAX_ALIGNMENT} not supported")
+        if size < 0:
+            raise ValueError(f"negative size {size}")
         if alignment <= 16:
             return self.malloc(size)
         rounded = -(-max(size, 1) // alignment) * alignment

@@ -297,8 +297,12 @@ def _run_larson(allocator, config):
     continuations = []
     deadline = time.monotonic() + config.duration if config.duration else None
 
-    def link_body(chain, slots, handoffs_left, rng):
+    def link_body(chain, slots, handoffs_left, rng, handoff=None):
         def body(worker):
+            if handoff is not None:
+                attached, released = handoff
+                attached.set()
+                released.wait()
             malloc, free = allocator.malloc, allocator.free
             t0 = time.perf_counter()
             for _ in range(config.rounds):
@@ -308,11 +312,20 @@ def _run_larson(allocator, config):
             worker.alloc_time += time.perf_counter() - t0
             expired = deadline is not None and time.monotonic() >= deadline
             if handoffs_left > 0 and not expired:
+                # The successor attaches while this link still holds its
+                # LAB, and this link detaches before the successor's first
+                # free: both orders are fixed, so a run does not depend on
+                # thread timing.
+                attached, released = threading.Event(), threading.Event()
                 nxt = _Worker(allocator,
-                              link_body(chain, slots, handoffs_left - 1, rng),
+                              link_body(chain, slots, handoffs_left - 1, rng,
+                                        (attached, released)),
                               worker.index)
                 continuations.append(nxt)
                 nxt.start()
+                attached.wait()
+                allocator.detach_thread()
+                released.set()
             else:
                 for p in slots:
                     free(p)
@@ -618,7 +631,6 @@ def build_arg_parser():
                         default=None, metavar="PCT")
     parser.add_argument("--arena-bytes", type=int, default=None)
     parser.add_argument("--lab-mode", choices=("tlab", "clab"), default=None)
-    parser.add_argument("--guard-pages", action="store_true", default=None)
     parser.add_argument("--no-touch", dest="touch_objects",
                         action="store_false", help="skip writing into objects")
     parser.add_argument("--instrument", action="store_true",

@@ -32,13 +32,6 @@ def _env_str(name, default):
     return os.environ.get(_ENV_PREFIX + name, default)
 
 
-def _env_bool(name, default):
-    raw = os.environ.get(_ENV_PREFIX + name)
-    if raw is None:
-        return default
-    return raw.strip().lower() in ("1", "true", "yes", "on")
-
-
 @dataclass
 class AllocatorConfig:
     # Size of the single reserved arena. 2^35 keeps CI address-space
@@ -47,7 +40,6 @@ class AllocatorConfig:
     # "sim" = byte-array backed provider with exact page accounting,
     # "os" = real anonymous mappings with madvise decommit.
     provider: str = "sim"
-    guard_pages: bool = False
     # Width of the span pool's stack arrays; None = detected core count.
     pool_width: int | None = None
     # A span becomes reusable when strictly more than this percentage of
@@ -82,7 +74,6 @@ class AllocatorConfig:
         values = dict(
             arena_bytes=_env_int("ARENA_BYTES", cls.arena_bytes),
             provider=_env_str("PROVIDER", cls.provider),
-            guard_pages=_env_bool("GUARD_PAGES", cls.guard_pages),
             reuse_percent=_env_int("REUSE_PERCENT", cls.reuse_percent),
             lab_mode=_env_str("LAB_MODE", cls.lab_mode),
         )

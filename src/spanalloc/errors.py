@@ -18,10 +18,6 @@ class ArenaExhausted(OutOfMemory):
     """The bump cursor ran past the end of the reserved arena."""
 
 
-class GuardViolation(SpanAllocError):
-    """An access landed inside a guarded page range."""
-
-
 class WildFree(SpanAllocError):
     """free() was called on an address the allocator never produced."""
 

@@ -85,10 +85,12 @@ def class_for_size(request):
     """Smallest class whose block size covers `request`; HUGE above 1MB.
 
     Zero-size requests map to class 0 so they still get a unique,
-    freeable address.
+    freeable address; a negative one is a ValueError.
     """
     if request <= MAX_SMALL_BLOCK:
         if request <= 16:
+            if request < 0:
+                raise ValueError(f"negative size {request}")
             return 0
         return (request + 15) // 16 - 1
     if request > MAX_CLASS_BLOCK:

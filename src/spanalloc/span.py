@@ -21,7 +21,7 @@ of the epoch word, recorded in the ledger's trace when instrumented.
 import threading
 
 from .atomic import AtomicWord
-from .config import SPAN_SHIFT, VIRTUAL_SPAN_SIZE
+from .config import SPAN_SHIFT
 from .errors import WildFree
 from .size_classes import TABLE
 
@@ -129,10 +129,7 @@ class SpanHeader:
         self.bump_limit = 0
         self.remote.store(0)
         self.owner.store(owner_word)
-        space = self.space
-        space.provider.touch(self.base, geo.header_size)
-        if space.guard_pages:
-            space.adjust_guards(self)
+        self.space.provider.touch(self.base, geo.header_size)
 
     # -- block allocation (owning thread only) ---------------------------
 
@@ -291,13 +288,11 @@ class SpanSpace:
     one index; a slot without a header below the last one holds None.
     """
 
-    def __init__(self, arena, provider, reuse_percent=80, guard_pages=False,
-                 ledger=None):
+    def __init__(self, arena, provider, reuse_percent=80, ledger=None):
         self.arena = arena
         self.arena_base = arena.base
         self.provider = provider
         self.reuse_percent = reuse_percent
-        self.guard_pages = guard_pages and provider.supports_guards
         self.ledger = ledger        # a FragLedger on instrumented allocators
         self.headers = []
         self._grow_lock = threading.Lock()
@@ -349,9 +344,3 @@ class SpanSpace:
 
     def iter_headers(self):
         return (h for h in list(self.headers) if h is not None)
-
-    def adjust_guards(self, header):
-        """Unprotect the real span, guard the rest of the virtual span."""
-        rs = header.real_span_size
-        self.provider.protect_guard(header.base, rs, False)
-        self.provider.protect_guard(header.base + rs, VIRTUAL_SPAN_SIZE - rs, True)

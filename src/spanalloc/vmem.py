@@ -1,8 +1,8 @@
 """Virtual-memory providers.
 
 The allocator core never talks to the operating system directly; it goes
-through a provider that reserves address space, releases physical backing
-(decommit), and optionally guards unused ranges. Two implementations:
+through a provider that reserves address space and releases physical
+backing (decommit). Two implementations:
 
 * SimProvider - backs committed pages with bytearrays in a sparse page
   table and keeps exact accounting: committed bytes are precisely
@@ -34,7 +34,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .config import PAGE_SIZE, SPAN_SHIFT, VIRTUAL_SPAN_SIZE
-from .errors import GuardViolation, ReservationError
+from .errors import ReservationError
 
 # First address handed out; keeps 0 free for the null sentinel and makes
 # accidental small-integer addresses stand out.
@@ -82,7 +82,7 @@ class _Provider:
     mapping is indexed under every 2MB slot it covers, slack slots never.
     """
 
-    def __init__(self, reservation_cap):
+    def __init__(self, reservation_cap=RESERVATION_CAP):
         self._lock = threading.Lock()
         self._cursor = _BASE_CURSOR
         self._cap = reservation_cap
@@ -92,8 +92,8 @@ class _Provider:
         self.stats = VmStats()
         self.map_calls = 0
         self.unmap_calls = 0
-        self.peak_committed_bytes = 0
-        self._window_peak = 0
+        # Peak committed bytes since begin_window, else since creation.
+        self.window_peak = 0
 
     # -- reservation / mapping ------------------------------------------
 
@@ -145,11 +145,7 @@ class _Provider:
 
     def begin_window(self):
         with self._lock:
-            self._window_peak = self.committed_bytes
-
-    @property
-    def window_peak(self):
-        return self._window_peak
+            self.window_peak = self.committed_bytes
 
     # -- internals --------------------------------------------------------
 
@@ -190,29 +186,11 @@ class SimProvider(_Provider):
     """
 
     name = "sim"
-    supports_guards = True
 
     def __init__(self, reservation_cap=RESERVATION_CAP):
         super().__init__(reservation_cap)
         self._pages = {}              # page index -> bytearray(PAGE_SIZE)
         self._committed = defaultdict(set)  # 2MB slot -> its page indices in _pages
-        self._guards = set()          # guarded page indices
-
-    # -- guards ---------------------------------------------------------
-
-    def protect_guard(self, base, length, enable):
-        if base % PAGE_SIZE or length % PAGE_SIZE:
-            raise ValueError("guard range must be page-aligned")
-        with self._lock:
-            span = range(base // PAGE_SIZE, (base + length) // PAGE_SIZE)
-            if enable:
-                self._guards.update(span)
-            else:
-                self._guards.difference_update(span)
-        return True
-
-    def guarded_ranges(self):
-        return set(self._guards)
 
     # -- data access ------------------------------------------------------
 
@@ -234,8 +212,6 @@ class SimProvider(_Provider):
         while pos < n:
             idx, off = divmod(addr + pos, PAGE_SIZE)
             take = min(PAGE_SIZE - off, n - pos)
-            if self._guards and idx in self._guards:
-                raise GuardViolation(f"read inside guarded page {idx:#x}")
             page = self._pages.get(idx)
             if page is not None:
                 out[pos:pos + take] = page[off:off + take]
@@ -254,8 +230,6 @@ class SimProvider(_Provider):
     def read_word(self, addr):
         page = self._pages.get(addr >> 12)
         if page is None:
-            if self._guards and (addr >> 12) in self._guards:
-                raise GuardViolation(f"read inside guarded page {addr >> 12:#x}")
             return 0
         return _unpack_word(page, addr & 0xFFF)[0]
 
@@ -305,18 +279,14 @@ class SimProvider(_Provider):
             page = self._pages.get(idx)
             if page is not None:
                 return page
-            if self._guards and idx in self._guards:
-                raise GuardViolation(f"write inside guarded page {idx:#x}")
             self._locate(idx * PAGE_SIZE, PAGE_SIZE)
             page = bytearray(PAGE_SIZE)
             self._pages[idx] = page
             self._committed[idx >> _SLOT_PAGE_SHIFT].add(idx)
             committed = self.stats.committed_bytes + PAGE_SIZE
             self.stats.committed_bytes = committed
-            if committed > self.peak_committed_bytes:
-                self.peak_committed_bytes = committed
-            if committed > self._window_peak:
-                self._window_peak = committed
+            if committed > self.window_peak:
+                self.window_peak = committed
             return page
 
     def _decommit(self, record, base, length):
@@ -346,22 +316,9 @@ class OsProvider(_Provider):
 
     Committed-bytes reporting is the process RSS (page-granular but
     process-wide); tests that need range-exact accounting use sim.
-    Guard pages are unsupported and reported once.
     """
 
     name = "os"
-    supports_guards = False
-
-    def __init__(self, reservation_cap=RESERVATION_CAP):
-        super().__init__(reservation_cap)
-        self._guard_warned = False
-
-    def protect_guard(self, base, length, enable):
-        if not self._guard_warned:
-            self._guard_warned = True
-            import warnings
-            warnings.warn("guard pages unsupported on the os provider; disabled")
-        return False
 
     def write(self, addr, data):
         mbase, _, mm = self._locate(addr, len(data))
@@ -389,10 +346,8 @@ class OsProvider(_Provider):
     @property
     def committed_bytes(self):
         rss = _process_rss_bytes()
-        if rss > self.peak_committed_bytes:
-            self.peak_committed_bytes = rss
-        if rss > self._window_peak:
-            self._window_peak = rss
+        if rss > self.window_peak:
+            self.window_peak = rss
         return rss
 
     def committed_in(self, base, length):

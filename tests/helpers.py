@@ -5,6 +5,7 @@ no other test directory's conftest shadows.
 """
 
 from spanalloc import Allocator, AllocatorConfig
+from spanalloc.config import DECOMMIT_THRESHOLD, PAGE_SIZE, SPAN_SHIFT
 from spanalloc.span import STATE_FREE, epoch_counter, epoch_state
 
 # Small arena (64 spans) keeps unit tests snappy; tests that need more
@@ -43,6 +44,30 @@ def walk_oracle(allocator):
         never_used = h.blocks_per_span - h.bump_limit
         total += (listed + never_used) * h.block_size
     return total
+
+
+def stray_pages(allocator):
+    """Committed arena pages that no span accounts for (sim provider):
+    pages outside their slot's current real span or in a slot with no
+    header, and, with decommit on, pages after the first of a pooled
+    span above the decommit threshold. Huge mappings lie outside the
+    arena and are bounds-checked by the provider itself."""
+    space, arena = allocator.space, allocator.arena
+    decommit = allocator.config.decommit_enabled
+    stray = set()
+    for idx in allocator.provider.committed_page_indices():
+        addr = idx * PAGE_SIZE
+        if not arena.contains(addr):
+            continue
+        slot = (addr - arena.base) >> SPAN_SHIFT
+        h = space.headers[slot] if slot < len(space.headers) else None
+        if h is None or addr >= h.base + h.real_span_size:
+            stray.add(idx)
+        elif decommit and addr >= h.base + PAGE_SIZE \
+                and h.real_span_size > DECOMMIT_THRESHOLD \
+                and epoch_state(h.epoch.load()) == STATE_FREE:
+            stray.add(idx)
+    return stray
 
 
 def validate_transition_trace(allocator):

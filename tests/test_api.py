@@ -1,7 +1,7 @@
 import pytest
 
-from helpers import make_allocator
-from spanalloc import NULL, GuardViolation, WildFree
+from helpers import make_allocator, stray_pages
+from spanalloc import NULL, WildFree
 from spanalloc.api import HUGE_MAGIC, HugeHeader
 from spanalloc.config import PAGE_SIZE, VIRTUAL_SPAN_SIZE
 from spanalloc.size_classes import TABLE, class_for_size
@@ -198,10 +198,24 @@ def test_aligned_alloc(alloc):
             assert p % align == 0, (align, size)
             assert alloc.usable_size(p) >= size
             alloc.free(p)
-    with pytest.raises(ValueError):
-        alloc.aligned_alloc(48, 100)       # not a power of two
-    with pytest.raises(ValueError):
-        alloc.aligned_alloc(8192, 100)     # beyond the 4KB cap
+    p = alloc.malloc(64)
+    stats = alloc.stats()
+    for call, args in (
+        (alloc.aligned_alloc, (48, 100)),      # not a power of two
+        (alloc.aligned_alloc, (8192, 100)),    # beyond the 4KB cap
+        (alloc.aligned_alloc, (64, -1)),       # negative sizes
+        (alloc.aligned_alloc, (8, -1)),
+        (alloc.malloc, (-1,)),
+        (alloc.calloc, (-2, -3)),
+        (alloc.calloc, (-2, 3)),
+        (alloc.calloc, (0, -1)),
+        (alloc.realloc, (p, -1)),              # raises before freeing p
+        (alloc.realloc, (NULL, -1)),
+    ):
+        with pytest.raises(ValueError):
+            call(*args)
+    assert alloc.stats() == stats              # nothing allocated or freed
+    alloc.free(p)
 
 
 def test_out_of_memory_returns_null():
@@ -235,38 +249,57 @@ def test_roundtrip_sweep_restores_committed(alloc):
         assert after - baseline <= slack, size
 
 
-def test_guard_pages_protect_span_tails():
-    alloc = make_allocator(guard_pages=True)
-    p = alloc.malloc(64)
-    span = alloc.space.span_of(p)
-    alloc.provider.write(p, b"x" * 64)                 # block access fine
-    with pytest.raises(GuardViolation):
-        alloc.provider.write(span.base + span.real_span_size + PAGE_SIZE, b"x")
-    # No allocation may land inside a guarded page.
-    guards = alloc.provider.guarded_ranges()
-    for _ in range(600):
-        q = alloc.malloc(256)
-        assert q // PAGE_SIZE not in guards
-    alloc.free(p)
+def test_span_tails_stay_uncommitted():
+    # Blocks of a 32KB real span, and the free-list words their frees
+    # write, commit nothing past the real span in its 2MB slot.
+    alloc = make_allocator()
+    blocks = [alloc.malloc(256) for _ in range(600)]
+    for q in blocks:
+        span = alloc.space.span_of(q)
+        assert span.real_span_size == 32 * 1024
+        assert span.base < q and q + 256 <= span.base + span.real_span_size
+        alloc.provider.write(q, b"x" * 256)
+    assert not stray_pages(alloc)
+    for q in blocks:
+        alloc.free(q)
+    assert not stray_pages(alloc)
 
 
-def test_guard_pages_retreat_when_real_span_grows():
-    alloc = make_allocator(guard_pages=True)
+@pytest.mark.parametrize("decommit", [True, False],
+                         ids=["decommit", "no_decommit"])
+def test_reclassed_slot_commits_only_its_real_span(decommit):
+    # One slot is re-classed 32KB -> 1028KB -> 32KB through the pool.
+    alloc = make_allocator(decommit_enabled=decommit)
     blocks = [alloc.malloc(16) for _ in range(2032)]   # one full 32KB span
     span = alloc.space.span_of(blocks[0])
     alloc.malloc(16)                       # float it
     for b in blocks:
         alloc.free(b)                      # last free pools the span
-    # The pool scan hands the 32KB-real-span slot to a 512KB-class
-    # request; reinitialization must pull the guard back past 1028KB.
-    big = alloc.malloc(512 * 1024)
-    span2 = alloc.space.span_of(big)
-    assert span2 is span                   # same slot, larger real span
-    assert span2.real_span_size == 1028 * 1024
-    alloc.provider.write(big, b"y" * (512 * 1024))     # no trap
-    with pytest.raises(GuardViolation):
-        alloc.provider.write(span2.base + span2.real_span_size, b"z")
-    alloc.free(big)
+    assert not stray_pages(alloc)
+    # The pool scan hands the slot to a 512KB-class request.
+    half = 512 * 1024
+    big = [alloc.malloc(half) for _ in range(2)]       # fill it
+    assert {alloc.space.span_of(p) for p in big} == {span}
+    assert span.real_span_size == 1028 * 1024
+    for p in big:
+        alloc.provider.write(p, b"y" * half)
+    assert not stray_pages(alloc)
+    alloc.malloc(half)                     # float it
+    for p in big:
+        alloc.free(p)                      # pools it; decommits if enabled
+    assert not stray_pages(alloc)
+    tail = {idx for idx in alloc.provider.committed_page_indices()
+            if span.base + 32 * 1024 <= idx * PAGE_SIZE
+            < span.base + VIRTUAL_SPAN_SIZE}
+    assert bool(tail) != decommit          # only decommit empties it
+    # Back to 32KB: the scan hands the pooled slot to malloc(32).
+    small = [alloc.malloc(32) for _ in range(1016)]    # fill it
+    assert {alloc.space.span_of(p) for p in small} == {span}
+    assert span.real_span_size == 32 * 1024
+    for p in small:
+        alloc.provider.write(p, b"z" * 32)
+    # Without decommit the old tail stays committed; nothing is added.
+    assert stray_pages(alloc) == tail
 
 
 def test_stats_shape(alloc):
@@ -284,13 +317,11 @@ def test_config_from_env(monkeypatch):
 
     monkeypatch.setenv("SPANALLOC_ARENA_BYTES", str(1 << 26))
     monkeypatch.setenv("SPANALLOC_PROVIDER", "sim")
-    monkeypatch.setenv("SPANALLOC_GUARD_PAGES", "yes")
     monkeypatch.setenv("SPANALLOC_REUSE_PERCENT", "90")
     monkeypatch.setenv("SPANALLOC_LAB_MODE", "clab")
     monkeypatch.setenv("SPANALLOC_POOL_WIDTH", "3")
     cfg = AllocatorConfig.from_env()
     assert cfg.arena_bytes == 1 << 26
-    assert cfg.guard_pages is True
     assert cfg.reuse_percent == 90
     assert cfg.lab_mode == "clab"
     assert cfg.effective_pool_width() == 3

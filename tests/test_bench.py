@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from helpers import SMALL_ARENA
+from helpers import SMALL_ARENA, stray_pages
 from spanalloc.bench import (
     ABLATION_FLAGS, WorkloadConfig, ablate, main, run, write_csv,
 )
@@ -47,12 +47,16 @@ def test_larson_runs_clean():
 
 
 def test_sizesweep_exercises_huge_path():
-    alloc = bench_alloc(arena_bytes=1 << 31)
-    cfg = WorkloadConfig(name="sizesweep", threads=1, rounds=2)
-    report = run(cfg, alloc)
-    assert report.extra["leaked_blocks"] == 0
-    assert alloc.provider.map_calls > 0          # objects above 1MB
-    assert 20 in report.extra["interval_times"]
+    # sizesweep crosses every class, re-classes slots through the pool
+    # and maps huge objects; no configuration leaves a stray page.
+    for flags in ((), ("no_decommit",), ("lazy_reclaim",), ("pool_width_1",)):
+        alloc = ablate(flags, arena_bytes=1 << 31)
+        cfg = WorkloadConfig(name="sizesweep", threads=1, rounds=2)
+        report = run(cfg, alloc)
+        assert report.extra["leaked_blocks"] == 0, flags
+        assert alloc.provider.map_calls > 0, flags    # objects above 1MB
+        assert 20 in report.extra["interval_times"], flags
+        assert not stray_pages(alloc), flags
 
 
 def test_prodcons_remote_fraction_half_for_two_threads():
@@ -83,16 +87,23 @@ def test_ablate_flag_validation_and_effects():
 
 
 def test_same_seed_reproduces_single_thread_run():
-    def one():
+    def one(cfg):
         alloc = bench_alloc()
-        cfg = WorkloadConfig(name="shbench_like", threads=1, rounds=10,
-                             objects_per_round=100, seed=77)
         report = run(cfg, alloc)
         stats = alloc.stats()
         return (report.ops, report.peak_committed_bytes,
+                report.remote_free_fraction,
                 stats["pool_puts"], stats["pool_gets"], stats["allocs"])
 
-    assert one() == one()
+    for cfg in (
+        WorkloadConfig(name="shbench_like", threads=1, rounds=10,
+                       objects_per_round=100, seed=77),
+        # Each link hands its set to a new thread; the hand-off order
+        # must not depend on thread timing.
+        WorkloadConfig(name="larson_like", threads=1, rounds=3,
+                       objects_per_round=3000, seed=5),
+    ):
+        assert one(cfg) == one(cfg) == one(cfg), cfg.name
 
 
 def test_csv_schema_stable(tmp_path):

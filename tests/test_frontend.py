@@ -5,7 +5,8 @@ import threading
 import pytest
 
 from helpers import (
-    frag_oracle, make_allocator, validate_transition_trace, walk_oracle,
+    frag_oracle, make_allocator, stray_pages, validate_transition_trace,
+    walk_oracle,
 )
 from spanalloc.config import CLAB
 from spanalloc.size_classes import TABLE, class_for_size
@@ -595,6 +596,7 @@ def own_span_sequence(alloc, seed=11):
                 seen["cross_and_empty"] += 1
         validate_transition_trace(alloc)
         assert walk_oracle(alloc) == frag_oracle(alloc) == alloc.ledger.f
+        assert not stray_pages(alloc)
     return seen
 
 

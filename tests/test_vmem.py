@@ -3,7 +3,7 @@ import random
 import pytest
 
 from spanalloc.config import PAGE_SIZE, VIRTUAL_SPAN_SIZE
-from spanalloc.errors import GuardViolation, ReservationError
+from spanalloc.errors import ReservationError
 from spanalloc.vmem import OsProvider, SimProvider
 
 MB2 = VIRTUAL_SPAN_SIZE
@@ -120,20 +120,6 @@ def test_write_outside_reservation_rejected():
         p.write(0x1000, b"x")
 
 
-def test_guards_trap_and_release():
-    p = SimProvider()
-    r = p.reserve(2 * MB2)
-    tail = r.base + 64 * 1024
-    p.protect_guard(tail, MB2 - 64 * 1024, True)
-    with pytest.raises(GuardViolation):
-        p.write(tail + PAGE_SIZE, b"x")
-    with pytest.raises(GuardViolation):
-        p.read(tail + PAGE_SIZE, 8)
-    p.protect_guard(tail, MB2 - 64 * 1024, False)
-    p.write(tail + PAGE_SIZE, b"x")        # no trap once released
-    assert p.read(tail + PAGE_SIZE, 1) == b"x"
-
-
 def test_page_mappings_account_and_unmap():
     p = SimProvider()
     base = p.map_pages(10 * PAGE_SIZE)
@@ -175,7 +161,7 @@ def test_shadow_page_set_oracle_random_ops():
             shadow -= set(range(addr // PAGE_SIZE, addr // PAGE_SIZE + n))
         assert p.committed_page_indices() == shadow
         assert p.committed_bytes == len(shadow) * PAGE_SIZE
-    assert p.peak_committed_bytes >= p.committed_bytes
+    assert p.window_peak >= p.committed_bytes
 
 
 def test_shadow_page_set_oracle_with_page_mappings():
@@ -252,7 +238,6 @@ def test_window_peak():
     p.begin_window()
     p.write(r.base, b"x")
     assert p.window_peak == PAGE_SIZE
-    assert p.peak_committed_bytes == 4 * PAGE_SIZE
 
 
 # -- os provider (functional smoke; exact accounting is sim-only) -------------
@@ -297,9 +282,3 @@ def test_os_provider_reserves_default_arena():
     region = p.reserve(1 << 35)
     p.write(region.end - PAGE_SIZE, b"tail")
     assert p.read(region.end - PAGE_SIZE, 4) == b"tail"
-
-
-def test_os_provider_guards_unsupported():
-    p = _os_provider()
-    with pytest.warns(UserWarning):
-        assert p.protect_guard(0, PAGE_SIZE, True) is False
