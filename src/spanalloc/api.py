@@ -55,6 +55,8 @@ class Allocator:
         self.provider = make_provider(config)
         self.region = self.provider.reserve(config.arena_bytes)
         self.arena = Arena(self.region)
+        # The arena range, for free's routing test without a call.
+        self._arena_lo, self._arena_hi = self.arena.base, self.arena.end
         self.ledger = FragLedger() if config.instrument else None
         self.space = SpanSpace(
             self.arena, self.provider,
@@ -81,7 +83,7 @@ class Allocator:
     def free(self, addr):
         if addr == NULL:
             return
-        if self.arena.contains(addr):
+        if self._arena_lo <= addr < self._arena_hi:
             self.frontend.deallocate(addr)
         else:
             self._huge_free(addr)

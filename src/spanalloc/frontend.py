@@ -16,14 +16,14 @@ reusable set, the span pool, or the arena.
 Deallocation first rejects, in O(1) and before any list push, an
 address that is not a handed-out block of a live span (WildFree) and,
 when instrumented, a block that is not live (DoubleFree). A TLAB free
-into a span the caller owns takes the fast path: a local-list push,
-then only the check the span's snapshotted state needs (none when hot,
-the reusability threshold when floating, emptiness when reusable).
-Every other free (remote, CLAB, or into an orphan) pushes on the remote
-list and adopts orphaned spans. Both drive the same floating ->
-reusable -> free transitions; a span whose last block is freed goes
-back to the span pool inside that same call unless lazy reclamation is
-on.
+into a span the caller owns pushes on the local list; every other free
+(remote, CLAB, or into an orphan) pushes on the remote list and adopts
+orphaned spans. After either push one check of the span's snapshotted
+state decides whether the free has state work: none when hot or when
+floating at or below the reusability threshold, the floating ->
+reusable marking when floating above it, the emptiness test when
+reusable. A span whose last block is freed goes back to the span pool
+inside that same call unless lazy reclamation is on.
 
 All cross-thread handoffs ride on the epoch word: a stale snapshot
 fails its conditional replace and the loser simply moves on.
@@ -350,39 +350,39 @@ class Frontend:
         lab, tid, stats = self._current()
         mine = lab.owner_word.load()
         if old_owner == mine and self.tlab:
-            # Own span: no orphan check or adoption, and a hot span
-            # needs no state work at all.
+            # Own span: no orphan check or adoption.
             span.free_local(addr)
             stats.frees_local += 1
-            if old_epoch >> EPOCH_STATE_SHIFT != STATE_HOT:
-                self._settle(span, old_owner, old_epoch, tid)
         else:
             span.free_remote(addr)
             stats.frees_remote += 1
             if self._is_orphan(old_owner):
                 if span.try_adopt(old_owner, mine):
                     stats.adopts += 1
+        # One check of the snapshot: a hot span, or a floating one still
+        # at or below the threshold, has no state to change.
+        old_state = old_epoch >> EPOCH_STATE_SHIFT
+        if old_state == STATE_REUSABLE or (
+                old_state == STATE_FLOATING
+                and span.free_block_count() > span.reuse_threshold_blocks):
             self._settle(span, old_owner, old_epoch, tid)
 
     def _settle(self, span, old_owner, old_epoch, tid):
         """The state work after a free into a span whose epoch read
-        `old_epoch` before it: a floating span that crossed the
-        threshold goes reusable, a reusable span that emptied goes free
-        and back to the pool."""
-        old_state = epoch_state(old_epoch)
+        `old_epoch` before it, called only when there is some: a
+        floating span (which crossed the threshold) goes reusable, a
+        reusable span that emptied goes free and back to the pool."""
         sc = span.size_class
-        if old_state == STATE_FLOATING \
-                and span.free_block_count() > span.reuse_threshold_blocks:
-            if span.try_transition(old_epoch, STATE_REUSABLE):
-                owner_lab = self.labs[owner_lab_ref(old_owner)]
-                owner_lab.reusable[sc].put(old_owner, span)
-                # This call's own marking refreshes the snapshot, so
-                # a free that both crossed the threshold and emptied
-                # the span can still pool it below, on this call.
-                old_epoch = next_epoch_word(old_epoch, STATE_REUSABLE)
-                old_state = STATE_REUSABLE
-        if self.eager_reclaim and old_state == STATE_REUSABLE \
-                and span.is_empty():
+        if epoch_state(old_epoch) == STATE_FLOATING:
+            if not span.try_transition(old_epoch, STATE_REUSABLE):
+                return
+            owner_lab = self.labs[owner_lab_ref(old_owner)]
+            owner_lab.reusable[sc].put(old_owner, span)
+            # This call's own marking refreshes the snapshot, so a free
+            # that both crossed the threshold and emptied the span can
+            # still pool it below, on this call.
+            old_epoch = next_epoch_word(old_epoch, STATE_REUSABLE)
+        if self.eager_reclaim and span.is_empty():
             if span.try_transition(old_epoch, STATE_FREE):
                 owner_lab = self.labs[owner_lab_ref(old_owner)]
                 owner_lab.reusable[sc].remove(old_owner, span)

@@ -122,8 +122,11 @@ class SpanHeader:
         self.blocks_per_span = geo.blocks_per_span
         self.real_span_size = geo.real_span_size
         self.payload = self.base + geo.header_size
-        self.reuse_threshold_blocks = \
-            geo.blocks_per_span * self.space.reuse_percent // 100
+        # Below blocks_per_span even at 100%, so an emptied span still
+        # crosses it and can go back to the pool.
+        self.reuse_threshold_blocks = min(
+            geo.blocks_per_span * self.space.reuse_percent // 100,
+            geo.blocks_per_span - 1)
         self.local_head = 0
         self.local_count = 0
         self.bump_limit = 0
@@ -315,7 +318,8 @@ class SpanSpace:
     def span_of(self, addr):
         """Header of the span containing `addr` (which must be in-arena).
         A LookupError when its slot has no header: IndexError past the
-        last header created, KeyError in a gap before it."""
+        last header created, KeyError in a gap before it. `block_span`,
+        on the free path, does the same index itself."""
         header = self.headers[(addr - self.arena_base) >> SPAN_SHIFT]
         if header is None:
             raise KeyError(f"no span header at {addr:#x}")
@@ -328,10 +332,11 @@ class SpanSpace:
         the span is free (or was never initialized), or `addr` is not a
         block below the bump limit."""
         try:
-            span = self.span_of(addr)
-        except LookupError:
-            raise WildFree(
-                f"{addr:#x} is in the arena but not in any span") from None
+            span = self.headers[(addr - self.arena_base) >> SPAN_SHIFT]
+        except IndexError:
+            span = None
+        if span is None:
+            raise WildFree(f"{addr:#x} is in the arena but not in any span")
         owner = span.owner.load()
         epoch = span.epoch.load()
         off = addr - span.payload

@@ -9,6 +9,7 @@ from helpers import (
     walk_oracle,
 )
 from spanalloc.config import CLAB
+from spanalloc.frontend import Frontend
 from spanalloc.size_classes import TABLE, class_for_size
 from spanalloc.span import (
     STATE_FLOATING, STATE_FREE, STATE_HOT, STATE_REUSABLE,
@@ -565,6 +566,116 @@ def test_crossing_and_emptying_in_one_free_still_pools(alloc):
     assert not in_a_set(alloc, span)
     assert len(alloc.frontend.labs[0].reusable[span.size_class]) == 0
     alloc.free(b)
+
+
+@pytest.mark.parametrize("eager", [True, False], ids=["eager", "lazy"])
+@pytest.mark.parametrize("lab_mode", ["tlab", CLAB])
+def test_remote_crossing_and_emptying_in_one_free(lab_mode, eager):
+    # The remote twin of the case above: another thread's one free of a
+    # single-block span both crosses the threshold and empties it.
+    alloc = make_allocator(lab_mode=lab_mode, eager_reclaim=eager)
+    a = alloc.malloc(1 << 20)
+    span = span_of(alloc, a)
+    b = alloc.malloc(1 << 20)               # exhausts + floats span a
+    assert state_of(span) == STATE_FLOATING
+    owner_set = alloc.frontend.labs[0].reusable[span.size_class]
+    puts_before = alloc.pool.puts.load()
+    run_in_thread(alloc.free, a)
+    assert alloc.stats()["frees_remote"] == 1
+    if eager:
+        assert state_of(span) == STATE_FREE
+        assert alloc.pool.puts.load() == puts_before + 1
+        assert not in_a_set(alloc, span)
+    else:
+        assert state_of(span) == STATE_REUSABLE
+        assert alloc.pool.puts.load() == puts_before
+        assert span in owner_set and len(owner_set) == 1
+    alloc.free(b)
+
+
+def test_settle_runs_only_when_state_can_change(alloc, monkeypatch):
+    # The sequence of test_local_frees_drive_floating_to_reusable_to_reuse,
+    # counting the frees that enter the state work.
+    settled = []
+    real_settle = Frontend._settle
+
+    def counting_settle(frontend, span, *args):
+        settled.append(span)
+        return real_settle(frontend, span, *args)
+
+    monkeypatch.setattr(Frontend, "_settle", counting_settle)
+    blocks = [alloc.malloc(64) for _ in range(B64)]
+    span = span_of(alloc, blocks[0])
+    extra = alloc.malloc(64)            # exhausts + replaces hot
+    current = span_of(alloc, extra)
+    for b in blocks[:T64]:
+        alloc.free(b)
+    assert settled == []                # floating, at or below threshold
+    assert state_of(span) == STATE_FLOATING
+    alloc.free(blocks[T64])
+    assert settled == [span]            # the crossing free
+    assert state_of(span) == STATE_REUSABLE and in_a_set(alloc, span)
+
+    hot_blocks = [alloc.malloc(64) for _ in range(10)]
+    assert {span_of(alloc, p) for p in hot_blocks} == {current}
+
+    def remote_free_into_hot():
+        for p in hot_blocks:
+            alloc.free(p)
+
+    run_in_thread(remote_free_into_hot)
+    assert settled == [span]            # hot: no state work, remote too
+    assert state_of(current) == STATE_HOT
+    assert current.remote_count() == 10
+
+    for b in blocks[T64 + 1:T64 + 4]:
+        alloc.free(b)
+    assert settled == [span] * 4        # once per free into reusable
+    assert state_of(span) == STATE_REUSABLE and in_a_set(alloc, span)
+    assert alloc.pool.puts.load() == 0
+    # Exhaust the current hot span; the reusable one must come back.
+    fills = [alloc.malloc(64) for _ in range(B64 - 11)]
+    again = alloc.malloc(64)
+    assert span_of(alloc, again) is span
+    assert state_of(span) == STATE_HOT
+    assert not in_a_set(alloc, span)
+    assert settled == [span] * 4
+
+
+def churn_span_rounds(alloc, size, rounds):
+    """`rounds` times: malloc one span's worth of `size` blocks, then
+    free the previous round's. Then free the last round."""
+    per_round = TABLE[class_for_size(size)].blocks_per_span
+    prev = []
+    for _ in range(rounds):
+        cur = [alloc.malloc(size) for _ in range(per_round)]
+        for p in prev:
+            alloc.free(p)
+        prev = cur
+    for p in prev:
+        alloc.free(p)
+
+
+@pytest.mark.parametrize("size", [64, 1 << 20])
+def test_full_reuse_percent_does_not_leak_spans(size):
+    # At reuse_percent=100 the threshold must still sit below
+    # blocks_per_span, or an emptied floating span never goes reusable
+    # and never returns to the pool: every round took a new arena span.
+    # Every round empties its span, so 100 must do what 80 does.
+    results = []
+    for pct in (80, 100):
+        alloc = make_allocator(reuse_percent=pct, arena_bytes=1 << 30)
+        churn_span_rounds(alloc, size, rounds=200)
+        assert not stray_pages(alloc)
+        stats = alloc.stats()
+        results.append((stats["arena_spans"], stats["pool_puts"],
+                        alloc.committed_bytes))
+    assert results[1] == results[0]
+    arena_spans, pool_puts, committed = results[1]
+    assert arena_spans == 2 and pool_puts == 199
+    assert committed <= 2 * TABLE[class_for_size(size)].real_span_size
+    assert all(h.reuse_threshold_blocks < h.blocks_per_span
+               for h in alloc.space.iter_headers())
 
 
 # -- own-span fast path: same transitions, memory and counts ----------------
