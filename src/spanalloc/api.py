@@ -139,7 +139,9 @@ class Allocator:
         WildFree when no handed-out block or huge mapping holds it."""
         if self.arena.contains(addr):
             return self.space.block_span(addr, interior=True)[0].block_size
-        return self._read_huge_header(addr).payload_size
+        base = self._huge_base(addr)
+        return HugeHeader.unpack(
+            self.provider.read(base, _HUGE_HEADER.size)).payload_size
 
     # -- huge objects -------------------------------------------------------
 
@@ -150,24 +152,23 @@ class Allocator:
             base = self.provider.map_pages(total)
         except ReservationError:
             return NULL
-        self.provider.write(
-            base, HugeHeader(HUGE_MAGIC, size, total).pack())
+        self.provider.write(base, _HUGE_HEADER.pack(HUGE_MAGIC, size, total))
         return base + PAGE_SIZE
 
     def _huge_free(self, addr):
-        self._read_huge_header(addr)   # validation only: raises WildFree
-        self.provider.unmap(addr - PAGE_SIZE)
+        self.provider.unmap(self._huge_base(addr))
 
-    def _read_huge_header(self, addr):
+    def _huge_base(self, addr):
+        """The mapping base of huge block `addr`, after checking the
+        mapping and its header's magic word; WildFree otherwise."""
         base = addr - PAGE_SIZE
         if base < 0 or self.provider.mapping_length(base) is None:
             raise WildFree(f"{addr:#x} is not an allocated address")
-        header = HugeHeader.unpack(self.provider.read(base, _HUGE_HEADER.size))
-        if header.magic != HUGE_MAGIC:
+        magic = self.provider.read_word(base)
+        if magic != HUGE_MAGIC:
             raise WildFree(
-                f"{addr:#x}: bad huge-object header "
-                f"(magic {header.magic:#x})")
-        return header
+                f"{addr:#x}: bad huge-object header (magic {magic:#x})")
+        return base
 
     # -- threads ------------------------------------------------------------
 

@@ -23,7 +23,10 @@ state decides whether the free has state work: none when hot or when
 floating at or below the reusability threshold, the floating ->
 reusable marking when floating above it, the emptiness test when
 reusable. A span whose last block is freed goes back to the span pool
-inside that same call unless lazy reclamation is on.
+inside that same call unless lazy reclamation is on. When the free that
+marks a span reusable also empties it (always so for single-block
+spans), that one call retires it to the pool without entering the
+owner's reusable set at all.
 
 All cross-thread handoffs ride on the epoch word: a stale snapshot
 fails its conditional replace and the loser simply moves on.
@@ -86,9 +89,12 @@ class ReusableSet:
                 # is already hot again). A span sits in at most one set,
                 # and only while reusable: a pooled span left here could
                 # later be taken by this LAB while it is reusable in
-                # another LAB's set. The remove that fronts every pool
-                # insertion serializes with this latch, so the check
-                # cannot be stale in the dangerous direction.
+                # another LAB's set. Every reusable -> free that may
+                # find the span in a set removes it under this latch
+                # before pooling it, so the check cannot be stale in the
+                # dangerous direction. A marking free that finds the
+                # span empty pools it with neither put nor remove: the
+                # span was never in a set, and no put for it follows.
                 return False
             self._spans[span] = None
             return True
@@ -371,17 +377,29 @@ class Frontend:
         """The state work after a free into a span whose epoch read
         `old_epoch` before it, called only when there is some: a
         floating span (which crossed the threshold) goes reusable, a
-        reusable span that emptied goes free and back to the pool."""
+        reusable span that emptied goes free and back to the pool.
+
+        A free that marks the span reusable and finds it empty retires
+        it in one call: floating -> reusable -> free and a pool put,
+        with no set insert and no remove."""
         sc = span.size_class
         if epoch_state(old_epoch) == STATE_FLOATING:
             if not span.try_transition(old_epoch, STATE_REUSABLE):
                 return
-            owner_lab = self.labs[owner_lab_ref(old_owner)]
-            owner_lab.reusable[sc].put(old_owner, span)
             # This call's own marking refreshes the snapshot, so a free
             # that both crossed the threshold and emptied the span can
-            # still pool it below, on this call.
+            # still pool it on this call.
             old_epoch = next_epoch_word(old_epoch, STATE_REUSABLE)
+            if self.eager_reclaim and span.is_empty():
+                # Not in any set yet, so the owner's take cannot reach
+                # it, and no live block is left for another free. Only
+                # a concurrent last free that snapshotted this marking
+                # can race for reusable -> free; the epoch CAS picks one.
+                if span.try_transition(old_epoch, STATE_FREE):
+                    self._pool_put(span, tid)
+                return
+            owner_lab = self.labs[owner_lab_ref(old_owner)]
+            owner_lab.reusable[sc].put(old_owner, span)
         if self.eager_reclaim and span.is_empty():
             if span.try_transition(old_epoch, STATE_FREE):
                 owner_lab = self.labs[owner_lab_ref(old_owner)]

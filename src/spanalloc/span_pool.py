@@ -13,15 +13,18 @@ nothing of its own.
 
 put() decommits all but the first page of real spans strictly larger
 than the 32KB threshold before pushing, so pooled large spans cost one
-page. get() tries the caller's own stack, then scans every other stack
-in ascending (real-span index, pool index) order, and finally falls back
-to a fresh arena slot. Emptiness is not linearizable: a get may reach
-the arena while puts are in flight, by design.
+page. get() reads the pool's depth from its exact put and get counters
+first: an empty pool goes straight to a fresh arena slot without
+popping any stack. Otherwise it tries the caller's own stack, then
+scans every other stack in ascending (real-span index, pool index)
+order, and only then falls back to the arena. Emptiness is not
+linearizable: a get may reach the arena while puts are in flight, by
+design.
 """
 
 from .atomic import AtomicWord
 from .config import DECOMMIT_THRESHOLD, PAGE_SIZE
-from .size_classes import NUM_REAL_SPAN_SIZES, TABLE, real_span_index_for_size
+from .size_classes import NUM_REAL_SPAN_SIZES, TABLE
 
 TOP_REF_MASK = (1 << 48) - 1
 TAG_SHIFT = 48
@@ -88,7 +91,8 @@ class SpanPool:
         self.stacks = [[TaggedStack() for _ in range(width)]
                        for _ in range(NUM_REAL_SPAN_SIZES)]
         self._scan_order = [stack for row in self.stacks for stack in row]
-        # Exact pool-level counters (the eager-reclamation hook).
+        # Exact pool-level counters; their difference is the depth hint
+        # that get() reads before popping anything.
         self.puts = AtomicWord(0)
         self.gets_from_pool = AtomicWord(0)
         self.gets_from_arena = AtomicWord(0)
@@ -98,30 +102,38 @@ class SpanPool:
         rs = span.real_span_size
         if self.decommit_enabled and rs > DECOMMIT_THRESHOLD:
             self.provider.decommit(span.base + PAGE_SIZE, rs - PAGE_SIZE)
-        rs_idx = real_span_index_for_size(rs)
+        rs_idx = TABLE[span.size_class].real_span_index
         self.stacks[rs_idx][thread_id % self.width].push(span)
         self.puts.fetch_add(1)
 
     def get(self, class_id, thread_id):
         """A span for `class_id`: own stack, then every other stack, then
-        the arena.
+        the arena; straight to the arena when the pool is empty.
 
         The returned span is in state free (pool hit, possibly of a
         different real-span size) or brand new; either way the caller
         reinitializes its header for the class.
+
+        The depth `puts - gets_from_pool` is a hint, which makes those
+        two counters load-bearing: put counts after its push and get
+        after its pop. The get count is read first, so a put and get
+        that both complete between the two loads cannot make the hint
+        read low; it reads low only by puts still in flight.
         """
-        rs_idx = TABLE[class_id].real_span_index
-        own = self.stacks[rs_idx][thread_id % self.width]
-        span = own.pop(self.space)
-        if span is None:
-            for stack in self._scan_order:
-                if stack is not own:
-                    span = stack.pop(self.space)
-                    if span is not None:
-                        break
-        if span is not None:
-            self.gets_from_pool.fetch_add(1)
-            return span
+        popped = self.gets_from_pool.load()
+        if self.puts.load() > popped:
+            rs_idx = TABLE[class_id].real_span_index
+            own = self.stacks[rs_idx][thread_id % self.width]
+            span = own.pop(self.space)
+            if span is None:
+                for stack in self._scan_order:
+                    if stack is not own:
+                        span = stack.pop(self.space)
+                        if span is not None:
+                            break
+            if span is not None:
+                self.gets_from_pool.fetch_add(1)
+                return span
         base = self.arena.acquire_virtual_span()
         self.gets_from_arena.fetch_add(1)
         return self.space.header_for_base(base, create=True)

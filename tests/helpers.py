@@ -7,6 +7,7 @@ no other test directory's conftest shadows.
 from spanalloc import Allocator, AllocatorConfig
 from spanalloc.config import DECOMMIT_THRESHOLD, PAGE_SIZE, SPAN_SHIFT
 from spanalloc.span import STATE_FREE, epoch_counter, epoch_state
+from spanalloc.span_pool import TOP_REF_MASK
 
 # Small arena (64 spans) keeps unit tests snappy; tests that need more
 # construct their own allocator.
@@ -68,6 +69,27 @@ def stray_pages(allocator):
                 and epoch_state(h.epoch.load()) == STATE_FREE:
             stray.add(idx)
     return stray
+
+
+def pooled_slots(pool):
+    """Slots of the spans on a span pool's stacks, walked from each top
+    through the link words; a span pooled twice fails the walk."""
+    headers = pool.space.headers
+    slots = []
+    for row in pool.stacks:
+        for stack in row:
+            ref = stack.load_top() & TOP_REF_MASK
+            while ref:
+                assert ref - 1 not in slots, \
+                    f"span in slot {ref - 1} pooled twice"
+                slots.append(ref - 1)
+                ref = headers[ref - 1].link
+    return slots
+
+
+def pool_depth(pool):
+    """Spans in a span pool, counted by walking its stacks."""
+    return len(pooled_slots(pool))
 
 
 def validate_transition_trace(allocator):

@@ -87,6 +87,25 @@ def test_wild_free_detected(alloc):
     alloc.free(q)
 
 
+def test_huge_header_magic_is_checked(alloc):
+    p = alloc.malloc(3 << 20)
+    base = p - PAGE_SIZE
+    length = alloc.provider.mapping_length(base)
+    committed = alloc.committed_bytes
+    alloc.provider.write_word(base, HUGE_MAGIC ^ 1)     # corrupt the magic
+    for op in (alloc.free, alloc.usable_size,
+               lambda addr: alloc.realloc(addr, 64)):
+        with pytest.raises(WildFree, match="bad huge-object header"):
+            op(p)
+        assert alloc.provider.mapping_length(base) == length
+        assert alloc.committed_bytes == committed
+    alloc.provider.write_word(base, HUGE_MAGIC)
+    alloc.free(p)
+    assert alloc.provider.mapping_length(base) is None
+    with pytest.raises(WildFree, match="not an allocated address"):
+        alloc.free(p)                                   # second free
+
+
 def test_interior_free_rejected(alloc):
     p = alloc.malloc(64)
     with pytest.raises(WildFree):

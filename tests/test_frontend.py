@@ -1,19 +1,20 @@
 import gc
 import random
+import sys
 import threading
 
 import pytest
 
 from helpers import (
-    frag_oracle, make_allocator, stray_pages, validate_transition_trace,
-    walk_oracle,
+    frag_oracle, make_allocator, pool_depth, pooled_slots, stray_pages,
+    validate_transition_trace, walk_oracle,
 )
 from spanalloc.config import CLAB
-from spanalloc.frontend import Frontend
+from spanalloc.frontend import Frontend, ReusableSet
 from spanalloc.size_classes import TABLE, class_for_size
 from spanalloc.span import (
     STATE_FLOATING, STATE_FREE, STATE_HOT, STATE_REUSABLE,
-    TERMINATED, epoch_state, pack_owner,
+    TERMINATED, SpanHeader, epoch_state, pack_owner,
 )
 
 C64 = class_for_size(64)       # 508 blocks, threshold 406
@@ -640,6 +641,187 @@ def test_settle_runs_only_when_state_can_change(alloc, monkeypatch):
     assert state_of(span) == STATE_HOT
     assert not in_a_set(alloc, span)
     assert settled == [span] * 4
+
+
+# -- retirement: a free that marks and empties a span skips the set -----------
+
+def count_set_ops(monkeypatch):
+    """Patch ReusableSet.put and remove to count their calls; returns
+    the dict of counts."""
+    counts = {"put": 0, "remove": 0}
+
+    def counting(name):
+        real = getattr(ReusableSet, name)
+
+        def wrapper(the_set, *args):
+            counts[name] += 1
+            return real(the_set, *args)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(ReusableSet, name, counting(name))
+    return counts
+
+
+def floated_span(alloc, size):
+    """Fill one span of `size` blocks, then float it with one more
+    malloc; returns the span, its blocks and the extra block."""
+    blocks = [alloc.malloc(size)
+              for _ in range(TABLE[class_for_size(size)].blocks_per_span)]
+    extra = alloc.malloc(size)
+    span = span_of(alloc, blocks[0])
+    assert state_of(span) == STATE_FLOATING
+    return span, blocks, extra
+
+
+def span_edges(alloc, span):
+    return [(epoch_state(old), epoch_state(new))
+            for slot, old, new in alloc.ledger.trace if slot == span.slot]
+
+
+@pytest.mark.parametrize("size,remote", [
+    (1 << 20, False), (1 << 20, True), (1 << 19, False), (1 << 18, False),
+], ids=["1M-own", "1M-remote", "512K-own", "256K-own"])
+def test_marking_free_that_empties_skips_the_set(size, remote, monkeypatch):
+    # 1, 2 and 4 blocks per span: the free that crosses the threshold
+    # is also the one that empties the span.
+    alloc = make_allocator(instrument=True)
+    span, blocks, extra = floated_span(alloc, size)
+    for b in blocks[:-1]:
+        alloc.free(b)
+    assert state_of(span) == STATE_FLOATING
+    counts = count_set_ops(monkeypatch)
+    puts_before = alloc.pool.puts.load()
+    if remote:
+        run_in_thread(alloc.free, blocks[-1])
+        assert alloc.stats()["frees_remote"] == 1
+    else:
+        alloc.free(blocks[-1])
+    assert counts == {"put": 0, "remove": 0}
+    assert alloc.pool.puts.load() == puts_before + 1
+    assert state_of(span) == STATE_FREE and not in_a_set(alloc, span)
+    validate_transition_trace(alloc)
+    assert span_edges(alloc, span)[-2:] == [
+        (STATE_FLOATING, STATE_REUSABLE), (STATE_REUSABLE, STATE_FREE)]
+    alloc.free(extra)
+
+
+def test_lazy_marking_free_that_empties_stays_in_the_set(monkeypatch):
+    alloc = make_allocator(eager_reclaim=False)
+    span, blocks, extra = floated_span(alloc, 1 << 20)
+    counts = count_set_ops(monkeypatch)
+    alloc.free(blocks[0])
+    assert counts == {"put": 1, "remove": 0}
+    assert alloc.pool.puts.load() == 0
+    assert state_of(span) == STATE_REUSABLE
+    assert span in alloc.frontend.labs[0].reusable[span.size_class]
+
+
+def test_crossing_then_emptying_uses_the_set(monkeypatch):
+    # 128K: 8 blocks, threshold 6. The 7th free crosses, the 8th empties.
+    alloc = make_allocator()
+    span, blocks, extra = floated_span(alloc, 1 << 17)
+    for b in blocks[:6]:
+        alloc.free(b)
+    counts = count_set_ops(monkeypatch)
+    alloc.free(blocks[6])
+    assert counts == {"put": 1, "remove": 0}
+    assert state_of(span) == STATE_REUSABLE and in_a_set(alloc, span)
+    alloc.free(blocks[7])
+    assert counts == {"put": 1, "remove": 1}
+    assert alloc.pool.puts.load() == 1
+    assert state_of(span) == STATE_FREE and not in_a_set(alloc, span)
+
+
+def test_marking_free_loses_retirement_to_racing_last_free(monkeypatch):
+    # 128K: 8 blocks, threshold 6. The 7th free marks the span; between
+    # its marking and its emptiness test another thread frees the 8th
+    # block, sees the span reusable and empty, and pools it. The marking
+    # free then finds the span empty too, and its reusable -> free must
+    # lose, so the span is pooled once.
+    alloc = make_allocator(instrument=True)
+    span, blocks, extra = floated_span(alloc, 1 << 17)
+    for b in blocks[:6]:
+        alloc.free(b)
+    real_is_empty = SpanHeader.is_empty
+    racer = []
+
+    def is_empty_after_racer(s):
+        if s is span and not racer:
+            racer.append(True)      # first: the racer's free calls this too
+            run_in_thread(alloc.free, blocks[7])
+        return real_is_empty(s)
+
+    monkeypatch.setattr(SpanHeader, "is_empty", is_empty_after_racer)
+    counts = count_set_ops(monkeypatch)
+    alloc.free(blocks[6])
+    assert racer and alloc.stats()["frees_remote"] == 1
+    assert counts == {"put": 0, "remove": 1}    # the racer's, a miss
+    assert alloc.pool.puts.load() == 1
+    assert pooled_slots(alloc.pool) == [span.slot]
+    assert state_of(span) == STATE_FREE and not in_a_set(alloc, span)
+    validate_transition_trace(alloc)
+    alloc.free(extra)
+
+
+def test_span_retirement_under_dense_interleaving():
+    # Spans of 1..16 blocks, freed by other threads, with preemption
+    # inside the retire path: the free that marks a span and the free
+    # that empties it can be one call or two racing ones. Each emptied
+    # span must end up pooled exactly once and in no reusable set.
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        alloc = make_allocator(arena_bytes=1 << 32, instrument=True)
+        n = 4                                   # more threads than cores
+        inboxes = [[] for _ in range(n)]
+        locks = [threading.Lock() for _ in range(n)]
+        errors = []
+
+        def worker(tid):
+            rng = random.Random(9100 + tid)
+            alloc.attach_thread()
+            try:
+                for _ in range(500):
+                    if rng.random() < 0.5:
+                        p = alloc.malloc(rng.choice(
+                            (1 << 14, 1 << 17, 1 << 18, 1 << 19, 1 << 20)))
+                        target = rng.randrange(n)
+                        with locks[target]:
+                            inboxes[target].append(p)
+                    else:
+                        with locks[tid]:
+                            mine, inboxes[tid][:] = inboxes[tid][:], []
+                        for p in mine:
+                            alloc.free(p)
+            except Exception as exc:            # pragma: no cover
+                errors.append(exc)
+            finally:
+                alloc.detach_thread()
+
+        threads = [threading.Thread(target=worker, args=(t,))
+                   for t in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        for box in inboxes:
+            for p in box:
+                alloc.free(p)
+        validate_transition_trace(alloc)
+        assert walk_oracle(alloc) == frag_oracle(alloc) == alloc.ledger.f
+        free_spans = [h for h in alloc.space.iter_headers()
+                      if h.size_class >= 0 and state_of(h) == STATE_FREE]
+        assert sorted(pooled_slots(alloc.pool)) \
+            == sorted(h.slot for h in free_spans)
+        assert not any(in_a_set(alloc, h) for h in free_spans)
+        pool = alloc.pool
+        assert pool_depth(pool) == pool.puts.load() - pool.gets_from_pool.load()
+        assert not stray_pages(alloc)
+    finally:
+        sys.setswitchinterval(old)
 
 
 def churn_span_rounds(alloc, size, rounds):

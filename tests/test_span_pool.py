@@ -1,8 +1,9 @@
+import random
 import threading
 
 import pytest
 
-from helpers import make_allocator
+from helpers import make_allocator, pool_depth
 from spanalloc.arena import Arena
 from spanalloc.config import PAGE_SIZE, VIRTUAL_SPAN_SIZE
 from spanalloc.errors import ArenaExhausted
@@ -71,8 +72,9 @@ def test_get_empty_pool_falls_back_to_arena():
     assert pool.gets_from_arena.load() == 1
 
 
-def test_miss_pops_each_stack_once(monkeypatch):
-    pool, space, provider, arena = make_pool(width=4)
+def counting_pops(monkeypatch):
+    """Patch TaggedStack.pop to record each stack it pops; returns the
+    list it appends to."""
     popped = []
     real_pop = TaggedStack.pop
 
@@ -81,11 +83,58 @@ def test_miss_pops_each_stack_once(monkeypatch):
         return real_pop(stack, space)
 
     monkeypatch.setattr(TaggedStack, "pop", counting_pop)
-    pool.get(class_for_size(64), thread_id=1)         # every stack empty
+    return popped
+
+
+def test_miss_pops_each_stack_once(monkeypatch):
+    pool, space, provider, arena = make_pool(width=4)
+    big = pooled_span(pool, space, arena, size=1 << 20)
+    pool.put(big, thread_id=3)                        # the last stack scanned
+    assert pool._scan_order[-1] is pool.stacks[-1][3]
+    popped = counting_pops(monkeypatch)
+    assert pool.get(class_for_size(64), thread_id=1) is big
     assert len(popped) == NUM_REAL_SPAN_SIZES * 4
     assert len(set(map(id, popped))) == len(popped)
     assert popped[0] is pool.stacks[0][1]             # own stack first
+    assert popped[-1] is pool.stacks[-1][3]
+    assert pool.gets_from_pool.load() == 1
+    assert pool.gets_from_arena.load() == 0
+
+
+def test_empty_pool_miss_pops_nothing(monkeypatch):
+    pool, space, provider, arena = make_pool(width=4)
+    pool.put(pooled_span(pool, space, arena), thread_id=0)
+    pool.get(class_for_size(64), thread_id=0)         # empties the pool
+    popped = counting_pops(monkeypatch)
+    span = pool.get(class_for_size(64), thread_id=1)
+    assert popped == []
     assert pool.gets_from_arena.load() == 1
+    assert epoch_state(span.epoch.load()) == STATE_FREE
+
+
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_depth_hint_matches_walked_stacks(width):
+    # The hint get() reads, puts - gets_from_pool, against the spans
+    # actually chained on the stacks, after every step; a get reaches
+    # the arena exactly when the walk finds the pool empty.
+    rng = random.Random(7 + width)
+    pool, space, provider, arena = make_pool(spans=256, width=width)
+    sizes = [64, 512, 4096, 1 << 16, 1 << 20]
+    held = []
+    for _ in range(400):
+        if held and rng.random() < 0.5:
+            pool.put(held.pop(rng.randrange(len(held))), rng.randrange(8))
+        else:
+            sc = class_for_size(rng.choice(sizes))
+            empty = pool_depth(pool) == 0
+            fresh = pool.gets_from_arena.load()
+            span = pool.get(sc, rng.randrange(8))
+            assert (pool.gets_from_arena.load() > fresh) == empty
+            span.init_for_class(sc, OWNER)
+            held.append(span)
+        assert pool.puts.load() - pool.gets_from_pool.load() \
+            == pool_depth(pool)
+    assert pool.gets_from_pool.load() and pool.gets_from_arena.load() > 1
 
 
 def test_get_scans_other_sizes_and_indices():
