@@ -5,8 +5,13 @@ threads with equal ids modulo the core count share one LAB and the
 per-class fast path takes that LAB's class latch. Per class a LAB holds
 the unique hot span serving allocations and a latched FIFO set of
 reusable spans (spans whose free-block count crossed the reusability
-threshold). The free that empties a reusable span takes it out of its
-set, wherever it sits, in constant time before pooling it.
+threshold). Each set entry is stamped with the epoch word the span's
+reusable-marking installed, and every hand-off out of a set (to hot, to
+free under lazy reclamation, to floating at termination) is one
+conditional replace from that stamp. A span that moved on since its
+marking (emptied and pooled, or reused and marked again elsewhere)
+leaves a stale entry behind, which nothing removes: the take that
+reaches it fails its replace and skips it.
 
 Allocation serves from the hot span's local list or bump region. When
 that runs dry it drains the remote list if enough blocks accumulated,
@@ -29,7 +34,10 @@ spans), that one call retires it to the pool without entering the
 owner's reusable set at all.
 
 All cross-thread handoffs ride on the epoch word: a stale snapshot
-fails its conditional replace and the loser simply moves on.
+fails its conditional replace and the loser simply moves on. No
+hand-off re-reads the epoch after losing track of the span, since a
+span that went round its life cycle in between would read as the same
+state again.
 """
 
 import itertools
@@ -48,28 +56,32 @@ from .span import (
 
 
 class ReusableSet:
-    """Latched FIFO of reusable spans, gated by owner.
+    """Latched FIFO of reusable spans, gated by owner, each entry
+    stamped with the epoch word of the marking that made it reusable.
 
-    put and remove are refused when the caller's expected owner does
-    not match the gate (stale generation or closed set); take pops the
-    oldest span. The spans are the keys of one OrderedDict, so every
-    operation, including removal from the middle, is a constant number
-    of steps under the latch. (Not a plain dict: taking its first key
-    over and over walks the deleted slots left at its front.)
+    put is refused when the caller's expected owner does not match the
+    gate (stale generation or closed set) or when the span's epoch has
+    moved past the stamp. take pops the oldest entry as (span, stamp).
+    An entry is live while its stamp equals the span's epoch; a span
+    that moves on leaves a stale entry behind, which stays until taken
+    and then fails the taker's conditional replace. `in` sees live
+    entries only; len() counts stale ones too. The entries live in one
+    OrderedDict, span -> stamp (not a plain dict: taking its first key
+    over and over walks the deleted slots left at its front).
     """
 
-    __slots__ = ("_latch", "gate", "_spans")
+    __slots__ = ("_latch", "gate", "stamps")
 
     def __init__(self):
         self._latch = threading.Lock()
         self.gate = TERMINATED
-        self._spans = OrderedDict()
+        self.stamps = OrderedDict()
 
     def __len__(self):
-        return len(self._spans)
+        return len(self.stamps)
 
     def __contains__(self, span):
-        return span in self._spans
+        return self.stamps.get(span) == span.epoch.load()
 
     def open(self, owner_word):
         with self._latch:
@@ -79,40 +91,28 @@ class ReusableSet:
         with self._latch:
             self.gate = TERMINATED
 
-    def put(self, expected_owner, span):
+    def put(self, expected_owner, span, stamp):
         with self._latch:
             if self.gate != expected_owner or expected_owner == TERMINATED:
                 return False
-            if epoch_state(span.epoch.load()) != STATE_REUSABLE:
-                # The span raced away between its reusable-marking and
-                # this insert (a last free emptied and pooled it, or it
-                # is already hot again). A span sits in at most one set,
-                # and only while reusable: a pooled span left here could
-                # later be taken by this LAB while it is reusable in
-                # another LAB's set. Every reusable -> free that may
-                # find the span in a set removes it under this latch
-                # before pooling it, so the check cannot be stale in the
-                # dangerous direction. A marking free that finds the
-                # span empty pools it with neither put nor remove: the
-                # span was never in a set, and no put for it follows.
+            if span.epoch.load() != stamp:
+                # The span moved on between its marking and this put
+                # (emptied and pooled, or reused and marked again). An
+                # entry that goes stale after this check is harmless;
+                # this one is refused so that it cannot overwrite a
+                # live entry of a later marking.
                 return False
-            self._spans[span] = None
+            # A stale entry of the same span makes way for the new one
+            # at the back: take order is marking order.
+            self.stamps[span] = stamp
+            self.stamps.move_to_end(span)
             return True
 
     def take(self):
         with self._latch:
-            if not self._spans:
+            if not self.stamps:
                 return None
-            return self._spans.popitem(last=False)[0]
-
-    def remove(self, expected_owner, span):
-        with self._latch:
-            if self.gate != expected_owner or expected_owner == TERMINATED:
-                return False
-            if span not in self._spans:
-                return False
-            del self._spans[span]
-            return True
+            return self.stamps.popitem(last=False)
 
 
 class LAB:
@@ -301,24 +301,16 @@ class Frontend:
 
     def _get_span(self, lab, tid, stats, sc):
         """Next hot span: the reusable set first, then pool or arena."""
-        reusable = lab.reusable[sc]
-        while True:
-            span = reusable.take()
-            if span is None:
-                break
+        for span, stamp in iter(lab.reusable[sc].take, None):
             if not self.eager_reclaim and span.is_empty():
                 # Deferred-reclamation ablation: empty spans ride back
                 # to the backend from this slow path instead of from
                 # the free that emptied them.
-                self._reclaim(span, tid)
-                continue
-            while True:
-                observed = span.epoch.load()
-                if epoch_state(observed) != STATE_REUSABLE:
-                    break  # raced to free; it lives in the pool now
-                if span.try_transition(observed, STATE_HOT):
-                    stats.set_fetches += 1
-                    return span
+                if span.try_transition(stamp, STATE_FREE):
+                    self._pool_put(span, tid)
+            elif span.try_transition(stamp, STATE_HOT):
+                stats.set_fetches += 1
+                return span
         span = self.pool.get(sc, tid)
         span.init_for_class(sc, lab.owner_word.load())
         observed = span.epoch.load()
@@ -328,15 +320,6 @@ class Frontend:
         if self.ledger is not None:
             self.ledger.on_span_in(span.block_size * span.blocks_per_span)
         return span
-
-    def _reclaim(self, span, tid):
-        while True:
-            observed = span.epoch.load()
-            if epoch_state(observed) != STATE_REUSABLE:
-                return  # someone else already freed it
-            if span.try_transition(observed, STATE_FREE):
-                self._pool_put(span, tid)
-                return
 
     def _pool_put(self, span, tid):
         """Hand a span this call moved to free back to the span pool."""
@@ -379,10 +362,12 @@ class Frontend:
         floating span (which crossed the threshold) goes reusable, a
         reusable span that emptied goes free and back to the pool.
 
-        A free that marks the span reusable and finds it empty retires
-        it in one call: floating -> reusable -> free and a pool put,
-        with no set insert and no remove."""
-        sc = span.size_class
+        The marking's own epoch word stamps the span's entry in its
+        owner's set. A free that pools a span leaves any entry of it
+        there, stale: the owner's take fails its conditional replace
+        from the stamp and skips it. A free that marks the span reusable
+        and finds it empty retires it in one call: floating -> reusable
+        -> free and a pool put, with no set entry at all."""
         if epoch_state(old_epoch) == STATE_FLOATING:
             if not span.try_transition(old_epoch, STATE_REUSABLE):
                 return
@@ -391,19 +376,18 @@ class Frontend:
             # still pool it on this call.
             old_epoch = next_epoch_word(old_epoch, STATE_REUSABLE)
             if self.eager_reclaim and span.is_empty():
-                # Not in any set yet, so the owner's take cannot reach
-                # it, and no live block is left for another free. Only
-                # a concurrent last free that snapshotted this marking
-                # can race for reusable -> free; the epoch CAS picks one.
+                # No set holds a live entry of it, and no live block is
+                # left for another free. Only a concurrent last free
+                # that snapshotted this marking can race for reusable
+                # -> free; the epoch CAS picks one.
                 if span.try_transition(old_epoch, STATE_FREE):
                     self._pool_put(span, tid)
                 return
             owner_lab = self.labs[owner_lab_ref(old_owner)]
-            owner_lab.reusable[sc].put(old_owner, span)
+            owner_lab.reusable[span.size_class].put(old_owner, span,
+                                                    old_epoch)
         if self.eager_reclaim and span.is_empty():
             if span.try_transition(old_epoch, STATE_FREE):
-                owner_lab = self.labs[owner_lab_ref(old_owner)]
-                owner_lab.reusable[sc].remove(old_owner, span)
                 self._pool_put(span, tid)
 
     def _is_orphan(self, span_owner_word):
@@ -424,16 +408,9 @@ class Frontend:
                 took = hot.try_transition(observed, STATE_FLOATING)
                 assert took, "no one else transitions a hot span"
                 lab.hot_spans[sc] = None
-            while True:
-                span = lab.reusable[sc].take()
-                if span is None:
-                    break
-                while True:
-                    observed = span.epoch.load()
-                    if epoch_state(observed) != STATE_REUSABLE:
-                        break  # lost to a reusable -> free last free
-                    if span.try_transition(observed, STATE_FLOATING):
-                        break
+            for span, stamp in iter(lab.reusable[sc].take, None):
+                # Fails only on a stale entry: the span moved on.
+                span.try_transition(stamp, STATE_FLOATING)
         lab.owner_word.store(TERMINATED)
 
     # -- reporting ----------------------------------------------------------

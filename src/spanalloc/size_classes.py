@@ -73,10 +73,10 @@ def _build_table():
         blocks = (rs - header) // block
         assert blocks >= 1
         table.append(SizeClass(cid, block, rs, header, blocks, rs_index[rs]))
-    return tuple(table), tuple(distinct), rs_index
+    return tuple(table), tuple(distinct)
 
 
-TABLE, REAL_SPAN_SIZES, _RS_INDEX = _build_table()
+TABLE, REAL_SPAN_SIZES = _build_table()
 NUM_CLASSES = len(TABLE)
 NUM_REAL_SPAN_SIZES = len(REAL_SPAN_SIZES)
 
@@ -102,13 +102,6 @@ def class_for_size(request):
 
 def geometry(class_id):
     return TABLE[class_id]
-
-
-def real_span_index_for_size(real_span_size):
-    try:
-        return _RS_INDEX[real_span_size]
-    except KeyError:
-        raise ValueError(f"not a real-span size: {real_span_size}") from None
 
 
 def dump_csv(fileobj=None):

@@ -187,31 +187,18 @@ class SpanHeader:
         """Move all remote blocks into the local list if there are more
         than the reusability threshold; returns the count moved.
 
-        Owner only. One atomic swap empties the remote word, so pushes
-        racing the swap either come along or retry onto the emptied list.
+        Owner only, and only once the local list is empty: the
+        allocator drains after alloc_block came back 0. One atomic swap
+        empties the remote word, so pushes racing the swap either come
+        along or retry onto the emptied list.
         """
         if (self.remote.load() >> REMOTE_COUNT_SHIFT) <= self.reuse_threshold_blocks:
             return 0
+        assert self.local_head == 0, "drain into a nonempty local list"
         word = self.remote.exchange(0)
         count = word >> REMOTE_COUNT_SHIFT
-        if count == 0:
-            return 0
-        head = word & REMOTE_OFFSET_MASK
-        if self.local_head == 0:
-            self.local_head = head
-        else:
-            # Rare: local list nonempty. Walk the drained chain and hook
-            # its tail to the old head.
-            provider = self.space.provider
-            base = self.space.arena_base
-            tail = head
-            nxt = provider.read_word(base + tail)
-            while nxt:
-                tail = nxt
-                nxt = provider.read_word(base + tail)
-            provider.write_word(base + tail, self.local_head)
-            self.local_head = head
-        self.local_count += count
+        self.local_head = word & REMOTE_OFFSET_MASK
+        self.local_count = count
         return count
 
     # -- counts ------------------------------------------------------------

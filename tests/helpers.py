@@ -6,7 +6,9 @@ no other test directory's conftest shadows.
 
 from spanalloc import Allocator, AllocatorConfig
 from spanalloc.config import DECOMMIT_THRESHOLD, PAGE_SIZE, SPAN_SHIFT
-from spanalloc.span import STATE_FREE, epoch_counter, epoch_state
+from spanalloc.span import (
+    STATE_FREE, STATE_REUSABLE, epoch_counter, epoch_state,
+)
 from spanalloc.span_pool import TOP_REF_MASK
 
 # Small arena (64 spans) keeps unit tests snappy; tests that need more
@@ -90,6 +92,30 @@ def pooled_slots(pool):
 def pool_depth(pool):
     """Spans in a span pool, counted by walking its stacks."""
     return len(pooled_slots(pool))
+
+
+def set_entries(allocator):
+    """Check the live entries of every LAB's reusable sets, those whose
+    stamp equals their span's epoch: each span is reusable, of its
+    set's class, owned by the set's gate and not pooled, and no span
+    has two. Stale entries are skipped, as take skips them. Returns the
+    number of live entries."""
+    pooled = set(pooled_slots(allocator.pool))
+    seen = set()
+    for lab in allocator.frontend.labs:
+        for sc, the_set in enumerate(lab.reusable):
+            for span, stamp in list(the_set.stamps.items()):
+                epoch = span.epoch.load()
+                if stamp != epoch:
+                    continue
+                where = f"span in slot {span.slot}, LAB {lab.index}"
+                assert epoch_state(epoch) == STATE_REUSABLE, where
+                assert span.size_class == sc, where
+                assert span.owner.load() == the_set.gate, where
+                assert span.slot not in pooled, f"{where} is pooled"
+                assert span.slot not in seen, f"{where} has two entries"
+                seen.add(span.slot)
+    return len(seen)
 
 
 def validate_transition_trace(allocator):

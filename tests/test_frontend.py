@@ -2,12 +2,13 @@ import gc
 import random
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from helpers import (
-    frag_oracle, make_allocator, pool_depth, pooled_slots, stray_pages,
-    validate_transition_trace, walk_oracle,
+    frag_oracle, make_allocator, pool_depth, pooled_slots, set_entries,
+    stray_pages, validate_transition_trace, walk_oracle,
 )
 from spanalloc.config import CLAB
 from spanalloc.frontend import Frontend, ReusableSet
@@ -36,14 +37,21 @@ def in_a_set(alloc, span):
 
 
 def run_in_thread(fn, *args):
+    """`fn(*args)` in a new thread: its result, or its exception raised
+    again here."""
     out = {}
 
     def runner():
-        out["result"] = fn(*args)
+        try:
+            out["result"] = fn(*args)
+        except BaseException as exc:
+            out["error"] = exc
 
     t = threading.Thread(target=runner)
     t.start()
     t.join()
+    if "error" in out:
+        raise out["error"]
     return out.get("result")
 
 
@@ -358,8 +366,6 @@ def make_reusable(span):
         assert span.try_transition(span.epoch.load(), target)
 
 def test_generation_gating_after_lab_reuse(alloc):
-    from spanalloc.frontend import ReusableSet
-
     s = ReusableSet()
     word1 = pack_owner(1, 0)
     word2 = pack_owner(2, 0)
@@ -367,22 +373,20 @@ def test_generation_gating_after_lab_reuse(alloc):
                                        create=True)
     span.init_for_class(C64, word1)
     make_reusable(span)
+    stamp = span.epoch.load()
     s.open(word1)
-    assert s.put(word1, span)
-    assert s.take() is span
+    assert s.put(word1, span, stamp)
+    assert s.take() == (span, stamp)
     s.close()
-    assert not s.put(word1, span)          # closed: TERMINATED gate
+    assert not s.put(word1, span, stamp)   # closed: TERMINATED gate
     s.open(word2)                          # LAB reused, new generation
-    assert not s.put(word1, span)          # stale generation rejected
-    assert s.put(word2, span)
-    assert s.remove(word2, span)
-    assert not s.remove(word2, span)       # already gone
+    assert not s.put(word1, span, stamp)   # stale generation rejected
+    assert s.put(word2, span, stamp)
+    assert s.take() == (span, stamp)
     assert s.take() is None
 
 
-def test_reusable_set_put_take_remove_order(alloc):
-    from spanalloc.frontend import ReusableSet
-
+def test_reusable_set_take_order_and_stale_entries(alloc):
     s = ReusableSet()
     word = pack_owner(1, 0)
     s.open(word)
@@ -393,22 +397,25 @@ def test_reusable_set_put_take_remove_order(alloc):
         sp.init_for_class(C64, word)
         make_reusable(sp)
         spans.append(sp)
-    # (removed index, put it back?, expected take order): removal from
-    # the middle, the head and the tail is O(1); a span removed and put
-    # again comes back last.
-    cases = [(1, False, [0, 2]), (0, False, [1, 2]), (2, False, [0, 1]),
-             (1, True, [0, 2, 1])]
-    for removed, put_again, order in cases:
-        for sp in spans:
-            assert s.put(word, sp)
-        assert len(s) == 3
-        assert s.remove(word, spans[removed])
-        assert spans[removed] not in s
-        if put_again:
-            assert s.put(word, spans[removed])
-        assert [s.take() for _ in order] == [spans[i] for i in order]
-        assert s.take() is None
-        assert len(s) == 0
+    stamps = [sp.epoch.load() for sp in spans]
+    for sp, stamp in zip(spans, stamps):
+        assert s.put(word, sp, stamp)
+    assert len(s) == 3 and all(sp in s for sp in spans)
+    # A stamp the span's epoch has moved past is refused.
+    assert not s.put(word, spans[0], stamps[0] - 1)
+    # Span 1 moves on (reusable -> free): its entry stays, stale, in
+    # place. len() counts it, `in` does not.
+    assert spans[1].try_transition(stamps[1], STATE_FREE)
+    assert len(s) == 3 and spans[1] not in s
+    # Back through hot and floating to reusable: the new marking's
+    # entry replaces the stale one at the back, as a fresh put would.
+    make_reusable(spans[1])
+    renewed = spans[1].epoch.load()
+    assert s.put(word, spans[1], renewed)
+    assert len(s) == 3 and spans[1] in s
+    assert [s.take() for _ in range(3)] == [
+        (spans[0], stamps[0]), (spans[2], stamps[2]), (spans[1], renewed)]
+    assert s.take() is None and len(s) == 0
 
 
 def test_clab_mode_shares_lab_and_frees_remotely():
@@ -452,9 +459,9 @@ def test_lab_indices_recycled_tlab(alloc):
 
 def test_get_span_skips_span_raced_to_free(alloc):
     # Build a reusable span, then play the racing deallocator's half by
-    # hand: mark it free and pool it while it still sits in the set
-    # (the window between try-mark-free and try-remove). get_span must
-    # pop it, notice the state, skip it, and recover it via the pool.
+    # hand: mark it free and pool it, leaving its set entry stale.
+    # get_span must pop the entry, fail its transition from the stamp,
+    # skip it, and recover the span via the pool.
     blocks = [alloc.malloc(64) for _ in range(B64)]
     span = span_of(alloc, blocks[0])
     extra = alloc.malloc(64)
@@ -482,6 +489,9 @@ def test_clab_contention_stress_conserves_blocks():
     alloc = make_allocator(lab_mode=CLAB, arena_bytes=1 << 31)
     n = 6                                  # more threads than cores
     errors = []
+    # Workers park twice, before freeing what they hold: in between,
+    # the main thread checks the sets of live LABs.
+    parked = threading.Barrier(n + 1, timeout=60)
 
     def worker(seed):
         import random
@@ -496,18 +506,27 @@ def test_clab_contention_stress_conserves_blocks():
                     p = alloc.malloc(rng.choice([16, 64, 256]))
                     assert p != 0
                     mine.append(p)
+            parked.wait()
+            parked.wait()
             for p in mine:
                 alloc.free(p)
         except Exception as exc:           # pragma: no cover
             errors.append(exc)
+            parked.abort()
         finally:
             alloc.detach_thread()
 
     ts = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
     for t in ts:
         t.start()
+    parked.wait()
+    try:
+        set_entries(alloc)
+    finally:
+        parked.wait()
     for t in ts:
-        t.join()
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in ts)
     assert not errors
     stats = alloc.stats()
     assert stats["allocs"] == stats["frees"]
@@ -525,8 +544,8 @@ def test_clab_contention_stress_conserves_blocks():
 def test_set_put_rejects_span_no_longer_reusable(alloc):
     # The window: a deallocator wins floating -> reusable but is delayed
     # before its set insert; meanwhile the last free empties the span,
-    # marks it free, and pools it. The late insert must be refused, or
-    # the set and the pool stack would share the span's link word.
+    # marks it free, and pools it. The late insert must be refused: its
+    # stamp is no longer the span's epoch.
     blocks = [alloc.malloc(64) for _ in range(B64)]
     span = span_of(alloc, blocks[0])
     alloc.malloc(64)                            # hot -> floating
@@ -536,12 +555,13 @@ def test_set_put_rejects_span_no_longer_reusable(alloc):
     the_set = alloc.frontend.labs[0].reusable[C64]
     e = span.epoch.load()
     assert span.try_transition(e, STATE_REUSABLE)   # marker's half, no put
+    stamp = span.epoch.load()
     for b in blocks[T64 + 1:]:
         span.free_local(b)                      # now empty
     e = span.epoch.load()
     assert span.try_transition(e, STATE_FREE)       # racing last free wins
     alloc.pool.put(span, 0)
-    assert not the_set.put(owner_word, span)        # late insert refused
+    assert not the_set.put(owner_word, span, stamp)  # late insert refused
     assert not in_a_set(alloc, span) and len(the_set) == 0
     # The pooled span must come back intact.
     got = alloc.pool.get(C64, 0)
@@ -549,7 +569,7 @@ def test_set_put_rejects_span_no_longer_reusable(alloc):
     got.init_for_class(C64, owner_word)
     e = got.epoch.load()
     assert got.try_transition(e, STATE_HOT)
-    assert not the_set.put(owner_word, span)        # hot is refused too
+    assert not the_set.put(owner_word, span, stamp)  # hot is refused too
 
 
 def test_crossing_and_emptying_in_one_free_still_pools(alloc):
@@ -646,9 +666,9 @@ def test_settle_runs_only_when_state_can_change(alloc, monkeypatch):
 # -- retirement: a free that marks and empties a span skips the set -----------
 
 def count_set_ops(monkeypatch):
-    """Patch ReusableSet.put and remove to count their calls; returns
-    the dict of counts."""
-    counts = {"put": 0, "remove": 0}
+    """Patch ReusableSet.put to count its calls; returns the dict of
+    counts."""
+    counts = {"put": 0}
 
     def counting(name):
         real = getattr(ReusableSet, name)
@@ -697,9 +717,10 @@ def test_marking_free_that_empties_skips_the_set(size, remote, monkeypatch):
         assert alloc.stats()["frees_remote"] == 1
     else:
         alloc.free(blocks[-1])
-    assert counts == {"put": 0, "remove": 0}
+    assert counts == {"put": 0}
     assert alloc.pool.puts.load() == puts_before + 1
     assert state_of(span) == STATE_FREE and not in_a_set(alloc, span)
+    assert len(alloc.frontend.labs[0].reusable[span.size_class]) == 0
     validate_transition_trace(alloc)
     assert span_edges(alloc, span)[-2:] == [
         (STATE_FLOATING, STATE_REUSABLE), (STATE_REUSABLE, STATE_FREE)]
@@ -711,7 +732,7 @@ def test_lazy_marking_free_that_empties_stays_in_the_set(monkeypatch):
     span, blocks, extra = floated_span(alloc, 1 << 20)
     counts = count_set_ops(monkeypatch)
     alloc.free(blocks[0])
-    assert counts == {"put": 1, "remove": 0}
+    assert counts == {"put": 1}
     assert alloc.pool.puts.load() == 0
     assert state_of(span) == STATE_REUSABLE
     assert span in alloc.frontend.labs[0].reusable[span.size_class]
@@ -725,12 +746,15 @@ def test_crossing_then_emptying_uses_the_set(monkeypatch):
         alloc.free(b)
     counts = count_set_ops(monkeypatch)
     alloc.free(blocks[6])
-    assert counts == {"put": 1, "remove": 0}
+    assert counts == {"put": 1}
     assert state_of(span) == STATE_REUSABLE and in_a_set(alloc, span)
     alloc.free(blocks[7])
-    assert counts == {"put": 1, "remove": 1}
+    assert counts == {"put": 1}
     assert alloc.pool.puts.load() == 1
     assert state_of(span) == STATE_FREE and not in_a_set(alloc, span)
+    # Its entry stays behind, stale, until the owner's take skips it.
+    the_set = alloc.frontend.labs[0].reusable[span.size_class]
+    assert list(the_set.stamps) == [span] and span not in the_set
 
 
 def test_marking_free_loses_retirement_to_racing_last_free(monkeypatch):
@@ -756,7 +780,7 @@ def test_marking_free_loses_retirement_to_racing_last_free(monkeypatch):
     counts = count_set_ops(monkeypatch)
     alloc.free(blocks[6])
     assert racer and alloc.stats()["frees_remote"] == 1
-    assert counts == {"put": 0, "remove": 1}    # the racer's, a miss
+    assert counts == {"put": 0}
     assert alloc.pool.puts.load() == 1
     assert pooled_slots(alloc.pool) == [span.slot]
     assert state_of(span) == STATE_FREE and not in_a_set(alloc, span)
@@ -777,6 +801,9 @@ def test_span_retirement_under_dense_interleaving():
         inboxes = [[] for _ in range(n)]
         locks = [threading.Lock() for _ in range(n)]
         errors = []
+        # Workers park twice before detaching: in between, the main
+        # thread checks the sets of live LABs.
+        parked = threading.Barrier(n + 1, timeout=60)
 
         def worker(tid):
             rng = random.Random(9100 + tid)
@@ -794,8 +821,11 @@ def test_span_retirement_under_dense_interleaving():
                             mine, inboxes[tid][:] = inboxes[tid][:], []
                         for p in mine:
                             alloc.free(p)
+                parked.wait()
+                parked.wait()
             except Exception as exc:            # pragma: no cover
                 errors.append(exc)
+                parked.abort()
             finally:
                 alloc.detach_thread()
 
@@ -803,6 +833,11 @@ def test_span_retirement_under_dense_interleaving():
                    for t in range(n)]
         for t in threads:
             t.start()
+        parked.wait()
+        try:
+            set_entries(alloc)
+        finally:
+            parked.wait()
         for t in threads:
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads)
@@ -860,6 +895,142 @@ def test_full_reuse_percent_does_not_leak_spans(size):
                for h in alloc.space.iter_headers())
 
 
+# -- set hand-offs: one conditional replace from the marking's stamp ----------
+#
+# Each test holds one hand-off of a reusable span open in its window, and
+# meanwhile sends the span round its life cycle through another LAB: it
+# is emptied, pooled, reused there and marked reusable again. It reads as
+# reusable once more, so only the stamp tells the two markings apart.
+
+B128K = TABLE[class_for_size(1 << 17)].blocks_per_span     # 8
+T128K = B128K * 80 // 100                                   # 6
+
+
+def homes(alloc, span):
+    """Indices of the LABs holding `span` as their hot span or in a
+    reusable set."""
+    sc = span.size_class
+    return [lab.index for lab in alloc.frontend.labs
+            if lab.hot_spans[sc] is span or span in lab.reusable[sc]]
+
+
+def send_round(other, alloc, span, last_blocks):
+    """On executor `other`'s thread, attached to its own LAB: free
+    `last_blocks`, the last live blocks of the 128K `span`, which
+    empties and pools it; take it back from the pool, fill and float
+    it, and free all but one of its blocks so that it is reusable in
+    that LAB's set. Returns the blocks left live."""
+    def go():
+        for p in last_blocks:
+            alloc.free(p)
+        assert state_of(span) == STATE_FREE
+        mine = [alloc.malloc(1 << 17) for _ in range(B128K + 1)]
+        assert {span_of(alloc, p) for p in mine[:-1]} == {span}
+        for p in mine[1:-1]:
+            alloc.free(p)
+        assert state_of(span) == STATE_REUSABLE
+        return [mine[0], mine[-1]]
+    return other.submit(go).result(timeout=30)
+
+
+def hold(monkeypatch, cls, name, when, run):
+    """Patch method `name` of `cls` so that its first call whose
+    arguments satisfy `when` calls `run()` before it goes on. Returns a
+    list that then holds run's result."""
+    real = getattr(cls, name)
+    ran = []
+
+    def held(*args):
+        if not ran and when(*args):
+            ran.append(None)
+            ran[0] = run()
+        return real(*args)
+
+    monkeypatch.setattr(cls, name, held)
+    return ran
+
+
+def test_late_set_put_is_refused_after_the_span_went_round(monkeypatch):
+    # The window between a free's floating -> reusable marking and its
+    # set put. The late put must not add the span to LAB 0's set while
+    # it is reusable in LAB 1's.
+    alloc = make_allocator(instrument=True)
+    alloc.attach_thread()                               # LAB 0
+    with ThreadPoolExecutor(max_workers=1) as other:
+        other.submit(alloc.attach_thread).result(timeout=30)   # LAB 1
+        span, blocks, extra = floated_span(alloc, 1 << 17)
+        for b in blocks[:T128K]:
+            alloc.free(b)
+        ran = hold(monkeypatch, ReusableSet, "put",
+                   lambda the_set, owner, sp, stamp: sp is span,
+                   lambda: send_round(other, alloc, span, blocks[T128K + 1:]))
+        alloc.free(blocks[T128K])           # marks, then puts late
+        assert ran and homes(alloc, span) == [1]
+        assert state_of(span) == STATE_REUSABLE
+        assert set_entries(alloc) == 1
+        validate_transition_trace(alloc)
+        for p in ran[0]:
+            other.submit(alloc.free, p).result(timeout=30)
+        other.submit(alloc.detach_thread).result(timeout=30)
+    alloc.free(extra)
+
+
+def test_set_take_skips_a_span_that_went_round(monkeypatch):
+    # The window between the owner's take of a set entry and its
+    # reusable -> hot. The owner must not make the span hot while it is
+    # reusable in LAB 1's set.
+    alloc = make_allocator(instrument=True)
+    alloc.attach_thread()                               # LAB 0
+    with ThreadPoolExecutor(max_workers=1) as other:
+        other.submit(alloc.attach_thread).result(timeout=30)   # LAB 1
+        span, blocks, extra = floated_span(alloc, 1 << 17)
+        for b in blocks[:T128K + 1]:
+            alloc.free(b)
+        assert state_of(span) == STATE_REUSABLE and homes(alloc, span) == [0]
+        ran = hold(monkeypatch, SpanHeader, "try_transition",
+                   lambda sp, observed, to: sp is span and to == STATE_HOT,
+                   lambda: send_round(other, alloc, span, blocks[T128K + 1:]))
+        # Fill the hot span; the next malloc fetches from the set.
+        fills = [alloc.malloc(1 << 17) for _ in range(B128K)]
+        assert ran and homes(alloc, span) == [1]
+        assert state_of(span) == STATE_REUSABLE
+        assert all(span_of(alloc, p) is not span for p in fills)
+        assert set_entries(alloc) == 1
+        validate_transition_trace(alloc)
+        for p in ran[0]:
+            other.submit(alloc.free, p).result(timeout=30)
+        other.submit(alloc.detach_thread).result(timeout=30)
+    for p in fills + [extra]:
+        alloc.free(p)
+
+
+def test_lab_termination_skips_a_span_that_went_round(monkeypatch):
+    # LAB 0 terminates with a reusable span in its set: the window
+    # between the take and the reusable -> floating. Termination must
+    # not float the span while it is reusable in LAB 1's set.
+    alloc = make_allocator(instrument=True)
+    alloc.attach_thread()                               # LAB 0
+    with ThreadPoolExecutor(max_workers=1) as other:
+        other.submit(alloc.attach_thread).result(timeout=30)   # LAB 1
+        span, blocks, extra = floated_span(alloc, 1 << 17)
+        for b in blocks[:T128K + 1]:
+            alloc.free(b)
+        assert state_of(span) == STATE_REUSABLE and homes(alloc, span) == [0]
+        ran = hold(monkeypatch, SpanHeader, "try_transition",
+                   lambda sp, observed, to:
+                       sp is span and to == STATE_FLOATING,
+                   lambda: send_round(other, alloc, span, blocks[T128K + 1:]))
+        alloc.detach_thread()               # terminates LAB 0
+        assert ran and homes(alloc, span) == [1]
+        assert state_of(span) == STATE_REUSABLE
+        assert set_entries(alloc) == 1
+        validate_transition_trace(alloc)
+        for p in ran[0]:
+            other.submit(alloc.free, p).result(timeout=30)
+        other.submit(alloc.detach_thread).result(timeout=30)
+    alloc.free(extra)
+
+
 # -- own-span fast path: same transitions, memory and counts ----------------
 
 SEQUENCE_SIZES = [64, 64, 256, 1 << 19]     # 508, 127 and 2 blocks per span
@@ -890,6 +1061,7 @@ def own_span_sequence(alloc, seed=11):
         validate_transition_trace(alloc)
         assert walk_oracle(alloc) == frag_oracle(alloc) == alloc.ledger.f
         assert not stray_pages(alloc)
+        set_entries(alloc)
     return seen
 
 

@@ -1,9 +1,8 @@
-import pytest
 from hypothesis import given, strategies as st
 
 from spanalloc.size_classes import (
     HUGE, NUM_CLASSES, NUM_REAL_SPAN_SIZES, REAL_SPAN_SIZES, TABLE,
-    class_for_size, dump_csv, geometry, real_span_index_for_size,
+    class_for_size, dump_csv, geometry,
 )
 
 MAX_CLASS = 1 << 20
@@ -99,12 +98,13 @@ def test_class_for_size_monotone(request):
 
 
 def test_real_span_index():
-    assert real_span_index_for_size(32768) == 0
+    for row in TABLE:
+        assert row.real_span_index \
+            == REAL_SPAN_SIZES.index(row.real_span_size)
+    assert TABLE[0].real_span_index == 0
     assert TABLE[class_for_size(512)].real_span_index \
         == TABLE[class_for_size(1024)].real_span_index
     assert len({r.real_span_index for r in TABLE}) == NUM_REAL_SPAN_SIZES
-    with pytest.raises(ValueError):
-        real_span_index_for_size(12345)
 
 
 def test_dump_csv():

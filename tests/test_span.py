@@ -151,25 +151,36 @@ def test_drain_never_loses_concurrent_frees():
     blocks = [span.alloc_block() for _ in range(1000)]
     stop = threading.Event()
     drained = []
+    popped = []
 
     def owner_drain():
-        while not stop.is_set():
+        # As the allocator does: drain only with the local list empty,
+        # then pop it empty again.
+        while True:
+            last = stop.is_set()
             got = span.drain_remotes()
             if got:
                 drained.append(got)
-        drained.append(span.drain_remotes())
+            while span.local_head:
+                popped.append(span.alloc_block())
+            if last:
+                return
 
     t = threading.Thread(target=owner_drain)
     t.start()
     for b in blocks:
         span.free_remote(b)
     stop.set()
-    t.join()
+    t.join(timeout=30)
+    assert not t.is_alive()
     # Whatever missed the final swap is still on the remote list.
     leftover = span.remote_count()
     assert sum(drained) + leftover == 1000
-    assert len(span.walk_local()) == span.local_count == sum(drained)
-    assert len(span.walk_remote()) == leftover
+    assert len(popped) == len(set(popped)) == sum(drained)
+    assert span.local_count == 0
+    remote = {space.arena_base + o for o in span.walk_remote()}
+    assert len(remote) == leftover
+    assert set(popped) | remote == set(blocks)
 
 
 def test_transitions_happy_path_and_stale_failure():
