@@ -23,7 +23,11 @@ address that is not a handed-out block of a live span (WildFree) and,
 when instrumented, a block that is not live (DoubleFree). A TLAB free
 into a span the caller owns pushes on the local list; every other free
 (remote, CLAB, or into an orphan) pushes on the remote list and adopts
-orphaned spans. After either push one check of the span's snapshotted
+orphaned spans. The caller's owner word comes from its attachment
+record, read once at attach: it cannot change while any thread is
+attached to the LAB. A free that adopts a span becomes its owner for
+the rest of the call, so a marking it makes puts the span in the
+adopter's set. After either push one check of the span's snapshotted
 state decides whether the free has state work: none when hot or when
 floating at or below the reusability threshold, the floating ->
 reusable marking when floating above it, the emptiness test when
@@ -50,8 +54,9 @@ from .atomic import AtomicWord
 from .config import CLAB, TLAB
 from .size_classes import NUM_CLASSES
 from .span import (
-    EPOCH_STATE_SHIFT, STATE_FLOATING, STATE_FREE, STATE_HOT, STATE_REUSABLE,
-    TERMINATED, epoch_state, next_epoch_word, owner_lab_ref, pack_owner,
+    EPOCH_STATE_SHIFT, OWNER_REF_MASK, STATE_FLOATING, STATE_FREE, STATE_HOT,
+    STATE_REUSABLE, TERMINATED, epoch_state, next_epoch_word, owner_lab_ref,
+    pack_owner,
 )
 
 
@@ -183,8 +188,9 @@ class Frontend:
         self.labs = []
         self._free_labs = []
         self._mgr_lock = threading.Lock()
-        # Per thread, one attribute: the (lab, tid, stats) record of its
-        # attachment, absent while detached.
+        # Per thread, one attribute: the (lab, tid, stats, mine) record
+        # of its attachment, absent while detached; `mine` is the LAB's
+        # owner word (see attach).
         self._tls = threading.local()
         self._tid_counter = itertools.count()
         self.thread_stats = {}              # attached threads only
@@ -216,7 +222,13 @@ class Frontend:
             lab.attached += 1
             stats = ThreadStats(tid)
             self.thread_stats[tid] = stats
-        tls.attached = (lab, tid, stats)
+            # The owner word changes only in activate (no thread
+            # attached) and in _terminate_lab (the last one released),
+            # both under this lock, so it stays fixed for as long as
+            # this attachment lasts, in CLAB mode too: the record keeps
+            # it and the free and span-fetch paths never reload it.
+            mine = lab.owner_word.load()
+        tls.attached = (lab, tid, stats, mine)
         # Safety net for threads that never detach explicitly: release
         # the attachment when the Thread object is collected after exit.
         weakref.finalize(threading.current_thread(), self._release, lab, tid)
@@ -229,7 +241,7 @@ class Frontend:
         attached = getattr(tls, "attached", None)
         if attached is None:
             return
-        lab, tid, _ = attached
+        lab, tid = attached[:2]
         del tls.attached
         self._release(lab, tid)
 
@@ -256,7 +268,7 @@ class Frontend:
         return lab
 
     def _current(self):
-        """The caller's (lab, tid, stats), attaching on first use; one
+        """The caller's (lab, tid, stats, mine), attaching on first use; one
         thread-local read when attached."""
         try:
             return self._tls.attached
@@ -267,19 +279,19 @@ class Frontend:
     # -- allocation ---------------------------------------------------------
 
     def allocate(self, class_id):
-        lab, tid, stats = self._current()
+        lab, tid, stats, mine = self._current()
         if lab.class_latches is None:
-            return self._allocate(lab, tid, stats, class_id)
+            return self._allocate(lab, tid, stats, mine, class_id)
         with lab.class_latches[class_id]:
-            return self._allocate(lab, tid, stats, class_id)
+            return self._allocate(lab, tid, stats, mine, class_id)
 
-    def _allocate(self, lab, tid, stats, sc):
+    def _allocate(self, lab, tid, stats, mine, sc):
         stats.allocs += 1
         fetches = 0
         hot = lab.hot_spans[sc]
         while True:
             if hot is None:
-                hot = self._get_span(lab, tid, stats, sc)
+                hot = self._get_span(lab, tid, stats, mine, sc)
                 lab.hot_spans[sc] = hot
                 fetches += 1
             block = hot.alloc_block()
@@ -299,7 +311,7 @@ class Frontend:
             lab.hot_spans[sc] = None
             hot = None
 
-    def _get_span(self, lab, tid, stats, sc):
+    def _get_span(self, lab, tid, stats, mine, sc):
         """Next hot span: the reusable set first, then pool or arena."""
         for span, stamp in iter(lab.reusable[sc].take, None):
             if not self.eager_reclaim and span.is_empty():
@@ -312,7 +324,7 @@ class Frontend:
                 stats.set_fetches += 1
                 return span
         span = self.pool.get(sc, tid)
-        span.init_for_class(sc, lab.owner_word.load())
+        span.init_for_class(sc, mine)
         observed = span.epoch.load()
         took = span.try_transition(observed, STATE_HOT)
         assert took, "free -> hot does not compete with anyone"
@@ -336,8 +348,7 @@ class Frontend:
         span, old_owner, old_epoch = self.space.block_span(addr)
         if self.ledger is not None:
             self.ledger.on_free(addr, span.block_size)
-        lab, tid, stats = self._current()
-        mine = lab.owner_word.load()
+        _, tid, stats, mine = self._current()
         if old_owner == mine and self.tlab:
             # Own span: no orphan check or adoption.
             span.free_local(addr)
@@ -345,9 +356,14 @@ class Frontend:
         else:
             span.free_remote(addr)
             stats.frees_remote += 1
-            if self._is_orphan(old_owner):
-                if span.try_adopt(old_owner, mine):
-                    stats.adopts += 1
+            # Orphan: its owner word is no longer its LAB's current one.
+            if self.labs[old_owner & OWNER_REF_MASK].owner_word.load() \
+                    != old_owner and span.try_adopt(old_owner, mine):
+                stats.adopts += 1
+                # The adopter is the owner now: a marking below puts
+                # the span in its set, not in the dead owner's closed
+                # one, which would refuse it.
+                old_owner = mine
         # One check of the snapshot: a hot span, or a floating one still
         # at or below the threshold, has no state to change.
         old_state = old_epoch >> EPOCH_STATE_SHIFT
@@ -389,10 +405,6 @@ class Frontend:
         if self.eager_reclaim and span.is_empty():
             if span.try_transition(old_epoch, STATE_FREE):
                 self._pool_put(span, tid)
-
-    def _is_orphan(self, span_owner_word):
-        lab = self.labs[owner_lab_ref(span_owner_word)]
-        return lab.owner_word.load() != span_owner_word
 
     # -- termination --------------------------------------------------------
 

@@ -14,7 +14,7 @@ from spanalloc.config import CLAB
 from spanalloc.frontend import Frontend, ReusableSet
 from spanalloc.size_classes import TABLE, class_for_size
 from spanalloc.span import (
-    STATE_FLOATING, STATE_FREE, STATE_HOT, STATE_REUSABLE,
+    OWNER_REF_MASK, STATE_FLOATING, STATE_FREE, STATE_HOT, STATE_REUSABLE,
     TERMINATED, SpanHeader, epoch_state, pack_owner,
 )
 
@@ -1029,6 +1029,87 @@ def test_lab_termination_skips_a_span_that_went_round(monkeypatch):
             other.submit(alloc.free, p).result(timeout=30)
         other.submit(alloc.detach_thread).result(timeout=30)
     alloc.free(extra)
+
+
+def test_adopting_free_that_marks_puts_in_adopters_set():
+    # A free that adopts an orphan and crosses its threshold in the same
+    # call marks it reusable for the adopter: the dead owner's set is
+    # closed and would refuse it, leaving it reusable in no set.
+    alloc = make_allocator(instrument=True)
+    alloc.attach_thread()                               # LAB 0
+
+    def producer():
+        alloc.attach_thread()                           # LAB 1
+        span, blocks, extra = floated_span(alloc, 1 << 17)
+        for b in blocks[:T128K]:
+            alloc.free(b)                               # at the threshold
+        alloc.detach_thread()                           # orphans the span
+        return span, blocks[T128K:], extra
+
+    span, left, extra = run_in_thread(producer)
+    assert state_of(span) == STATE_FLOATING
+    adopts = alloc.stats()["adopts"]
+    alloc.free(left[0])                                 # adopts and marks
+    assert alloc.stats()["adopts"] == adopts + 1
+    assert state_of(span) == STATE_REUSABLE and homes(alloc, span) == [0]
+    assert span.owner.load() == alloc.frontend.labs[0].owner_word.load()
+    assert set_entries(alloc) == 1
+    validate_transition_trace(alloc)
+    arena_spans = alloc.stats()["arena_spans"]
+    reused = [alloc.malloc(1 << 17) for _ in range(T128K)]
+    assert {span_of(alloc, p) for p in reused} == {span}
+    assert alloc.stats()["arena_spans"] == arena_spans
+    for p in reused + left[1:] + [extra]:
+        alloc.free(p)
+    validate_transition_trace(alloc)
+
+
+# -- the attachment record caches its LAB's owner word ------------------------
+
+def attach_and_detach(alloc):
+    run_in_thread(lambda: (alloc.attach_thread(), alloc.detach_thread()))
+
+
+def attached_word(alloc):
+    """Attach the calling thread; the owner word its record holds,
+    checked against its LAB's current one."""
+    alloc.attach_thread()
+    lab, _, _, mine = alloc.frontend._tls.attached
+    assert mine == lab.owner_word.load() != TERMINATED
+    return mine
+
+
+@pytest.mark.parametrize("lab_mode", ["tlab", CLAB])
+def test_attachment_record_holds_the_current_owner_word(lab_mode):
+    alloc = make_allocator(lab_mode=lab_mode)
+    width = alloc.frontend.clab_width
+    first = attached_word(alloc)                        # tid 0: LAB 0
+    p, q = alloc.malloc(64), alloc.malloc(64)
+    span = span_of(alloc, p)
+    alloc.detach_thread()                               # orphans the span
+    for _ in range(width - 1):                          # tids 1..width-1
+        attach_and_detach(alloc)
+    second = attached_word(alloc)                       # tid width: LAB 0
+    assert second & OWNER_REF_MASK == first & OWNER_REF_MASK == 0
+    assert second >> 48 > first >> 48                   # a new generation
+    for _ in range(width - 1):
+        attach_and_detach(alloc)
+
+    def sharer():
+        # tid 2 * width: LAB 0 again in CLAB mode, shared with the main
+        # thread; a LAB of its own in TLAB mode.
+        word = attached_word(alloc)
+        alloc.detach_thread()
+        return word
+
+    other = run_in_thread(sharer)
+    assert (other == second) == (lab_mode == CLAB)
+    adopts = alloc.stats()["adopts"]
+    alloc.free(p)                       # into its predecessor's span
+    assert alloc.stats()["adopts"] == adopts + 1
+    assert span.owner.load() == second
+    alloc.free(q)
+    assert state_of(span) == STATE_FREE
 
 
 # -- own-span fast path: same transitions, memory and counts ----------------
