@@ -15,6 +15,14 @@ acquire/release pair (timeit, best of 5, 2-vCPU host), and every remote
 free makes at least one compare-exchange. The two forms are equivalent:
 the lock is released on every path. Each primitive stays a method so
 that tracing and interleaving tools can wrap it.
+
+Words may share one lock, passed to the constructor: a span header's
+epoch, owner and remote words do, so building a header makes one lock
+rather than three (on hardware the three share a cache line anyway).
+Sharing is sound because no method calls out or takes another lock
+while it holds its own, so a shared lock cannot nest or deadlock, and
+under the GIL it changes no interleaving: each primitive is still one
+critical section over one word. A word made without `lock` gets its own.
 """
 
 import threading
@@ -23,9 +31,9 @@ import threading
 class AtomicWord:
     __slots__ = ("_value", "_lock")
 
-    def __init__(self, value=0):
+    def __init__(self, value=0, lock=None):
         self._value = value
-        self._lock = threading.Lock()
+        self._lock = threading.Lock() if lock is None else lock
 
     def load(self):
         # Reading one attribute is atomic under the GIL.

@@ -27,15 +27,16 @@ orphaned spans. The caller's owner word comes from its attachment
 record, read once at attach: it cannot change while any thread is
 attached to the LAB. A free that adopts a span becomes its owner for
 the rest of the call, so a marking it makes puts the span in the
-adopter's set. After either push one check of the span's snapshotted
-state decides whether the free has state work: none when hot or when
-floating at or below the reusability threshold, the floating ->
-reusable marking when floating above it, the emptiness test when
-reusable. A span whose last block is freed goes back to the span pool
-inside that same call unless lazy reclamation is on. When the free that
-marks a span reusable also empties it (always so for single-block
-spans), that one call retires it to the pool without entering the
-owner's reusable set at all.
+adopter's set; so does a marking whose put the owner's set refused
+because the owner's LAB terminated in between. After either push one
+check of the span's snapshotted state decides whether the free has
+state work: none when hot or when floating at or below the reusability
+threshold, the floating -> reusable marking when floating above it, the
+emptiness test when reusable. A span whose last block is freed goes
+back to the span pool inside that same call unless lazy reclamation is
+on. When the free that marks a span reusable also empties it (always so
+for single-block spans), that one call retires it to the pool without
+entering the owner's reusable set at all.
 
 All cross-thread handoffs ride on the epoch word: a stale snapshot
 fails its conditional replace and the loser simply moves on. No
@@ -370,9 +371,9 @@ class Frontend:
         if old_state == STATE_REUSABLE or (
                 old_state == STATE_FLOATING
                 and span.free_block_count() > span.reuse_threshold_blocks):
-            self._settle(span, old_owner, old_epoch, tid)
+            self._settle(span, old_owner, old_epoch, tid, stats, mine)
 
-    def _settle(self, span, old_owner, old_epoch, tid):
+    def _settle(self, span, old_owner, old_epoch, tid, stats, mine):
         """The state work after a free into a span whose epoch read
         `old_epoch` before it, called only when there is some: a
         floating span (which crossed the threshold) goes reusable, a
@@ -383,7 +384,11 @@ class Frontend:
         there, stale: the owner's take fails its conditional replace
         from the stamp and skips it. A free that marks the span reusable
         and finds it empty retires it in one call: floating -> reusable
-        -> free and a pool put, with no set entry at all."""
+        -> free and a pool put, with no set entry at all. When the
+        owner's LAB terminated between the marking and the put, its
+        closed set refuses the entry; the freeing thread (`mine`)
+        adopts the span and puts it in its own set with the same
+        stamp."""
         if epoch_state(old_epoch) == STATE_FLOATING:
             if not span.try_transition(old_epoch, STATE_REUSABLE):
                 return
@@ -399,9 +404,14 @@ class Frontend:
                 if span.try_transition(old_epoch, STATE_FREE):
                     self._pool_put(span, tid)
                 return
+            sc = span.size_class
             owner_lab = self.labs[owner_lab_ref(old_owner)]
-            owner_lab.reusable[span.size_class].put(old_owner, span,
-                                                    old_epoch)
+            if not owner_lab.reusable[sc].put(old_owner, span, old_epoch) \
+                    and owner_lab.owner_word.load() != old_owner \
+                    and span.try_adopt(old_owner, mine):
+                stats.adopts += 1
+                my_set = self.labs[owner_lab_ref(mine)].reusable[sc]
+                my_set.put(mine, span, old_epoch)
         if self.eager_reclaim and span.is_empty():
             if span.try_transition(old_epoch, STATE_FREE):
                 self._pool_put(span, tid)

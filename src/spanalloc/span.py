@@ -6,7 +6,11 @@ it), an epoch word (life-cycle state plus a counter bumped on every
 transition, which is what defeats ABA on state changes), an owner word
 (LAB generation and reference), the owner-private local free list, and
 the concurrent remote free list whose single atomic word carries both
-the list head and the element count. Blocks carry no metadata while
+the list head and the element count. The three atomic words share one
+lock, as they would share the header's cache line. The header's page,
+the slot's first, is committed once, when the header is created; no
+decommit releases it, so re-classing a pooled span rewrites the header
+in place and commits nothing. Blocks carry no metadata while
 live; a freed block's first word becomes the next-pointer of whichever
 free list it sits on, written straight into span memory so page
 accounting sees it.
@@ -21,7 +25,7 @@ of the epoch word, recorded in the ledger's trace when instrumented.
 import threading
 
 from .atomic import AtomicWord
-from .config import SPAN_SHIFT
+from .config import PAGE_SIZE, SPAN_SHIFT
 from .errors import WildFree
 from .size_classes import TABLE
 
@@ -93,9 +97,10 @@ class SpanHeader:
         self.space = space
         self.slot = slot
         self.base = base
-        self.epoch = AtomicWord(STATE_FREE << EPOCH_STATE_SHIFT)
-        self.owner = AtomicWord(0)
-        self.remote = AtomicWord(0)
+        lock = threading.Lock()
+        self.epoch = AtomicWord(STATE_FREE << EPOCH_STATE_SHIFT, lock)
+        self.owner = AtomicWord(0, lock)
+        self.remote = AtomicWord(0, lock)
         self.link = 0
         self.size_class = -1
         self.block_size = 0
@@ -113,8 +118,9 @@ class SpanHeader:
         """(Re)write the header for a class; epoch is left untouched.
 
         Only called on spans in state free with a single reference, so
-        plain stores are safe. Reuse within the same real-span size is
-        exactly this header rewrite.
+        plain stores are safe. Reuse of a pooled span, of any real-span
+        size, is exactly this header rewrite: the header page has been
+        committed since the header was created, so it touches no memory.
         """
         geo = TABLE[class_id]
         self.size_class = class_id
@@ -122,17 +128,12 @@ class SpanHeader:
         self.blocks_per_span = geo.blocks_per_span
         self.real_span_size = geo.real_span_size
         self.payload = self.base + geo.header_size
-        # Below blocks_per_span even at 100%, so an emptied span still
-        # crosses it and can go back to the pool.
-        self.reuse_threshold_blocks = min(
-            geo.blocks_per_span * self.space.reuse_percent // 100,
-            geo.blocks_per_span - 1)
+        self.reuse_threshold_blocks = self.space.reuse_thresholds[class_id]
         self.local_head = 0
         self.local_count = 0
         self.bump_limit = 0
         self.remote.store(0)
         self.owner.store(owner_word)
-        self.space.provider.touch(self.base, geo.header_size)
 
     # -- block allocation (owning thread only) ---------------------------
 
@@ -273,40 +274,58 @@ class SpanSpace:
 
     Header objects are created on a slot's first use and mutated in
     place across reuses, mirroring headers living at the span base.
-    `headers` is indexed by slot and grows when a header is created (on
-    the arena slow path), so `span_of` is one subtract, one shift and
-    one index; a slot without a header below the last one holds None.
+    `headers` is indexed by slot, so `span_of` is one subtract, one
+    shift and one index. The list grows geometrically, at least
+    doubling, when a header is created past its end (on the arena slow
+    path), so it holds None for every slot without a header: gaps below
+    the last header and grown slots past it. Each class's reuse
+    threshold is computed here once.
     """
 
     def __init__(self, arena, provider, reuse_percent=80, ledger=None):
         self.arena = arena
         self.arena_base = arena.base
         self.provider = provider
-        self.reuse_percent = reuse_percent
         self.ledger = ledger        # a FragLedger on instrumented allocators
+        # Below blocks_per_span even at 100%, so an emptied span still
+        # crosses it and can go back to the pool.
+        self.reuse_thresholds = tuple(
+            min(g.blocks_per_span * reuse_percent // 100,
+                g.blocks_per_span - 1) for g in TABLE)
         self.headers = []
         self._grow_lock = threading.Lock()
 
     def header_for_base(self, base, create=False):
+        """The header of the slot at `base`; KeyError when it has none,
+        unless `create`, which builds it and commits its page.
+
+        Creation takes no lock: the arena hands each slot out exactly
+        once, so no two threads create the same header. Only growing
+        `headers` takes `_grow_lock`; a store into the grown list and a
+        concurrent extend are each atomic under the GIL. The list is not
+        presized to the arena: a 2^46-byte arena has 2^25 slots.
+        """
         slot = self.arena.slot_of(base)
         headers = self.headers
         header = headers[slot] if slot < len(headers) else None
         if header is None:
             if not create:
                 raise KeyError(f"no span header at {base:#x}")
-            with self._grow_lock:
-                if slot >= len(headers):
-                    headers.extend([None] * (slot + 1 - len(headers)))
-                header = headers[slot]
-                if header is None:
-                    header = headers[slot] = SpanHeader(self, slot, base)
+            if slot >= len(headers):
+                with self._grow_lock:
+                    n = len(headers)
+                    if slot >= n:
+                        headers.extend([None] * max(n, slot + 1 - n))
+            self.provider.touch(base, PAGE_SIZE)
+            header = headers[slot] = SpanHeader(self, slot, base)
         return header
 
     def span_of(self, addr):
         """Header of the span containing `addr` (which must be in-arena).
         A LookupError when its slot has no header: IndexError past the
-        last header created, KeyError in a gap before it. `block_span`,
-        on the free path, does the same index itself."""
+        end of `headers`, KeyError for a None slot (a gap below the last
+        header, or a grown slot past it). `block_span`, on the free
+        path, does the same index itself."""
         header = self.headers[(addr - self.arena_base) >> SPAN_SHIFT]
         if header is None:
             raise KeyError(f"no span header at {addr:#x}")

@@ -4,6 +4,10 @@ Kept out of conftest.py so test modules can import them by a name that
 no other test directory's conftest shadows.
 """
 
+import sys
+import threading
+import time
+
 from spanalloc import Allocator, AllocatorConfig
 from spanalloc.config import DECOMMIT_THRESHOLD, PAGE_SIZE, SPAN_SHIFT
 from spanalloc.span import (
@@ -138,3 +142,25 @@ def validate_transition_trace(allocator):
                 assert old == prev_new, f"gap in span {slot} transition chain"
             prev_new = new
     return sum(len(v) for v in per_span.values())
+
+
+def in_threads(work, threads_n):
+    """Run `work(i)` in threads i = 0 .. threads_n - 1, switching every
+    microsecond, and restore the switch interval afterwards; returns the
+    elapsed seconds."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.perf_counter()
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+        elapsed = time.perf_counter() - start
+    finally:
+        sys.setswitchinterval(interval)
+    assert sys.getswitchinterval() == interval
+    assert not any(t.is_alive() for t in threads)
+    return elapsed

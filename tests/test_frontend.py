@@ -1064,6 +1064,40 @@ def test_adopting_free_that_marks_puts_in_adopters_set():
     validate_transition_trace(alloc)
 
 
+def test_refused_set_put_is_adopted_by_the_freeing_thread(monkeypatch):
+    # The owner LAB terminates between a remote free's floating ->
+    # reusable marking and its set put. Its closed set refuses the
+    # entry: the freeing thread adopts the span into its own set rather
+    # than leave it reusable in no set.
+    alloc = make_allocator(instrument=True)
+    alloc.attach_thread()                               # LAB 0
+    with ThreadPoolExecutor(max_workers=1) as other:
+        other.submit(alloc.attach_thread).result(timeout=30)   # LAB 1
+        span, blocks, extra = other.submit(
+            floated_span, alloc, 1 << 17).result(timeout=30)
+        for b in blocks[:T128K]:
+            alloc.free(b)                               # at the threshold
+        assert state_of(span) == STATE_FLOATING
+        ran = hold(monkeypatch, ReusableSet, "put",
+                   lambda the_set, owner, sp, stamp: sp is span,
+                   lambda: other.submit(alloc.detach_thread).result(30))
+        adopts = alloc.stats()["adopts"]
+        alloc.free(blocks[T128K])           # marks; LAB 1 ends before the put
+        assert ran and alloc.frontend.labs[1].owner_word.load() == TERMINATED
+    assert state_of(span) == STATE_REUSABLE and homes(alloc, span) == [0]
+    assert alloc.stats()["adopts"] == adopts + 1
+    assert span.owner.load() == alloc.frontend.labs[0].owner_word.load()
+    assert set_entries(alloc) == 1
+    validate_transition_trace(alloc)
+    arena_spans = alloc.stats()["arena_spans"]
+    again = alloc.malloc(1 << 17)
+    assert span_of(alloc, again) is span
+    assert alloc.stats()["arena_spans"] == arena_spans
+    for p in [again] + blocks[T128K + 1:] + [extra]:
+        alloc.free(p)
+    validate_transition_trace(alloc)
+
+
 # -- the attachment record caches its LAB's owner word ------------------------
 
 def attach_and_detach(alloc):

@@ -5,7 +5,7 @@ import pytest
 from spanalloc.arena import Arena
 from spanalloc.config import PAGE_SIZE, VIRTUAL_SPAN_SIZE
 from spanalloc.fragmeter import FragLedger
-from spanalloc.size_classes import class_for_size
+from spanalloc.size_classes import NUM_CLASSES, TABLE, class_for_size
 from spanalloc.span import (
     STATE_FLOATING, STATE_FREE, STATE_HOT, STATE_REUSABLE,
     SpanSpace, epoch_counter, epoch_state, pack_owner,
@@ -36,6 +36,37 @@ def test_init_commits_only_header_page():
     assert provider.committed_in(span.base, VIRTUAL_SPAN_SIZE) == PAGE_SIZE
     assert span.bump_limit == 0 and span.local_count == 0
     assert span.remote_count() == 0
+
+
+def test_header_page_is_committed_when_the_header_is_created():
+    space, provider, arena = make_space()
+    base = arena.acquire_virtual_span()
+    span = space.header_for_base(base, create=True)
+    assert span.size_class == -1                # not yet initialized
+    assert provider.committed_page_indices() == {base // PAGE_SIZE}
+    assert space.header_for_base(base) is span
+    span.init_for_class(class_for_size(1 << 20), OWNER)
+    assert provider.committed_page_indices() == {base // PAGE_SIZE}
+
+
+def test_header_words_share_one_lock():
+    space, provider, arena = make_space()
+    span, other = fresh_span(space, arena), fresh_span(space, arena)
+    lock = span.epoch._lock
+    assert span.owner._lock is lock and span.remote._lock is lock
+    assert other.epoch._lock is not lock
+
+
+@pytest.mark.parametrize("pct", [0, 50, 80, 100])
+def test_reuse_thresholds_match_the_per_init_formula(pct):
+    space, provider, arena = make_space(reuse_percent=pct)
+    assert len(space.reuse_thresholds) == NUM_CLASSES == 28
+    for geo in TABLE:
+        assert space.reuse_thresholds[geo.class_id] == min(
+            geo.blocks_per_span * pct // 100, geo.blocks_per_span - 1)
+    span = fresh_span(space, arena, 1 << 17)
+    assert span.reuse_threshold_blocks == \
+        space.reuse_thresholds[class_for_size(1 << 17)]
 
 
 def test_alloc_bump_then_lifo_reuse():

@@ -3,11 +3,13 @@ import threading
 
 import pytest
 
-from helpers import make_allocator, pool_depth
+from helpers import in_threads, make_allocator, pool_depth, stray_pages
 from spanalloc.arena import Arena
 from spanalloc.config import PAGE_SIZE, VIRTUAL_SPAN_SIZE
-from spanalloc.errors import ArenaExhausted
-from spanalloc.size_classes import NUM_REAL_SPAN_SIZES, TABLE, class_for_size
+from spanalloc.errors import ArenaExhausted, WildFree
+from spanalloc.size_classes import (
+    NUM_REAL_SPAN_SIZES, REAL_SPAN_SIZES, TABLE, class_for_size,
+)
 from spanalloc.span import STATE_FREE, SpanSpace, epoch_state, pack_owner
 from spanalloc.span_pool import TOP_REF_MASK, SpanPool, TaggedStack
 from spanalloc.vmem import SimProvider
@@ -320,3 +322,95 @@ def test_pooled_large_span_reads_zero_after_reuse():
     payload = provider.read(got.base + PAGE_SIZE,
                             got.real_span_size - PAGE_SIZE)
     assert payload == bytes(len(payload))
+
+
+# -- the span fetch path ---------------------------------------------------
+
+def count_commits(monkeypatch, provider):
+    """Record the provider's `touch` and page-commit calls."""
+    calls = {"touch": [], "_commit_page": []}
+    for name, seen in calls.items():
+        real = getattr(provider, name)
+
+        def spy(*args, real=real, seen=seen):
+            seen.append(args)
+            return real(*args)
+        monkeypatch.setattr(provider, name, spy)
+    return calls
+
+
+def test_stack_top_does_not_share_a_header_lock():
+    pool, space, provider, arena = make_pool(width=1)
+    span = pooled_span(pool, space, arena)
+    pool.put(span, 0)
+    top = pool.stacks[TABLE[span.size_class].real_span_index][0]._top
+    assert top._lock is not span.epoch._lock
+    assert top._lock is not pool.puts._lock
+
+
+def test_fresh_span_malloc_commits_the_header_page_at_creation(monkeypatch):
+    alloc = make_allocator()
+    calls = count_commits(monkeypatch, alloc.provider)
+    p = alloc.malloc(1 << 20)                   # a fresh arena span
+    span = alloc.space.span_of(p)
+    assert alloc.stats()["arena_spans"] == 1
+    assert calls["touch"] == [(span.base, PAGE_SIZE)]
+    assert calls["_commit_page"] == [(span.base // PAGE_SIZE,)]
+    assert alloc.provider.committed_page_indices() == {span.base // PAGE_SIZE}
+
+
+def test_pool_hit_reclass_through_every_real_span_size_commits_nothing(
+        monkeypatch):
+    alloc = make_allocator()
+    pool, provider = alloc.pool, alloc.provider
+    # One class of each real-span size, smallest first.
+    classes = [next(g.class_id for g in TABLE if g.real_span_size == rs)
+               for rs in REAL_SPAN_SIZES]
+    span = pool.get(classes[-1], 0)             # from the arena
+    span.init_for_class(classes[-1], OWNER)
+    pool.put(span, 0)
+    committed = provider.committed_bytes
+    calls = count_commits(monkeypatch, provider)
+    for sc in classes:
+        assert pool.get(sc, 0) is span          # a pool hit
+        span.init_for_class(sc, OWNER)
+        assert span.real_span_size == TABLE[sc].real_span_size
+        pool.put(span, 0)
+        assert provider.committed_bytes == committed
+        assert not stray_pages(alloc)
+    assert calls == {"touch": [], "_commit_page": []}
+    assert pool.gets_from_arena.load() == 1
+
+
+def test_concurrent_fresh_spans_get_one_header_each():
+    alloc = make_allocator(arena_bytes=512 * VIRTUAL_SPAN_SIZE)
+    space, pool = alloc.space, alloc.pool
+    c1m = class_for_size(1 << 20)
+    threads_n, per_thread = 4, 64
+    got = [[] for _ in range(threads_n)]
+
+    def work(i):
+        for _ in range(per_thread):
+            got[i].append(pool.get(c1m, i))
+
+    elapsed = in_threads(work, threads_n)
+    spans = sorted((h for mine in got for h in mine), key=lambda h: h.slot)
+    # No two threads got the same slot, and every slot handed out has
+    # exactly one header: the one its thread got.
+    assert [h.slot for h in spans] == list(range(threads_n * per_thread))
+    assert list(space.iter_headers()) == spans
+    for h in spans:
+        assert space.headers[h.slot] is h
+        assert h.base == alloc.arena.base_of_slot(h.slot)
+    assert alloc.provider.committed_page_indices() == \
+        {h.base // PAGE_SIZE for h in spans}
+    assert elapsed < 1.0
+    # One more header grows the list past it; a free into a grown slot
+    # that holds no header is wild.
+    p = alloc.malloc(1 << 20)
+    last = space.span_of(p).slot
+    assert last == threads_n * per_thread and len(space.headers) > last + 1
+    with pytest.raises(WildFree):
+        alloc.free(alloc.arena.base_of_slot(len(space.headers) - 1)
+                   + PAGE_SIZE)
+    alloc.free(p)
