@@ -55,8 +55,8 @@ from .atomic import AtomicWord
 from .config import CLAB, TLAB
 from .size_classes import NUM_CLASSES
 from .span import (
-    EPOCH_STATE_SHIFT, OWNER_REF_MASK, STATE_FLOATING, STATE_FREE, STATE_HOT,
-    STATE_REUSABLE, TERMINATED, epoch_state, next_epoch_word, owner_lab_ref,
+    EPOCH_COUNTER_MASK, EPOCH_STATE_SHIFT, OWNER_REF_MASK, STATE_FLOATING,
+    STATE_FREE, STATE_HOT, STATE_REUSABLE, TERMINATED, owner_lab_ref,
     pack_owner,
 )
 
@@ -389,13 +389,15 @@ class Frontend:
         closed set refuses the entry; the freeing thread (`mine`)
         adopts the span and puts it in its own set with the same
         stamp."""
-        if epoch_state(old_epoch) == STATE_FLOATING:
+        if old_epoch >> EPOCH_STATE_SHIFT == STATE_FLOATING:
             if not span.try_transition(old_epoch, STATE_REUSABLE):
                 return
             # This call's own marking refreshes the snapshot, so a free
             # that both crossed the threshold and emptied the span can
-            # still pool it on this call.
-            old_epoch = next_epoch_word(old_epoch, STATE_REUSABLE)
+            # still pool it on this call. The word is the one the
+            # marking installed: next_epoch_word(old_epoch, reusable).
+            old_epoch = (STATE_REUSABLE << EPOCH_STATE_SHIFT) \
+                | ((old_epoch + 1) & EPOCH_COUNTER_MASK)
             if self.eager_reclaim and span.is_empty():
                 # No set holds a live entry of it, and no live block is
                 # left for another free. Only a concurrent last free

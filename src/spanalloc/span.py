@@ -214,7 +214,10 @@ class SpanHeader:
             - (self.remote.load() >> REMOTE_COUNT_SHIFT)
 
     def is_empty(self):
-        return self.live_blocks() == 0
+        """No live block; agrees with `live_blocks() == 0`, computed in
+        one expression on the free path."""
+        return self.bump_limit == \
+            self.local_count + (self.remote.load() >> REMOTE_COUNT_SHIFT)
 
     # -- state machine -------------------------------------------------------
 
@@ -222,15 +225,18 @@ class SpanHeader:
         """One conditional replace of the epoch word.
 
         Succeeds iff the word still equals `observed_epoch`; the new
-        word carries `target_state` and counter+1. Callers check the
-        observed state first; an illegal edge here is a programming
+        word carries `target_state` and counter+1 (wrapping at the
+        counter mask), computed inline; it agrees with
+        `next_epoch_word(observed_epoch, target_state)`. Callers check
+        the observed state first; an illegal edge here is a programming
         error.
         """
         src = observed_epoch >> EPOCH_STATE_SHIFT
         assert (src, target_state) in LEGAL_EDGES, \
             f"illegal span transition {STATE_NAMES.get(src)} -> " \
             f"{STATE_NAMES.get(target_state)}"
-        new = next_epoch_word(observed_epoch, target_state)
+        new = (target_state << EPOCH_STATE_SHIFT) \
+            | ((observed_epoch + 1) & EPOCH_COUNTER_MASK)
         if not self.epoch.compare_exchange(observed_epoch, new):
             return False
         ledger = self.space.ledger

@@ -24,7 +24,9 @@ Cost model: finding the reservation or mapping that holds an address is
 O(1) - a check of the short list of arena reservations, then one lookup
 in an index of page mappings keyed by 2MB slot. `unmap` and sim
 `decommit` cost is proportional to the pages committed in the 2MB slots
-their range touches, not to the length of the range.
+their range touches, not to the length of the range: a sim decommit
+walks the committed sets of those slots, one pass per page, with no
+helper call or temporary list, and drops a slot's set once it is empty.
 """
 
 import mmap
@@ -39,6 +41,7 @@ from .errors import ReservationError
 # First address handed out; keeps 0 free for the null sentinel and makes
 # accidental small-integer addresses stand out.
 _BASE_CURSOR = 1 << 33
+_PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
 _SLOT_PAGE_SHIFT = (VIRTUAL_SPAN_SIZE // PAGE_SIZE).bit_length() - 1
 # Upper bound on the address space one provider reserves in total.
 RESERVATION_CAP = 1 << 46
@@ -80,6 +83,9 @@ class _Provider:
     (base, length, backing), the backing being the os provider's mmap
     object (None on sim). Arena reservations sit in a short list; a page
     mapping is indexed under every 2MB slot it covers, slack slots never.
+    `decommit`, `unmap` and the sim page commit take the lock with
+    `acquire()` and release it in `finally`, which is cheaper than
+    `with` (see `atomic.py`).
     """
 
     def __init__(self, reservation_cap=RESERVATION_CAP):
@@ -119,15 +125,22 @@ class _Provider:
 
     def unmap(self, base):
         """Drop a page mapping and all of its committed pages."""
-        with self._lock:
-            record = self._slots.get(base >> SPAN_SHIFT)
+        lock = self._lock
+        lock.acquire()
+        try:
+            slots = self._slots
+            record = slots.get(base >> SPAN_SHIFT)
             if record is None or record[0] != base:
                 raise ValueError(f"unmap of unknown mapping {base:#x}")
-            for slot in _slots_of(base, record[1]):
-                del self._slots[slot]
-            self._reserved -= record[1]
+            length = record[1]
+            for slot in range(base >> SPAN_SHIFT,
+                              ((base + length - 1) >> SPAN_SHIFT) + 1):
+                del slots[slot]
+            self._reserved -= length
             self.unmap_calls += 1
             self._release(record)
+        finally:
+            lock.release()
 
     def mapping_length(self, base):
         record = self._slots.get(base >> SPAN_SHIFT)
@@ -137,9 +150,13 @@ class _Provider:
         if base % PAGE_SIZE or length % PAGE_SIZE:
             raise ValueError("decommit range must be page-aligned")
         record = self._locate(base, length)
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             self.stats.decommit_calls += 1
             self._decommit(record, base, length)
+        finally:
+            lock.release()
 
     # -- accounting -------------------------------------------------------
 
@@ -275,7 +292,9 @@ class SimProvider(_Provider):
     # -- internals --------------------------------------------------------
 
     def _commit_page(self, idx):
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             page = self._pages.get(idx)
             if page is not None:
                 return page
@@ -288,23 +307,28 @@ class SimProvider(_Provider):
             if committed > self.window_peak:
                 self.window_peak = committed
             return page
+        finally:
+            lock.release()
 
     def _decommit(self, record, base, length):
-        """Drop the committed pages in [base, base+length), visiting each
-        touched slot's committed set; the caller holds the lock."""
-        lo, hi = base // PAGE_SIZE, (base + length) // PAGE_SIZE
+        """Drop the committed pages in [base, base+length): one pass over
+        the committed set of each slot the range touches, with no helper
+        call or temporary list; a set left empty goes. The caller holds
+        the lock."""
+        end = base + length
+        lo, hi = base >> _PAGE_SHIFT, end >> _PAGE_SHIFT
+        committed, pages = self._committed, self._pages
         dropped = 0
-        for slot in _slots_of(base, length):
-            held = self._committed.get(slot)
-            if not held:
-                continue
-            doomed = [idx for idx in held if lo <= idx < hi]
-            for idx in doomed:
-                held.remove(idx)
-                del self._pages[idx]
-            if not held:
-                del self._committed[slot]
-            dropped += len(doomed)
+        for slot in range(base >> SPAN_SHIFT, ((end - 1) >> SPAN_SHIFT) + 1):
+            held = committed.get(slot)
+            if held:
+                for idx in tuple(held):
+                    if lo <= idx < hi:
+                        held.remove(idx)
+                        del pages[idx]
+                        dropped += 1
+                if not held:
+                    del committed[slot]
         self.stats.committed_bytes -= dropped * PAGE_SIZE
 
     def _release(self, record):

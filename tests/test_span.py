@@ -7,8 +7,9 @@ from spanalloc.config import PAGE_SIZE, VIRTUAL_SPAN_SIZE
 from spanalloc.fragmeter import FragLedger
 from spanalloc.size_classes import NUM_CLASSES, TABLE, class_for_size
 from spanalloc.span import (
-    STATE_FLOATING, STATE_FREE, STATE_HOT, STATE_REUSABLE,
-    SpanSpace, epoch_counter, epoch_state, pack_owner,
+    EPOCH_COUNTER_MASK, EPOCH_STATE_SHIFT, LEGAL_EDGES, STATE_FLOATING,
+    STATE_FREE, STATE_HOT, STATE_NAMES, STATE_REUSABLE, SpanSpace,
+    epoch_counter, epoch_state, next_epoch_word, pack_owner,
 )
 from spanalloc.vmem import SimProvider
 
@@ -254,11 +255,21 @@ def test_transition_race_single_winner():
 
 
 def test_illegal_edge_asserts():
-    space, provider, arena = make_space()
+    space, provider, arena = make_space(ledger=FragLedger())
     span = fresh_span(space, arena, 64)
     e = span.epoch.load()                    # state free
     with pytest.raises(AssertionError):
         span.try_transition(e, STATE_REUSABLE)
+    for src in STATE_NAMES:
+        for target in STATE_NAMES:
+            if (src, target) in LEGAL_EDGES:
+                continue
+            observed = (src << EPOCH_STATE_SHIFT) | 5
+            span.epoch.store(observed)
+            with pytest.raises(AssertionError):
+                span.try_transition(observed, target)
+            assert span.epoch.load() == observed
+    assert space.ledger.trace == []
 
 
 def test_adopt_single_winner():
@@ -304,3 +315,58 @@ def test_trace_records_transitions():
     slot, old, new = space.ledger.trace[0]
     assert slot == span.slot
     assert epoch_state(old) == STATE_FREE and epoch_state(new) == STATE_HOT
+
+
+@pytest.mark.parametrize("counter", [0, 1, EPOCH_COUNTER_MASK],
+                         ids=["counter0", "counter1", "wrap"])
+@pytest.mark.parametrize("edge", sorted(LEGAL_EDGES),
+                         ids=lambda e: f"{STATE_NAMES[e[0]]}-{STATE_NAMES[e[1]]}")
+def test_transition_installs_next_epoch_word(edge, counter):
+    # try_transition computes its word inline; it must be exactly the
+    # reference helper's, the counter wrapping to 0 at the mask.
+    src, target = edge
+    space, provider, arena = make_space(ledger=FragLedger())
+    span = fresh_span(space, arena, 64)
+    observed = (src << EPOCH_STATE_SHIFT) | counter
+    span.epoch.store(observed)
+    stale = (src << EPOCH_STATE_SHIFT) | ((counter - 1) & EPOCH_COUNTER_MASK)
+    assert not span.try_transition(stale, target)
+    assert span.epoch.load() == observed and space.ledger.trace == []
+    assert span.try_transition(observed, target)
+    new = next_epoch_word(observed, target)
+    assert span.epoch.load() == new
+    assert epoch_state(new) == target
+    assert epoch_counter(new) == (0 if counter == EPOCH_COUNTER_MASK
+                                  else counter + 1)
+    assert space.ledger.trace == [(span.slot, observed, new)]
+    assert not span.try_transition(observed, target)       # now stale
+    assert span.epoch.load() == new and len(space.ledger.trace) == 1
+
+
+def test_is_empty_agrees_with_live_blocks():
+    space, provider, arena = make_space()
+    span = fresh_span(space, arena, 1024)          # 64 blocks, threshold 51
+
+    def check():
+        assert span.is_empty() == (span.live_blocks() == 0)
+        return span.is_empty()
+
+    assert check()                                  # fresh
+    blocks = [span.alloc_block() for _ in range(60)]
+    assert not check()                              # bump only
+    for b in blocks[:3]:
+        span.free_local(b)
+    assert span.local_count == 3 and not check()    # with a local list
+    for b in blocks[3:]:
+        span.free_remote(b)
+    assert span.remote_count() == 57 and check()    # with a remote list
+    # Take the local list back so the drain finds it empty.
+    again = [span.alloc_block() for _ in range(3)]
+    assert sorted(again) == sorted(blocks[:3]) and span.local_head == 0
+    assert not check()
+    assert span.drain_remotes() == 57               # after a drain
+    assert span.remote_count() == 0 and span.local_count == 57
+    assert not check()
+    for b in again:
+        span.free_local(b)
+    assert check()

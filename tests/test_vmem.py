@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from helpers import make_allocator
 from spanalloc.config import PAGE_SIZE, VIRTUAL_SPAN_SIZE
 from spanalloc.errors import ReservationError
 from spanalloc.vmem import OsProvider, SimProvider
@@ -222,12 +223,53 @@ def test_shadow_page_set_oracle_with_page_mappings():
             shadow -= pages(addr, n)
         assert p.committed_page_indices() == shadow
         assert p.committed_bytes == len(shadow) * PAGE_SIZE
+        assert all(p._committed.values())          # no slot keeps an empty set
         base, length = rng.choice([(r.base, r.length)] + list(live.items()))
         assert p.committed_in(base, length) == \
             len(shadow & pages(base, length)) * PAGE_SIZE
     for base in list(live):
         p.unmap(base)
+        assert all(p._committed.values())
     assert p.committed_bytes == len(shadow & pages(r.base, r.length)) * PAGE_SIZE
+
+
+def test_decommit_across_a_slot_boundary_keeps_the_pages_outside():
+    # The range starts after slot A's first page, crosses into slot B
+    # and ends before B's last committed page.
+    p = SimProvider()
+    r = p.reserve(2 * MB2)
+    first = r.base // PAGE_SIZE
+    per_slot = MB2 // PAGE_SIZE
+    written = [first, first + 1, first + 7, first + per_slot - 2,
+               first + per_slot - 1, first + per_slot, first + per_slot + 3,
+               first + per_slot + 9, first + per_slot + 20]
+    for n, idx in enumerate(written):
+        p.write(idx * PAGE_SIZE, bytes([n + 1]) * PAGE_SIZE)
+    lo, hi = first + 1, first + per_slot + 9        # drop [lo, hi)
+    p.decommit(lo * PAGE_SIZE, (hi - lo) * PAGE_SIZE)
+    kept = [idx for idx in written if not lo <= idx < hi]
+    assert kept == [first, first + per_slot + 9, first + per_slot + 20]
+    assert p.committed_page_indices() == set(kept)
+    assert p.committed_bytes == len(kept) * PAGE_SIZE
+    for n, idx in enumerate(written):
+        want = bytes([n + 1]) * PAGE_SIZE if idx in kept else bytes(PAGE_SIZE)
+        assert p.read(idx * PAGE_SIZE, PAGE_SIZE) == want
+    assert all(p._committed.values()) and len(p._committed) == 2
+
+
+def test_huge_cycles_leave_the_slot_indexes_as_they_were():
+    # Each mapping takes fresh slots, so one stale entry per huge object
+    # in either index would grow without bound.
+    alloc = make_allocator()
+    p = alloc.provider
+    alloc.free(alloc.malloc(3 << 20))
+    committed, slots = len(p._committed), len(p._slots)
+    for _ in range(1000):
+        addr = alloc.malloc(3 << 20)               # two slots
+        p.write_word(addr + MB2, 1)                # a page in the second
+        alloc.free(addr)
+    assert (len(p._committed), len(p._slots)) == (committed, slots)
+    assert all(p._committed.values())
 
 
 def test_window_peak():
