@@ -1,14 +1,16 @@
 """Public allocator facade.
 
 Routes requests by size: anything that fits a class goes through the
-frontend; larger requests get their own page mapping with a one-page
-header recording the size, so a later free can validate and unmap it.
+frontend; a larger request is its own page mapping, returned at the
+mapping's base. The provider's mapping record (base and length) is the
+huge object's header: a free unmaps exactly a live mapping's base, and
+anything else fails there, before it changes anything. So a huge malloc
+commits nothing, and its usable size is the page-rounded length.
 Addresses are integers; 0 is the null sentinel (returned on
 out-of-memory, ignored by free, POSIX style).
 """
 
 import dataclasses
-import struct
 
 from .arena import Arena
 from .config import PAGE_SIZE, AllocatorConfig
@@ -22,24 +24,7 @@ from .vmem import make_provider
 
 NULL = 0
 
-HUGE_MAGIC = 0x48554745424C4B31  # "HUGEBLK1"
-_HUGE_HEADER = struct.Struct("<QQQ")
 MAX_ALIGNMENT = 4096
-
-
-@dataclasses.dataclass(frozen=True)
-class HugeHeader:
-    magic: int
-    payload_size: int
-    total_mapping: int
-
-    def pack(self):
-        return _HUGE_HEADER.pack(self.magic, self.payload_size,
-                                 self.total_mapping)
-
-    @classmethod
-    def unpack(cls, data):
-        return cls(*_HUGE_HEADER.unpack(data[:_HUGE_HEADER.size]))
 
 
 class Allocator:
@@ -135,40 +120,31 @@ class Allocator:
         return self.malloc(rounded)
 
     def usable_size(self, addr):
-        """Usable bytes of the handed-out block that holds `addr`;
-        WildFree when no handed-out block or huge mapping holds it."""
+        """Usable bytes of the handed-out block that holds `addr` (a huge
+        object's whole mapping, page-rounded); WildFree when `addr` is in
+        no handed-out block and is no huge mapping's base."""
         if self.arena.contains(addr):
             return self.space.block_span(addr, interior=True)[0].block_size
-        base = self._huge_base(addr)
-        return HugeHeader.unpack(
-            self.provider.read(base, _HUGE_HEADER.size)).payload_size
+        length = self.provider.mapping_length(addr)
+        if length is None:
+            raise WildFree(f"{addr:#x} is not an allocated address")
+        return length
 
     # -- huge objects -------------------------------------------------------
 
     def _huge_alloc(self, size):
-        pages = -(-size // PAGE_SIZE)
-        total = (pages + 1) * PAGE_SIZE
         try:
-            base = self.provider.map_pages(total)
+            return self.provider.map_pages(-(-size // PAGE_SIZE) * PAGE_SIZE)
         except ReservationError:
             return NULL
-        self.provider.write(base, _HUGE_HEADER.pack(HUGE_MAGIC, size, total))
-        return base + PAGE_SIZE
 
     def _huge_free(self, addr):
-        self.provider.unmap(self._huge_base(addr))
-
-    def _huge_base(self, addr):
-        """The mapping base of huge block `addr`, after checking the
-        mapping and its header's magic word; WildFree otherwise."""
-        base = addr - PAGE_SIZE
-        if base < 0 or self.provider.mapping_length(base) is None:
-            raise WildFree(f"{addr:#x} is not an allocated address")
-        magic = self.provider.read_word(base)
-        if magic != HUGE_MAGIC:
-            raise WildFree(
-                f"{addr:#x}: bad huge-object header (magic {magic:#x})")
-        return base
+        # unmap checks that `addr` is a live mapping's base before it
+        # drops anything.
+        try:
+            self.provider.unmap(addr)
+        except ValueError:
+            raise WildFree(f"{addr:#x} is not an allocated address") from None
 
     # -- threads ------------------------------------------------------------
 

@@ -113,7 +113,10 @@ class _Provider:
         return VmRegion(record[0], length)
 
     def map_pages(self, length):
-        """Reserve a standalone page-granular mapping (huge objects)."""
+        """Reserve a standalone page-granular mapping, committing nothing.
+        A huge object is such a mapping: its record (base, length) is the
+        object's header, and `unmap` and `mapping_length` accept only the
+        exact base."""
         if length <= 0 or length % PAGE_SIZE:
             raise ValueError("mapping must be a positive multiple of the page size")
         with self._lock:

@@ -1,8 +1,7 @@
 import pytest
 
 from helpers import make_allocator, stray_pages
-from spanalloc import NULL, WildFree
-from spanalloc.api import HUGE_MAGIC, HugeHeader
+from spanalloc import NULL, Allocator, ReservationError, WildFree
 from spanalloc.config import PAGE_SIZE, VIRTUAL_SPAN_SIZE
 from spanalloc.size_classes import TABLE, class_for_size
 
@@ -15,7 +14,7 @@ def test_size_routing(alloc):
     assert alloc.usable_size(q) == 1 << 20
     r = alloc.malloc((1 << 20) + 1)
     assert not alloc.arena.contains(r)
-    assert alloc.usable_size(r) == (1 << 20) + 1
+    assert alloc.usable_size(r) == 257 * PAGE_SIZE     # page-rounded
     for x in (p, q, r):
         alloc.free(x)
 
@@ -34,25 +33,22 @@ def test_free_null_is_noop(alloc):
 
 
 def test_huge_mapping_geometry(alloc):
-    size = (1 << 20) + 1
-    p = alloc.malloc(size)
-    assert p % PAGE_SIZE == 0
-    base = p - PAGE_SIZE
-    # 1 header page + 257 payload pages.
-    assert alloc.provider.mapping_length(base) == 258 * PAGE_SIZE
-    header = HugeHeader.unpack(alloc.provider.read(base, 24))
-    assert header.magic == HUGE_MAGIC
-    assert header.payload_size == size
-    assert header.total_mapping == 258 * PAGE_SIZE
+    committed = alloc.committed_bytes
+    p = alloc.malloc((1 << 20) + 1)
+    # The block is the mapping's base: 257 pages, no header page, and
+    # nothing committed until the caller writes.
+    assert p % VIRTUAL_SPAN_SIZE == 0
+    assert alloc.provider.mapping_length(p) == 257 * PAGE_SIZE
+    assert alloc.committed_bytes == committed
     alloc.free(p)
-    assert alloc.provider.mapping_length(base) is None
+    assert alloc.provider.mapping_length(p) is None
 
 
 def test_huge_free_drops_all_committed(alloc):
     size = 3 << 20
     p = alloc.malloc(size)
     alloc.provider.write(p, b"\x5a" * size)   # touch the whole payload
-    total = alloc.provider.mapping_length(p - PAGE_SIZE)
+    total = alloc.provider.mapping_length(p)
     before = alloc.committed_bytes
     assert before >= total
     alloc.free(p)
@@ -87,23 +83,65 @@ def test_wild_free_detected(alloc):
     alloc.free(q)
 
 
-def test_huge_header_magic_is_checked(alloc):
+def test_bad_huge_addresses_change_nothing(alloc):
     p = alloc.malloc(3 << 20)
-    base = p - PAGE_SIZE
-    length = alloc.provider.mapping_length(base)
+    alloc.provider.write_word(p, 1)
+    length = alloc.provider.mapping_length(p)
     committed = alloc.committed_bytes
-    alloc.provider.write_word(base, HUGE_MAGIC ^ 1)     # corrupt the magic
-    for op in (alloc.free, alloc.usable_size,
-               lambda addr: alloc.realloc(addr, 64)):
-        with pytest.raises(WildFree, match="bad huge-object header"):
-            op(p)
-        assert alloc.provider.mapping_length(base) == length
-        assert alloc.committed_bytes == committed
-    alloc.provider.write_word(base, HUGE_MAGIC)
+    stats = alloc.stats()
+    for bad in (p + 8, p + PAGE_SIZE,
+                p + (2 << 20),           # in the mapping's second slot
+                -PAGE_SIZE, 0x5000):     # negative, wild
+        for op in (alloc.free, alloc.usable_size,
+                   lambda addr: alloc.realloc(addr, 64)):
+            with pytest.raises(WildFree, match="not an allocated address"):
+                op(bad)
+            assert alloc.provider.mapping_length(p) == length
+            assert alloc.committed_bytes == committed
+            assert alloc.stats() == stats
     alloc.free(p)
-    assert alloc.provider.mapping_length(base) is None
+    assert alloc.provider.mapping_length(p) is None
     with pytest.raises(WildFree, match="not an allocated address"):
         alloc.free(p)                                   # second free
+
+
+def test_huge_objects_commit_only_their_pages(alloc):
+    # 64 live huge objects, 1MB+1 .. 4MB: their mallocs commit nothing,
+    # and writing each one's first word commits exactly that word's page.
+    baseline = alloc.committed_bytes
+    step = ((4 << 20) - (1 << 20) - 1) // 63
+    blocks = [alloc.malloc((1 << 20) + 1 + i * step) for i in range(64)]
+    assert alloc.committed_bytes == baseline
+    for p in blocks:
+        alloc.provider.write_word(p, p)
+    assert alloc.committed_bytes == baseline + 64 * PAGE_SIZE
+    for p in blocks:
+        alloc.free(p)
+    assert alloc.committed_bytes == baseline
+    assert alloc.provider.map_calls == alloc.provider.unmap_calls == 64
+
+
+def test_os_provider_huge_objects():
+    try:
+        alloc = Allocator(provider="os", arena_bytes=1 << 27)
+    except ReservationError:               # pragma: no cover
+        pytest.skip("mmap refused in this environment")
+    size = (3 << 20) + 5
+    p = alloc.malloc(size)
+    assert p != NULL and p % PAGE_SIZE == 0
+    alloc.provider.write(p + size - 1, b"z")
+    assert alloc.provider.read(p + size - 1, 1) == b"z"
+    assert alloc.usable_size(p) >= size
+    alloc.provider.write(p, b"prefix")
+    q = alloc.realloc(p, 5 << 20)
+    assert q != NULL
+    assert alloc.provider.read(q, 6) == b"prefix"
+    with pytest.raises(WildFree):
+        alloc.free(q + PAGE_SIZE)          # interior
+    alloc.free(q)
+    with pytest.raises(WildFree):
+        alloc.free(q)                      # second free
+    assert alloc.provider.map_calls == alloc.provider.unmap_calls == 2
 
 
 def test_interior_free_rejected(alloc):
@@ -264,7 +302,7 @@ def test_roundtrip_sweep_restores_committed(alloc):
         if sc >= 0:
             slack = TABLE[sc].real_span_size + TABLE[sc].header_size
         else:
-            slack = PAGE_SIZE                          # huge: header page
+            slack = 0                                  # huge: all unmapped
         assert after - baseline <= slack, size
 
 

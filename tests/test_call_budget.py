@@ -6,7 +6,7 @@ uninstrumented `sim` allocator, on one path of the paper's free: a
 retirement of a 1M-class span to the pool, a free that empties a
 reusable 128K-class span with 8 committed block pages, a huge free, and
 a local free into the caller's own floating span that leaves it below
-the reuse threshold. Builtins and C methods (dict and set operations,
+the reuse threshold; and one huge malloc. Builtins and C methods (dict and set operations,
 lock acquire and release) make no "call" event and are not counted.
 
 The budgets are the counts of the current code. A path over its budget
@@ -93,8 +93,18 @@ def test_free_that_empties_a_reusable_128k_span():
 def test_huge_free():
     alloc = make_allocator()
     p = alloc.malloc(3 * MB)
-    assert calls_in(alloc.free, p) == 8
+    alloc.provider.write_word(p, 1)
+    assert calls_in(alloc.free, p) == 5
     assert alloc.provider.unmap_calls == 1 and alloc.committed_bytes == 0
+
+
+def test_huge_malloc():
+    # The mapping is the object: no header page is written.
+    alloc = make_allocator()
+    committed = alloc.committed_bytes
+    assert calls_in(alloc.malloc, 3 * MB) == 8
+    assert alloc.provider.map_calls == 1
+    assert alloc.committed_bytes == committed
 
 
 def test_local_free_into_own_floating_span_below_threshold():
