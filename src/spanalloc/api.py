@@ -93,15 +93,15 @@ class Allocator:
             return self.malloc(0)
         if self.arena.contains(addr):
             # WildFree and DoubleFree before, not after, malloc.
-            self.space.block_span(addr)
+            old_usable = self.space.block_span(addr)[0].block_size
             if self.ledger is not None:
                 self.ledger.check_live(addr)
-        old_usable = self.usable_size(addr)
+        else:
+            old_usable = self.usable_size(addr)
         new = self.malloc(size)
         if new == NULL:
             return NULL
-        n = min(old_usable, size)
-        self.provider.write(new, self.provider.read(addr, n))
+        self.provider.copy(new, addr, min(old_usable, size))
         self.free(addr)
         return new
 

@@ -27,16 +27,16 @@ orphaned spans. The caller's owner word comes from its attachment
 record, read once at attach: it cannot change while any thread is
 attached to the LAB. A free that adopts a span becomes its owner for
 the rest of the call, so a marking it makes puts the span in the
-adopter's set; so does a marking whose put the owner's set refused
-because the owner's LAB terminated in between. After either push one
-check of the span's snapshotted state decides whether the free has
-state work: none when hot or when floating at or below the reusability
-threshold, the floating -> reusable marking when floating above it, the
-emptiness test when reusable. A span whose last block is freed goes
-back to the span pool inside that same call unless lazy reclamation is
-on. When the free that marks a span reusable also empties it (always so
-for single-block spans), that one call retires it to the pool without
-entering the owner's reusable set at all.
+adopter's set; a marking whose put the owner's set refused (the LAB
+terminated in between) follows the span's current owner word. After
+either push one check of the span's snapshotted state decides whether
+the free has state work: none when hot or when floating at or below the
+reusability threshold, the floating -> reusable marking when floating
+above it, the emptiness test when reusable. A span whose last block is
+freed goes back to the span pool inside that same call unless lazy
+reclamation is on. When the free that marks a span reusable also
+empties it (always so for single-block spans), that one call retires it
+to the pool without entering the owner's reusable set at all.
 
 All cross-thread handoffs ride on the epoch word: a stale snapshot
 fails its conditional replace and the loser simply moves on. No
@@ -62,25 +62,27 @@ from .span import (
 
 
 class ReusableSet:
-    """Latched FIFO of reusable spans, gated by owner, each entry
-    stamped with the epoch word of the marking that made it reusable.
+    """Latched FIFO of one LAB's reusable spans, each entry stamped
+    with the epoch word of the marking that made it reusable.
 
-    put is refused when the caller's expected owner does not match the
-    gate (stale generation or closed set) or when the span's epoch has
-    moved past the stamp. take pops the oldest entry as (span, stamp).
-    An entry is live while its stamp equals the span's epoch; a span
-    that moves on leaves a stale entry behind, which stays until taken
-    and then fails the taker's conditional replace. `in` sees live
-    entries only; len() counts stale ones too. The entries live in one
-    OrderedDict, span -> stamp (not a plain dict: taking its first key
-    over and over walks the deleted slots left at its front).
+    put is refused unless the caller's expected owner equals the LAB's
+    owner word, the only record of whether its sets accept puts (a
+    stale generation or TERMINATED is refused), or when the span's
+    epoch has moved past the stamp. take pops the oldest entry as
+    (span, stamp). An entry is live while its stamp equals the span's
+    epoch; a span that moves on leaves a stale entry behind, which
+    stays until taken and then fails the taker's conditional replace.
+    `in` sees live entries only; len() counts stale ones too. The
+    entries live in one OrderedDict, span -> stamp (not a plain dict:
+    taking its first key over and over walks the deleted slots left at
+    its front).
     """
 
-    __slots__ = ("_latch", "gate", "stamps")
+    __slots__ = ("_latch", "owner", "stamps")
 
-    def __init__(self):
+    def __init__(self, owner):
         self._latch = threading.Lock()
-        self.gate = TERMINATED
+        self.owner = owner            # the LAB's owner word
         self.stamps = OrderedDict()
 
     def __len__(self):
@@ -89,17 +91,10 @@ class ReusableSet:
     def __contains__(self, span):
         return self.stamps.get(span) == span.epoch.load()
 
-    def open(self, owner_word):
-        with self._latch:
-            self.gate = owner_word
-
-    def close(self):
-        with self._latch:
-            self.gate = TERMINATED
-
     def put(self, expected_owner, span, stamp):
         with self._latch:
-            if self.gate != expected_owner or expected_owner == TERMINATED:
+            if self.owner.load() != expected_owner \
+                    or expected_owner == TERMINATED:
                 return False
             if span.epoch.load() != stamp:
                 # The span moved on between its marking and this put
@@ -130,19 +125,16 @@ class LAB:
         self.generation = 0
         self.owner_word = AtomicWord(TERMINATED)
         self.hot_spans = [None] * NUM_CLASSES
-        self.reusable = [ReusableSet() for _ in range(NUM_CLASSES)]
+        self.reusable = [ReusableSet(self.owner_word)
+                         for _ in range(NUM_CLASSES)]
         self.class_latches = \
             [threading.RLock() for _ in range(NUM_CLASSES)] if latched else None
         self.attached = 0
 
     def activate(self):
-        """Install a fresh generation and open all sets."""
+        """Install a fresh generation; the sets accept puts for it."""
         self.generation = (self.generation + 1) & 0xFFFF
-        word = pack_owner(self.generation, self.index)
-        self.owner_word.store(word)
-        for s in self.reusable:
-            s.open(word)
-        return word
+        self.owner_word.store(pack_owner(self.generation, self.index))
 
 
 # ThreadStats counters that add up across threads; the other one,
@@ -361,9 +353,8 @@ class Frontend:
             if self.labs[old_owner & OWNER_REF_MASK].owner_word.load() \
                     != old_owner and span.try_adopt(old_owner, mine):
                 stats.adopts += 1
-                # The adopter is the owner now: a marking below puts
-                # the span in its set, not in the dead owner's closed
-                # one, which would refuse it.
+                # A marking below puts the span in the adopter's set,
+                # not in the dead owner's, which would refuse it.
                 old_owner = mine
         # One check of the snapshot: a hot span, or a floating one still
         # at or below the threshold, has no state to change.
@@ -385,10 +376,11 @@ class Frontend:
         from the stamp and skips it. A free that marks the span reusable
         and finds it empty retires it in one call: floating -> reusable
         -> free and a pool put, with no set entry at all. When the
-        owner's LAB terminated between the marking and the put, its
-        closed set refuses the entry; the freeing thread (`mine`)
-        adopts the span and puts it in its own set with the same
-        stamp."""
+        owner's LAB terminated between the marking and the put, its set
+        refuses the entry, which follows the span's owner word: into
+        the set of whichever free adopts the span first, this one
+        (`mine`) or another. A second round needs another thread's
+        successful adoption, so the loop is bounded like a CAS loop."""
         if old_epoch >> EPOCH_STATE_SHIFT == STATE_FLOATING:
             if not span.try_transition(old_epoch, STATE_REUSABLE):
                 return
@@ -407,13 +399,17 @@ class Frontend:
                     self._pool_put(span, tid)
                 return
             sc = span.size_class
-            owner_lab = self.labs[owner_lab_ref(old_owner)]
-            if not owner_lab.reusable[sc].put(old_owner, span, old_epoch) \
-                    and owner_lab.owner_word.load() != old_owner \
-                    and span.try_adopt(old_owner, mine):
-                stats.adopts += 1
-                my_set = self.labs[owner_lab_ref(mine)].reusable[sc]
-                my_set.put(mine, span, old_epoch)
+            owner = old_owner
+            while True:
+                owner_lab = self.labs[owner_lab_ref(owner)]
+                if owner_lab.reusable[sc].put(owner, span, old_epoch) \
+                        or owner_lab.owner_word.load() == owner:
+                    break   # put, or refused by the stamp: moved on
+                if span.try_adopt(owner, mine):
+                    stats.adopts += 1
+                    owner = mine
+                else:
+                    owner = span.owner.load()   # another free adopted it
         if self.eager_reclaim and span.is_empty():
             if span.try_transition(old_epoch, STATE_FREE):
                 self._pool_put(span, tid)
@@ -421,11 +417,15 @@ class Frontend:
     # -- termination --------------------------------------------------------
 
     def _terminate_lab(self, lab):
-        """Close the sets, float every hot and reusable span, mark the
-        LAB terminated. Spans with live blocks become orphans that
-        later frees adopt."""
+        """Mark the LAB terminated, which closes its sets, then float
+        every hot and reusable span; spans with live blocks become
+        orphans that later frees adopt. A put reads the owner word and
+        inserts under the set latch, and the drain takes under it after
+        the store, so each put lands before the drain or is refused. A
+        free may adopt a still-hot span meanwhile: that changes only
+        its owner word."""
+        lab.owner_word.store(TERMINATED)
         for sc in range(NUM_CLASSES):
-            lab.reusable[sc].close()
             hot = lab.hot_spans[sc]
             if hot is not None:
                 observed = hot.epoch.load()
@@ -435,7 +435,6 @@ class Frontend:
             for span, stamp in iter(lab.reusable[sc].take, None):
                 # Fails only on a stale entry: the span moved on.
                 span.try_transition(stamp, STATE_FLOATING)
-        lab.owner_word.store(TERMINATED)
 
     # -- reporting ----------------------------------------------------------
 

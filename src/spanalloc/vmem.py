@@ -238,6 +238,21 @@ class SimProvider(_Provider):
             pos += take
         return bytes(out)
 
+    def copy(self, dst, src, n):
+        """Copy n bytes from src to dst, committing no destination page
+        the copy would only fill with zeros: a chunk of an uncommitted
+        source page zeroes the destination's committed bytes instead."""
+        pos = 0
+        while pos < n:
+            idx, off = divmod(src + pos, PAGE_SIZE)
+            take = min(PAGE_SIZE - off, n - pos)
+            page = self._pages.get(idx)
+            if page is None:
+                self.zero_committed(dst + pos, take)
+            else:
+                self.write(dst + pos, page[off:off + take])
+            pos += take
+
     def write_word(self, addr, value):
         # Word writes are 8 bytes at 8-byte-aligned addresses, so they
         # never straddle a page boundary.
@@ -356,6 +371,9 @@ class OsProvider(_Provider):
         mbase, _, mm = self._locate(addr, n)
         off = addr - mbase
         return bytes(mm[off:off + n])
+
+    def copy(self, dst, src, n):
+        self.write(dst, self.read(src, n))
 
     def write_word(self, addr, value):
         self.write(addr, value.to_bytes(8, "little"))

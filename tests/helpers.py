@@ -101,9 +101,9 @@ def pool_depth(pool):
 def set_entries(allocator):
     """Check the live entries of every LAB's reusable sets, those whose
     stamp equals their span's epoch: each span is reusable, of its
-    set's class, owned by the set's gate and not pooled, and no span
-    has two. Stale entries are skipped, as take skips them. Returns the
-    number of live entries."""
+    set's class, owned by the LAB's current owner word and not pooled,
+    and no span has two. Stale entries are skipped, as take skips them.
+    Returns the number of live entries."""
     pooled = set(pooled_slots(allocator.pool))
     seen = set()
     for lab in allocator.frontend.labs:
@@ -115,7 +115,7 @@ def set_entries(allocator):
                 where = f"span in slot {span.slot}, LAB {lab.index}"
                 assert epoch_state(epoch) == STATE_REUSABLE, where
                 assert span.size_class == sc, where
-                assert span.owner.load() == the_set.gate, where
+                assert span.owner.load() == lab.owner_word.load(), where
                 assert span.slot not in pooled, f"{where} is pooled"
                 assert span.slot not in seen, f"{where} has two entries"
                 seen.add(span.slot)

@@ -248,6 +248,36 @@ def test_realloc_copies_and_routes(alloc):
     assert alloc.realloc(NULL, 64) != NULL
 
 
+def test_realloc_commits_only_what_the_source_committed(alloc):
+    p = alloc.malloc(3 << 20)
+    alloc.provider.write_word(p, 0x5EED)
+    assert alloc.committed_bytes == PAGE_SIZE
+    q = alloc.realloc(p, 5 << 20)
+    assert alloc.provider.read_word(q) == 0x5EED
+    assert alloc.committed_bytes == PAGE_SIZE
+    alloc.free(q)
+
+
+def test_realloc_into_a_recycled_block_copies_the_sources_zeros(alloc):
+    # realloc's new 32K block is a recycled one with a stale word on
+    # every page; the 16K source wrote only its first page.
+    stale = alloc.malloc(32 << 10)
+    for k in range(8):
+        alloc.provider.write_word(stale + k * PAGE_SIZE, 0xDEAD)
+    alloc.free(stale)
+    src = alloc.malloc(16 << 10)
+    alloc.provider.write_word(src, 7)
+    committed = alloc.committed_bytes
+    new = alloc.realloc(src, 32 << 10)
+    assert new == stale
+    assert [alloc.provider.read_word(new + k * PAGE_SIZE)
+            for k in range(4)] == [7, 0, 0, 0]
+    assert alloc.provider.read(new, 16 << 10) \
+        == (7).to_bytes(8, "little") + bytes((16 << 10) - 8)
+    assert alloc.committed_bytes == committed
+    alloc.free(new)
+
+
 def test_aligned_alloc(alloc):
     for align in (1, 2, 16, 32, 64, 256, 512, 4096):
         for size in (1, 24, 100, 513, 5000):

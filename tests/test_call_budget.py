@@ -6,8 +6,10 @@ uninstrumented `sim` allocator, on one path of the paper's free: a
 retirement of a 1M-class span to the pool, a free that empties a
 reusable 128K-class span with 8 committed block pages, a huge free, and
 a local free into the caller's own floating span that leaves it below
-the reuse threshold; and one huge malloc. Builtins and C methods (dict and set operations,
-lock acquire and release) make no "call" event and are not counted.
+the reuse threshold; one huge malloc; and one attach and detach of a
+thread on a recycled LAB. Builtins and C methods (dict and set
+operations, lock acquire and release) make no "call" event and are not
+counted.
 
 The budgets are the counts of the current code. A path over its budget
 is a finding to explain or fix, not a bound to raise: the count only
@@ -16,6 +18,7 @@ interpreter versions, so the tests run on CPython 3.11 only.
 """
 
 import sys
+import threading
 
 import pytest
 
@@ -117,3 +120,27 @@ def test_local_free_into_own_floating_span_below_threshold():
     assert state(alloc, blocks[0]) == STATE_FLOATING
     assert calls_in(alloc.free, blocks[0]) == 10
     assert state(alloc, blocks[0]) == STATE_FLOATING
+
+
+def test_attach_and_detach_of_a_tlab_thread():
+    # Activation stores the recycled LAB's owner word, and termination's
+    # one TERMINATED store closes all of its reusable sets: neither
+    # makes a call per set.
+    alloc = make_allocator()
+    counts = []
+
+    def warm_up():
+        alloc.attach_thread()
+        alloc.detach_thread()               # leaves a free LAB behind
+
+    def counted():
+        counts.append(calls_in(alloc.attach_thread)
+                      + calls_in(alloc.detach_thread))
+
+    for work in (warm_up, counted):         # a fresh thread each
+        t = threading.Thread(target=work)
+        t.start()
+        t.join(30)
+        assert not t.is_alive()
+    assert counts == [43]
+    assert len(alloc.frontend.labs) == 1

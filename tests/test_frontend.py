@@ -10,6 +10,7 @@ from helpers import (
     frag_oracle, make_allocator, pool_depth, pooled_slots, set_entries,
     stray_pages, validate_transition_trace, walk_oracle,
 )
+from spanalloc.atomic import AtomicWord
 from spanalloc.config import CLAB
 from spanalloc.frontend import Frontend, ReusableSet
 from spanalloc.size_classes import TABLE, class_for_size
@@ -366,7 +367,8 @@ def make_reusable(span):
         assert span.try_transition(span.epoch.load(), target)
 
 def test_generation_gating_after_lab_reuse(alloc):
-    s = ReusableSet()
+    owner = AtomicWord(TERMINATED)
+    s = ReusableSet(owner)
     word1 = pack_owner(1, 0)
     word2 = pack_owner(2, 0)
     span = alloc.space.header_for_base(alloc.arena.acquire_virtual_span(),
@@ -374,12 +376,12 @@ def test_generation_gating_after_lab_reuse(alloc):
     span.init_for_class(C64, word1)
     make_reusable(span)
     stamp = span.epoch.load()
-    s.open(word1)
+    owner.store(word1)
     assert s.put(word1, span, stamp)
     assert s.take() == (span, stamp)
-    s.close()
-    assert not s.put(word1, span, stamp)   # closed: TERMINATED gate
-    s.open(word2)                          # LAB reused, new generation
+    owner.store(TERMINATED)
+    assert not s.put(word1, span, stamp)   # closed: LAB terminated
+    owner.store(word2)                     # LAB reused, new generation
     assert not s.put(word1, span, stamp)   # stale generation rejected
     assert s.put(word2, span, stamp)
     assert s.take() == (span, stamp)
@@ -387,9 +389,8 @@ def test_generation_gating_after_lab_reuse(alloc):
 
 
 def test_reusable_set_take_order_and_stale_entries(alloc):
-    s = ReusableSet()
     word = pack_owner(1, 0)
-    s.open(word)
+    s = ReusableSet(AtomicWord(word))
     spans = []
     for i in range(3):
         sp = alloc.space.header_for_base(alloc.arena.acquire_virtual_span(),
@@ -1095,6 +1096,98 @@ def test_refused_set_put_is_adopted_by_the_freeing_thread(monkeypatch):
     assert alloc.stats()["arena_spans"] == arena_spans
     for p in [again] + blocks[T128K + 1:] + [extra]:
         alloc.free(p)
+    validate_transition_trace(alloc)
+
+
+def test_marking_during_termination_is_adopted_by_the_freeing_thread(
+        monkeypatch):
+    # LAB 1 terminates while a remote free marks one of its floating
+    # spans: the marking lands after termination's first step (here at
+    # its hot -> floating of LAB 1's hot span). The owner word must
+    # already read TERMINATED there, so that the freeing thread adopts
+    # the span into its own set rather than leave it in no set.
+    alloc = make_allocator(instrument=True)
+    alloc.attach_thread()                               # LAB 0
+    with ThreadPoolExecutor(max_workers=1) as other:
+        other.submit(alloc.attach_thread).result(timeout=30)   # LAB 1
+        span, blocks, extra = other.submit(
+            floated_span, alloc, 1 << 17).result(timeout=30)
+        hot = span_of(alloc, extra)
+        for b in blocks[:T128K]:
+            alloc.free(b)                               # at the threshold
+        at_hook, marked = threading.Event(), threading.Event()
+
+        def wait_for_marking():
+            at_hook.set()
+            assert marked.wait(30)
+
+        ran = hold(monkeypatch, SpanHeader, "try_transition",
+                   lambda sp, observed, to: sp is hot and to == STATE_FLOATING,
+                   wait_for_marking)
+        adopts = alloc.stats()["adopts"]
+        detached = other.submit(alloc.detach_thread)
+        try:
+            assert at_hook.wait(30)
+            alloc.free(blocks[T128K])           # marks while LAB 1 ends
+        finally:
+            marked.set()
+        detached.result(timeout=30)
+        assert ran
+    assert state_of(span) == STATE_REUSABLE and homes(alloc, span) == [0]
+    assert alloc.stats()["adopts"] == adopts + 1
+    assert span.owner.load() == alloc.frontend.labs[0].owner_word.load()
+    assert set_entries(alloc) == 1
+    validate_transition_trace(alloc)
+    arena_spans = alloc.stats()["arena_spans"]
+    again = alloc.malloc(1 << 17)
+    assert span_of(alloc, again) is span
+    assert alloc.stats()["arena_spans"] == arena_spans
+    for p in [again] + blocks[T128K + 1:] + [extra]:
+        alloc.free(p)
+    validate_transition_trace(alloc)
+
+
+B32K = TABLE[class_for_size(1 << 15)].blocks_per_span       # 16
+T32K = B32K * 80 // 100                                     # 12
+
+
+def test_refused_set_put_follows_a_second_adopter(monkeypatch):
+    # LAB 0 marks LAB 1's floating span; LAB 1 terminates before the
+    # put, and LAB 2 frees a block into the span meanwhile and adopts
+    # it. LAB 1's set refuses LAB 0's put and LAB 0 cannot adopt: the
+    # entry must follow the span's owner word into LAB 2's set.
+    alloc = make_allocator(instrument=True)
+    alloc.attach_thread()                               # LAB 0
+    with ThreadPoolExecutor(max_workers=1) as one, \
+            ThreadPoolExecutor(max_workers=1) as two:
+        one.submit(alloc.attach_thread).result(timeout=30)     # LAB 1
+        two.submit(alloc.attach_thread).result(timeout=30)     # LAB 2
+        span, blocks, extra = one.submit(
+            floated_span, alloc, 1 << 15).result(timeout=30)
+        for b in blocks[:T32K]:
+            alloc.free(b)                               # at the threshold
+        assert state_of(span) == STATE_FLOATING
+
+        def second_adopter():
+            one.submit(alloc.detach_thread).result(timeout=30)
+            two.submit(alloc.free, blocks[T32K + 1]).result(timeout=30)
+
+        ran = hold(monkeypatch, ReusableSet, "put",
+                   lambda the_set, owner, sp, stamp: sp is span,
+                   second_adopter)
+        alloc.free(blocks[T32K])            # marks; LAB 2 adopts first
+        assert ran
+        assert state_of(span) == STATE_REUSABLE and homes(alloc, span) == [2]
+        assert span.owner.load() == alloc.frontend.labs[2].owner_word.load()
+        assert set_entries(alloc) == 1
+        validate_transition_trace(alloc)
+        arena_spans = alloc.stats()["arena_spans"]
+        again = two.submit(alloc.malloc, 1 << 15).result(timeout=30)
+        assert span_of(alloc, again) is span
+        assert alloc.stats()["arena_spans"] == arena_spans
+        for p in [again] + blocks[T32K + 2:] + [extra]:
+            two.submit(alloc.free, p).result(timeout=30)
+        two.submit(alloc.detach_thread).result(timeout=30)
     validate_transition_trace(alloc)
 
 

@@ -142,6 +142,21 @@ def test_zero_committed_leaves_uncommitted_alone():
     assert p.committed_bytes == PAGE_SIZE  # second page still uncommitted
 
 
+@pytest.mark.parametrize("offset", [0, 100])
+def test_copy_reads_like_read_and_commits_no_zeros(offset):
+    p = SimProvider()
+    r = p.reserve(2 * MB2)
+    src, dst = r.base, r.base + MB2 + offset
+    p.write(src + PAGE_SIZE, b"\x11" * PAGE_SIZE)      # source page 1 only
+    p.write(dst, b"\xee" * (2 * PAGE_SIZE))            # stale destination
+    committed = p.committed_bytes
+    p.copy(dst, src, 3 * PAGE_SIZE)
+    assert p.read(dst, 3 * PAGE_SIZE) == p.read(src, 3 * PAGE_SIZE)
+    # Source page 1 lands on committed pages; the zeros of pages 0 and
+    # 2 commit nothing, not even the page past the stale range.
+    assert p.committed_bytes == committed
+
+
 def test_shadow_page_set_oracle_random_ops():
     # committed_bytes must always equal page_size * |written pages not
     # since decommitted|, independently recounted from the page store.
