@@ -22,7 +22,8 @@ rather than three (on hardware the three share a cache line anyway).
 Sharing is sound because no method calls out or takes another lock
 while it holds its own, so a shared lock cannot nest or deadlock, and
 under the GIL it changes no interleaving: each primitive is still one
-critical section over one word. A word made without `lock` gets its own.
+critical section over one word, or, for compare_exchange_guarded, over
+two words of one lock. A word made without `lock` gets its own.
 """
 
 import threading
@@ -51,6 +52,22 @@ class AtomicWord:
         self._lock.acquire()
         try:
             if self._value != expected:
+                return False
+            self._value = new
+            return True
+        finally:
+            self._lock.release()
+
+    def compare_exchange_guarded(self, guard, guard_expected, expected,
+                                 new):
+        """compare_exchange that also requires `guard`, a word sharing
+        this word's lock, to equal `guard_expected`: a double-compare
+        single-swap in one critical section (on hardware, a double-width
+        compare-exchange over two words of one cache line)."""
+        assert guard._lock is self._lock
+        self._lock.acquire()
+        try:
+            if self._value != expected or guard._value != guard_expected:
                 return False
             self._value = new
             return True

@@ -22,21 +22,20 @@ Deallocation first rejects, in O(1) and before any list push, an
 address that is not a handed-out block of a live span (WildFree) and,
 when instrumented, a block that is not live (DoubleFree). A TLAB free
 into a span the caller owns pushes on the local list; every other free
-(remote, CLAB, or into an orphan) pushes on the remote list and adopts
-orphaned spans. The caller's owner word comes from its attachment
-record, read once at attach: it cannot change while any thread is
-attached to the LAB. A free that adopts a span becomes its owner for
-the rest of the call, so a marking it makes puts the span in the
-adopter's set; a marking whose put the owner's set refused (the LAB
-terminated in between) follows the span's current owner word. After
-either push one check of the span's snapshotted state decides whether
-the free has state work: none when hot or when floating at or below the
-reusability threshold, the floating -> reusable marking when floating
-above it, the emptiness test when reusable. A span whose last block is
-freed goes back to the span pool inside that same call unless lazy
-reclamation is on. When the free that marks a span reusable also
-empties it (always so for single-block spans), that one call retires it
-to the pool without entering the owner's reusable set at all.
+(remote, CLAB, or into an orphan) is a push on the remote list. The
+caller's owner word comes from its attachment record, read once at
+attach: it cannot change while any thread is attached to the LAB.
+After either push one check of the span's snapshotted state decides
+whether the free has state work: none when hot or when floating at or
+below the reusability threshold, the floating -> reusable marking when
+floating above it, the emptiness test when reusable. A span changes
+owner in one place only: a marking free whose put the owner's set
+refuses, because the owner terminated, adopts the span into the
+caller's set. A span whose last block is freed goes back to the span
+pool inside that same call unless lazy reclamation is on. When the free
+that marks a span reusable also empties it (always so for single-block
+spans), that one call retires it to the pool without entering the
+owner's reusable set at all.
 
 All cross-thread handoffs ride on the epoch word: a stale snapshot
 fails its conditional replace and the loser simply moves on. No
@@ -55,9 +54,8 @@ from .atomic import AtomicWord
 from .config import CLAB, TLAB
 from .size_classes import NUM_CLASSES
 from .span import (
-    EPOCH_COUNTER_MASK, EPOCH_STATE_SHIFT, OWNER_REF_MASK, STATE_FLOATING,
-    STATE_FREE, STATE_HOT, STATE_REUSABLE, TERMINATED, owner_lab_ref,
-    pack_owner,
+    EPOCH_COUNTER_MASK, EPOCH_STATE_SHIFT, STATE_FLOATING, STATE_FREE,
+    STATE_HOT, STATE_REUSABLE, TERMINATED, owner_lab_ref, pack_owner,
 )
 
 
@@ -181,9 +179,9 @@ class Frontend:
         self.labs = []
         self._free_labs = []
         self._mgr_lock = threading.Lock()
-        # Per thread, one attribute: the (lab, tid, stats, mine) record
-        # of its attachment, absent while detached; `mine` is the LAB's
-        # owner word (see attach).
+        # Per thread, one attribute: the (lab, tid, stats, mine, release)
+        # record of its attachment, absent while detached; `mine` is the
+        # LAB's owner word (see attach), `release` its finalizer.
         self._tls = threading.local()
         self._tid_counter = itertools.count()
         self.thread_stats = {}              # attached threads only
@@ -221,10 +219,13 @@ class Frontend:
             # this attachment lasts, in CLAB mode too: the record keeps
             # it and the free and span-fetch paths never reload it.
             mine = lab.owner_word.load()
-        tls.attached = (lab, tid, stats, mine)
-        # Safety net for threads that never detach explicitly: release
-        # the attachment when the Thread object is collected after exit.
-        weakref.finalize(threading.current_thread(), self._release, lab, tid)
+        # The release runs once: from detach, or, for a thread that never
+        # detaches, when its Thread object is collected after exit. Once
+        # run, the finalizer holds nothing, so a detached attachment
+        # keeps no reference to this frontend.
+        release = weakref.finalize(
+            threading.current_thread(), self._release, lab, tid)
+        tls.attached = (lab, tid, stats, mine, release)
         return lab
 
     def detach(self):
@@ -234,19 +235,15 @@ class Frontend:
         attached = getattr(tls, "attached", None)
         if attached is None:
             return
-        lab, tid = attached[:2]
         del tls.attached
-        self._release(lab, tid)
+        attached[4]()
 
     def _release(self, lab, tid):
-        """End attachment `tid` of `lab`, once: from detach or from the
-        thread's finalizer, whichever comes first. Its counters fold
-        into the retired total, so `thread_stats` lists attached
-        threads only."""
+        """End attachment `tid` of `lab`; called by its finalizer, which
+        runs at most once. Its counters fold into the retired total, so
+        `thread_stats` lists attached threads only."""
         with self._mgr_lock:
-            stats = self.thread_stats.pop(tid, None)
-            if stats is None:
-                return  # already released
+            stats = self.thread_stats.pop(tid)
             stats.fold_into(self.retired_stats)
             lab.attached -= 1
             if lab.attached > 0:
@@ -261,7 +258,7 @@ class Frontend:
         return lab
 
     def _current(self):
-        """The caller's (lab, tid, stats, mine), attaching on first use; one
+        """The caller's attachment record, attaching on first use; one
         thread-local read when attached."""
         try:
             return self._tls.attached
@@ -272,7 +269,7 @@ class Frontend:
     # -- allocation ---------------------------------------------------------
 
     def allocate(self, class_id):
-        lab, tid, stats, mine = self._current()
+        lab, tid, stats, mine, _ = self._current()
         if lab.class_latches is None:
             return self._allocate(lab, tid, stats, mine, class_id)
         with lab.class_latches[class_id]:
@@ -341,30 +338,22 @@ class Frontend:
         span, old_owner, old_epoch = self.space.block_span(addr)
         if self.ledger is not None:
             self.ledger.on_free(addr, span.block_size)
-        _, tid, stats, mine = self._current()
+        lab, tid, stats, mine, _ = self._current()
         if old_owner == mine and self.tlab:
-            # Own span: no orphan check or adoption.
             span.free_local(addr)
             stats.frees_local += 1
         else:
             span.free_remote(addr)
             stats.frees_remote += 1
-            # Orphan: its owner word is no longer its LAB's current one.
-            if self.labs[old_owner & OWNER_REF_MASK].owner_word.load() \
-                    != old_owner and span.try_adopt(old_owner, mine):
-                stats.adopts += 1
-                # A marking below puts the span in the adopter's set,
-                # not in the dead owner's, which would refuse it.
-                old_owner = mine
         # One check of the snapshot: a hot span, or a floating one still
         # at or below the threshold, has no state to change.
         old_state = old_epoch >> EPOCH_STATE_SHIFT
         if old_state == STATE_REUSABLE or (
                 old_state == STATE_FLOATING
                 and span.free_block_count() > span.reuse_threshold_blocks):
-            self._settle(span, old_owner, old_epoch, tid, stats, mine)
+            self._settle(span, old_owner, old_epoch, lab, tid, stats, mine)
 
-    def _settle(self, span, old_owner, old_epoch, tid, stats, mine):
+    def _settle(self, span, old_owner, old_epoch, lab, tid, stats, mine):
         """The state work after a free into a span whose epoch read
         `old_epoch` before it, called only when there is some: a
         floating span (which crossed the threshold) goes reusable, a
@@ -376,11 +365,13 @@ class Frontend:
         from the stamp and skips it. A free that marks the span reusable
         and finds it empty retires it in one call: floating -> reusable
         -> free and a pool put, with no set entry at all. When the
-        owner's LAB terminated between the marking and the put, its set
-        refuses the entry, which follows the span's owner word: into
-        the set of whichever free adopts the span first, this one
-        (`mine`) or another. A second round needs another thread's
-        successful adoption, so the loop is bounded like a CAS loop."""
+        owner terminated (before the marking or between it and the
+        put), its set refuses the entry, and this free adopts the span
+        into the caller's set, `lab`, with the same stamp. An adoption
+        needs the span's epoch to still equal its stamp (owner words
+        recur across a span's lives), so only the free that won this
+        marking can adopt from it, and one step is enough: the adoption
+        and the caller's put fail only when the span has moved on."""
         if old_epoch >> EPOCH_STATE_SHIFT == STATE_FLOATING:
             if not span.try_transition(old_epoch, STATE_REUSABLE):
                 return
@@ -399,17 +390,11 @@ class Frontend:
                     self._pool_put(span, tid)
                 return
             sc = span.size_class
-            owner = old_owner
-            while True:
-                owner_lab = self.labs[owner_lab_ref(owner)]
-                if owner_lab.reusable[sc].put(owner, span, old_epoch) \
-                        or owner_lab.owner_word.load() == owner:
-                    break   # put, or refused by the stamp: moved on
-                if span.try_adopt(owner, mine):
-                    stats.adopts += 1
-                    owner = mine
-                else:
-                    owner = span.owner.load()   # another free adopted it
+            if not self.labs[owner_lab_ref(old_owner)].reusable[sc].put(
+                    old_owner, span, old_epoch) \
+                    and span.try_adopt(old_owner, mine, old_epoch):
+                stats.adopts += 1
+                lab.reusable[sc].put(mine, span, old_epoch)
         if self.eager_reclaim and span.is_empty():
             if span.try_transition(old_epoch, STATE_FREE):
                 self._pool_put(span, tid)
@@ -419,11 +404,11 @@ class Frontend:
     def _terminate_lab(self, lab):
         """Mark the LAB terminated, which closes its sets, then float
         every hot and reusable span; spans with live blocks become
-        orphans that later frees adopt. A put reads the owner word and
-        inserts under the set latch, and the drain takes under it after
-        the store, so each put lands before the drain or is refused. A
-        free may adopt a still-hot span meanwhile: that changes only
-        its owner word."""
+        orphans, adopted by the free that next marks each reusable. A
+        put reads the owner word and inserts under the set latch, and
+        the drain takes under it after the store, so each put lands
+        before the drain or is refused. Adoption follows a marking, so
+        no hot span changes owner meanwhile."""
         lab.owner_word.store(TERMINATED)
         for sc in range(NUM_CLASSES):
             hot = lab.hot_spans[sc]

@@ -244,9 +244,14 @@ class SpanHeader:
             ledger.trace.append((self.slot, observed_epoch, new))
         return True
 
-    def try_adopt(self, expected_owner, new_owner):
-        """Claim an orphaned span for `new_owner`; loser defers to winner."""
-        return self.owner.compare_exchange(expected_owner, new_owner)
+    def try_adopt(self, expected_owner, new_owner, stamp):
+        """Claim a span from `expected_owner` for `new_owner` while its
+        epoch still reads `stamp`, the word of the caller's own reusable
+        marking. Owner words recur: a span that moved on may be owned by
+        `expected_owner` again in its next life, where this adoption
+        must fail."""
+        return self.owner.compare_exchange_guarded(
+            self.epoch, stamp, expected_owner, new_owner)
 
     # -- test / debug helpers --------------------------------------------
 
@@ -340,17 +345,24 @@ class SpanSpace:
     def block_span(self, addr, interior=False):
         """`(span, owner word, epoch word)` for `addr`, a handed-out
         block (with `interior`, any address inside one), the words read
-        once, owner first. O(1) WildFree when the slot has no header,
+        once, epoch first. O(1) WildFree when the slot has no header,
         the span is free (or was never initialized), or `addr` is not a
-        block below the bump limit."""
+        block below the bump limit.
+
+        Read in this order, the owner word is never older than the
+        epoch: an adoption happens only from a reusable epoch, which a
+        conditional replace from a floating snapshot then fails, and the
+        live block `addr` keeps the span from being pooled and
+        re-classed. An owner read first could predate an adoption, and
+        the span's reuse by its adopter, that the epoch already shows."""
         try:
             span = self.headers[(addr - self.arena_base) >> SPAN_SHIFT]
         except IndexError:
             span = None
         if span is None:
             raise WildFree(f"{addr:#x} is in the arena but not in any span")
-        owner = span.owner.load()
         epoch = span.epoch.load()
+        owner = span.owner.load()
         off = addr - span.payload
         size = span.block_size
         if epoch >> EPOCH_STATE_SHIFT == STATE_FREE or off < 0 \

@@ -11,7 +11,8 @@ import time
 from spanalloc import Allocator, AllocatorConfig
 from spanalloc.config import DECOMMIT_THRESHOLD, PAGE_SIZE, SPAN_SHIFT
 from spanalloc.span import (
-    STATE_FREE, STATE_REUSABLE, epoch_counter, epoch_state,
+    STATE_FREE, STATE_HOT, STATE_NAMES, STATE_REUSABLE, epoch_counter,
+    epoch_state, owner_lab_ref,
 )
 from spanalloc.span_pool import TOP_REF_MASK
 
@@ -120,6 +121,45 @@ def set_entries(allocator):
                 assert span.slot not in seen, f"{where} has two entries"
                 seen.add(span.slot)
     return len(seen)
+
+
+def span_homes(allocator):
+    """Spans that no allocator structure can reach, at quiescence: each
+    span's header state must match a home. A free span sits on exactly
+    one pool stack (a span pooled twice fails the walk) and no other
+    span sits on one. A hot span is the hot span of its class in its
+    owner's LAB, and that owner is alive (the LAB's word still equals
+    the span's owner word). A reusable span has a live entry in its
+    live owner's set. A floating span has a dead owner or a free count
+    at or below the threshold, so that a later free marks it.
+
+    A floating span should also hold a live block, or no free will ever
+    reach it; that clause is left out, because termination floats an
+    empty hot span, which then stays floating for good (ROADMAP item
+    1's leak 1). Returns `(slot, state name)` for each span without a
+    home."""
+    labs = allocator.frontend.labs
+    pooled = set(pooled_slots(allocator.pool))
+    lost = []
+    for h in allocator.space.iter_headers():
+        state = epoch_state(h.epoch.load())
+        if state == STATE_FREE:
+            home = h.slot in pooled
+        else:
+            owner = h.owner.load()
+            lab = labs[owner_lab_ref(owner)]
+            alive = lab.owner_word.load() == owner
+            if state == STATE_HOT:
+                home = alive and lab.hot_spans[h.size_class] is h
+            elif state == STATE_REUSABLE:
+                home = alive and h in lab.reusable[h.size_class]
+            else:
+                home = not alive \
+                    or h.free_block_count() <= h.reuse_threshold_blocks
+            home = home and h.slot not in pooled
+        if not home:
+            lost.append((h.slot, STATE_NAMES[state]))
+    return lost
 
 
 def validate_transition_trace(allocator):

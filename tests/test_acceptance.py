@@ -20,7 +20,10 @@ import time
 
 import pytest
 
-from helpers import frag_oracle, make_allocator, validate_transition_trace, walk_oracle
+from helpers import (
+    frag_oracle, make_allocator, span_homes, validate_transition_trace,
+    walk_oracle,
+)
 from spanalloc.arena import Arena
 from spanalloc.bench import WorkloadConfig, ablate, run
 from spanalloc.config import PAGE_SIZE, VIRTUAL_SPAN_SIZE
@@ -392,16 +395,18 @@ def test_c10_thread_termination_larson():
         if h.size_class >= 0
         and epoch_state(h.epoch.load()) != STATE_FREE
         and h.live_blocks() != 0]
+    lost = span_homes(alloc)
     labs = len(alloc.frontend.labs)
     bound = 2 * 32768 * max(labs, 1)
     delta = alloc.committed_bytes - baseline
     ok = (report.extra["leaked_blocks"] == 0 and not live_left
           and not stranded_nonfree and stats["adopts"] > 0
-          and delta <= bound)
+          and not lost and delta <= bound)
     _report(10, ok,
             f"8 hand-offs x2 chains: adopts={stats['adopts']}, live "
-            f"blocks left={len(live_left)}, committed delta={delta} <= "
-            f"{bound} (2 real spans x {labs} LABs)")
+            f"blocks left={len(live_left)}, spans with no home={lost}, "
+            f"committed delta={delta} <= {bound} (2 real spans x {labs} "
+            f"LABs)")
 
 
 # -- 11: directional scalability (soft) ------------------------------------------------------------

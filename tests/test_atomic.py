@@ -87,6 +87,17 @@ def test_words_sharing_a_lock_release_it_after_every_operation():
     assert (a.load(), b.load()) == (6, 15)
 
 
+def test_guarded_compare_exchange_needs_both_words_to_match():
+    lock = threading.Lock()
+    word, guard = AtomicWord(1, lock), AtomicWord(7, lock)
+    assert word.compare_exchange_guarded(guard, 6, 1, 2) is False
+    assert word.compare_exchange_guarded(guard, 7, 0, 2) is False
+    assert word.load() == 1 and not lock.locked()
+    assert word.compare_exchange_guarded(guard, 7, 1, 2) is True
+    assert (word.load(), guard.load()) == (2, 7)
+    assert not lock.locked()
+
+
 def test_concurrent_increments_on_words_sharing_a_lock():
     # Each thread alternates which word takes the fetch_add and which
     # the CAS-retry increment, so both kinds hit both words at once.

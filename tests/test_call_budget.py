@@ -4,10 +4,11 @@ Each test counts the Python-level function calls (`sys.setprofile`
 "call" events, the outer `free` included) that one free makes on an
 uninstrumented `sim` allocator, on one path of the paper's free: a
 retirement of a 1M-class span to the pool, a free that empties a
-reusable 128K-class span with 8 committed block pages, a huge free, and
-a local free into the caller's own floating span that leaves it below
-the reuse threshold; one huge malloc; and one attach and detach of a
-thread on a recycled LAB. Builtins and C methods (dict and set
+reusable 128K-class span with 8 committed block pages, a huge free, a
+local free into the caller's own floating span that leaves it below
+the reuse threshold, and a remote free into a live owner's hot span;
+one huge malloc; and one attach and detach of a thread on a recycled
+LAB. Builtins and C methods (dict and set
 operations, lock acquire and release) make no "call" event and are not
 counted.
 
@@ -25,7 +26,7 @@ import pytest
 from helpers import make_allocator
 from spanalloc.config import PAGE_SIZE
 from spanalloc.span import (
-    STATE_FLOATING, STATE_FREE, STATE_REUSABLE, epoch_state,
+    STATE_FLOATING, STATE_FREE, STATE_HOT, STATE_REUSABLE, epoch_state,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -122,10 +123,35 @@ def test_local_free_into_own_floating_span_below_threshold():
     assert state(alloc, blocks[0]) == STATE_FLOATING
 
 
+def test_remote_free_into_a_live_owners_hot_span():
+    # The common remote free: a push on the span's remote list. A free
+    # into a span it does not own neither tests the owner for orphanhood
+    # nor adopts; only a free that marks a span reusable may adopt it.
+    alloc = make_allocator()
+    p = alloc.malloc(64)                 # the main thread's hot span
+    alloc.provider.write_word(p, 1)
+    counts = []
+
+    def remote():
+        alloc.attach_thread()
+        counts.append(calls_in(alloc.free, p))
+        alloc.detach_thread()
+
+    t = threading.Thread(target=remote)
+    t.start()
+    t.join(30)
+    assert not t.is_alive()
+    assert counts == [10]
+    assert state(alloc, p) == STATE_HOT
+    assert alloc.stats()["frees_remote"] == 1
+
+
 def test_attach_and_detach_of_a_tlab_thread():
     # Activation stores the recycled LAB's owner word, and termination's
     # one TERMINATED store closes all of its reusable sets: neither
-    # makes a call per set.
+    # makes a call per set. Detach calls the attachment's finalizer,
+    # which calls the release: one call more than a direct release, and
+    # no finalizer left behind holding the allocator.
     alloc = make_allocator()
     counts = []
 
@@ -142,5 +168,5 @@ def test_attach_and_detach_of_a_tlab_thread():
         t.start()
         t.join(30)
         assert not t.is_alive()
-    assert counts == [43]
+    assert counts == [44]
     assert len(alloc.frontend.labs) == 1

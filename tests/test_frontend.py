@@ -2,13 +2,14 @@ import gc
 import random
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from helpers import (
     frag_oracle, make_allocator, pool_depth, pooled_slots, set_entries,
-    stray_pages, validate_transition_trace, walk_oracle,
+    span_homes, stray_pages, validate_transition_trace, walk_oracle,
 )
 from spanalloc.atomic import AtomicWord
 from spanalloc.config import CLAB
@@ -307,15 +308,26 @@ def test_thread_termination_orphans_adopted_and_reclaimed(alloc):
     lab0 = alloc.frontend.labs[owner_ref(span)]
     assert lab0.owner_word.load() == TERMINATED
     adopts_before = alloc.stats()["adopts"]
-    alloc.free(blocks[0])                          # adopter
+    alloc.free(blocks[0])                          # a plain remote push
+    assert alloc.stats()["adopts"] == adopts_before
+    my_word = alloc.frontend._tls.attached[3]
+    # The free that crosses the reuse threshold marks the span; the dead
+    # owner's set refuses it, and that free adopts it.
+    crossing = span.reuse_threshold_blocks + 1 - span.free_block_count()
+    for b in blocks[1:crossing]:
+        alloc.free(b)
+    assert state_of(span) == STATE_FLOATING
+    assert alloc.stats()["adopts"] == adopts_before
+    alloc.free(blocks[crossing])                   # adopter
     assert alloc.stats()["adopts"] == adopts_before + 1
-    my_word = alloc.frontend.labs[span.owner.load() & ((1 << 48) - 1)] \
-        .owner_word.load()
+    assert state_of(span) == STATE_REUSABLE
     assert span.owner.load() == my_word
-    for b in blocks[1:]:
+    assert span_homes(alloc) == []
+    for b in blocks[crossing + 1:]:
         alloc.free(b)
     assert state_of(span) == STATE_FREE            # reclaimed when empty
     assert alloc.pool.puts.load() >= 1
+    assert span_homes(alloc) == []
 
 
 def owner_ref(span):
@@ -1055,6 +1067,7 @@ def test_adopting_free_that_marks_puts_in_adopters_set():
     assert state_of(span) == STATE_REUSABLE and homes(alloc, span) == [0]
     assert span.owner.load() == alloc.frontend.labs[0].owner_word.load()
     assert set_entries(alloc) == 1
+    assert span_homes(alloc) == []
     validate_transition_trace(alloc)
     arena_spans = alloc.stats()["arena_spans"]
     reused = [alloc.malloc(1 << 17) for _ in range(T128K)]
@@ -1089,6 +1102,7 @@ def test_refused_set_put_is_adopted_by_the_freeing_thread(monkeypatch):
     assert alloc.stats()["adopts"] == adopts + 1
     assert span.owner.load() == alloc.frontend.labs[0].owner_word.load()
     assert set_entries(alloc) == 1
+    assert span_homes(alloc) == []
     validate_transition_trace(alloc)
     arena_spans = alloc.stats()["arena_spans"]
     again = alloc.malloc(1 << 17)
@@ -1137,6 +1151,7 @@ def test_marking_during_termination_is_adopted_by_the_freeing_thread(
     assert alloc.stats()["adopts"] == adopts + 1
     assert span.owner.load() == alloc.frontend.labs[0].owner_word.load()
     assert set_entries(alloc) == 1
+    assert span_homes(alloc) == []
     validate_transition_trace(alloc)
     arena_spans = alloc.stats()["arena_spans"]
     again = alloc.malloc(1 << 17)
@@ -1151,11 +1166,11 @@ B32K = TABLE[class_for_size(1 << 15)].blocks_per_span       # 16
 T32K = B32K * 80 // 100                                     # 12
 
 
-def test_refused_set_put_follows_a_second_adopter(monkeypatch):
+def test_only_the_marking_free_adopts_a_refused_span(monkeypatch):
     # LAB 0 marks LAB 1's floating span; LAB 1 terminates before the
-    # put, and LAB 2 frees a block into the span meanwhile and adopts
-    # it. LAB 1's set refuses LAB 0's put and LAB 0 cannot adopt: the
-    # entry must follow the span's owner word into LAB 2's set.
+    # put, and LAB 2 frees a block into the span meanwhile. LAB 2's free
+    # is a plain remote push: only a marking free adopts. LAB 1's set
+    # refuses LAB 0's put, so LAB 0 adopts the span into its own set.
     alloc = make_allocator(instrument=True)
     alloc.attach_thread()                               # LAB 0
     with ThreadPoolExecutor(max_workers=1) as one, \
@@ -1168,24 +1183,162 @@ def test_refused_set_put_follows_a_second_adopter(monkeypatch):
             alloc.free(b)                               # at the threshold
         assert state_of(span) == STATE_FLOATING
 
-        def second_adopter():
+        def free_from_lab_2():
             one.submit(alloc.detach_thread).result(timeout=30)
             two.submit(alloc.free, blocks[T32K + 1]).result(timeout=30)
 
         ran = hold(monkeypatch, ReusableSet, "put",
                    lambda the_set, owner, sp, stamp: sp is span,
-                   second_adopter)
-        alloc.free(blocks[T32K])            # marks; LAB 2 adopts first
+                   free_from_lab_2)
+        adopts = alloc.stats()["adopts"]
+        alloc.free(blocks[T32K])            # marks; LAB 2 pushes meanwhile
+        assert ran
+        assert alloc.stats()["adopts"] == adopts + 1
+        assert state_of(span) == STATE_REUSABLE and homes(alloc, span) == [0]
+        assert span.owner.load() == alloc.frontend.labs[0].owner_word.load()
+        assert set_entries(alloc) == 1
+        assert span_homes(alloc) == []
+        validate_transition_trace(alloc)
+        arena_spans = alloc.stats()["arena_spans"]
+        again = alloc.malloc(1 << 15)
+        assert span_of(alloc, again) is span
+        assert alloc.stats()["arena_spans"] == arena_spans
+        for p in [again] + blocks[T32K + 2:] + [extra]:
+            alloc.free(p)
+        two.submit(alloc.detach_thread).result(timeout=30)
+    validate_transition_trace(alloc)
+
+
+def test_marking_free_reads_its_owner_after_its_epoch(monkeypatch):
+    # Just before the main thread's free reads the span's epoch, LAB 2
+    # adopts LAB 1's orphan, takes it hot, floats it and frees it back
+    # to the threshold. The free's snapshot reads the owner word after
+    # the epoch, so it is LAB 2's, and the free's marking puts the span
+    # in LAB 2's set. An owner word read before the epoch would be LAB
+    # 1's dead one: its set refuses the put and its adoption fails, and
+    # the span stays reusable in no set.
+    alloc = make_allocator(instrument=True)
+    alloc.attach_thread()                               # LAB 0
+    main = threading.current_thread()
+    with ThreadPoolExecutor(max_workers=1) as one, \
+            ThreadPoolExecutor(max_workers=1) as two:
+        one.submit(alloc.attach_thread).result(timeout=30)     # LAB 1
+        two.submit(alloc.attach_thread).result(timeout=30)     # LAB 2
+        span, blocks, extra = one.submit(
+            floated_span, alloc, 1 << 15).result(timeout=30)
+        for b in blocks[:T32K]:
+            alloc.free(b)                               # at the threshold
+        one.submit(alloc.detach_thread).result(timeout=30)     # orphans it
+        adopts = alloc.stats()["adopts"]
+
+        def adopt_and_reuse():
+            alloc.free(blocks[T32K])                    # marks and adopts
+            assert span.owner.load() \
+                == alloc.frontend.labs[2].owner_word.load()
+            got = [alloc.malloc(1 << 15) for _ in range(B32K - 2)]
+            assert {span_of(alloc, p) for p in got[:-1]} == {span}
+            assert state_of(span) == STATE_FLOATING    # exhausted
+            for p in got[:T32K]:
+                alloc.free(p)                           # at the threshold
+            return got[T32K:]
+
+        ran = hold(monkeypatch, AtomicWord, "load",
+                   lambda word: word is span.epoch
+                   and threading.current_thread() is main,
+                   lambda: two.submit(adopt_and_reuse).result(timeout=30))
+        alloc.free(blocks[T32K + 1])                    # marks
         assert ran
         assert state_of(span) == STATE_REUSABLE and homes(alloc, span) == [2]
-        assert span.owner.load() == alloc.frontend.labs[2].owner_word.load()
+        assert alloc.stats()["adopts"] == adopts + 1
         assert set_entries(alloc) == 1
+        assert span_homes(alloc) == []
+        validate_transition_trace(alloc)
+        arena_spans = alloc.stats()["arena_spans"]
+        # LAB 2 serves from the hot span that got[-1] came from first.
+        again = two.submit(
+            lambda: [alloc.malloc(1 << 15) for _ in range(B32K)]).result(30)
+        assert span_of(alloc, again[-1]) is span
+        assert alloc.stats()["arena_spans"] == arena_spans
+        for p in again + ran[0] + blocks[T32K + 2:] + [extra]:
+            two.submit(alloc.free, p).result(timeout=30)
+        two.submit(alloc.detach_thread).result(timeout=30)
+    validate_transition_trace(alloc)
+
+
+def test_late_adoption_leaves_the_spans_next_life_alone(monkeypatch):
+    # LAB 0 marks LAB 1's floating span and is held before its put.
+    # Meanwhile the span empties and is pooled, LAB 1 takes it back
+    # under the same owner word and terminates, and LAB 2 marks the span
+    # in this next life and is held before its own put. LAB 1's set
+    # refuses both puts. An adoption that compared the owner word alone
+    # would let LAB 0 take the span under its stale stamp, so that LAB
+    # 2's adoption failed and the span stayed reusable in no set; an
+    # adoption also needs the span's epoch to equal the marking's stamp,
+    # so LAB 2 adopts it.
+    alloc = make_allocator(instrument=True)
+    alloc.attach_thread()                               # LAB 0
+    main = threading.current_thread()
+    with ThreadPoolExecutor(max_workers=1) as one, \
+            ThreadPoolExecutor(max_workers=1) as two:
+        one.submit(alloc.attach_thread).result(timeout=30)     # LAB 1
+        two.submit(alloc.attach_thread).result(timeout=30)     # LAB 2
+        span, blocks, extra = one.submit(
+            floated_span, alloc, 1 << 15).result(timeout=30)
+        for b in blocks[:T32K]:
+            alloc.free(b)                               # at the threshold
+        at_second_put, second_go = threading.Event(), threading.Event()
+
+        def refill():
+            got = []
+            while len(got) < B32K:
+                p = alloc.malloc(1 << 15)
+                if span_of(alloc, p) is span:
+                    got.append(p)
+            alloc.detach_thread()                       # floats the span
+            return got
+
+        def next_life():
+            for b in blocks[T32K + 1:]:
+                one.submit(alloc.free, b).result(timeout=30)
+            assert state_of(span) == STATE_FREE         # pooled
+            got = one.submit(refill).result(timeout=30)
+            assert state_of(span) == STATE_FLOATING
+            for p in got[:T32K]:
+                two.submit(alloc.free, p).result(timeout=30)
+            marking = two.submit(alloc.free, got[T32K])
+            assert at_second_put.wait(30)
+            return got, marking
+
+        def wait_at_second_put():
+            at_second_put.set()
+            assert second_go.wait(30)
+
+        first = hold(monkeypatch, ReusableSet, "put",
+                     lambda the_set, owner, sp, stamp: sp is span
+                     and threading.current_thread() is main, next_life)
+        second = hold(monkeypatch, ReusableSet, "put",
+                      lambda the_set, owner, sp, stamp: sp is span
+                      and threading.current_thread() is not main,
+                      wait_at_second_put)
+        adopts = alloc.stats()["adopts"]
+        try:
+            alloc.free(blocks[T32K])                    # marks, then held
+        finally:
+            second_go.set()
+        got, marking = first[0]
+        marking.result(timeout=30)
+        assert second
+        assert state_of(span) == STATE_REUSABLE and homes(alloc, span) == [2]
+        assert span.owner.load() == alloc.frontend.labs[2].owner_word.load()
+        assert alloc.stats()["adopts"] == adopts + 1
+        assert set_entries(alloc) == 1
+        assert span_homes(alloc) == []
         validate_transition_trace(alloc)
         arena_spans = alloc.stats()["arena_spans"]
         again = two.submit(alloc.malloc, 1 << 15).result(timeout=30)
         assert span_of(alloc, again) is span
         assert alloc.stats()["arena_spans"] == arena_spans
-        for p in [again] + blocks[T32K + 2:] + [extra]:
+        for p in [again] + got[T32K + 1:]:
             two.submit(alloc.free, p).result(timeout=30)
         two.submit(alloc.detach_thread).result(timeout=30)
     validate_transition_trace(alloc)
@@ -1201,7 +1354,7 @@ def attached_word(alloc):
     """Attach the calling thread; the owner word its record holds,
     checked against its LAB's current one."""
     alloc.attach_thread()
-    lab, _, _, mine = alloc.frontend._tls.attached
+    lab, _, _, mine, _ = alloc.frontend._tls.attached
     assert mine == lab.owner_word.load() != TERMINATED
     return mine
 
@@ -1351,6 +1504,19 @@ def test_finalizer_folds_threads_that_never_detach(alloc):
     assert len(alloc.frontend.thread_stats) == 0
     stats = alloc.stats()
     assert stats["allocs"] == stats["frees"] == stats["frees_local"] == 20
+
+
+def test_detached_allocator_is_collected():
+    # A long-lived thread's detach retires its finalizer, which would
+    # otherwise hold the frontend, and through it every committed page,
+    # for as long as the Thread object lives.
+    alloc = make_allocator()
+    alloc.free(alloc.malloc(64))
+    alloc.detach_thread()
+    frontend = weakref.ref(alloc.frontend)
+    del alloc
+    gc.collect()
+    assert frontend() is None
 
 
 def test_clab_finalizer_does_not_release_a_detached_thread_again():

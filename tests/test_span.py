@@ -275,18 +275,32 @@ def test_illegal_edge_asserts():
 def test_adopt_single_winner():
     space, provider, arena = make_space()
     span = fresh_span(space, arena, 64, owner=OWNER)
+    stamp = span.epoch.load()
     results = []
     barrier = threading.Barrier(2)
 
     def adopter(word):
         barrier.wait()
-        results.append(span.try_adopt(OWNER, word))
+        results.append(span.try_adopt(OWNER, word, stamp))
 
     a = threading.Thread(target=adopter, args=(pack_owner(2, 5),))
     b = threading.Thread(target=adopter, args=(pack_owner(3, 6),))
     a.start(); b.start(); a.join(); b.join()
     assert sorted(results) == [False, True]
     assert span.owner.load() in (pack_owner(2, 5), pack_owner(3, 6))
+
+
+def test_adopt_fails_once_the_epoch_moved_past_the_stamp():
+    # The owner word alone recurs: the span's next life may have the
+    # same owner, but not the same epoch.
+    space, provider, arena = make_space()
+    span = fresh_span(space, arena, 64, owner=OWNER)
+    stamp = span.epoch.load()
+    assert span.try_transition(stamp, STATE_HOT)
+    assert not span.try_adopt(OWNER, OTHER, stamp)
+    assert span.owner.load() == OWNER
+    assert span.try_adopt(OWNER, OTHER, span.epoch.load())
+    assert span.owner.load() == OTHER
 
 
 def test_reinit_same_real_span_is_header_rewrite():
