@@ -40,7 +40,8 @@ class Allocator:
         self.provider = make_provider(config)
         self.region = self.provider.reserve(config.arena_bytes)
         self.arena = Arena(self.region)
-        # The arena range, for free's routing test without a call.
+        # The arena range, for the routing test of free, realloc, calloc
+        # and usable_size, without a call.
         self._arena_lo, self._arena_hi = self.arena.base, self.arena.end
         self.ledger = FragLedger() if config.instrument else None
         self.space = SpanSpace(
@@ -78,7 +79,7 @@ class Allocator:
             raise ValueError("negative calloc argument")
         total = nmemb * size
         addr = self.malloc(total)
-        if addr != NULL and self.arena.contains(addr):
+        if self._arena_lo <= addr < self._arena_hi:
             # Fresh pages read as zero on first touch; recycled blocks
             # carry stale free-list words and must be cleared.
             self.provider.zero_committed(addr, total)
@@ -91,7 +92,7 @@ class Allocator:
         if size == 0:
             self.free(addr)
             return self.malloc(0)
-        if self.arena.contains(addr):
+        if self._arena_lo <= addr < self._arena_hi:
             # WildFree and DoubleFree before, not after, malloc.
             old_usable = self.space.block_span(addr)[0].block_size
             if self.ledger is not None:
@@ -123,7 +124,7 @@ class Allocator:
         """Usable bytes of the handed-out block that holds `addr` (a huge
         object's whole mapping, page-rounded); WildFree when `addr` is in
         no handed-out block and is no huge mapping's base."""
-        if self.arena.contains(addr):
+        if self._arena_lo <= addr < self._arena_hi:
             return self.space.block_span(addr, interior=True)[0].block_size
         length = self.provider.mapping_length(addr)
         if length is None:

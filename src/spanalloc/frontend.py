@@ -73,7 +73,9 @@ class ReusableSet:
     `in` sees live entries only; len() counts stale ones too. The
     entries live in one OrderedDict, span -> stamp (not a plain dict:
     taking its first key over and over walks the deleted slots left at
-    its front).
+    its front). put and take hold the latch, taken with `acquire()` and
+    released in `finally`, which is cheaper than `with` (see
+    `atomic.py`).
     """
 
     __slots__ = ("_latch", "owner", "stamps")
@@ -90,7 +92,9 @@ class ReusableSet:
         return self.stamps.get(span) == span.epoch.load()
 
     def put(self, expected_owner, span, stamp):
-        with self._latch:
+        latch = self._latch
+        latch.acquire()
+        try:
             if self.owner.load() != expected_owner \
                     or expected_owner == TERMINATED:
                 return False
@@ -103,15 +107,22 @@ class ReusableSet:
                 return False
             # A stale entry of the same span makes way for the new one
             # at the back: take order is marking order.
-            self.stamps[span] = stamp
-            self.stamps.move_to_end(span)
+            stamps = self.stamps
+            stamps[span] = stamp
+            stamps.move_to_end(span)
             return True
+        finally:
+            latch.release()
 
     def take(self):
-        with self._latch:
-            if not self.stamps:
-                return None
-            return self.stamps.popitem(last=False)
+        """The oldest entry as (span, stamp); None when the set is empty."""
+        latch = self._latch
+        latch.acquire()
+        try:
+            stamps = self.stamps
+            return stamps.popitem(last=False) if stamps else None
+        finally:
+            latch.release()
 
 
 class LAB:
@@ -303,7 +314,9 @@ class Frontend:
 
     def _get_span(self, lab, tid, stats, mine, sc):
         """Next hot span: the reusable set first, then pool or arena."""
-        for span, stamp in iter(lab.reusable[sc].take, None):
+        take = lab.reusable[sc].take
+        while (entry := take()) is not None:
+            span, stamp = entry
             if not self.eager_reclaim and span.is_empty():
                 # Deferred-reclamation ablation: empty spans ride back
                 # to the backend from this slow path instead of from
@@ -417,7 +430,9 @@ class Frontend:
                 took = hot.try_transition(observed, STATE_FLOATING)
                 assert took, "no one else transitions a hot span"
                 lab.hot_spans[sc] = None
-            for span, stamp in iter(lab.reusable[sc].take, None):
+            take = lab.reusable[sc].take
+            while (entry := take()) is not None:
+                span, stamp = entry
                 # Fails only on a stale entry: the span moved on.
                 span.try_transition(stamp, STATE_FLOATING)
 

@@ -8,9 +8,10 @@ transition, which is what defeats ABA on state changes), an owner word
 the concurrent remote free list whose single atomic word carries both
 the list head and the element count. The three atomic words share one
 lock, as they would share the header's cache line. The header's page,
-the slot's first, is committed once, when the header is created; no
-decommit releases it, so re-classing a pooled span rewrites the header
-in place and commits nothing. Blocks carry no metadata while
+the slot's first, is committed once, when the header is created, and
+gets bytes only if a small class's block on it is written; no decommit
+releases it, so re-classing a pooled span rewrites the header in place
+and commits nothing. Blocks carry no metadata while
 live; a freed block's first word becomes the next-pointer of whichever
 free list it sits on, written straight into span memory so page
 accounting sees it.
@@ -308,7 +309,9 @@ class SpanSpace:
 
     def header_for_base(self, base, create=False):
         """The header of the slot at `base`; KeyError when it has none,
-        unless `create`, which builds it and commits its page.
+        unless `create`, which builds it and commits its page (with no
+        bytes: the header's fields live in this object, and only a
+        small class's blocks, which share the page, write to it).
 
         Creation takes no lock: the arena hands each slot out exactly
         once, so no two threads create the same header. Only growing
@@ -316,7 +319,7 @@ class SpanSpace:
         concurrent extend are each atomic under the GIL. The list is not
         presized to the arena: a 2^46-byte arena has 2^25 slots.
         """
-        slot = self.arena.slot_of(base)
+        slot = (base - self.arena_base) >> SPAN_SHIFT
         headers = self.headers
         header = headers[slot] if slot < len(headers) else None
         if header is None:

@@ -4,10 +4,13 @@ The allocator core never talks to the operating system directly; it goes
 through a provider that reserves address space and releases physical
 backing (decommit). Two implementations:
 
-* SimProvider - backs committed pages with bytearrays in a sparse page
-  table and keeps exact accounting: committed bytes are precisely
-  page_size times the number of pages written and not since decommitted.
-  This is what makes memory-consumption claims assertable in tests.
+* SimProvider - keeps a sparse page table with exact accounting:
+  committed bytes are precisely page_size times the number of pages
+  touched or written and not since decommitted. A committed page gets
+  its bytearray on its first write; until then it reads as zeros, so a
+  page committed only for the accounting (a large span's header page,
+  whose fields live in the SpanHeader object) costs no buffer. This is
+  what makes memory-consumption claims assertable in tests.
 
 * OsProvider - real anonymous mappings, reserved with MAP_NORESERVE so a
   large arena costs no swap or overcommit charge until it is touched;
@@ -199,17 +202,22 @@ class _Provider:
 class SimProvider(_Provider):
     """Byte-array backed provider with exact page accounting.
 
-    Pages commit on first write (reads of uncommitted pages return
-    zeros without committing, mirroring on-demand zero pages). All
-    bookkeeping mutations are serialized internally; data writes to
-    already-committed pages rely on callers targeting disjoint ranges.
+    Pages commit on first write or on `touch` (reads of uncommitted
+    pages return zeros without committing, mirroring on-demand zero
+    pages). A committed page's entry in `_pages` is None until its
+    first write gives it a bytearray; reads, `zero_committed` and
+    `copy` treat such a page as committed zeros, and decommit drops it
+    like any other. All bookkeeping mutations are serialized
+    internally; data writes to already-committed pages rely on callers
+    targeting disjoint ranges.
     """
 
     name = "sim"
 
     def __init__(self, reservation_cap=RESERVATION_CAP):
         super().__init__(reservation_cap)
-        self._pages = {}              # page index -> bytearray(PAGE_SIZE)
+        self._pages = {}              # page index -> bytearray(PAGE_SIZE), or
+                                      # None while committed and unwritten
         self._committed = defaultdict(set)  # 2MB slot -> its page indices in _pages
 
     # -- data access ------------------------------------------------------
@@ -222,7 +230,7 @@ class SimProvider(_Provider):
             take = min(PAGE_SIZE - off, n - pos)
             page = self._pages.get(idx)
             if page is None:
-                page = self._commit_page(idx)
+                page = self._commit_page(idx, True)
             page[off:off + take] = data[pos:pos + take]
             pos += take
 
@@ -241,13 +249,18 @@ class SimProvider(_Provider):
     def copy(self, dst, src, n):
         """Copy n bytes from src to dst, committing no destination page
         the copy would only fill with zeros: a chunk of an uncommitted
-        source page zeroes the destination's committed bytes instead."""
+        source page zeroes the destination's committed bytes instead. A
+        chunk of a committed source page with no bytes yet commits its
+        destination as zeros, as a chunk of written zeros would."""
+        pages = self._pages
         pos = 0
         while pos < n:
             idx, off = divmod(src + pos, PAGE_SIZE)
             take = min(PAGE_SIZE - off, n - pos)
-            page = self._pages.get(idx)
+            page = pages.get(idx)
             if page is None:
+                if idx in pages:
+                    self.touch(dst + pos, take)
                 self.zero_committed(dst + pos, take)
             else:
                 self.write(dst + pos, page[off:off + take])
@@ -259,7 +272,7 @@ class SimProvider(_Provider):
         idx = addr >> 12
         page = self._pages.get(idx)
         if page is None:
-            page = self._commit_page(idx)
+            page = self._commit_page(idx, True)
         _pack_word(page, addr & 0xFFF, value)
 
     def read_word(self, addr):
@@ -269,13 +282,15 @@ class SimProvider(_Provider):
         return _unpack_word(page, addr & 0xFFF)[0]
 
     def touch(self, addr, nbytes):
-        """Commit every page overlapping [addr, addr+nbytes).
+        """Commit every page overlapping [addr, addr+nbytes), giving none
+        of them bytes: each reads as zeros until its first write.
 
         Stands in for writes whose content lives elsewhere (span header
         fields), so the page accounting still sees them.
         """
+        pages = self._pages
         for idx in range(addr // PAGE_SIZE, -(-(addr + nbytes) // PAGE_SIZE)):
-            if self._pages.get(idx) is None:
+            if idx not in pages:
                 self._commit_page(idx)
 
     def zero_committed(self, addr, nbytes):
@@ -304,26 +319,32 @@ class SimProvider(_Provider):
         return total
 
     def committed_page_indices(self):
-        """Shadow page-set oracle: every page currently backed."""
+        """Shadow page-set oracle: every page currently committed, with
+        bytes or without."""
         return set(self._pages)
 
     # -- internals --------------------------------------------------------
 
-    def _commit_page(self, idx):
+    def _commit_page(self, idx, write=False):
+        """Commit page `idx` if it is not, counting it once; for a
+        `write`, also give it its bytearray if it has none, and return
+        that. A page outside every reservation and mapping fails in
+        `_locate` before any bookkeeping changes."""
         lock = self._lock
         lock.acquire()
         try:
-            page = self._pages.get(idx)
+            pages = self._pages
+            page = pages.get(idx)
             if page is not None:
                 return page
-            self._locate(idx * PAGE_SIZE, PAGE_SIZE)
-            page = bytearray(PAGE_SIZE)
-            self._pages[idx] = page
-            self._committed[idx >> _SLOT_PAGE_SHIFT].add(idx)
-            committed = self.stats.committed_bytes + PAGE_SIZE
-            self.stats.committed_bytes = committed
-            if committed > self.window_peak:
-                self.window_peak = committed
+            if idx not in pages:
+                self._locate(idx * PAGE_SIZE, PAGE_SIZE)
+                self._committed[idx >> _SLOT_PAGE_SHIFT].add(idx)
+                committed = self.stats.committed_bytes + PAGE_SIZE
+                self.stats.committed_bytes = committed
+                if committed > self.window_peak:
+                    self.window_peak = committed
+            page = pages[idx] = bytearray(PAGE_SIZE) if write else None
             return page
         finally:
             lock.release()

@@ -1,16 +1,18 @@
-"""Per-path call budgets for `Allocator.free`.
+"""Per-path call budgets for `Allocator.malloc` and `Allocator.free`.
 
 Each test counts the Python-level function calls (`sys.setprofile`
-"call" events, the outer `free` included) that one free makes on an
-uninstrumented `sim` allocator, on one path of the paper's free: a
-retirement of a 1M-class span to the pool, a free that empties a
-reusable 128K-class span with 8 committed block pages, a huge free, a
+"call" events, the outer `malloc` or `free` included) that one call
+makes on an uninstrumented `sim` allocator, on one path of the paper's
+free: a retirement of a 1M-class span to the pool, a free that empties
+a reusable 128K-class span with 8 committed block pages, a huge free, a
 local free into the caller's own floating span that leaves it below
 the reuse threshold, and a remote free into a live owner's hot span;
-one huge malloc; and one attach and detach of a thread on a recycled
-LAB. Builtins and C methods (dict and set
-operations, lock acquire and release) make no "call" event and are not
-counted.
+of its malloc: a small malloc served from the hot span, a malloc that
+takes its span from the reusable set, a 1M malloc that takes a pooled
+span, one that takes a fresh arena slot, and a huge malloc; and one
+attach and detach of a thread on a recycled LAB. Builtins and C
+methods (dict and set operations, lock acquire and release) make no
+"call" event and are not counted.
 
 The budgets are the counts of the current code. A path over its budget
 is a finding to explain or fix, not a bound to raise: the count only
@@ -109,6 +111,61 @@ def test_huge_malloc():
     assert calls_in(alloc.malloc, 3 * MB) == 8
     assert alloc.provider.map_calls == 1
     assert alloc.committed_bytes == committed
+
+
+def test_small_malloc_from_the_hot_span():
+    # The most frequent path: a bump in the hot span, no fetch.
+    alloc = make_allocator()
+    span = alloc.space.span_of(alloc.malloc(64))
+    assert calls_in(alloc.malloc, 64) == 6
+    assert alloc.frontend.labs[0].hot_spans[span.size_class] is span
+    assert span.bump_limit == 2
+    assert alloc.stats()["arena_spans"] == 1
+
+
+def test_malloc_that_takes_its_span_from_the_reusable_set():
+    # The hot span runs dry and floats; the replacement is the span
+    # that 7 frees marked reusable, taken from the caller's set.
+    alloc = make_allocator()
+    blocks = [alloc.malloc(128 * KB) for _ in range(8)]
+    alloc.malloc(128 * KB)               # floats the full span
+    span = alloc.space.span_of(blocks[0])
+    for p in blocks[:7]:                 # the 7th free marks it reusable
+        alloc.free(p)
+    assert epoch_state(span.epoch.load()) == STATE_REUSABLE
+    for _ in range(7):                   # fills the second span
+        alloc.malloc(128 * KB)
+    assert calls_in(alloc.malloc, 128 * KB) == 17
+    assert alloc.frontend.labs[0].hot_spans[span.size_class] is span
+    assert epoch_state(span.epoch.load()) == STATE_HOT
+    stats = alloc.stats()
+    assert (stats["set_fetches"], stats["pool_gets"], stats["arena_spans"]) \
+        == (1, 0, 2)
+
+
+def test_1m_malloc_that_takes_a_pooled_span():
+    alloc = make_allocator()
+    p = alloc.malloc(MB)
+    alloc.malloc(MB)                     # floats p's span
+    alloc.free(p)                        # and pools it
+    span = alloc.space.span_of(p)
+    assert epoch_state(span.epoch.load()) == STATE_FREE
+    assert calls_in(alloc.malloc, MB) == 27
+    assert epoch_state(span.epoch.load()) == STATE_HOT
+    assert alloc.stats()["pool_gets"] == 1
+    assert alloc.stats()["arena_spans"] == 2
+
+
+def test_1m_malloc_from_a_fresh_arena_slot():
+    # An empty pool sends the get straight to the arena; the new
+    # header's slot is computed inline and its page committed with no
+    # bytes.
+    alloc = make_allocator()
+    alloc.malloc(MB)
+    committed = alloc.committed_bytes
+    assert calls_in(alloc.malloc, MB) == 34
+    assert alloc.stats()["arena_spans"] == 2
+    assert alloc.committed_bytes == committed + PAGE_SIZE
 
 
 def test_local_free_into_own_floating_span_below_threshold():

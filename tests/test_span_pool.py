@@ -357,6 +357,9 @@ def test_fresh_span_malloc_commits_the_header_page_at_creation(monkeypatch):
     assert calls["touch"] == [(span.base, PAGE_SIZE)]
     assert calls["_commit_page"] == [(span.base // PAGE_SIZE,)]
     assert alloc.provider.committed_page_indices() == {span.base // PAGE_SIZE}
+    # The header's fields live in the SpanHeader and the 1M block starts
+    # on the next page, so the header page has no bytes.
+    assert alloc.provider._pages[span.base // PAGE_SIZE] is None
 
 
 def test_pool_hit_reclass_through_every_real_span_size_commits_nothing(

@@ -157,27 +157,130 @@ def test_copy_reads_like_read_and_commits_no_zeros(offset):
     assert p.committed_bytes == committed
 
 
+def test_touched_page_is_committed_zeros_without_bytes():
+    p = SimProvider()
+    r = p.reserve(2 * MB2)
+    idx = r.base // PAGE_SIZE
+    p.touch(r.base, PAGE_SIZE)
+    assert p._pages[idx] is None                    # no bytes yet
+    assert p.committed_bytes == PAGE_SIZE == p.window_peak
+    assert p.committed_in(r.base, MB2) == PAGE_SIZE
+    assert p.committed_page_indices() == {idx}
+    assert p.read(r.base, PAGE_SIZE) == bytes(PAGE_SIZE)
+    assert p.read_word(r.base + 8) == 0
+    p.zero_committed(r.base, PAGE_SIZE)
+    p.touch(r.base + 100, 8)                        # touched again
+    assert p._pages[idx] is None and p.committed_bytes == PAGE_SIZE
+
+
+@pytest.mark.parametrize("first_write", ["write", "write_word"])
+def test_first_write_to_a_touched_page_counts_it_once(first_write):
+    p = SimProvider()
+    r = p.reserve(2 * MB2)
+    idx = r.base // PAGE_SIZE
+    p.touch(r.base, 2 * PAGE_SIZE)
+    if first_write == "write":
+        p.write(r.base + PAGE_SIZE - 4, b"\x01" * 8)  # both pages
+    else:
+        p.write_word(r.base + 8, 0x0101)
+        p.write_word(r.base + PAGE_SIZE, 0x0101010101010101)
+    assert p._pages[idx] is not None and p._pages[idx + 1] is not None
+    assert p.committed_bytes == 2 * PAGE_SIZE == p.window_peak
+    assert p.committed_page_indices() == {idx, idx + 1}
+    assert p.read(r.base + PAGE_SIZE, 4) == b"\x01" * 4
+    assert p.read(r.base, 8) == bytes(8)
+
+
+@pytest.mark.parametrize("release", ["decommit", "unmap"])
+def test_touched_page_without_bytes_is_released(release):
+    p = SimProvider()
+    if release == "decommit":
+        base = p.reserve(2 * MB2).base
+    else:
+        base = p.map_pages(3 * PAGE_SIZE)
+    p.touch(base, PAGE_SIZE)                        # no bytes
+    p.write(base + PAGE_SIZE, b"x")                 # bytes
+    assert p.committed_bytes == 2 * PAGE_SIZE
+    if release == "decommit":
+        p.decommit(base, 3 * PAGE_SIZE)
+    else:
+        p.unmap(base)
+    assert p.committed_bytes == 0
+    assert not p._pages and not p._committed
+
+
+def test_copy_from_a_touched_page_commits_the_destination_as_zeros():
+    # A touched page reads as the zeros it would have held as bytes, so
+    # a copy from it commits the destination as a write of them did.
+    p = SimProvider()
+    r = p.reserve(2 * MB2)
+    src, dst = r.base, r.base + MB2 + 100
+    p.touch(src, 2 * PAGE_SIZE)
+    p.write(dst, b"\xee" * 64)                      # stale destination
+    p.copy(dst, src, 2 * PAGE_SIZE)
+    assert p.read(dst, 2 * PAGE_SIZE) == bytes(2 * PAGE_SIZE)
+    # Destination pages 0-2 (the copy straddles three), committed as
+    # the source's two written pages would commit them.
+    assert p.committed_in(dst, 2 * PAGE_SIZE) == 3 * PAGE_SIZE
+    assert p.committed_bytes == 5 * PAGE_SIZE
+    assert p._pages[dst // PAGE_SIZE + 1] is None   # still no bytes
+
+
+@pytest.mark.parametrize("commit", ["touch", "write", "write_word"])
+def test_commit_outside_any_reservation_leaves_no_bookkeeping(commit):
+    # _locate fails before the page's slot gets an entry in _committed.
+    p = SimProvider()
+    r = p.reserve(2 * MB2)
+    with pytest.raises(ValueError):
+        if commit == "touch":
+            p.touch(r.end, PAGE_SIZE)
+        elif commit == "write":
+            p.write(r.end, b"x")
+        else:
+            p.write_word(r.end, 1)
+    assert not p._pages and not p._committed
+    assert p.committed_bytes == 0 == p.window_peak
+
+
 def test_shadow_page_set_oracle_random_ops():
-    # committed_bytes must always equal page_size * |written pages not
-    # since decommitted|, independently recounted from the page store.
+    # committed_bytes must always equal page_size * |touched or written
+    # pages not since decommitted|, independently recounted from the
+    # page store; a touched page reads as zeros until written.
     p = SimProvider()
     r = p.reserve(8 * MB2)
     rng = random.Random(7)
     shadow = set()
+    written = {}                           # page index -> byte offset written
     for _ in range(2000):
         page = rng.randrange(r.length // PAGE_SIZE)
         addr = r.base + page * PAGE_SIZE
-        if rng.random() < 0.6:
-            p.write(addr + rng.randrange(PAGE_SIZE - 8), b"z")
+        op = rng.random()
+        if op < 0.45:
+            off = rng.randrange(PAGE_SIZE - 8)
+            p.write(addr + off, b"z")
             shadow.add(addr // PAGE_SIZE)
+            written.setdefault(addr // PAGE_SIZE, off)
+        elif op < 0.6:
+            n = rng.randint(1, 3 * PAGE_SIZE)
+            n = min(n, r.end - addr)
+            p.touch(addr, n)
+            shadow |= set(range(addr // PAGE_SIZE, -(-(addr + n) // PAGE_SIZE)))
+            if addr // PAGE_SIZE not in written:
+                assert p.read(addr, PAGE_SIZE) == bytes(PAGE_SIZE)
         else:
             n = rng.randint(1, 4)
             n = min(n, (r.end - addr) // PAGE_SIZE)
             p.decommit(addr, n * PAGE_SIZE)
-            shadow -= set(range(addr // PAGE_SIZE, addr // PAGE_SIZE + n))
+            dropped = set(range(addr // PAGE_SIZE, addr // PAGE_SIZE + n))
+            shadow -= dropped
+            for idx in dropped:
+                written.pop(idx, None)
         assert p.committed_page_indices() == shadow
         assert p.committed_bytes == len(shadow) * PAGE_SIZE
+        assert all(p._committed.values())
     assert p.window_peak >= p.committed_bytes
+    for idx, off in written.items():
+        assert p.read(idx * PAGE_SIZE + off, 1) == b"z"
 
 
 def test_shadow_page_set_oracle_with_page_mappings():
