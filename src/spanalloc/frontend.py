@@ -23,19 +23,20 @@ address that is not a handed-out block of a live span (WildFree) and,
 when instrumented, a block that is not live (DoubleFree). A TLAB free
 into a span the caller owns pushes on the local list; every other free
 (remote, CLAB, or into an orphan) is a push on the remote list. The
-caller's owner word comes from its attachment record, read once at
-attach: it cannot change while any thread is attached to the LAB.
-After either push one check of the span's snapshotted state decides
-whether the free has state work: none when hot or when floating at or
-below the reusability threshold, the floating -> reusable marking when
-floating above it, the emptiness test when reusable. A span changes
-owner in one place only: a marking free whose put the owner's set
-refuses, because the owner terminated, adopts the span into the
-caller's set. A span whose last block is freed goes back to the span
-pool inside that same call unless lazy reclamation is on. When the free
-that marks a span reusable also empties it (always so for single-block
-spans), that one call retires it to the pool without entering the
-owner's reusable set at all.
+span's state and owner come from one load of its epoch word, and the
+caller's owner word from its attachment record, read once at attach
+(it cannot change while any thread is attached to the LAB). After
+either push one check of the snapshot decides whether the free has
+state work: none when hot or when floating at or below the reusability
+threshold, the floating -> reusable marking when floating above it,
+the emptiness test when reusable. A span changes owner in one place
+only: a marking free whose put the owner's set refuses, because the
+owner terminated, adopts the span into the caller's set with one
+conditional replace from its marking's word. A span whose last block
+is freed goes back to the span pool inside that same call unless lazy
+reclamation is on. When the free that marks a span reusable also
+empties it (always so for single-block spans), that one call retires
+it to the pool without entering the owner's reusable set at all.
 
 All cross-thread handoffs ride on the epoch word: a stale snapshot
 fails its conditional replace and the loser simply moves on. No
@@ -54,8 +55,9 @@ from .atomic import AtomicWord
 from .config import CLAB, TLAB
 from .size_classes import NUM_CLASSES
 from .span import (
-    EPOCH_COUNTER_MASK, EPOCH_STATE_SHIFT, STATE_FLOATING, STATE_FREE,
-    STATE_HOT, STATE_REUSABLE, TERMINATED, owner_lab_ref, pack_owner,
+    EPOCH_OWNER_FIELD, EPOCH_OWNER_SHIFT, EPOCH_STATE_SHIFT, STATE_FLOATING,
+    STATE_FREE, STATE_HOT, STATE_REUSABLE, TERMINATED, owner_lab_ref,
+    pack_owner,
 )
 
 
@@ -63,10 +65,10 @@ class ReusableSet:
     """Latched FIFO of one LAB's reusable spans, each entry stamped
     with the epoch word of the marking that made it reusable.
 
-    put is refused unless the caller's expected owner equals the LAB's
-    owner word, the only record of whether its sets accept puts (a
-    stale generation or TERMINATED is refused), or when the span's
-    epoch has moved past the stamp. take pops the oldest entry as
+    put is refused unless the owner in the stamp equals the LAB's owner
+    word, the only record of whether its sets accept puts (a stale
+    generation or TERMINATED is refused), or when the span's epoch has
+    moved past the stamp. take pops the oldest entry as
     (span, stamp). An entry is live while its stamp equals the span's
     epoch; a span that moves on leaves a stale entry behind, which
     stays until taken and then fails the taker's conditional replace.
@@ -91,12 +93,12 @@ class ReusableSet:
     def __contains__(self, span):
         return self.stamps.get(span) == span.epoch.load()
 
-    def put(self, expected_owner, span, stamp):
+    def put(self, span, stamp):
         latch = self._latch
         latch.acquire()
         try:
-            if self.owner.load() != expected_owner \
-                    or expected_owner == TERMINATED:
+            if self.owner.load() != \
+                    (stamp & EPOCH_OWNER_FIELD) >> EPOCH_OWNER_SHIFT:
                 return False
             if span.epoch.load() != stamp:
                 # The span moved on between its marking and this put
@@ -306,8 +308,7 @@ class Frontend:
                 stats.drains += 1
                 continue
             # Exhausted and not worth draining: retire it and refetch.
-            observed = hot.epoch.load()
-            took = hot.try_transition(observed, STATE_FLOATING)
+            took = hot.try_transition(hot.epoch.load(), STATE_FLOATING)
             assert took, "hot spans are only transitioned by their owner"
             lab.hot_spans[sc] = None
             hot = None
@@ -327,9 +328,8 @@ class Frontend:
                 stats.set_fetches += 1
                 return span
         span = self.pool.get(sc, tid)
-        span.init_for_class(sc, mine)
-        observed = span.epoch.load()
-        took = span.try_transition(observed, STATE_HOT)
+        span.init_for_class(sc)
+        took = span.try_transition(span.epoch.load(), STATE_HOT, mine)
         assert took, "free -> hot does not compete with anyone"
         stats.pool_fetches += 1
         if self.ledger is not None:
@@ -346,13 +346,14 @@ class Frontend:
     # -- deallocation ---------------------------------------------------------
 
     def deallocate(self, addr):
-        # The owner and epoch snapshots come from before the free: the
-        # state transitions below must fail if anything moved in between.
-        span, old_owner, old_epoch = self.space.block_span(addr)
+        # The epoch snapshot, owner included, comes from before the free:
+        # the state transitions below must fail if anything moved since.
+        span, old_epoch = self.space.block_span(addr)
         if self.ledger is not None:
             self.ledger.on_free(addr, span.block_size)
         lab, tid, stats, mine, _ = self._current()
-        if old_owner == mine and self.tlab:
+        if (old_epoch & EPOCH_OWNER_FIELD) >> EPOCH_OWNER_SHIFT == mine \
+                and self.tlab:
             span.free_local(addr)
             stats.frees_local += 1
         else:
@@ -364,9 +365,9 @@ class Frontend:
         if old_state == STATE_REUSABLE or (
                 old_state == STATE_FLOATING
                 and span.free_block_count() > span.reuse_threshold_blocks):
-            self._settle(span, old_owner, old_epoch, lab, tid, stats, mine)
+            self._settle(span, old_epoch, lab, tid, stats, mine)
 
-    def _settle(self, span, old_owner, old_epoch, lab, tid, stats, mine):
+    def _settle(self, span, old_epoch, lab, tid, stats, mine):
         """The state work after a free into a span whose epoch read
         `old_epoch` before it, called only when there is some: a
         floating span (which crossed the threshold) goes reusable, a
@@ -380,20 +381,25 @@ class Frontend:
         -> free and a pool put, with no set entry at all. When the
         owner terminated (before the marking or between it and the
         put), its set refuses the entry, and this free adopts the span
-        into the caller's set, `lab`, with the same stamp. An adoption
-        needs the span's epoch to still equal its stamp (owner words
-        recur across a span's lives), so only the free that won this
-        marking can adopt from it, and one step is enough: the adoption
-        and the caller's put fail only when the span has moved on."""
+        into the caller's set, `lab`: one conditional replace from the
+        marking's word, which only this free holds, installs the caller
+        as owner, and the word it installs stamps the new entry.
+
+        A last free that snapshotted the marking's word fails its retire
+        once the adoption lands first, and if the adopter tested for
+        emptiness before that push, the span stays reusable and empty in
+        the adopter's set. That delays reclamation and loses no span:
+        the entry is live, so the adopter's next take of the class
+        reuses it, as after a marking that raced a last free. Should the
+        adopter terminate first, the span is floated empty: that is
+        termination's leak (ROADMAP item 1), not this race's."""
         if old_epoch >> EPOCH_STATE_SHIFT == STATE_FLOATING:
-            if not span.try_transition(old_epoch, STATE_REUSABLE):
+            # This call's own marking refreshes the snapshot to the word
+            # it installed, so a free that both crossed the threshold
+            # and emptied the span can still pool it on this call.
+            old_epoch = span.try_transition(old_epoch, STATE_REUSABLE)
+            if not old_epoch:
                 return
-            # This call's own marking refreshes the snapshot, so a free
-            # that both crossed the threshold and emptied the span can
-            # still pool it on this call. The word is the one the
-            # marking installed: next_epoch_word(old_epoch, reusable).
-            old_epoch = (STATE_REUSABLE << EPOCH_STATE_SHIFT) \
-                | ((old_epoch + 1) & EPOCH_COUNTER_MASK)
             if self.eager_reclaim and span.is_empty():
                 # No set holds a live entry of it, and no live block is
                 # left for another free. Only a concurrent last free
@@ -403,11 +409,12 @@ class Frontend:
                     self._pool_put(span, tid)
                 return
             sc = span.size_class
-            if not self.labs[owner_lab_ref(old_owner)].reusable[sc].put(
-                    old_owner, span, old_epoch) \
-                    and span.try_adopt(old_owner, mine, old_epoch):
+            if not self.labs[owner_lab_ref(old_epoch)].reusable[sc].put(
+                    span, old_epoch) \
+                    and (adopted := span.try_adopt(old_epoch, mine)):
                 stats.adopts += 1
-                lab.reusable[sc].put(mine, span, old_epoch)
+                old_epoch = adopted
+                lab.reusable[sc].put(span, old_epoch)
         if self.eager_reclaim and span.is_empty():
             if span.try_transition(old_epoch, STATE_FREE):
                 self._pool_put(span, tid)
@@ -426,8 +433,7 @@ class Frontend:
         for sc in range(NUM_CLASSES):
             hot = lab.hot_spans[sc]
             if hot is not None:
-                observed = hot.epoch.load()
-                took = hot.try_transition(observed, STATE_FLOATING)
+                took = hot.try_transition(hot.epoch.load(), STATE_FLOATING)
                 assert took, "no one else transitions a hot span"
                 lab.hot_spans[sc] = None
             take = lab.reusable[sc].take

@@ -2,25 +2,26 @@
 
 A virtual span's first bytes hold its header: a link word (chains
 pooled spans through a span pool stack, which alone reads and writes
-it), an epoch word (life-cycle state plus a counter bumped on every
-transition, which is what defeats ABA on state changes), an owner word
-(LAB generation and reference), the owner-private local free list, and
-the concurrent remote free list whose single atomic word carries both
-the list head and the element count. The three atomic words share one
-lock, as they would share the header's cache line. The header's page,
-the slot's first, is committed once, when the header is created, and
-gets bytes only if a small class's block on it is written; no decommit
-releases it, so re-classing a pooled span rewrites the header in place
-and commits nothing. Blocks carry no metadata while
-live; a freed block's first word becomes the next-pointer of whichever
-free list it sits on, written straight into span memory so page
-accounting sees it.
+it), an epoch word (life-cycle state, owner, and a counter bumped on
+every transition, which is what defeats ABA on state changes), the
+owner-private local free list, and the concurrent remote free list
+whose single atomic word carries both the list head and the element
+count. The two atomic words share one lock, as they would share the
+header's cache line. The header's page, the slot's first, is committed
+once, when the header is created, and gets bytes only if a small
+class's block on it is written; no decommit releases it, so
+re-classing a pooled span rewrites the header in place and commits
+nothing. Blocks carry no metadata while live; a freed block's first
+word becomes the next-pointer of whichever free list it sits on,
+written straight into span memory so page accounting sees it.
 
 Life cycle: free -> hot -> floating -> reusable -> {hot, free}, with
 floating also reachable from reusable at thread termination. Fresh
 arena slots are implicitly "expected" until their header is first
 written. Every successful transition is a single conditional replace
 of the epoch word, recorded in the ledger's trace when instrumented.
+The word holds the owner too, so one load is a consistent snapshot.
+Only free -> hot and adoption (reusable -> reusable) change the owner.
 """
 
 import threading
@@ -30,13 +31,16 @@ from .config import PAGE_SIZE, SPAN_SHIFT
 from .errors import WildFree
 from .size_classes import TABLE
 
-# Epoch word: one-hot state in the top four bits, counter below.
+# Epoch word: one-hot state in the top four bits, the 64-bit owner word
+# below it, and a 60-bit counter at the bottom.
 STATE_FREE = 1
 STATE_HOT = 2
 STATE_FLOATING = 4
 STATE_REUSABLE = 8
-EPOCH_STATE_SHIFT = 60
-EPOCH_COUNTER_MASK = (1 << EPOCH_STATE_SHIFT) - 1
+EPOCH_OWNER_SHIFT = 60
+EPOCH_STATE_SHIFT = EPOCH_OWNER_SHIFT + 64
+EPOCH_COUNTER_MASK = (1 << EPOCH_OWNER_SHIFT) - 1
+EPOCH_OWNER_FIELD = ((1 << 64) - 1) << EPOCH_OWNER_SHIFT
 
 STATE_NAMES = {
     STATE_FREE: "free",
@@ -52,6 +56,7 @@ LEGAL_EDGES = frozenset([
     (STATE_REUSABLE, STATE_HOT),
     (STATE_REUSABLE, STATE_FREE),
     (STATE_REUSABLE, STATE_FLOATING),   # thread termination
+    (STATE_REUSABLE, STATE_REUSABLE),   # adoption: the owner alone changes
 ])
 
 # Owner word: 16-bit generation above a 48-bit LAB reference.
@@ -72,10 +77,15 @@ def epoch_counter(word):
     return word & EPOCH_COUNTER_MASK
 
 
+def epoch_owner(word):
+    return (word & EPOCH_OWNER_FIELD) >> EPOCH_OWNER_SHIFT
+
+
 def next_epoch_word(observed, target_state):
-    """The epoch word a successful transition installs."""
-    return (target_state << EPOCH_STATE_SHIFT) | \
-        ((observed + 1) & EPOCH_COUNTER_MASK)
+    """The epoch word a successful transition that keeps the owner
+    installs."""
+    return (target_state << EPOCH_STATE_SHIFT) \
+        | (observed & EPOCH_OWNER_FIELD) | ((observed + 1) & EPOCH_COUNTER_MASK)
 
 
 def pack_owner(generation, lab_ref):
@@ -83,12 +93,13 @@ def pack_owner(generation, lab_ref):
 
 
 def owner_lab_ref(word):
-    return word & OWNER_REF_MASK
+    """The LAB reference of the owner in epoch word `word`."""
+    return (word >> EPOCH_OWNER_SHIFT) & OWNER_REF_MASK
 
 
 class SpanHeader:
     __slots__ = (
-        "space", "slot", "base", "epoch", "owner", "link",
+        "space", "slot", "base", "epoch", "link",
         "size_class", "block_size", "blocks_per_span", "real_span_size",
         "payload", "reuse_threshold_blocks",
         "local_head", "local_count", "bump_limit", "remote",
@@ -100,7 +111,6 @@ class SpanHeader:
         self.base = base
         lock = threading.Lock()
         self.epoch = AtomicWord(STATE_FREE << EPOCH_STATE_SHIFT, lock)
-        self.owner = AtomicWord(0, lock)
         self.remote = AtomicWord(0, lock)
         self.link = 0
         self.size_class = -1
@@ -115,7 +125,7 @@ class SpanHeader:
 
     # -- initialization --------------------------------------------------
 
-    def init_for_class(self, class_id, owner_word):
+    def init_for_class(self, class_id):
         """(Re)write the header for a class; epoch is left untouched.
 
         Only called on spans in state free with a single reference, so
@@ -134,7 +144,6 @@ class SpanHeader:
         self.local_count = 0
         self.bump_limit = 0
         self.remote.store(0)
-        self.owner.store(owner_word)
 
     # -- block allocation (owning thread only) ---------------------------
 
@@ -222,37 +231,46 @@ class SpanHeader:
 
     # -- state machine -------------------------------------------------------
 
-    def try_transition(self, observed_epoch, target_state):
-        """One conditional replace of the epoch word.
-
-        Succeeds iff the word still equals `observed_epoch`; the new
-        word carries `target_state` and counter+1 (wrapping at the
-        counter mask), computed inline; it agrees with
-        `next_epoch_word(observed_epoch, target_state)`. Callers check
-        the observed state first; an illegal edge here is a programming
-        error.
+    def try_transition(self, observed_epoch, target_state, owner=None):
+        """One conditional replace of the epoch word: the installed
+        word (never 0), or False when the word no longer equals
+        `observed_epoch`. The new word carries `target_state`, `owner`
+        or else the observed owner, and counter+1 (wrapping at the
+        counter mask), computed inline; without `owner` it equals
+        `next_epoch_word`.
+        Callers check the observed state first; an illegal edge here is
+        a programming error.
         """
         src = observed_epoch >> EPOCH_STATE_SHIFT
         assert (src, target_state) in LEGAL_EDGES, \
             f"illegal span transition {STATE_NAMES.get(src)} -> " \
             f"{STATE_NAMES.get(target_state)}"
         new = (target_state << EPOCH_STATE_SHIFT) \
-            | ((observed_epoch + 1) & EPOCH_COUNTER_MASK)
+            | ((observed_epoch + 1) & EPOCH_COUNTER_MASK) \
+            | (observed_epoch & EPOCH_OWNER_FIELD if owner is None
+               else owner << EPOCH_OWNER_SHIFT)
         if not self.epoch.compare_exchange(observed_epoch, new):
             return False
         ledger = self.space.ledger
         if ledger is not None:
             ledger.trace.append((self.slot, observed_epoch, new))
-        return True
+        return new
 
-    def try_adopt(self, expected_owner, new_owner, stamp):
-        """Claim a span from `expected_owner` for `new_owner` while its
-        epoch still reads `stamp`, the word of the caller's own reusable
-        marking. Owner words recur: a span that moved on may be owned by
-        `expected_owner` again in its next life, where this adoption
-        must fail."""
-        return self.owner.compare_exchange_guarded(
-            self.epoch, stamp, expected_owner, new_owner)
+    def try_adopt(self, stamp, new_owner):
+        """Claim a span for `new_owner` while its epoch still reads
+        `stamp`, the word of the caller's own reusable marking: one
+        reusable -> reusable CAS that installs the new owner and bumps
+        the counter, its own rather than a try_transition call, so a
+        trace counts adoptions apart. The installed word, or False."""
+        new = (STATE_REUSABLE << EPOCH_STATE_SHIFT) \
+            | (new_owner << EPOCH_OWNER_SHIFT) \
+            | ((stamp + 1) & EPOCH_COUNTER_MASK)
+        if not self.epoch.compare_exchange(stamp, new):
+            return False
+        ledger = self.space.ledger
+        if ledger is not None:
+            ledger.trace.append((self.slot, stamp, new))
+        return new
 
     # -- test / debug helpers --------------------------------------------
 
@@ -346,18 +364,11 @@ class SpanSpace:
         return header
 
     def block_span(self, addr, interior=False):
-        """`(span, owner word, epoch word)` for `addr`, a handed-out
-        block (with `interior`, any address inside one), the words read
-        once, epoch first. O(1) WildFree when the slot has no header,
-        the span is free (or was never initialized), or `addr` is not a
-        block below the bump limit.
-
-        Read in this order, the owner word is never older than the
-        epoch: an adoption happens only from a reusable epoch, which a
-        conditional replace from a floating snapshot then fails, and the
-        live block `addr` keeps the span from being pooled and
-        re-classed. An owner read first could predate an adoption, and
-        the span's reuse by its adopter, that the epoch already shows."""
+        """`(span, epoch word)` for `addr`, a handed-out block (with
+        `interior`, any address inside one), the word read once. O(1)
+        WildFree when the slot has no header, the span is free (or was
+        never initialized), or `addr` is not a block below the bump
+        limit."""
         try:
             span = self.headers[(addr - self.arena_base) >> SPAN_SHIFT]
         except IndexError:
@@ -365,14 +376,13 @@ class SpanSpace:
         if span is None:
             raise WildFree(f"{addr:#x} is in the arena but not in any span")
         epoch = span.epoch.load()
-        owner = span.owner.load()
         off = addr - span.payload
         size = span.block_size
         if epoch >> EPOCH_STATE_SHIFT == STATE_FREE or off < 0 \
                 or off >= span.bump_limit * size \
                 or (off % size and not interior):
             raise WildFree(f"{addr:#x} is not a handed-out block of its span")
-        return span, owner, epoch
+        return span, epoch
 
     def iter_headers(self):
         return (h for h in list(self.headers) if h is not None)

@@ -12,7 +12,7 @@ from spanalloc import Allocator, AllocatorConfig
 from spanalloc.config import DECOMMIT_THRESHOLD, PAGE_SIZE, SPAN_SHIFT
 from spanalloc.span import (
     STATE_FREE, STATE_HOT, STATE_NAMES, STATE_REUSABLE, epoch_counter,
-    epoch_state, owner_lab_ref,
+    epoch_owner, epoch_state, owner_lab_ref,
 )
 from spanalloc.span_pool import TOP_REF_MASK
 
@@ -116,7 +116,7 @@ def set_entries(allocator):
                 where = f"span in slot {span.slot}, LAB {lab.index}"
                 assert epoch_state(epoch) == STATE_REUSABLE, where
                 assert span.size_class == sc, where
-                assert span.owner.load() == lab.owner_word.load(), where
+                assert epoch_owner(epoch) == lab.owner_word.load(), where
                 assert span.slot not in pooled, f"{where} is pooled"
                 assert span.slot not in seen, f"{where} has two entries"
                 seen.add(span.slot)
@@ -142,13 +142,13 @@ def span_homes(allocator):
     pooled = set(pooled_slots(allocator.pool))
     lost = []
     for h in allocator.space.iter_headers():
-        state = epoch_state(h.epoch.load())
+        epoch = h.epoch.load()
+        state = epoch_state(epoch)
         if state == STATE_FREE:
             home = h.slot in pooled
         else:
-            owner = h.owner.load()
-            lab = labs[owner_lab_ref(owner)]
-            alive = lab.owner_word.load() == owner
+            lab = labs[owner_lab_ref(epoch)]
+            alive = lab.owner_word.load() == epoch_owner(epoch)
             if state == STATE_HOT:
                 home = alive and lab.hot_spans[h.size_class] is h
             elif state == STATE_REUSABLE:
@@ -164,7 +164,8 @@ def span_homes(allocator):
 
 def validate_transition_trace(allocator):
     """Check a recorded transition trace: legal edges only, strictly
-    increasing per-span epoch counters."""
+    increasing per-span epoch counters, and an owner that only free ->
+    hot may set and only reusable -> reusable (adoption) must change."""
     from spanalloc.span import LEGAL_EDGES
 
     assert allocator.ledger is not None, "allocator not instrumented"
@@ -178,6 +179,11 @@ def validate_transition_trace(allocator):
             edge = (epoch_state(old), epoch_state(new))
             assert edge in LEGAL_EDGES, f"illegal edge {edge} on span {slot}"
             assert epoch_counter(new) == epoch_counter(old) + 1
+            if edge != (STATE_FREE, STATE_HOT):
+                kept = epoch_owner(new) == epoch_owner(old)
+                assert kept != (edge == (STATE_REUSABLE, STATE_REUSABLE)), \
+                    f"owner {'kept' if kept else 'changed'} on {edge} " \
+                    f"of span {slot}"
             if prev_new is not None:
                 assert old == prev_new, f"gap in span {slot} transition chain"
             prev_new = new

@@ -197,7 +197,7 @@ def test_c05_eager_reclamation_and_memory_direction():
 # -- 6: pool correctness -----------------------------------------------------------------
 
 def test_c06_pool_counting_lifo_aba():
-    from spanalloc.span import SpanSpace, pack_owner
+    from spanalloc.span import SpanSpace
     from spanalloc.span_pool import SpanPool
 
     provider = SimProvider()
@@ -207,7 +207,7 @@ def test_c06_pool_counting_lifo_aba():
     spans = []
     for _ in range(64):
         h = space.header_for_base(arena.acquire_virtual_span(), create=True)
-        h.init_for_class(class_for_size(64), pack_owner(1, 0))
+        h.init_for_class(class_for_size(64))
         spans.append(h)
     for i, s in enumerate(spans):
         pool.put(s, i % 8)

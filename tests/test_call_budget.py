@@ -6,7 +6,8 @@ makes on an uninstrumented `sim` allocator, on one path of the paper's
 free: a retirement of a 1M-class span to the pool, a free that empties
 a reusable 128K-class span with 8 committed block pages, a huge free, a
 local free into the caller's own floating span that leaves it below
-the reuse threshold, and a remote free into a live owner's hot span;
+the reuse threshold, a remote free into a live owner's hot span, and a
+marking free that adopts an orphaned span;
 of its malloc: a small malloc served from the hot span, a malloc that
 takes its span from the reusable set, a 1M malloc that takes a pooled
 span, one that takes a fresh arena slot, and a huge malloc; and one
@@ -71,7 +72,7 @@ def test_free_that_retires_a_floating_1m_span():
     alloc.malloc(MB)                     # floats p's span
     assert state(alloc, p) == STATE_FLOATING
     span = alloc.space.span_of(p)
-    assert calls_in(alloc.free, p) == 26
+    assert calls_in(alloc.free, p) == 25
     assert epoch_state(span.epoch.load()) == STATE_FREE
     assert alloc.stats()["pool_puts"] == 1
     assert alloc.provider.stats.decommit_calls == 1
@@ -90,7 +91,7 @@ def test_free_that_empties_a_reusable_128k_span():
     # free-list word (the last one's written above).
     assert alloc.provider.committed_in(span.base, span.real_span_size) \
         == 9 * PAGE_SIZE
-    assert calls_in(alloc.free, blocks[7]) == 22
+    assert calls_in(alloc.free, blocks[7]) == 21
     assert epoch_state(span.epoch.load()) == STATE_FREE
     assert alloc.provider.committed_in(span.base, span.real_span_size) \
         == PAGE_SIZE
@@ -150,7 +151,7 @@ def test_1m_malloc_that_takes_a_pooled_span():
     alloc.free(p)                        # and pools it
     span = alloc.space.span_of(p)
     assert epoch_state(span.epoch.load()) == STATE_FREE
-    assert calls_in(alloc.malloc, MB) == 27
+    assert calls_in(alloc.malloc, MB) == 26
     assert epoch_state(span.epoch.load()) == STATE_HOT
     assert alloc.stats()["pool_gets"] == 1
     assert alloc.stats()["arena_spans"] == 2
@@ -159,11 +160,11 @@ def test_1m_malloc_that_takes_a_pooled_span():
 def test_1m_malloc_from_a_fresh_arena_slot():
     # An empty pool sends the get straight to the arena; the new
     # header's slot is computed inline and its page committed with no
-    # bytes.
+    # bytes. The header builds two atomic words, epoch and remote.
     alloc = make_allocator()
     alloc.malloc(MB)
     committed = alloc.committed_bytes
-    assert calls_in(alloc.malloc, MB) == 34
+    assert calls_in(alloc.malloc, MB) == 32
     assert alloc.stats()["arena_spans"] == 2
     assert alloc.committed_bytes == committed + PAGE_SIZE
 
@@ -176,7 +177,7 @@ def test_local_free_into_own_floating_span_below_threshold():
     alloc.malloc(128 * KB)               # floats the full span
     alloc.provider.write_word(blocks[0], 1)
     assert state(alloc, blocks[0]) == STATE_FLOATING
-    assert calls_in(alloc.free, blocks[0]) == 10
+    assert calls_in(alloc.free, blocks[0]) == 9
     assert state(alloc, blocks[0]) == STATE_FLOATING
 
 
@@ -198,9 +199,40 @@ def test_remote_free_into_a_live_owners_hot_span():
     t.start()
     t.join(30)
     assert not t.is_alive()
-    assert counts == [10]
+    assert counts == [9]
     assert state(alloc, p) == STATE_HOT
     assert alloc.stats()["frees_remote"] == 1
+
+
+def test_marking_free_that_adopts_an_orphan():
+    # Another thread fills and floats a 128K span, frees it down to the
+    # threshold and detaches. The main thread's free marks the orphan;
+    # the dead owner's set refuses the put, and the free adopts the span
+    # with one conditional replace and puts it in its own set.
+    alloc = make_allocator()
+    alloc.attach_thread()                # LAB 0
+    left = []
+
+    def producer():
+        blocks = [alloc.malloc(128 * KB) for _ in range(8)]
+        alloc.malloc(128 * KB)           # floats the full span
+        for p in blocks[:6]:             # down to the threshold
+            alloc.free(p)
+        alloc.detach_thread()            # orphans the span
+        left.extend(blocks[6:])
+
+    t = threading.Thread(target=producer)
+    t.start()
+    t.join(30)
+    assert not t.is_alive()
+    p = left[0]
+    alloc.provider.write_word(p, 1)
+    span = alloc.space.span_of(p)
+    assert epoch_state(span.epoch.load()) == STATE_FLOATING
+    assert calls_in(alloc.free, p) == 26
+    assert epoch_state(span.epoch.load()) == STATE_REUSABLE
+    assert span in alloc.frontend.labs[0].reusable[span.size_class]
+    assert alloc.stats()["adopts"] == 1
 
 
 def test_attach_and_detach_of_a_tlab_thread():

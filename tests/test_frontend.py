@@ -17,7 +17,8 @@ from spanalloc.frontend import Frontend, ReusableSet
 from spanalloc.size_classes import TABLE, class_for_size
 from spanalloc.span import (
     OWNER_REF_MASK, STATE_FLOATING, STATE_FREE, STATE_HOT, STATE_REUSABLE,
-    TERMINATED, SpanHeader, epoch_state, pack_owner,
+    TERMINATED, SpanHeader, epoch_owner, epoch_state, owner_lab_ref,
+    pack_owner,
 )
 
 C64 = class_for_size(64)       # 508 blocks, threshold 406
@@ -31,6 +32,10 @@ def span_of(alloc, addr):
 
 def state_of(span):
     return epoch_state(span.epoch.load())
+
+
+def owner_of(span):
+    return epoch_owner(span.epoch.load())
 
 
 def in_a_set(alloc, span):
@@ -321,7 +326,7 @@ def test_thread_termination_orphans_adopted_and_reclaimed(alloc):
     alloc.free(blocks[crossing])                   # adopter
     assert alloc.stats()["adopts"] == adopts_before + 1
     assert state_of(span) == STATE_REUSABLE
-    assert span.owner.load() == my_word
+    assert owner_of(span) == my_word
     assert span_homes(alloc) == []
     for b in blocks[crossing + 1:]:
         alloc.free(b)
@@ -331,7 +336,7 @@ def test_thread_termination_orphans_adopted_and_reclaimed(alloc):
 
 
 def owner_ref(span):
-    return span.owner.load() & ((1 << 48) - 1)
+    return owner_lab_ref(span.epoch.load())
 
 
 def test_terminate_races_last_free_single_winner(alloc):
@@ -373,9 +378,11 @@ def test_terminate_races_last_free_single_winner(alloc):
         # Clean up for the next round: leftover hot-span block.
 
 
-def make_reusable(span):
-    """Walk a fresh span to the reusable state via legal transitions."""
-    for target in (STATE_HOT, STATE_FLOATING, STATE_REUSABLE):
+def make_reusable(span, owner):
+    """Walk a fresh span to the reusable state via legal transitions,
+    taking it hot for `owner`."""
+    assert span.try_transition(span.epoch.load(), STATE_HOT, owner)
+    for target in (STATE_FLOATING, STATE_REUSABLE):
         assert span.try_transition(span.epoch.load(), target)
 
 def test_generation_gating_after_lab_reuse(alloc):
@@ -385,18 +392,21 @@ def test_generation_gating_after_lab_reuse(alloc):
     word2 = pack_owner(2, 0)
     span = alloc.space.header_for_base(alloc.arena.acquire_virtual_span(),
                                        create=True)
-    span.init_for_class(C64, word1)
-    make_reusable(span)
+    span.init_for_class(C64)
+    make_reusable(span, word1)
     stamp = span.epoch.load()
     owner.store(word1)
-    assert s.put(word1, span, stamp)
+    assert s.put(span, stamp)
     assert s.take() == (span, stamp)
     owner.store(TERMINATED)
-    assert not s.put(word1, span, stamp)   # closed: LAB terminated
+    assert not s.put(span, stamp)          # closed: LAB terminated
     owner.store(word2)                     # LAB reused, new generation
-    assert not s.put(word1, span, stamp)   # stale generation rejected
-    assert s.put(word2, span, stamp)
-    assert s.take() == (span, stamp)
+    assert not s.put(span, stamp)          # stale generation rejected
+    adopted = span.try_adopt(stamp, word2)  # re-marked for the new one
+    assert adopted and epoch_owner(adopted) == word2
+    assert not s.put(span, stamp)          # the old stamp is stale now
+    assert s.put(span, adopted)
+    assert s.take() == (span, adopted)
     assert s.take() is None
 
 
@@ -407,24 +417,24 @@ def test_reusable_set_take_order_and_stale_entries(alloc):
     for i in range(3):
         sp = alloc.space.header_for_base(alloc.arena.acquire_virtual_span(),
                                          create=True)
-        sp.init_for_class(C64, word)
-        make_reusable(sp)
+        sp.init_for_class(C64)
+        make_reusable(sp, word)
         spans.append(sp)
     stamps = [sp.epoch.load() for sp in spans]
     for sp, stamp in zip(spans, stamps):
-        assert s.put(word, sp, stamp)
+        assert s.put(sp, stamp)
     assert len(s) == 3 and all(sp in s for sp in spans)
     # A stamp the span's epoch has moved past is refused.
-    assert not s.put(word, spans[0], stamps[0] - 1)
+    assert not s.put(spans[0], stamps[0] - 1)
     # Span 1 moves on (reusable -> free): its entry stays, stale, in
     # place. len() counts it, `in` does not.
     assert spans[1].try_transition(stamps[1], STATE_FREE)
     assert len(s) == 3 and spans[1] not in s
     # Back through hot and floating to reusable: the new marking's
     # entry replaces the stale one at the back, as a fresh put would.
-    make_reusable(spans[1])
+    make_reusable(spans[1], word)
     renewed = spans[1].epoch.load()
-    assert s.put(word, spans[1], renewed)
+    assert s.put(spans[1], renewed)
     assert len(s) == 3 and spans[1] in s
     assert [s.take() for _ in range(3)] == [
         (spans[0], stamps[0]), (spans[2], stamps[2]), (spans[1], renewed)]
@@ -574,15 +584,15 @@ def test_set_put_rejects_span_no_longer_reusable(alloc):
     e = span.epoch.load()
     assert span.try_transition(e, STATE_FREE)       # racing last free wins
     alloc.pool.put(span, 0)
-    assert not the_set.put(owner_word, span, stamp)  # late insert refused
+    assert not the_set.put(span, stamp)         # late insert refused
     assert not in_a_set(alloc, span) and len(the_set) == 0
     # The pooled span must come back intact.
     got = alloc.pool.get(C64, 0)
     assert got is span
-    got.init_for_class(C64, owner_word)
+    got.init_for_class(C64)
     e = got.epoch.load()
-    assert got.try_transition(e, STATE_HOT)
-    assert not the_set.put(owner_word, span, stamp)  # hot is refused too
+    assert got.try_transition(e, STATE_HOT, owner_word)
+    assert not the_set.put(span, stamp)         # hot is refused too
 
 
 def test_crossing_and_emptying_in_one_free_still_pools(alloc):
@@ -975,7 +985,7 @@ def test_late_set_put_is_refused_after_the_span_went_round(monkeypatch):
         for b in blocks[:T128K]:
             alloc.free(b)
         ran = hold(monkeypatch, ReusableSet, "put",
-                   lambda the_set, owner, sp, stamp: sp is span,
+                   lambda the_set, sp, stamp: sp is span,
                    lambda: send_round(other, alloc, span, blocks[T128K + 1:]))
         alloc.free(blocks[T128K])           # marks, then puts late
         assert ran and homes(alloc, span) == [1]
@@ -1001,7 +1011,8 @@ def test_set_take_skips_a_span_that_went_round(monkeypatch):
             alloc.free(b)
         assert state_of(span) == STATE_REUSABLE and homes(alloc, span) == [0]
         ran = hold(monkeypatch, SpanHeader, "try_transition",
-                   lambda sp, observed, to: sp is span and to == STATE_HOT,
+                   lambda sp, observed, to, owner=None:
+                       sp is span and to == STATE_HOT,
                    lambda: send_round(other, alloc, span, blocks[T128K + 1:]))
         # Fill the hot span; the next malloc fetches from the set.
         fills = [alloc.malloc(1 << 17) for _ in range(B128K)]
@@ -1030,7 +1041,7 @@ def test_lab_termination_skips_a_span_that_went_round(monkeypatch):
             alloc.free(b)
         assert state_of(span) == STATE_REUSABLE and homes(alloc, span) == [0]
         ran = hold(monkeypatch, SpanHeader, "try_transition",
-                   lambda sp, observed, to:
+                   lambda sp, observed, to, owner=None:
                        sp is span and to == STATE_FLOATING,
                    lambda: send_round(other, alloc, span, blocks[T128K + 1:]))
         alloc.detach_thread()               # terminates LAB 0
@@ -1065,7 +1076,7 @@ def test_adopting_free_that_marks_puts_in_adopters_set():
     alloc.free(left[0])                                 # adopts and marks
     assert alloc.stats()["adopts"] == adopts + 1
     assert state_of(span) == STATE_REUSABLE and homes(alloc, span) == [0]
-    assert span.owner.load() == alloc.frontend.labs[0].owner_word.load()
+    assert owner_of(span) == alloc.frontend.labs[0].owner_word.load()
     assert set_entries(alloc) == 1
     assert span_homes(alloc) == []
     validate_transition_trace(alloc)
@@ -1093,14 +1104,14 @@ def test_refused_set_put_is_adopted_by_the_freeing_thread(monkeypatch):
             alloc.free(b)                               # at the threshold
         assert state_of(span) == STATE_FLOATING
         ran = hold(monkeypatch, ReusableSet, "put",
-                   lambda the_set, owner, sp, stamp: sp is span,
+                   lambda the_set, sp, stamp: sp is span,
                    lambda: other.submit(alloc.detach_thread).result(30))
         adopts = alloc.stats()["adopts"]
         alloc.free(blocks[T128K])           # marks; LAB 1 ends before the put
         assert ran and alloc.frontend.labs[1].owner_word.load() == TERMINATED
     assert state_of(span) == STATE_REUSABLE and homes(alloc, span) == [0]
     assert alloc.stats()["adopts"] == adopts + 1
-    assert span.owner.load() == alloc.frontend.labs[0].owner_word.load()
+    assert owner_of(span) == alloc.frontend.labs[0].owner_word.load()
     assert set_entries(alloc) == 1
     assert span_homes(alloc) == []
     validate_transition_trace(alloc)
@@ -1136,7 +1147,8 @@ def test_marking_during_termination_is_adopted_by_the_freeing_thread(
             assert marked.wait(30)
 
         ran = hold(monkeypatch, SpanHeader, "try_transition",
-                   lambda sp, observed, to: sp is hot and to == STATE_FLOATING,
+                   lambda sp, observed, to, owner=None:
+                       sp is hot and to == STATE_FLOATING,
                    wait_for_marking)
         adopts = alloc.stats()["adopts"]
         detached = other.submit(alloc.detach_thread)
@@ -1149,7 +1161,7 @@ def test_marking_during_termination_is_adopted_by_the_freeing_thread(
         assert ran
     assert state_of(span) == STATE_REUSABLE and homes(alloc, span) == [0]
     assert alloc.stats()["adopts"] == adopts + 1
-    assert span.owner.load() == alloc.frontend.labs[0].owner_word.load()
+    assert owner_of(span) == alloc.frontend.labs[0].owner_word.load()
     assert set_entries(alloc) == 1
     assert span_homes(alloc) == []
     validate_transition_trace(alloc)
@@ -1188,14 +1200,14 @@ def test_only_the_marking_free_adopts_a_refused_span(monkeypatch):
             two.submit(alloc.free, blocks[T32K + 1]).result(timeout=30)
 
         ran = hold(monkeypatch, ReusableSet, "put",
-                   lambda the_set, owner, sp, stamp: sp is span,
+                   lambda the_set, sp, stamp: sp is span,
                    free_from_lab_2)
         adopts = alloc.stats()["adopts"]
         alloc.free(blocks[T32K])            # marks; LAB 2 pushes meanwhile
         assert ran
         assert alloc.stats()["adopts"] == adopts + 1
         assert state_of(span) == STATE_REUSABLE and homes(alloc, span) == [0]
-        assert span.owner.load() == alloc.frontend.labs[0].owner_word.load()
+        assert owner_of(span) == alloc.frontend.labs[0].owner_word.load()
         assert set_entries(alloc) == 1
         assert span_homes(alloc) == []
         validate_transition_trace(alloc)
@@ -1212,11 +1224,11 @@ def test_only_the_marking_free_adopts_a_refused_span(monkeypatch):
 def test_marking_free_reads_its_owner_after_its_epoch(monkeypatch):
     # Just before the main thread's free reads the span's epoch, LAB 2
     # adopts LAB 1's orphan, takes it hot, floats it and frees it back
-    # to the threshold. The free's snapshot reads the owner word after
-    # the epoch, so it is LAB 2's, and the free's marking puts the span
-    # in LAB 2's set. An owner word read before the epoch would be LAB
-    # 1's dead one: its set refuses the put and its adoption fails, and
-    # the span stays reusable in no set.
+    # to the threshold. The free's one load of the epoch word reads the
+    # state and the owner together, so the owner is LAB 2 and the free's
+    # marking puts the span in LAB 2's set. An owner read before that
+    # epoch would be LAB 1's dead one: its set refuses the put and the
+    # adoption fails, and the span stays reusable in no set.
     alloc = make_allocator(instrument=True)
     alloc.attach_thread()                               # LAB 0
     main = threading.current_thread()
@@ -1233,7 +1245,7 @@ def test_marking_free_reads_its_owner_after_its_epoch(monkeypatch):
 
         def adopt_and_reuse():
             alloc.free(blocks[T32K])                    # marks and adopts
-            assert span.owner.load() \
+            assert owner_of(span) \
                 == alloc.frontend.labs[2].owner_word.load()
             got = [alloc.malloc(1 << 15) for _ in range(B32K - 2)]
             assert {span_of(alloc, p) for p in got[:-1]} == {span}
@@ -1270,11 +1282,11 @@ def test_late_adoption_leaves_the_spans_next_life_alone(monkeypatch):
     # Meanwhile the span empties and is pooled, LAB 1 takes it back
     # under the same owner word and terminates, and LAB 2 marks the span
     # in this next life and is held before its own put. LAB 1's set
-    # refuses both puts. An adoption that compared the owner word alone
-    # would let LAB 0 take the span under its stale stamp, so that LAB
-    # 2's adoption failed and the span stayed reusable in no set; an
-    # adoption also needs the span's epoch to equal the marking's stamp,
-    # so LAB 2 adopts it.
+    # refuses both puts. An adoption that compared the owner alone would
+    # let LAB 0 take the span under its stale stamp, so that LAB 2's
+    # adoption failed and the span stayed reusable in no set; an
+    # adoption replaces the whole epoch word from the marking's stamp,
+    # counter included, so LAB 0's fails and LAB 2 adopts the span.
     alloc = make_allocator(instrument=True)
     alloc.attach_thread()                               # LAB 0
     main = threading.current_thread()
@@ -1314,10 +1326,10 @@ def test_late_adoption_leaves_the_spans_next_life_alone(monkeypatch):
             assert second_go.wait(30)
 
         first = hold(monkeypatch, ReusableSet, "put",
-                     lambda the_set, owner, sp, stamp: sp is span
+                     lambda the_set, sp, stamp: sp is span
                      and threading.current_thread() is main, next_life)
         second = hold(monkeypatch, ReusableSet, "put",
-                      lambda the_set, owner, sp, stamp: sp is span
+                      lambda the_set, sp, stamp: sp is span
                       and threading.current_thread() is not main,
                       wait_at_second_put)
         adopts = alloc.stats()["adopts"]
@@ -1329,7 +1341,7 @@ def test_late_adoption_leaves_the_spans_next_life_alone(monkeypatch):
         marking.result(timeout=30)
         assert second
         assert state_of(span) == STATE_REUSABLE and homes(alloc, span) == [2]
-        assert span.owner.load() == alloc.frontend.labs[2].owner_word.load()
+        assert owner_of(span) == alloc.frontend.labs[2].owner_word.load()
         assert alloc.stats()["adopts"] == adopts + 1
         assert set_entries(alloc) == 1
         assert span_homes(alloc) == []
@@ -1341,6 +1353,69 @@ def test_late_adoption_leaves_the_spans_next_life_alone(monkeypatch):
         for p in [again] + got[T32K + 1:]:
             two.submit(alloc.free, p).result(timeout=30)
         two.submit(alloc.detach_thread).result(timeout=30)
+    validate_transition_trace(alloc)
+
+
+def test_last_free_that_read_the_marking_loses_to_the_adoption(monkeypatch):
+    # LAB 0 marks LAB 1's orphaned 32K span; LAB 1's set refuses the put
+    # and LAB 0 is held before its adoption. Meanwhile LAB 2 frees the
+    # span's other blocks, and its free of the last one snapshots the
+    # marking's word and is held before its push until LAB 0's free has
+    # returned. The adoption moved the epoch past that word, so the last
+    # free's retire fails: the span stays empty and reusable in LAB 0's
+    # set, and LAB 0's next malloc of the class reuses it.
+    alloc = make_allocator(instrument=True)
+    alloc.attach_thread()                               # LAB 0
+    with ThreadPoolExecutor(max_workers=1) as one, \
+            ThreadPoolExecutor(max_workers=1) as two:
+        one.submit(alloc.attach_thread).result(timeout=30)     # LAB 1
+        two.submit(alloc.attach_thread).result(timeout=30)     # LAB 2
+        span, blocks, extra = one.submit(
+            floated_span, alloc, 1 << 15).result(timeout=30)
+        for b in blocks[:T32K]:
+            alloc.free(b)                               # at the threshold
+        one.submit(alloc.detach_thread).result(timeout=30)     # orphans it
+        last = blocks[-1]
+        at_push, push_go = threading.Event(), threading.Event()
+
+        def wait_at_push():
+            at_push.set()
+            assert push_go.wait(30)
+
+        def free_the_rest():
+            for b in blocks[T32K + 1:-1]:
+                two.submit(alloc.free, b).result(timeout=30)
+            last_free = two.submit(alloc.free, last)
+            assert at_push.wait(30)
+            return last_free
+
+        pushed = hold(monkeypatch, SpanHeader, "free_remote",
+                      lambda sp, addr: addr == last, wait_at_push)
+        adopting = hold(monkeypatch, SpanHeader, "try_adopt",
+                        lambda sp, stamp, owner: sp is span, free_the_rest)
+        stats = alloc.stats()
+        try:
+            alloc.free(blocks[T32K])            # marks, then adopts late
+        finally:
+            push_go.set()
+        adopting[0].result(timeout=30)
+        assert pushed
+        assert state_of(span) == STATE_REUSABLE and span.is_empty()
+        assert homes(alloc, span) == [0]
+        assert owner_of(span) == alloc.frontend.labs[0].owner_word.load()
+        after = alloc.stats()
+        assert after["adopts"] == stats["adopts"] + 1
+        assert after["pool_puts"] == stats["pool_puts"]     # not pooled
+        assert set_entries(alloc) == 1
+        assert span_homes(alloc) == []
+        validate_transition_trace(alloc)
+        again = alloc.malloc(1 << 15)
+        assert span_of(alloc, again) is span and state_of(span) == STATE_HOT
+        assert alloc.stats()["arena_spans"] == after["arena_spans"]
+        for p in (again, extra):
+            alloc.free(p)
+        two.submit(alloc.detach_thread).result(timeout=30)
+    assert span_homes(alloc) == []
     validate_transition_trace(alloc)
 
 
@@ -1387,7 +1462,7 @@ def test_attachment_record_holds_the_current_owner_word(lab_mode):
     adopts = alloc.stats()["adopts"]
     alloc.free(p)                       # into its predecessor's span
     assert alloc.stats()["adopts"] == adopts + 1
-    assert span.owner.load() == second
+    assert owner_of(span) == second
     alloc.free(q)
     assert state_of(span) == STATE_FREE
 

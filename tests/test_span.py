@@ -3,13 +3,15 @@ import threading
 import pytest
 
 from spanalloc.arena import Arena
+from spanalloc.atomic import AtomicWord
 from spanalloc.config import PAGE_SIZE, VIRTUAL_SPAN_SIZE
 from spanalloc.fragmeter import FragLedger
 from spanalloc.size_classes import NUM_CLASSES, TABLE, class_for_size
 from spanalloc.span import (
-    EPOCH_COUNTER_MASK, EPOCH_STATE_SHIFT, LEGAL_EDGES, STATE_FLOATING,
-    STATE_FREE, STATE_HOT, STATE_NAMES, STATE_REUSABLE, SpanSpace,
-    epoch_counter, epoch_state, next_epoch_word, pack_owner,
+    EPOCH_COUNTER_MASK, EPOCH_OWNER_SHIFT, EPOCH_STATE_SHIFT, LEGAL_EDGES,
+    STATE_FLOATING, STATE_FREE, STATE_HOT, STATE_NAMES, STATE_REUSABLE,
+    SpanHeader, SpanSpace, epoch_counter, epoch_owner, epoch_state,
+    next_epoch_word, pack_owner,
 )
 from spanalloc.vmem import SimProvider
 
@@ -23,11 +25,22 @@ def make_space(spans=16, **kw):
     return SpanSpace(arena, provider, **kw), provider, arena
 
 
-def fresh_span(space, arena, size=64, owner=OWNER):
+def fresh_span(space, arena, size=64):
     base = arena.acquire_virtual_span()
     span = space.header_for_base(base, create=True)
-    span.init_for_class(class_for_size(size), owner)
+    span.init_for_class(class_for_size(size))
     return span
+
+
+def reusable_span(space, arena):
+    """A fresh span taken hot by OWNER, floated and marked reusable;
+    returns it and its marking's word."""
+    span = fresh_span(space, arena)
+    assert span.try_transition(span.epoch.load(), STATE_HOT, OWNER)
+    assert span.try_transition(span.epoch.load(), STATE_FLOATING)
+    stamp = span.try_transition(span.epoch.load(), STATE_REUSABLE)
+    assert stamp == span.epoch.load() and epoch_owner(stamp) == OWNER
+    return span, stamp
 
 
 def test_init_commits_only_header_page():
@@ -46,7 +59,7 @@ def test_header_page_is_committed_when_the_header_is_created():
     assert span.size_class == -1                # not yet initialized
     assert provider.committed_page_indices() == {base // PAGE_SIZE}
     assert space.header_for_base(base) is span
-    span.init_for_class(class_for_size(1 << 20), OWNER)
+    span.init_for_class(class_for_size(1 << 20))
     assert provider.committed_page_indices() == {base // PAGE_SIZE}
 
 
@@ -54,8 +67,12 @@ def test_header_words_share_one_lock():
     space, provider, arena = make_space()
     span, other = fresh_span(space, arena), fresh_span(space, arena)
     lock = span.epoch._lock
-    assert span.owner._lock is lock and span.remote._lock is lock
+    assert span.remote._lock is lock
     assert other.epoch._lock is not lock
+    # The owner rides in the epoch word: these are the header's atomics.
+    assert [name for name in SpanHeader.__slots__
+            if isinstance(getattr(span, name), AtomicWord)] \
+        == ["epoch", "remote"]
 
 
 @pytest.mark.parametrize("pct", [0, 50, 80, 100])
@@ -220,16 +237,16 @@ def test_transitions_happy_path_and_stale_failure():
     span = fresh_span(space, arena, 64)
     e0 = span.epoch.load()
     assert epoch_state(e0) == STATE_FREE
-    assert span.try_transition(e0, STATE_HOT)
-    assert not span.try_transition(e0, STATE_HOT)        # stale epoch
-    e1 = span.epoch.load()
-    assert epoch_state(e1) == STATE_HOT
+    e1 = span.try_transition(e0, STATE_HOT, OWNER)      # installs the owner
+    assert not span.try_transition(e0, STATE_HOT, OWNER)  # stale epoch
+    assert e1 == span.epoch.load()
+    assert epoch_state(e1) == STATE_HOT and epoch_owner(e1) == OWNER
     assert epoch_counter(e1) == epoch_counter(e0) + 1
-    assert span.try_transition(e1, STATE_FLOATING)
-    e2 = span.epoch.load()
-    assert span.try_transition(e2, STATE_REUSABLE)
-    e3 = span.epoch.load()
-    assert span.try_transition(e3, STATE_FREE)
+    e2 = span.try_transition(e1, STATE_FLOATING)
+    e3 = span.try_transition(e2, STATE_REUSABLE)
+    e4 = span.try_transition(e3, STATE_FREE)
+    assert e4 == span.epoch.load() and epoch_state(e4) == STATE_FREE
+    assert {epoch_owner(e) for e in (e2, e3, e4)} == {OWNER}   # kept
     assert space.ledger is None                 # nothing traced
 
 
@@ -251,7 +268,8 @@ def test_transition_race_single_winner():
     a = threading.Thread(target=racer, args=(STATE_FREE,))
     b = threading.Thread(target=racer, args=(STATE_HOT,))
     a.start(); b.start(); a.join(); b.join()
-    assert sorted(results) == [False, True]
+    assert results.count(False) == 1
+    assert span.epoch.load() in results
 
 
 def test_illegal_edge_asserts():
@@ -274,33 +292,40 @@ def test_illegal_edge_asserts():
 
 def test_adopt_single_winner():
     space, provider, arena = make_space()
-    span = fresh_span(space, arena, 64, owner=OWNER)
-    stamp = span.epoch.load()
+    span, stamp = reusable_span(space, arena)
     results = []
     barrier = threading.Barrier(2)
 
     def adopter(word):
         barrier.wait()
-        results.append(span.try_adopt(OWNER, word, stamp))
+        results.append(span.try_adopt(stamp, word))
 
     a = threading.Thread(target=adopter, args=(pack_owner(2, 5),))
     b = threading.Thread(target=adopter, args=(pack_owner(3, 6),))
     a.start(); b.start(); a.join(); b.join()
-    assert sorted(results) == [False, True]
-    assert span.owner.load() in (pack_owner(2, 5), pack_owner(3, 6))
+    assert results.count(False) == 1
+    won = next(r for r in results if r is not False)
+    assert won == span.epoch.load()
+    assert epoch_owner(won) in (pack_owner(2, 5), pack_owner(3, 6))
+    assert epoch_state(won) == STATE_REUSABLE
+    assert epoch_counter(won) == epoch_counter(stamp) + 1
 
 
 def test_adopt_fails_once_the_epoch_moved_past_the_stamp():
     # The owner word alone recurs: the span's next life may have the
     # same owner, but not the same epoch.
     space, provider, arena = make_space()
-    span = fresh_span(space, arena, 64, owner=OWNER)
-    stamp = span.epoch.load()
-    assert span.try_transition(stamp, STATE_HOT)
-    assert not span.try_adopt(OWNER, OTHER, stamp)
-    assert span.owner.load() == OWNER
-    assert span.try_adopt(OWNER, OTHER, span.epoch.load())
-    assert span.owner.load() == OTHER
+    span, stamp = reusable_span(space, arena)
+    free = span.try_transition(stamp, STATE_FREE)
+    hot = span.try_transition(free, STATE_HOT, OWNER)   # the owner recurs
+    floating = span.try_transition(hot, STATE_FLOATING)
+    again = span.try_transition(floating, STATE_REUSABLE)
+    assert epoch_state(again) == STATE_REUSABLE and again != stamp
+    assert epoch_owner(again) == epoch_owner(stamp) == OWNER
+    assert not span.try_adopt(stamp, OTHER)
+    assert span.epoch.load() == again
+    adopted = span.try_adopt(again, OTHER)
+    assert adopted == span.epoch.load() and epoch_owner(adopted) == OTHER
 
 
 def test_reinit_same_real_span_is_header_rewrite():
@@ -310,13 +335,14 @@ def test_reinit_same_real_span_is_header_rewrite():
     for b in blocks:
         span.free_local(b)
     committed = provider.committed_in(span.base, VIRTUAL_SPAN_SIZE)
-    span.init_for_class(class_for_size(256), OTHER)
+    epoch = span.epoch.load()
+    span.init_for_class(class_for_size(256))
     assert span.block_size == 256
     assert span.blocks_per_span == 127
     assert span.local_count == 0 and span.bump_limit == 0
     # No decommit happens on re-init; the touched pages stay.
     assert provider.committed_in(span.base, VIRTUAL_SPAN_SIZE) == committed
-    assert span.owner.load() == OTHER
+    assert span.epoch.load() == epoch           # the epoch is left alone
 
 
 def test_trace_records_transitions():
@@ -337,19 +363,22 @@ def test_trace_records_transitions():
                          ids=lambda e: f"{STATE_NAMES[e[0]]}-{STATE_NAMES[e[1]]}")
 def test_transition_installs_next_epoch_word(edge, counter):
     # try_transition computes its word inline; it must be exactly the
-    # reference helper's, the counter wrapping to 0 at the mask.
+    # reference helper's, the owner kept and the counter wrapping to 0
+    # at the mask.
     src, target = edge
     space, provider, arena = make_space(ledger=FragLedger())
     span = fresh_span(space, arena, 64)
-    observed = (src << EPOCH_STATE_SHIFT) | counter
+    owner = OTHER << EPOCH_OWNER_SHIFT
+    observed = (src << EPOCH_STATE_SHIFT) | owner | counter
     span.epoch.store(observed)
-    stale = (src << EPOCH_STATE_SHIFT) | ((counter - 1) & EPOCH_COUNTER_MASK)
+    stale = (src << EPOCH_STATE_SHIFT) | owner \
+        | ((counter - 1) & EPOCH_COUNTER_MASK)
     assert not span.try_transition(stale, target)
     assert span.epoch.load() == observed and space.ledger.trace == []
-    assert span.try_transition(observed, target)
     new = next_epoch_word(observed, target)
+    assert span.try_transition(observed, target) == new
     assert span.epoch.load() == new
-    assert epoch_state(new) == target
+    assert epoch_state(new) == target and epoch_owner(new) == OTHER
     assert epoch_counter(new) == (0 if counter == EPOCH_COUNTER_MASK
                                   else counter + 1)
     assert space.ledger.trace == [(span.slot, observed, new)]

@@ -10,11 +10,9 @@ from spanalloc.errors import ArenaExhausted, WildFree
 from spanalloc.size_classes import (
     NUM_REAL_SPAN_SIZES, REAL_SPAN_SIZES, TABLE, class_for_size,
 )
-from spanalloc.span import STATE_FREE, SpanSpace, epoch_state, pack_owner
+from spanalloc.span import STATE_FREE, SpanSpace, epoch_state
 from spanalloc.span_pool import TOP_REF_MASK, SpanPool, TaggedStack
 from spanalloc.vmem import SimProvider
-
-OWNER = pack_owner(1, 0)
 
 
 def make_pool(spans=64, width=4, **kw):
@@ -27,7 +25,7 @@ def make_pool(spans=64, width=4, **kw):
 def pooled_span(pool, space, arena, size=64):
     """A span initialized for `size` in state free, as put() expects."""
     span = space.header_for_base(arena.acquire_virtual_span(), create=True)
-    span.init_for_class(class_for_size(size), OWNER)
+    span.init_for_class(class_for_size(size))
     return span
 
 
@@ -132,7 +130,7 @@ def test_depth_hint_matches_walked_stacks(width):
             fresh = pool.gets_from_arena.load()
             span = pool.get(sc, rng.randrange(8))
             assert (pool.gets_from_arena.load() > fresh) == empty
-            span.init_for_class(sc, OWNER)
+            span.init_for_class(sc)
             held.append(span)
         assert pool.puts.load() - pool.gets_from_pool.load() \
             == pool_depth(pool)
@@ -318,7 +316,7 @@ def test_pooled_large_span_reads_zero_after_reuse():
     pool.put(big, thread_id=0)
     got = pool.get(class_for_size(2048), thread_id=0)   # scan hit
     assert got is big
-    got.init_for_class(class_for_size(2048), OWNER)
+    got.init_for_class(class_for_size(2048))
     payload = provider.read(got.base + PAGE_SIZE,
                             got.real_span_size - PAGE_SIZE)
     assert payload == bytes(len(payload))
@@ -370,13 +368,13 @@ def test_pool_hit_reclass_through_every_real_span_size_commits_nothing(
     classes = [next(g.class_id for g in TABLE if g.real_span_size == rs)
                for rs in REAL_SPAN_SIZES]
     span = pool.get(classes[-1], 0)             # from the arena
-    span.init_for_class(classes[-1], OWNER)
+    span.init_for_class(classes[-1])
     pool.put(span, 0)
     committed = provider.committed_bytes
     calls = count_commits(monkeypatch, provider)
     for sc in classes:
         assert pool.get(sc, 0) is span          # a pool hit
-        span.init_for_class(sc, OWNER)
+        span.init_for_class(sc)
         assert span.real_span_size == TABLE[sc].real_span_size
         pool.put(span, 0)
         assert provider.committed_bytes == committed
