@@ -1,9 +1,11 @@
 """Batch benchmark harness and CLI.
 
-Reproduces the classic allocator workload families at desk scale and
-writes one CSV row per run: throughput, peak committed memory (exact
-under the sim provider, sampled RSS under os), per-thread allocator
-time, and the ablation flags in effect.
+Reproduces the classic allocator workload families at desk scale. A
+run is one `RunReport`: the workload and allocator configurations,
+throughput, peak committed memory (exact under the sim provider,
+sampled RSS under os), per-thread allocator time, `Allocator.stats()`
+and the pool's per-stack counters at the end, and the workload's own
+results. `write_json` appends it to a file as one JSON line.
 
 Workloads:
   threadtest        rounds of allocate-all / free-all per thread
@@ -25,19 +27,18 @@ Workloads:
 """
 
 import argparse
-import csv
-import os
+import json
 import queue
 import random
 import sys
 import threading
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .api import NULL, Allocator
 from .config import AllocatorConfig
 from .errors import SpanAllocError
-from .size_classes import dump_csv
+from .size_classes import TABLE
 
 # Each ablation flag and the AllocatorConfig fields it sets.
 ABLATIONS = {
@@ -45,7 +46,6 @@ ABLATIONS = {
     "pool_width_1": {"pool_width": 1},
     "lazy_reclaim": {"eager_reclaim": False},
 }
-ABLATION_FLAGS = tuple(ABLATIONS)
 
 _RSS_SAMPLE_PERIOD = 0.010
 
@@ -69,6 +69,10 @@ class WorkloadConfig:
             raise ValueError(f"unknown workload {self.name!r}")
         if self.threads < 1 or self.rounds < 0:
             raise ValueError("threads must be >= 1 and rounds >= 0")
+        if self.producers is not None \
+                and not 0 < self.producers < self.threads:
+            # A split needs at least one producer and one consumer.
+            raise ValueError("producers must be in [1, threads - 1]")
 
     def objects(self):
         if self.objects_per_round is not None:
@@ -80,40 +84,20 @@ class WorkloadConfig:
 
 @dataclass
 class RunReport:
-    """One run. The fields up to `stack_retries` are the CSV columns, in
-    order; `size_min`/`size_max` are empty without a size range."""
-    workload: str
-    threads: int
-    rounds: int
-    objects_per_round: int
-    object_size: int
-    size_min: int | str
-    size_max: int | str
-    seed: int
-    provider: str
-    pool_width: int
-    reuse_percent: int
-    lab_mode: str
-    ablation: str               # "+"-joined flags in effect, or "none"
+    """One run, written by `write_json` as one JSON line."""
+    workload: WorkloadConfig        # objects_per_round as in effect
+    allocator: AllocatorConfig      # pool_width as in effect
     ops: int
     elapsed_s: float
     ops_per_sec: float
     peak_committed_bytes: int
-    thread_alloc_time_mean_s: float
-    remote_free_fraction: float
-    pool_puts: int
-    pool_gets: int
-    stack_pushes: int
-    stack_pops: int
-    stack_retries: int
     thread_alloc_times_s: list[float]
+    stats: dict                     # Allocator.stats() after the run
+    stacks: list                    # SpanPool.stack_counters() rows
     extra: dict = field(default_factory=dict)   # workload-specific results
 
 
-CSV_COLUMNS = [f.name for f in fields(RunReport)][:-2]
-
-
-def ablate(flags=(), base_config=None, **overrides):
+def ablate(flags=(), **overrides):
     """Allocator configured with the named ablations applied.
 
     no_decommit disables the pooled-span decommit, pool_width_1 funnels
@@ -123,21 +107,9 @@ def ablate(flags=(), base_config=None, **overrides):
     unknown = set(flags) - set(ABLATIONS)
     if unknown:
         raise ValueError(f"unknown ablation flags: {sorted(unknown)}")
-    config = replace(base_config or AllocatorConfig(), **overrides)
     for flag in flags:
-        config = replace(config, **ABLATIONS[flag])
-    return Allocator(config)
-
-
-def ablation_of(allocator):
-    """The ablations the allocator runs under, "+"-joined, or "none".
-    The pool width is read as in effect, so a detected width of 1 counts
-    as pool_width_1."""
-    c = replace(allocator.config,
-                pool_width=allocator.config.effective_pool_width())
-    return "+".join(flag for flag, values in ABLATIONS.items()
-                    if all(getattr(c, k) == v for k, v in values.items())) \
-        or "none"
+        overrides.update(ABLATIONS[flag])
+    return Allocator(**overrides)
 
 
 class _Worker(threading.Thread):
@@ -173,7 +145,7 @@ def _sample_rss(provider, halt):
 def run(config, allocator=None):
     """Execute a workload; returns the RunReport."""
     if allocator is None:
-        allocator = Allocator(AllocatorConfig.from_env())
+        allocator = Allocator()
     provider = allocator.provider
     provider.begin_window()
     halt = threading.Event()
@@ -194,26 +166,15 @@ def run(config, allocator=None):
     stats = allocator.stats()
     extra["leaked_blocks"] = stats["allocs"] - stats["frees"]
     ops = stats["allocs"] + stats["frees"]
-    times = [w.alloc_time for w in workers]
-    mean_time = sum(times) / len(times) if times else 0.0
-    size_min, size_max = config.size_range or ("", "")
     c = allocator.config
     return RunReport(
-        workload=config.name, threads=config.threads, rounds=config.rounds,
-        objects_per_round=config.objects(), object_size=config.object_size,
-        size_min=size_min, size_max=size_max, seed=config.seed,
-        provider=c.provider, pool_width=c.effective_pool_width(),
-        reuse_percent=c.reuse_percent, lab_mode=c.lab_mode,
-        ablation=ablation_of(allocator),
+        workload=replace(config, objects_per_round=config.objects()),
+        allocator=replace(c, pool_width=c.effective_pool_width()),
         ops=ops, elapsed_s=round(elapsed, 6),
         ops_per_sec=round(ops / elapsed if elapsed > 0 else 0.0, 1),
         peak_committed_bytes=provider.window_peak,
-        thread_alloc_time_mean_s=round(mean_time, 6),
-        remote_free_fraction=round(stats["remote_free_fraction"], 4),
-        pool_puts=stats["pool_puts"], pool_gets=stats["pool_gets"],
-        stack_pushes=stats["stack_pushes"], stack_pops=stats["stack_pops"],
-        stack_retries=stats["stack_retries"],
-        thread_alloc_times_s=times, extra=extra)
+        thread_alloc_times_s=[w.alloc_time for w in workers],
+        stats=stats, stacks=allocator.pool.stack_counters(), extra=extra)
 
 
 def _spawn(allocator, bodies):
@@ -575,23 +536,10 @@ WORKLOADS = tuple(_WORKLOAD_RUNNERS)
 # -- CLI ---------------------------------------------------------------------------
 
 
-def write_csv(path, report):
-    """Append the report's row, with the header first in a new file."""
-    exists = os.path.exists(path)
-    with open(path, "a", newline="") as fh:
-        writer = csv.writer(fh)
-        if not exists:
-            writer.writerow(CSV_COLUMNS)
-        writer.writerow([getattr(report, c) for c in CSV_COLUMNS])
-
-
-def write_stack_csv(path, allocator):
-    """Per-stack push/pop/retry counters, one row per pool stack."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["real_span_index", "pool_index",
-                         "pushes", "pops", "retries"])
-        writer.writerows(allocator.pool.stack_counters())
+def write_json(path, report):
+    """Append the report to `path` as one JSON line."""
+    with open(path, "a") as fh:
+        fh.write(json.dumps(asdict(report)) + "\n")
 
 
 def _parse_size_range(text):
@@ -604,7 +552,7 @@ def build_arg_parser():
     WorkloadConfig or AllocatorConfig field."""
     parser = argparse.ArgumentParser(
         prog="spanalloc-bench",
-        description="Run allocator workloads and emit CSV metrics.")
+        description="Run an allocator workload and report its metrics.")
     parser.add_argument("--workload", dest="name", choices=WORKLOADS,
                         default="threadtest")
     parser.add_argument("--threads", type=int, default=1)
@@ -620,11 +568,12 @@ def build_arg_parser():
     parser.add_argument("--producers", type=int, default=None,
                         help="prodcons role split; default symmetric")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--csv", type=str, default=None)
+    parser.add_argument("--json", type=str, default=None, metavar="PATH",
+                        help="append the run's record as one JSON line")
     parser.add_argument("--ablate", type=str, default="",
-                        help="comma list of " + ",".join(ABLATION_FLAGS))
-    # Allocator flags default to None: an omitted flag leaves its knob
-    # to SPANALLOC_* and then to the library default.
+                        help="comma list of " + ",".join(ABLATIONS))
+    # Allocator flags default to None: an omitted flag leaves its field
+    # to the library default.
     parser.add_argument("--provider", choices=("os", "sim"), default=None)
     parser.add_argument("--pool-width", type=int, default=None)
     parser.add_argument("--reuse-threshold", dest="reuse_percent", type=int,
@@ -635,45 +584,39 @@ def build_arg_parser():
                         action="store_false", help="skip writing into objects")
     parser.add_argument("--instrument", action="store_true",
                         help="attach the ledger (fragmentation, DoubleFree)")
-    parser.add_argument("--stacks-csv", type=str, default=None,
-                        help="dump per-stack pool counters")
     parser.add_argument("--dump-size-classes", action="store_true",
-                        help="print the size-class table as CSV and exit")
+                        help="print the size-class table as JSON and exit")
     return parser
 
 
 def main(argv=None):
     args = build_arg_parser().parse_args(argv)
     if args.dump_size_classes:
-        sys.stdout.write(dump_csv())
+        print(json.dumps([row._asdict() for row in TABLE]))
         return 0
 
     values = vars(args)
     overrides = {f.name: values[f.name] for f in fields(AllocatorConfig)
                  if values.get(f.name) is not None}
     flags = tuple(f for f in args.ablate.split(",") if f)
-    allocator = ablate(flags, base_config=AllocatorConfig.from_env(),
-                       **overrides)
     config = WorkloadConfig(
         **{f.name: values[f.name] for f in fields(WorkloadConfig)})
-    report = run(config, allocator)
+    report = run(config, ablate(flags, **overrides))
 
-    print(f"workload={report.workload} threads={report.threads} "
+    stats = report.stats
+    print(f"workload={config.name} threads={config.threads} "
           f"ops={report.ops} elapsed={report.elapsed_s:.3f}s "
           f"ops/s={report.ops_per_sec:,.0f} "
           f"peak_committed={report.peak_committed_bytes}")
-    print(f"  remote_free_fraction={report.remote_free_fraction}")
+    print(f"  remote_free_fraction={round(stats['remote_free_fraction'], 4)}")
     for key in ("probe_ok", "leaked_blocks"):
         if key in report.extra:
             print(f"  {key}={report.extra[key]}")
-    if allocator.ledger is not None:
-        print(f"  frag_bytes={allocator.ledger.f}")
-    if args.csv:
-        write_csv(args.csv, report)
-        print(f"csv row appended to {args.csv}")
-    if args.stacks_csv:
-        write_stack_csv(args.stacks_csv, allocator)
-        print(f"per-stack counters written to {args.stacks_csv}")
+    if "frag_bytes" in stats:
+        print(f"  frag_bytes={stats['frag_bytes']}")
+    if args.json:
+        write_json(args.json, report)
+        print(f"record appended to {args.json}")
     return 0
 
 

@@ -1,7 +1,8 @@
 """Allocator configuration.
 
-Every tunable lives here so tests, the bench CLI, and environment
-variables all feed the same knobs.
+Every tunable is an `AllocatorConfig` field; the library, the tests and
+the bench CLI (through its flags and `--ablate`) all set the same
+fields.
 """
 
 import os
@@ -20,16 +21,8 @@ DECOMMIT_THRESHOLD = 32 * 1024
 TLAB = "tlab"
 CLAB = "clab"
 
-_ENV_PREFIX = "SPANALLOC_"
-
-
-def _env_int(name, default):
-    raw = os.environ.get(_ENV_PREFIX + name)
-    return int(raw, 0) if raw else default
-
-
-def _env_str(name, default):
-    return os.environ.get(_ENV_PREFIX + name, default)
+# The detected core count: the default pool width and the CLAB count.
+CPU_COUNT = os.cpu_count() or 1
 
 
 @dataclass
@@ -65,25 +58,7 @@ class AllocatorConfig:
         if self.pool_width is not None and self.pool_width < 1:
             raise ValueError("pool_width must be >= 1")
 
-    @classmethod
-    def from_env(cls, **overrides):
-        """Build a config from SPANALLOC_* environment variables.
-
-        Explicit keyword overrides win over the environment.
-        """
-        values = dict(
-            arena_bytes=_env_int("ARENA_BYTES", cls.arena_bytes),
-            provider=_env_str("PROVIDER", cls.provider),
-            reuse_percent=_env_int("REUSE_PERCENT", cls.reuse_percent),
-            lab_mode=_env_str("LAB_MODE", cls.lab_mode),
-        )
-        pw = _env_int("POOL_WIDTH", 0)
-        if pw:
-            values["pool_width"] = pw
-        values.update(overrides)
-        return cls(**values)
-
     def effective_pool_width(self):
         if self.pool_width is not None:
             return self.pool_width
-        return os.cpu_count() or 1
+        return CPU_COUNT

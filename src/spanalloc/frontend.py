@@ -46,13 +46,12 @@ state again.
 """
 
 import itertools
-import os
 import threading
 import weakref
 from collections import OrderedDict
 
 from .atomic import AtomicWord
-from .config import CLAB, TLAB
+from .config import CLAB, CPU_COUNT, TLAB
 from .size_classes import NUM_CLASSES
 from .span import (
     EPOCH_OWNER_FIELD, EPOCH_OWNER_SHIFT, EPOCH_STATE_SHIFT, STATE_FLOATING,
@@ -138,8 +137,11 @@ class LAB:
         self.hot_spans = [None] * NUM_CLASSES
         self.reusable = [ReusableSet(self.owner_word)
                          for _ in range(NUM_CLASSES)]
+        # CLAB only. A plain lock: nothing re-enters allocate while it
+        # holds a class latch (_allocate reaches only the set, the pool,
+        # the span and the ledger), and termination takes none.
         self.class_latches = \
-            [threading.RLock() for _ in range(NUM_CLASSES)] if latched else None
+            [threading.Lock() for _ in range(NUM_CLASSES)] if latched else None
         self.attached = 0
 
     def activate(self):
@@ -188,7 +190,7 @@ class Frontend:
         self.ledger = space.ledger
         self.tlab = config.lab_mode == TLAB
         self.eager_reclaim = config.eager_reclaim
-        self.clab_width = os.cpu_count() or 1
+        self.clab_width = CPU_COUNT
         self.labs = []
         self._free_labs = []
         self._mgr_lock = threading.Lock()

@@ -17,7 +17,6 @@ internal fragmentation below 50% for every request above 16 bytes.
 Anything above 1MB bypasses spans entirely (HUGE).
 """
 
-import io
 from typing import NamedTuple
 
 KB = 1024
@@ -103,13 +102,3 @@ def class_for_size(request):
 def geometry(class_id):
     return TABLE[class_id]
 
-
-def dump_csv(fileobj=None):
-    """Write the table as CSV for audits; returns the text."""
-    out = fileobj or io.StringIO()
-    out.write("class_id,block_size,real_span_size,header_size,"
-              "blocks_per_span,real_span_index\n")
-    for row in TABLE:
-        out.write(f"{row.class_id},{row.block_size},{row.real_span_size},"
-                  f"{row.header_size},{row.blocks_per_span},{row.real_span_index}\n")
-    return out.getvalue() if fileobj is None else None

@@ -397,20 +397,3 @@ def test_stats_shape(alloc):
                 "stack_pushes", "arena_spans"):
         assert key in s
     assert s["allocs"] == 1 and s["frees"] == 1
-
-
-def test_config_from_env(monkeypatch):
-    from spanalloc import AllocatorConfig
-
-    monkeypatch.setenv("SPANALLOC_ARENA_BYTES", str(1 << 26))
-    monkeypatch.setenv("SPANALLOC_PROVIDER", "sim")
-    monkeypatch.setenv("SPANALLOC_REUSE_PERCENT", "90")
-    monkeypatch.setenv("SPANALLOC_LAB_MODE", "clab")
-    monkeypatch.setenv("SPANALLOC_POOL_WIDTH", "3")
-    cfg = AllocatorConfig.from_env()
-    assert cfg.arena_bytes == 1 << 26
-    assert cfg.reuse_percent == 90
-    assert cfg.lab_mode == "clab"
-    assert cfg.effective_pool_width() == 3
-    override = AllocatorConfig.from_env(reuse_percent=75)
-    assert override.reuse_percent == 75

@@ -1,16 +1,16 @@
-import csv
-import io
+import json
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
 from helpers import SMALL_ARENA, stray_pages
 from spanalloc.bench import (
-    ABLATION_FLAGS, WorkloadConfig, ablate, main, run, write_csv,
+    ABLATIONS, WorkloadConfig, ablate, main, run, write_json,
 )
 from spanalloc.config import AllocatorConfig
-from spanalloc.size_classes import NUM_REAL_SPAN_SIZES
+from spanalloc.size_classes import NUM_CLASSES, NUM_REAL_SPAN_SIZES
 
 
 def bench_alloc(**kw):
@@ -25,6 +25,16 @@ def small(name, **kw):
     return WorkloadConfig(name=name, **kw)
 
 
+def exported(report):
+    """The report as `write_json` writes it, read back."""
+    return json.loads(json.dumps(asdict(report)))
+
+
+def read_records(path):
+    with open(path) as fh:
+        return [json.loads(line) for line in fh]
+
+
 @pytest.mark.parametrize("name", [
     "threadtest", "shbench_like", "prodcons",
     "falseshare_active", "falseshare_passive", "locality",
@@ -35,6 +45,15 @@ def test_workloads_run_clean(name):
     assert report.extra["leaked_blocks"] == 0
     assert report.peak_committed_bytes > 0
     assert len(report.thread_alloc_times_s) >= 2
+    record = exported(report)
+    assert record["workload"]["name"] == name
+    assert record["ops"] == report.ops
+    assert record["stats"] == report.stats
+    assert record["extra"]["leaked_blocks"] == 0
+    if name == "locality":
+        # JSON object keys are strings.
+        assert set(record["extra"]["access_times"]) \
+            == {"0", "25", "50", "75", "100"}
 
 
 def test_larson_runs_clean():
@@ -44,6 +63,9 @@ def test_larson_runs_clean():
     assert report.extra["leaked_blocks"] == 0
     # Each hand-off spawns a continuation thread.
     assert len(report.thread_alloc_times_s) == 2 * (4 + 1)
+    record = exported(report)
+    assert record["workload"]["handoffs"] == 4
+    assert record["thread_alloc_times_s"] == report.thread_alloc_times_s
 
 
 def test_sizesweep_exercises_huge_path():
@@ -57,32 +79,35 @@ def test_sizesweep_exercises_huge_path():
         assert alloc.provider.map_calls > 0, flags    # objects above 1MB
         assert 20 in report.extra["interval_times"], flags
         assert not stray_pages(alloc), flags
+        record = exported(report)
+        assert "20" in record["extra"]["interval_times"], flags
+        assert record["allocator"]["decommit_enabled"] \
+            == ("no_decommit" not in flags), flags
 
 
 def test_prodcons_remote_fraction_half_for_two_threads():
     cfg = WorkloadConfig(name="prodcons", threads=2, rounds=10,
                          objects_per_round=400, seed=3)
     report = run(cfg, bench_alloc())
-    assert abs(report.remote_free_fraction - 0.5) < 0.05
+    assert abs(report.stats["remote_free_fraction"] - 0.5) < 0.05
 
 
 def test_prodcons_split_roles_all_remote():
     cfg = WorkloadConfig(name="prodcons", threads=4, rounds=4,
                          objects_per_round=200, producers=2)
     report = run(cfg, bench_alloc())
-    assert report.remote_free_fraction == 1.0
+    assert report.stats["remote_free_fraction"] == 1.0
     assert report.extra["leaked_blocks"] == 0
 
 
 def test_ablate_flag_validation_and_effects():
     with pytest.raises(ValueError):
         ablate(("bogus",))
-    a = ablate(ABLATION_FLAGS, arena_bytes=SMALL_ARENA)
+    a = ablate(tuple(ABLATIONS), arena_bytes=SMALL_ARENA)
     assert not a.config.decommit_enabled
     assert a.config.effective_pool_width() == 1
     assert not a.config.eager_reclaim
-    base = AllocatorConfig(arena_bytes=SMALL_ARENA, reuse_percent=70)
-    b = ablate(("no_decommit",), base_config=base)
+    b = ablate(("no_decommit",), arena_bytes=SMALL_ARENA, reuse_percent=70)
     assert b.config.reuse_percent == 70 and not b.config.decommit_enabled
 
 
@@ -92,7 +117,7 @@ def test_same_seed_reproduces_single_thread_run():
         report = run(cfg, alloc)
         stats = alloc.stats()
         return (report.ops, report.peak_committed_bytes,
-                report.remote_free_fraction,
+                report.stats["remote_free_fraction"],
                 stats["pool_puts"], stats["pool_gets"], stats["allocs"])
 
     for cfg in (
@@ -107,67 +132,70 @@ def test_same_seed_reproduces_single_thread_run():
 
 
 def test_csv_schema_stable(tmp_path):
-    path = tmp_path / "runs.csv"
+    # Each run appends one JSON record.
+    path = tmp_path / "runs.jsonl"
     alloc = bench_alloc()
     report = run(small("threadtest", threads=1), alloc)
-    write_csv(str(path), report)
-    write_csv(str(path), report)
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 2
-    assert list(rows[0]) == [
-        "workload", "threads", "rounds", "objects_per_round", "object_size",
-        "size_min", "size_max", "seed", "provider", "pool_width",
-        "reuse_percent", "lab_mode", "ablation", "ops", "elapsed_s",
-        "ops_per_sec", "peak_committed_bytes", "thread_alloc_time_mean_s",
-        "remote_free_fraction", "pool_puts", "pool_gets",
-        "stack_pushes", "stack_pops", "stack_retries",
+    write_json(str(path), report)
+    write_json(str(path), report)
+    records = read_records(path)
+    assert len(records) == 2
+    assert list(records[0]) == [
+        "workload", "allocator", "ops", "elapsed_s", "ops_per_sec",
+        "peak_committed_bytes", "thread_alloc_times_s", "stats", "stacks",
+        "extra",
     ]
-    assert rows[0]["workload"] == "threadtest"
-    assert int(rows[0]["ops"]) == report.ops
-    assert rows[0]["ablation"] == "none"
+    assert records[0]["workload"]["name"] == "threadtest"
+    assert records[0]["workload"]["objects_per_round"] == 200
+    assert records[0]["ops"] == report.ops
+    assert records[0]["allocator"]["decommit_enabled"] is True
+    assert records[0]["allocator"]["eager_reclaim"] is True
+    # The record holds the object count in effect, not the None that
+    # asks for the default.
+    report = run(small("threadtest", threads=4, rounds=0,
+                       objects_per_round=None), bench_alloc())
+    assert exported(report)["workload"]["objects_per_round"] == 25_000
 
 
 def test_cli_dump_size_classes():
     out = subprocess.run(
         [sys.executable, "-m", "spanalloc.bench", "--dump-size-classes"],
         capture_output=True, text=True, check=True)
-    lines = out.stdout.strip().splitlines()
-    assert lines[0].startswith("class_id,")
-    assert len(lines) == 29
+    rows = json.loads(out.stdout)
+    assert len(rows) == NUM_CLASSES == 28
+    assert rows[15]["class_id"] == 15
+    assert rows[15]["block_size"] == 256
 
 
 def test_cli_end_to_end(tmp_path):
-    path = tmp_path / "cli.csv"
+    path = tmp_path / "cli.jsonl"
     out = subprocess.run(
         [sys.executable, "-m", "spanalloc.bench",
          "--workload", "threadtest", "--threads", "2", "--rounds", "2",
          "--objects", "100", "--size", "64", "--seed", "1",
          "--provider", "sim", "--arena-bytes", str(SMALL_ARENA),
-         "--csv", str(path), "--ablate", "no_decommit"],
+         "--json", str(path), "--ablate", "no_decommit"],
         capture_output=True, text=True, check=True)
     assert "ops/s=" in out.stdout
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert rows[0]["ablation"] == "no_decommit"
-    assert rows[0]["provider"] == "sim"
+    [record] = read_records(path)
+    assert record["allocator"]["decommit_enabled"] is False
+    assert record["allocator"]["eager_reclaim"] is True
+    assert record["allocator"]["provider"] == "sim"
 
 
 def test_cli_stacks_csv_counts_every_push(tmp_path):
-    stacks, runs = tmp_path / "stacks.csv", tmp_path / "runs.csv"
+    # The record's stacks are the per-stack pool counters.
+    path = tmp_path / "runs.jsonl"
     assert main(["--workload", "threadtest", "--threads", "2",
                  "--rounds", "2", "--objects", "2000", "--provider", "sim",
                  "--arena-bytes", str(SMALL_ARENA), "--pool-width", "3",
-                 "--csv", str(runs), "--stacks-csv", str(stacks)]) == 0
-    with open(stacks) as fh:
-        rows = list(csv.DictReader(fh))
-    with open(runs) as fh:
-        run_row = next(csv.DictReader(fh))
-    assert list(rows[0]) == ["real_span_index", "pool_index",
-                             "pushes", "pops", "retries"]
-    assert len(rows) == NUM_REAL_SPAN_SIZES * 3
-    assert sum(int(r["pushes"]) for r in rows) \
-        == int(run_row["stack_pushes"]) > 0
+                 "--json", str(path)]) == 0
+    [record] = read_records(path)
+    stacks = record["stacks"]
+    assert record["allocator"]["pool_width"] == 3
+    assert len(stacks) == NUM_REAL_SPAN_SIZES * 3
+    assert sum(pushes for _, _, pushes, _, _ in stacks) \
+        == record["stats"]["stack_pushes"] > 0
 
 
 def test_cli_instrument_prints_frag_bytes():
@@ -180,31 +208,14 @@ def test_cli_instrument_prints_frag_bytes():
     assert "frag_bytes=" in out.stdout
 
 
-def test_cli_takes_omitted_flags_from_environment(tmp_path, monkeypatch):
-    monkeypatch.setenv("SPANALLOC_PROVIDER", "sim")
-    monkeypatch.setenv("SPANALLOC_REUSE_PERCENT", "65")
-    monkeypatch.setenv("SPANALLOC_LAB_MODE", "clab")
-    path = tmp_path / "env.csv"
-    argv = ["--workload", "threadtest", "--rounds", "1", "--objects", "50",
-            "--arena-bytes", str(SMALL_ARENA), "--csv", str(path)]
-    assert main(argv) == 0
-    assert main(argv + ["--reuse-threshold", "70"]) == 0    # flag wins
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert [r["provider"] for r in rows] == ["sim", "sim"]
-    assert [r["lab_mode"] for r in rows] == ["clab", "clab"]
-    assert [r["reuse_percent"] for r in rows] == ["65", "70"]
-
-
-def test_cli_default_provider_is_the_library_default(tmp_path, monkeypatch):
-    monkeypatch.delenv("SPANALLOC_PROVIDER", raising=False)
-    path = tmp_path / "default.csv"
+def test_cli_default_provider_is_the_library_default(tmp_path):
+    path = tmp_path / "default.jsonl"
     assert main(["--workload", "threadtest", "--rounds", "1",
                  "--objects", "50", "--arena-bytes", str(SMALL_ARENA),
-                 "--csv", str(path)]) == 0
-    with open(path) as fh:
-        row = next(csv.DictReader(fh))
-    assert row["provider"] == AllocatorConfig.provider == "sim"
+                 "--json", str(path)]) == 0
+    [record] = read_records(path)
+    assert record["allocator"]["provider"] == AllocatorConfig.provider \
+        == "sim"
 
 
 def test_workload_config_validation():
@@ -212,6 +223,12 @@ def test_workload_config_validation():
         WorkloadConfig(name="nope")
     with pytest.raises(ValueError):
         WorkloadConfig(name="threadtest", threads=0)
+    # A prodcons split needs a producer and a consumer.
+    for producers in (-1, 0, 2, 3):
+        with pytest.raises(ValueError):
+            WorkloadConfig(name="prodcons", threads=2, producers=producers)
+    assert WorkloadConfig(name="prodcons", threads=2, producers=1).producers \
+        == 1
     cfg = WorkloadConfig(name="threadtest", threads=4)
     assert cfg.objects() == 25_000          # 100000 / threads
 

@@ -2,7 +2,7 @@ from hypothesis import given, strategies as st
 
 from spanalloc.size_classes import (
     HUGE, NUM_CLASSES, NUM_REAL_SPAN_SIZES, REAL_SPAN_SIZES, TABLE,
-    class_for_size, dump_csv, geometry,
+    class_for_size, geometry,
 )
 
 MAX_CLASS = 1 << 20
@@ -105,11 +105,3 @@ def test_real_span_index():
     assert TABLE[class_for_size(512)].real_span_index \
         == TABLE[class_for_size(1024)].real_span_index
     assert len({r.real_span_index for r in TABLE}) == NUM_REAL_SPAN_SIZES
-
-
-def test_dump_csv():
-    text = dump_csv()
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("class_id,")
-    assert len(lines) == 1 + NUM_CLASSES
-    assert lines[16].split(",")[1] == "256"   # class 15 row
