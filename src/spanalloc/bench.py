@@ -69,6 +69,11 @@ class WorkloadConfig:
             raise ValueError(f"unknown workload {self.name!r}")
         if self.threads < 1 or self.rounds < 0:
             raise ValueError("threads must be >= 1 and rounds >= 0")
+        if self.object_size < 0:
+            raise ValueError("object_size must be >= 0")
+        if self.size_range is not None \
+                and not 0 <= self.size_range[0] <= self.size_range[1]:
+            raise ValueError("size_range must satisfy 0 <= min <= max")
         if self.producers is not None \
                 and not 0 < self.producers < self.threads:
             # A split needs at least one producer and one consumer.
@@ -590,7 +595,8 @@ def build_arg_parser():
 
 
 def main(argv=None):
-    args = build_arg_parser().parse_args(argv)
+    parser = build_arg_parser()
+    args = parser.parse_args(argv)
     if args.dump_size_classes:
         print(json.dumps([row._asdict() for row in TABLE]))
         return 0
@@ -599,9 +605,13 @@ def main(argv=None):
     overrides = {f.name: values[f.name] for f in fields(AllocatorConfig)
                  if values.get(f.name) is not None}
     flags = tuple(f for f in args.ablate.split(",") if f)
-    config = WorkloadConfig(
-        **{f.name: values[f.name] for f in fields(WorkloadConfig)})
-    report = run(config, ablate(flags, **overrides))
+    try:
+        config = WorkloadConfig(
+            **{f.name: values[f.name] for f in fields(WorkloadConfig)})
+        allocator = ablate(flags, **overrides)
+    except ValueError as exc:
+        parser.error(str(exc))          # exits with status 2
+    report = run(config, allocator)
 
     stats = report.stats
     print(f"workload={config.name} threads={config.threads} "

@@ -7,6 +7,8 @@ no other test directory's conftest shadows.
 import sys
 import threading
 import time
+from collections import Counter
+from dataclasses import dataclass
 
 from spanalloc import Allocator, AllocatorConfig
 from spanalloc.config import DECOMMIT_THRESHOLD, PAGE_SIZE, SPAN_SHIFT
@@ -39,45 +41,6 @@ def frag_oracle(allocator):
     return total
 
 
-def walk_oracle(allocator):
-    """Like frag_oracle but recounts free blocks by walking the actual
-    free-list words in span memory instead of trusting counters."""
-    total = 0
-    for h in allocator.space.iter_headers():
-        if h.size_class < 0:
-            continue
-        if epoch_state(h.epoch.load()) == STATE_FREE:
-            continue
-        listed = len(h.walk_local()) + len(h.walk_remote())
-        never_used = h.blocks_per_span - h.bump_limit
-        total += (listed + never_used) * h.block_size
-    return total
-
-
-def stray_pages(allocator):
-    """Committed arena pages that no span accounts for (sim provider):
-    pages outside their slot's current real span or in a slot with no
-    header, and, with decommit on, pages after the first of a pooled
-    span above the decommit threshold. Huge mappings lie outside the
-    arena and are bounds-checked by the provider itself."""
-    space, arena = allocator.space, allocator.arena
-    decommit = allocator.config.decommit_enabled
-    stray = set()
-    for idx in allocator.provider.committed_page_indices():
-        addr = idx * PAGE_SIZE
-        if not arena.contains(addr):
-            continue
-        slot = (addr - arena.base) >> SPAN_SHIFT
-        h = space.headers[slot] if slot < len(space.headers) else None
-        if h is None or addr >= h.base + h.real_span_size:
-            stray.add(idx)
-        elif decommit and addr >= h.base + PAGE_SIZE \
-                and h.real_span_size > DECOMMIT_THRESHOLD \
-                and epoch_state(h.epoch.load()) == STATE_FREE:
-            stray.add(idx)
-    return stray
-
-
 def pooled_slots(pool):
     """Slots of the spans on a span pool's stacks, walked from each top
     through the link words; a span pooled twice fails the walk."""
@@ -94,58 +57,76 @@ def pooled_slots(pool):
     return slots
 
 
-def pool_depth(pool):
-    """Spans in a span pool, counted by walking its stacks."""
-    return len(pooled_slots(pool))
+@dataclass
+class Census:
+    """One walk of an allocator's spans; see `census`."""
+    pooled: list        # slots on the pool stacks, in walk order
+    holders: dict       # slot -> LABs holding the span hot or in a live entry
+    entries: int        # live reusable-set entries
+    lost: list          # (slot, state name) of each span with no home
+    bad: list           # broken live entries, spans that do not add up
+    frag_walked: int    # free payload bytes, free lists walked
+    stray: set          # committed page indices no span accounts for
 
 
-def set_entries(allocator):
-    """Check the live entries of every LAB's reusable sets, those whose
-    stamp equals their span's epoch: each span is reusable, of its
-    set's class, owned by the LAB's current owner word and not pooled,
-    and no span has two. Stale entries are skipped, as take skips them.
-    Returns the number of live entries."""
-    pooled = set(pooled_slots(allocator.pool))
-    seen = set()
-    for lab in allocator.frontend.labs:
+def census(allocator, live=None):
+    """One walk, at quiescence, of the pool stacks, the LABs' hot spans
+    and reusable sets, the span headers and the sim provider's committed
+    pages. `live` holds the handed-out blocks (by default the ledger's
+    on an instrumented allocator; with neither, spans are not added up).
+
+    A set entry is live while its stamp equals its span's epoch. It is
+    broken unless its span is reusable, of the set's class, owned by
+    the LAB's current owner word, not pooled, and in no other entry.
+
+    A span has a home when its state matches one. Free: on exactly one
+    pool stack, where no other span sits. Hot: its class's hot span in
+    its owner's LAB, and that owner alive (the LAB's word still equals
+    the span's owner). Reusable: a live entry in its live owner's set.
+    Floating: a dead owner, or free blocks at or below the threshold, so
+    that a later free marks it. "A floating span holds a live block" is
+    left out: termination floats an empty hot span, which then floats
+    for good (ROADMAP item 1's leak 1).
+
+    A span adds up when, pooled, it holds no live block (decommit may
+    have wiped its list words), or else when its walked free-list,
+    never-used and `live` blocks make its block count.
+
+    A committed arena page is stray outside its slot's real span, in a
+    slot with no header, or, with decommit on, past the first page of a
+    pooled span above the decommit threshold. Huge mappings lie outside
+    the arena; the provider bounds-checks them."""
+    if live is None and allocator.ledger is not None:
+        live = allocator.ledger.live
+    space, arena = allocator.space, allocator.arena
+    labs = allocator.frontend.labs
+    pooled = pooled_slots(allocator.pool)
+    in_pool = set(pooled)
+    holders, bad, entered = {}, [], set()
+    for lab in labs:
+        for span in lab.hot_spans:
+            if span is not None:
+                holders.setdefault(span.slot, []).append(lab.index)
         for sc, the_set in enumerate(lab.reusable):
             for span, stamp in list(the_set.stamps.items()):
                 epoch = span.epoch.load()
                 if stamp != epoch:
                     continue
-                where = f"span in slot {span.slot}, LAB {lab.index}"
-                assert epoch_state(epoch) == STATE_REUSABLE, where
-                assert span.size_class == sc, where
-                assert epoch_owner(epoch) == lab.owner_word.load(), where
-                assert span.slot not in pooled, f"{where} is pooled"
-                assert span.slot not in seen, f"{where} has two entries"
-                seen.add(span.slot)
-    return len(seen)
-
-
-def span_homes(allocator):
-    """Spans that no allocator structure can reach, at quiescence: each
-    span's header state must match a home. A free span sits on exactly
-    one pool stack (a span pooled twice fails the walk) and no other
-    span sits on one. A hot span is the hot span of its class in its
-    owner's LAB, and that owner is alive (the LAB's word still equals
-    the span's owner word). A reusable span has a live entry in its
-    live owner's set. A floating span has a dead owner or a free count
-    at or below the threshold, so that a later free marks it.
-
-    A floating span should also hold a live block, or no free will ever
-    reach it; that clause is left out, because termination floats an
-    empty hot span, which then stays floating for good (ROADMAP item
-    1's leak 1). Returns `(slot, state name)` for each span without a
-    home."""
-    labs = allocator.frontend.labs
-    pooled = set(pooled_slots(allocator.pool))
-    lost = []
-    for h in allocator.space.iter_headers():
+                if epoch_state(epoch) != STATE_REUSABLE \
+                        or span.size_class != sc \
+                        or epoch_owner(epoch) != lab.owner_word.load() \
+                        or span.slot in in_pool or span.slot in entered:
+                    bad.append(f"broken entry: span in slot {span.slot}, "
+                               f"LAB {lab.index}")
+                entered.add(span.slot)
+                holders.setdefault(span.slot, []).append(lab.index)
+    live_in = Counter((addr - arena.base) >> SPAN_SHIFT for addr in live or ())
+    lost, frag_walked = [], 0
+    for h in space.iter_headers():
         epoch = h.epoch.load()
         state = epoch_state(epoch)
         if state == STATE_FREE:
-            home = h.slot in pooled
+            home = h.slot in in_pool
         else:
             lab = labs[owner_lab_ref(epoch)]
             alive = lab.owner_word.load() == epoch_owner(epoch)
@@ -156,10 +137,61 @@ def span_homes(allocator):
             else:
                 home = not alive \
                     or h.free_block_count() <= h.reuse_threshold_blocks
-            home = home and h.slot not in pooled
+            home = home and h.slot not in in_pool
         if not home:
             lost.append((h.slot, STATE_NAMES[state]))
-    return lost
+        if h.size_class < 0:
+            continue
+        n_live = live_in[h.slot]
+        if state == STATE_FREE:
+            if h.live_blocks() or n_live:
+                bad.append(f"pooled span in slot {h.slot} holds live blocks")
+            continue
+        free = len(h.walk_local()) + len(h.walk_remote()) \
+            + h.blocks_per_span - h.bump_limit
+        frag_walked += free * h.block_size
+        if live is not None and free + n_live != h.blocks_per_span:
+            bad.append(f"span in slot {h.slot}: {free} free + {n_live} "
+                       f"live != {h.blocks_per_span} blocks")
+    decommit = allocator.config.decommit_enabled
+    stray = set()
+    for idx in allocator.provider.committed_page_indices():
+        addr = idx * PAGE_SIZE
+        if not arena.contains(addr):
+            continue
+        slot = (addr - arena.base) >> SPAN_SHIFT
+        h = space.headers[slot] if slot < len(space.headers) else None
+        if h is None or addr >= h.base + h.real_span_size:
+            stray.add(idx)
+        elif decommit and addr >= h.base + PAGE_SIZE \
+                and h.real_span_size > DECOMMIT_THRESHOLD \
+                and epoch_state(h.epoch.load()) == STATE_FREE:
+            stray.add(idx)
+    return Census(pooled, holders, len(entered), lost, bad, frag_walked,
+                  stray)
+
+
+def check_heap(allocator, live=None):
+    """Assert the whole census at quiescence: nothing broken, lost or
+    stray; the pool's depth equals `puts - gets_from_pool`; the walked
+    fragmentation equals `frag_oracle` and, when instrumented, the
+    ledger's `f`, with a valid transition trace. Returns the census."""
+    heap = census(allocator, live)
+    assert not heap.bad, heap.bad
+    assert not heap.lost, f"spans with no home: {heap.lost}"
+    assert not heap.stray, f"stray pages: {sorted(heap.stray)[:8]}"
+    pool = allocator.pool
+    depth = pool.puts.load() - pool.gets_from_pool.load()
+    assert len(heap.pooled) == depth, \
+        f"{len(heap.pooled)} spans pooled, puts - gets = {depth}"
+    counted = frag_oracle(allocator)
+    assert heap.frag_walked == counted, \
+        f"walked frag {heap.frag_walked} != counted {counted}"
+    if allocator.ledger is not None:
+        assert heap.frag_walked == allocator.ledger.f, \
+            f"walked frag {heap.frag_walked} != ledger {allocator.ledger.f}"
+        validate_transition_trace(allocator)
+    return heap
 
 
 def validate_transition_trace(allocator):

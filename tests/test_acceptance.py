@@ -20,10 +20,7 @@ import time
 
 import pytest
 
-from helpers import (
-    frag_oracle, make_allocator, span_homes, validate_transition_trace,
-    walk_oracle,
-)
+from helpers import check_heap, frag_oracle, make_allocator
 from spanalloc.arena import Arena
 from spanalloc.bench import WorkloadConfig, ablate, run
 from spanalloc.config import PAGE_SIZE, VIRTUAL_SPAN_SIZE
@@ -122,14 +119,13 @@ def test_c03_fragmentation_ledger_exact_equality():
         if alloc.ledger.f != frag_oracle(alloc):
             failures += 1
             break
-        if step % 5000 == 0 and alloc.ledger.f != walk_oracle(alloc):
-            failures += 1
-            break
+        if step % 5000 == 0:
+            check_heap(alloc, live)
     for p in live:
         alloc.free(p)
-    final_ok = alloc.ledger.f == frag_oracle(alloc) == walk_oracle(alloc)
+    check_heap(alloc, live=())
     elapsed = time.perf_counter() - started
-    _report(3, failures == 0 and final_ok,
+    _report(3, failures == 0,
             f"ledger == brute-force free-payload sum after each of {ops} "
             f"ops (exact; {elapsed:.1f}s)")
 
@@ -325,29 +321,13 @@ def test_c07_frontend_safety_stress():
             alloc.free(p)
     elapsed = time.perf_counter() - started
 
-    conservation_bad = []
-    for h in alloc.space.iter_headers():
-        if h.size_class < 0:
-            continue
-        if epoch_state(h.epoch.load()) == STATE_FREE:
-            # Pooled: emptiness was proven by the free transition, and
-            # decommit may have wiped the list words of large spans.
-            if h.live_blocks() != 0:
-                conservation_bad.append(h.slot)
-            continue
-        listed = len(h.walk_local()) + len(h.walk_remote())
-        never = h.blocks_per_span - h.bump_limit
-        span_live = sum(1 for p in live
-                        if alloc.arena.owning_span_base(p) == h.base)
-        if listed + never + span_live != h.blocks_per_span:
-            conservation_bad.append(h.slot)
-    transitions = validate_transition_trace(alloc)
-    ok = not errors and not overlaps and not conservation_bad
-    _report(7, ok,
+    heap = check_heap(alloc, live)
+    _report(7, not errors and not overlaps,
             f"8x{ops_per_thread} mixed ops in {elapsed:.1f}s: "
-            f"overlaps={len(overlaps)}, conservation mismatches="
-            f"{len(conservation_bad)}, {transitions} transitions all "
-            f"legal edges (no race detector exists for pure Python)")
+            f"overlaps={len(overlaps)}, heap whole with "
+            f"{len(heap.pooled)} spans pooled, {len(alloc.ledger.trace)} "
+            f"transitions all legal edges (no race detector exists for "
+            f"pure Python)")
 
 
 # -- 8: false sharing probes ------------------------------------------------------------------
@@ -388,23 +368,15 @@ def test_c10_thread_termination_larson():
                          objects_per_round=500, handoffs=8, seed=4)
     report = run(cfg, alloc)
     stats = alloc.stats()
-    live_left = [h.slot for h in alloc.space.iter_headers()
-                 if h.size_class >= 0 and h.live_blocks() != 0]
-    stranded_nonfree = [
-        h.slot for h in alloc.space.iter_headers()
-        if h.size_class >= 0
-        and epoch_state(h.epoch.load()) != STATE_FREE
-        and h.live_blocks() != 0]
-    lost = span_homes(alloc)
+    heap = check_heap(alloc, live=())
     labs = len(alloc.frontend.labs)
     bound = 2 * 32768 * max(labs, 1)
     delta = alloc.committed_bytes - baseline
-    ok = (report.extra["leaked_blocks"] == 0 and not live_left
-          and not stranded_nonfree and stats["adopts"] > 0
-          and not lost and delta <= bound)
+    ok = (report.extra["leaked_blocks"] == 0 and stats["adopts"] > 0
+          and delta <= bound)
     _report(10, ok,
-            f"8 hand-offs x2 chains: adopts={stats['adopts']}, live "
-            f"blocks left={len(live_left)}, spans with no home={lost}, "
+            f"8 hand-offs x2 chains: adopts={stats['adopts']}, heap whole "
+            f"with no live block and {len(heap.pooled)} spans pooled, "
             f"committed delta={delta} <= {bound} (2 real spans x {labs} "
             f"LABs)")
 

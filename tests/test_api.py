@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import make_allocator, stray_pages
+from helpers import census, check_heap, make_allocator
 from spanalloc import NULL, Allocator, ReservationError, WildFree
 from spanalloc.config import PAGE_SIZE, VIRTUAL_SPAN_SIZE
 from spanalloc.size_classes import TABLE, class_for_size
@@ -316,6 +316,20 @@ def test_out_of_memory_returns_null():
     assert len(seen) == 2
     alloc.free(seen[0])
     assert alloc.malloc(1 << 20) != NULL   # recycled after free
+    assert alloc.malloc(1 << 47) == NULL   # huge, past the reservation cap
+
+
+def test_realloc_to_zero_or_past_memory():
+    # realloc(p, 0) frees p and returns a minimal block; a realloc whose
+    # malloc fails returns NULL and leaves p live with its bytes.
+    alloc = make_allocator(instrument=True)
+    p = alloc.malloc(64)
+    q = alloc.realloc(p, 0)
+    assert alloc.usable_size(q) == 16 and alloc.ledger.live == {q}
+    alloc.provider.write_word(q, 0x5EED)
+    assert alloc.realloc(q, 1 << 47) == NULL
+    assert alloc.ledger.live == {q} and alloc.provider.read_word(q) == 0x5EED
+    alloc.free(q)
 
 
 def test_roundtrip_sweep_restores_committed(alloc):
@@ -346,10 +360,10 @@ def test_span_tails_stay_uncommitted():
         assert span.real_span_size == 32 * 1024
         assert span.base < q and q + 256 <= span.base + span.real_span_size
         alloc.provider.write(q, b"x" * 256)
-    assert not stray_pages(alloc)
+    check_heap(alloc, blocks)
     for q in blocks:
         alloc.free(q)
-    assert not stray_pages(alloc)
+    check_heap(alloc, live=())
 
 
 @pytest.mark.parametrize("decommit", [True, False],
@@ -362,7 +376,7 @@ def test_reclassed_slot_commits_only_its_real_span(decommit):
     alloc.malloc(16)                       # float it
     for b in blocks:
         alloc.free(b)                      # last free pools the span
-    assert not stray_pages(alloc)
+    assert not census(alloc).stray
     # The pool scan hands the slot to a 512KB-class request.
     half = 512 * 1024
     big = [alloc.malloc(half) for _ in range(2)]       # fill it
@@ -370,11 +384,11 @@ def test_reclassed_slot_commits_only_its_real_span(decommit):
     assert span.real_span_size == 1028 * 1024
     for p in big:
         alloc.provider.write(p, b"y" * half)
-    assert not stray_pages(alloc)
+    assert not census(alloc).stray
     alloc.malloc(half)                     # float it
     for p in big:
         alloc.free(p)                      # pools it; decommits if enabled
-    assert not stray_pages(alloc)
+    assert not census(alloc).stray
     tail = {idx for idx in alloc.provider.committed_page_indices()
             if span.base + 32 * 1024 <= idx * PAGE_SIZE
             < span.base + VIRTUAL_SPAN_SIZE}
@@ -386,7 +400,7 @@ def test_reclassed_slot_commits_only_its_real_span(decommit):
     for p in small:
         alloc.provider.write(p, b"z" * 32)
     # Without decommit the old tail stays committed; nothing is added.
-    assert stray_pages(alloc) == tail
+    assert census(alloc).stray == tail
 
 
 def test_stats_shape(alloc):

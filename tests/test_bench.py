@@ -5,7 +5,7 @@ from dataclasses import asdict
 
 import pytest
 
-from helpers import SMALL_ARENA, stray_pages
+from helpers import SMALL_ARENA, check_heap
 from spanalloc.bench import (
     ABLATIONS, WorkloadConfig, ablate, main, run, write_json,
 )
@@ -40,7 +40,9 @@ def read_records(path):
     "falseshare_active", "falseshare_passive", "locality",
 ])
 def test_workloads_run_clean(name):
-    report = run(small(name), bench_alloc())
+    alloc = bench_alloc()
+    report = run(small(name), alloc)
+    check_heap(alloc, live=())
     assert report.ops > 0
     assert report.extra["leaked_blocks"] == 0
     assert report.peak_committed_bytes > 0
@@ -59,7 +61,9 @@ def test_workloads_run_clean(name):
 def test_larson_runs_clean():
     cfg = WorkloadConfig(name="larson_like", threads=2, rounds=30,
                          objects_per_round=50, handoffs=4)
-    report = run(cfg, bench_alloc())
+    alloc = bench_alloc()
+    report = run(cfg, alloc)
+    check_heap(alloc, live=())
     assert report.extra["leaked_blocks"] == 0
     # Each hand-off spawns a continuation thread.
     assert len(report.thread_alloc_times_s) == 2 * (4 + 1)
@@ -78,7 +82,7 @@ def test_sizesweep_exercises_huge_path():
         assert report.extra["leaked_blocks"] == 0, flags
         assert alloc.provider.map_calls > 0, flags    # objects above 1MB
         assert 20 in report.extra["interval_times"], flags
-        assert not stray_pages(alloc), flags
+        check_heap(alloc, live=())
         record = exported(report)
         assert "20" in record["extra"]["interval_times"], flags
         assert record["allocator"]["decommit_enabled"] \
@@ -198,6 +202,32 @@ def test_cli_stacks_csv_counts_every_push(tmp_path):
         == record["stats"]["stack_pushes"] > 0
 
 
+@pytest.mark.parametrize("bad", [
+    ["--workload", "prodcons", "--threads", "2", "--producers", "2"],
+    ["--threads", "0"],
+    ["--reuse-threshold", "101"],
+    ["--ablate", "bogus"],
+    ["--size-range", "8:1"],
+    ["--size", "-5"],
+])
+def test_cli_bad_values_are_usage_errors(bad, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--rounds", "1", "--objects", "10",
+              "--arena-bytes", str(SMALL_ARENA)] + bad)
+    assert exit_.value.code == 2
+    assert "spanalloc-bench: error:" in capsys.readouterr().err
+
+
+def test_cli_size_range(tmp_path):
+    path = tmp_path / "range.jsonl"
+    assert main(["--workload", "prodcons", "--threads", "2", "--rounds", "2",
+                 "--objects", "50", "--size-range", "1:8",
+                 "--arena-bytes", str(SMALL_ARENA), "--json", str(path)]) == 0
+    [record] = read_records(path)
+    assert record["workload"]["size_range"] == [1, 8]
+    assert record["extra"]["leaked_blocks"] == 0
+
+
 def test_cli_instrument_prints_frag_bytes():
     out = subprocess.run(
         [sys.executable, "-m", "spanalloc.bench",
@@ -219,10 +249,10 @@ def test_cli_default_provider_is_the_library_default(tmp_path):
 
 
 def test_workload_config_validation():
-    with pytest.raises(ValueError):
-        WorkloadConfig(name="nope")
-    with pytest.raises(ValueError):
-        WorkloadConfig(name="threadtest", threads=0)
+    for bad in ({"name": "nope"}, {"threads": 0}, {"object_size": -1},
+                {"size_range": (8, 1)}, {"size_range": (-1, 4)}):
+        with pytest.raises(ValueError):
+            WorkloadConfig(**{"name": "threadtest", **bad})
     # A prodcons split needs a producer and a consumer.
     for producers in (-1, 0, 2, 3):
         with pytest.raises(ValueError):

@@ -8,17 +8,17 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from helpers import (
-    frag_oracle, make_allocator, pool_depth, pooled_slots, set_entries,
-    span_homes, stray_pages, validate_transition_trace, walk_oracle,
+    census, check_heap, make_allocator, pooled_slots,
+    validate_transition_trace,
 )
 from spanalloc.atomic import AtomicWord
 from spanalloc.config import CLAB
 from spanalloc.frontend import Frontend, ReusableSet
 from spanalloc.size_classes import TABLE, class_for_size
 from spanalloc.span import (
-    OWNER_REF_MASK, STATE_FLOATING, STATE_FREE, STATE_HOT, STATE_REUSABLE,
-    TERMINATED, SpanHeader, epoch_owner, epoch_state, owner_lab_ref,
-    pack_owner,
+    OWNER_REF_MASK, REMOTE_COUNT_SHIFT, STATE_FLOATING, STATE_FREE,
+    STATE_HOT, STATE_REUSABLE, TERMINATED, SpanHeader, epoch_owner,
+    epoch_state, owner_lab_ref, pack_owner,
 )
 
 C64 = class_for_size(64)       # 508 blocks, threshold 406
@@ -234,20 +234,7 @@ def test_conservation_at_quiescence(alloc):
             alloc.free(live.pop(rng.randrange(len(live))))
         else:
             live.append(alloc.malloc(rng.choice([16, 64, 256])))
-    per_span_live = {}
-    for p in live:
-        per_span_live[span_of(alloc, p).slot] = \
-            per_span_live.get(span_of(alloc, p).slot, 0) + 1
-    for h in alloc.space.iter_headers():
-        if h.size_class < 0:
-            continue
-        if state_of(h) == STATE_FREE:
-            assert h.live_blocks() == 0     # pooled spans are empty
-            continue
-        listed = len(h.walk_local()) + len(h.walk_remote())
-        never = h.blocks_per_span - h.bump_limit
-        expect_live = per_span_live.get(h.slot, 0)
-        assert listed + never + expect_live == h.blocks_per_span
+    check_heap(alloc, live)
     for p in live:
         alloc.free(p)
 
@@ -294,8 +281,9 @@ def test_passive_false_sharing_probe(alloc):
 
     got = run_in_thread(freeing_thread)
     assert victim not in got
-    owner_span = span_of(alloc, victim)
-    assert victim - alloc.arena.base in owner_span.walk_remote()
+    # The victim is the one block on its span's remote list.
+    assert span_of(alloc, victim).remote.load() \
+        == (1 << REMOTE_COUNT_SHIFT) | (victim - alloc.arena.base)
 
 
 def test_thread_termination_orphans_adopted_and_reclaimed(alloc):
@@ -327,12 +315,12 @@ def test_thread_termination_orphans_adopted_and_reclaimed(alloc):
     assert alloc.stats()["adopts"] == adopts_before + 1
     assert state_of(span) == STATE_REUSABLE
     assert owner_of(span) == my_word
-    assert span_homes(alloc) == []
+    check_heap(alloc)
     for b in blocks[crossing + 1:]:
         alloc.free(b)
     assert state_of(span) == STATE_FREE            # reclaimed when empty
     assert alloc.pool.puts.load() >= 1
-    assert span_homes(alloc) == []
+    check_heap(alloc)
 
 
 def owner_ref(span):
@@ -544,7 +532,7 @@ def test_clab_contention_stress_conserves_blocks():
         t.start()
     parked.wait()
     try:
-        set_entries(alloc)
+        assert not census(alloc).bad
     finally:
         parked.wait()
     for t in ts:
@@ -553,15 +541,7 @@ def test_clab_contention_stress_conserves_blocks():
     assert not errors
     stats = alloc.stats()
     assert stats["allocs"] == stats["frees"]
-    for h in alloc.space.iter_headers():
-        if h.size_class < 0:
-            continue
-        if state_of(h) == STATE_FREE:
-            assert h.live_blocks() == 0     # pooled spans are empty
-            continue
-        listed = len(h.walk_local()) + len(h.walk_remote())
-        never = h.blocks_per_span - h.bump_limit
-        assert listed + never == h.blocks_per_span   # nothing live
+    check_heap(alloc, live=())
 
 
 def test_set_put_rejects_span_no_longer_reusable(alloc):
@@ -858,7 +838,7 @@ def test_span_retirement_under_dense_interleaving():
             t.start()
         parked.wait()
         try:
-            set_entries(alloc)
+            assert not census(alloc).bad
         finally:
             parked.wait()
         for t in threads:
@@ -868,16 +848,7 @@ def test_span_retirement_under_dense_interleaving():
         for box in inboxes:
             for p in box:
                 alloc.free(p)
-        validate_transition_trace(alloc)
-        assert walk_oracle(alloc) == frag_oracle(alloc) == alloc.ledger.f
-        free_spans = [h for h in alloc.space.iter_headers()
-                      if h.size_class >= 0 and state_of(h) == STATE_FREE]
-        assert sorted(pooled_slots(alloc.pool)) \
-            == sorted(h.slot for h in free_spans)
-        assert not any(in_a_set(alloc, h) for h in free_spans)
-        pool = alloc.pool
-        assert pool_depth(pool) == pool.puts.load() - pool.gets_from_pool.load()
-        assert not stray_pages(alloc)
+        check_heap(alloc, live=())
     finally:
         sys.setswitchinterval(old)
 
@@ -906,7 +877,7 @@ def test_full_reuse_percent_does_not_leak_spans(size):
     for pct in (80, 100):
         alloc = make_allocator(reuse_percent=pct, arena_bytes=1 << 30)
         churn_span_rounds(alloc, size, rounds=200)
-        assert not stray_pages(alloc)
+        check_heap(alloc, live=())
         stats = alloc.stats()
         results.append((stats["arena_spans"], stats["pool_puts"],
                         alloc.committed_bytes))
@@ -927,14 +898,6 @@ def test_full_reuse_percent_does_not_leak_spans(size):
 
 B128K = TABLE[class_for_size(1 << 17)].blocks_per_span     # 8
 T128K = B128K * 80 // 100                                   # 6
-
-
-def homes(alloc, span):
-    """Indices of the LABs holding `span` as their hot span or in a
-    reusable set."""
-    sc = span.size_class
-    return [lab.index for lab in alloc.frontend.labs
-            if lab.hot_spans[sc] is span or span in lab.reusable[sc]]
 
 
 def send_round(other, alloc, span, last_blocks):
@@ -988,10 +951,9 @@ def test_late_set_put_is_refused_after_the_span_went_round(monkeypatch):
                    lambda the_set, sp, stamp: sp is span,
                    lambda: send_round(other, alloc, span, blocks[T128K + 1:]))
         alloc.free(blocks[T128K])           # marks, then puts late
-        assert ran and homes(alloc, span) == [1]
+        heap = check_heap(alloc)
+        assert ran and heap.holders[span.slot] == [1] and heap.entries == 1
         assert state_of(span) == STATE_REUSABLE
-        assert set_entries(alloc) == 1
-        validate_transition_trace(alloc)
         for p in ran[0]:
             other.submit(alloc.free, p).result(timeout=30)
         other.submit(alloc.detach_thread).result(timeout=30)
@@ -1009,18 +971,18 @@ def test_set_take_skips_a_span_that_went_round(monkeypatch):
         span, blocks, extra = floated_span(alloc, 1 << 17)
         for b in blocks[:T128K + 1]:
             alloc.free(b)
-        assert state_of(span) == STATE_REUSABLE and homes(alloc, span) == [0]
+        assert state_of(span) == STATE_REUSABLE
+        assert census(alloc).holders[span.slot] == [0]
         ran = hold(monkeypatch, SpanHeader, "try_transition",
                    lambda sp, observed, to, owner=None:
                        sp is span and to == STATE_HOT,
                    lambda: send_round(other, alloc, span, blocks[T128K + 1:]))
         # Fill the hot span; the next malloc fetches from the set.
         fills = [alloc.malloc(1 << 17) for _ in range(B128K)]
-        assert ran and homes(alloc, span) == [1]
+        heap = check_heap(alloc)
+        assert ran and heap.holders[span.slot] == [1] and heap.entries == 1
         assert state_of(span) == STATE_REUSABLE
         assert all(span_of(alloc, p) is not span for p in fills)
-        assert set_entries(alloc) == 1
-        validate_transition_trace(alloc)
         for p in ran[0]:
             other.submit(alloc.free, p).result(timeout=30)
         other.submit(alloc.detach_thread).result(timeout=30)
@@ -1039,16 +1001,16 @@ def test_lab_termination_skips_a_span_that_went_round(monkeypatch):
         span, blocks, extra = floated_span(alloc, 1 << 17)
         for b in blocks[:T128K + 1]:
             alloc.free(b)
-        assert state_of(span) == STATE_REUSABLE and homes(alloc, span) == [0]
+        assert state_of(span) == STATE_REUSABLE
+        assert census(alloc).holders[span.slot] == [0]
         ran = hold(monkeypatch, SpanHeader, "try_transition",
                    lambda sp, observed, to, owner=None:
                        sp is span and to == STATE_FLOATING,
                    lambda: send_round(other, alloc, span, blocks[T128K + 1:]))
         alloc.detach_thread()               # terminates LAB 0
-        assert ran and homes(alloc, span) == [1]
+        heap = check_heap(alloc)
+        assert ran and heap.holders[span.slot] == [1] and heap.entries == 1
         assert state_of(span) == STATE_REUSABLE
-        assert set_entries(alloc) == 1
-        validate_transition_trace(alloc)
         for p in ran[0]:
             other.submit(alloc.free, p).result(timeout=30)
         other.submit(alloc.detach_thread).result(timeout=30)
@@ -1075,11 +1037,10 @@ def test_adopting_free_that_marks_puts_in_adopters_set():
     adopts = alloc.stats()["adopts"]
     alloc.free(left[0])                                 # adopts and marks
     assert alloc.stats()["adopts"] == adopts + 1
-    assert state_of(span) == STATE_REUSABLE and homes(alloc, span) == [0]
+    assert state_of(span) == STATE_REUSABLE
     assert owner_of(span) == alloc.frontend.labs[0].owner_word.load()
-    assert set_entries(alloc) == 1
-    assert span_homes(alloc) == []
-    validate_transition_trace(alloc)
+    heap = check_heap(alloc)
+    assert heap.holders[span.slot] == [0] and heap.entries == 1
     arena_spans = alloc.stats()["arena_spans"]
     reused = [alloc.malloc(1 << 17) for _ in range(T128K)]
     assert {span_of(alloc, p) for p in reused} == {span}
@@ -1109,12 +1070,11 @@ def test_refused_set_put_is_adopted_by_the_freeing_thread(monkeypatch):
         adopts = alloc.stats()["adopts"]
         alloc.free(blocks[T128K])           # marks; LAB 1 ends before the put
         assert ran and alloc.frontend.labs[1].owner_word.load() == TERMINATED
-    assert state_of(span) == STATE_REUSABLE and homes(alloc, span) == [0]
+    assert state_of(span) == STATE_REUSABLE
     assert alloc.stats()["adopts"] == adopts + 1
     assert owner_of(span) == alloc.frontend.labs[0].owner_word.load()
-    assert set_entries(alloc) == 1
-    assert span_homes(alloc) == []
-    validate_transition_trace(alloc)
+    heap = check_heap(alloc)
+    assert heap.holders[span.slot] == [0] and heap.entries == 1
     arena_spans = alloc.stats()["arena_spans"]
     again = alloc.malloc(1 << 17)
     assert span_of(alloc, again) is span
@@ -1159,12 +1119,11 @@ def test_marking_during_termination_is_adopted_by_the_freeing_thread(
             marked.set()
         detached.result(timeout=30)
         assert ran
-    assert state_of(span) == STATE_REUSABLE and homes(alloc, span) == [0]
+    assert state_of(span) == STATE_REUSABLE
     assert alloc.stats()["adopts"] == adopts + 1
     assert owner_of(span) == alloc.frontend.labs[0].owner_word.load()
-    assert set_entries(alloc) == 1
-    assert span_homes(alloc) == []
-    validate_transition_trace(alloc)
+    heap = check_heap(alloc)
+    assert heap.holders[span.slot] == [0] and heap.entries == 1
     arena_spans = alloc.stats()["arena_spans"]
     again = alloc.malloc(1 << 17)
     assert span_of(alloc, again) is span
@@ -1206,11 +1165,10 @@ def test_only_the_marking_free_adopts_a_refused_span(monkeypatch):
         alloc.free(blocks[T32K])            # marks; LAB 2 pushes meanwhile
         assert ran
         assert alloc.stats()["adopts"] == adopts + 1
-        assert state_of(span) == STATE_REUSABLE and homes(alloc, span) == [0]
+        assert state_of(span) == STATE_REUSABLE
         assert owner_of(span) == alloc.frontend.labs[0].owner_word.load()
-        assert set_entries(alloc) == 1
-        assert span_homes(alloc) == []
-        validate_transition_trace(alloc)
+        heap = check_heap(alloc)
+        assert heap.holders[span.slot] == [0] and heap.entries == 1
         arena_spans = alloc.stats()["arena_spans"]
         again = alloc.malloc(1 << 15)
         assert span_of(alloc, again) is span
@@ -1260,11 +1218,10 @@ def test_marking_free_reads_its_owner_after_its_epoch(monkeypatch):
                    lambda: two.submit(adopt_and_reuse).result(timeout=30))
         alloc.free(blocks[T32K + 1])                    # marks
         assert ran
-        assert state_of(span) == STATE_REUSABLE and homes(alloc, span) == [2]
+        assert state_of(span) == STATE_REUSABLE
         assert alloc.stats()["adopts"] == adopts + 1
-        assert set_entries(alloc) == 1
-        assert span_homes(alloc) == []
-        validate_transition_trace(alloc)
+        heap = check_heap(alloc)
+        assert heap.holders[span.slot] == [2] and heap.entries == 1
         arena_spans = alloc.stats()["arena_spans"]
         # LAB 2 serves from the hot span that got[-1] came from first.
         again = two.submit(
@@ -1340,12 +1297,11 @@ def test_late_adoption_leaves_the_spans_next_life_alone(monkeypatch):
         got, marking = first[0]
         marking.result(timeout=30)
         assert second
-        assert state_of(span) == STATE_REUSABLE and homes(alloc, span) == [2]
+        assert state_of(span) == STATE_REUSABLE
         assert owner_of(span) == alloc.frontend.labs[2].owner_word.load()
         assert alloc.stats()["adopts"] == adopts + 1
-        assert set_entries(alloc) == 1
-        assert span_homes(alloc) == []
-        validate_transition_trace(alloc)
+        heap = check_heap(alloc)
+        assert heap.holders[span.slot] == [2] and heap.entries == 1
         arena_spans = alloc.stats()["arena_spans"]
         again = two.submit(alloc.malloc, 1 << 15).result(timeout=30)
         assert span_of(alloc, again) is span
@@ -1401,22 +1357,19 @@ def test_last_free_that_read_the_marking_loses_to_the_adoption(monkeypatch):
         adopting[0].result(timeout=30)
         assert pushed
         assert state_of(span) == STATE_REUSABLE and span.is_empty()
-        assert homes(alloc, span) == [0]
         assert owner_of(span) == alloc.frontend.labs[0].owner_word.load()
         after = alloc.stats()
         assert after["adopts"] == stats["adopts"] + 1
         assert after["pool_puts"] == stats["pool_puts"]     # not pooled
-        assert set_entries(alloc) == 1
-        assert span_homes(alloc) == []
-        validate_transition_trace(alloc)
+        heap = check_heap(alloc)
+        assert heap.holders[span.slot] == [0] and heap.entries == 1
         again = alloc.malloc(1 << 15)
         assert span_of(alloc, again) is span and state_of(span) == STATE_HOT
         assert alloc.stats()["arena_spans"] == after["arena_spans"]
         for p in (again, extra):
             alloc.free(p)
         two.submit(alloc.detach_thread).result(timeout=30)
-    assert span_homes(alloc) == []
-    validate_transition_trace(alloc)
+    check_heap(alloc)
 
 
 # -- the attachment record caches its LAB's owner word ------------------------
@@ -1494,10 +1447,7 @@ def own_span_sequence(alloc, seed=11):
             seen[before] += 1
             if before == STATE_FLOATING and state_of(span) == STATE_FREE:
                 seen["cross_and_empty"] += 1
-        validate_transition_trace(alloc)
-        assert walk_oracle(alloc) == frag_oracle(alloc) == alloc.ledger.f
-        assert not stray_pages(alloc)
-        set_entries(alloc)
+        check_heap(alloc, live)
     return seen
 
 

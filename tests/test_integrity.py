@@ -6,7 +6,7 @@ remote frees, drains, and pool cycling."""
 import random
 import threading
 
-from helpers import make_allocator
+from helpers import check_heap, make_allocator
 
 
 def token_for(addr, nonce):
@@ -83,8 +83,6 @@ def test_dense_interleaving_stress():
     # snapshot-then-transition), which is where interleaving bugs hide.
     import sys
 
-    from spanalloc.span import STATE_FREE, epoch_state
-
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -124,14 +122,6 @@ def test_dense_interleaving_stress():
         for box in inboxes:
             for p in box:
                 alloc.free(p)
-        for h in alloc.space.iter_headers():
-            if h.size_class < 0:
-                continue
-            assert h.live_blocks() == 0
-            if epoch_state(h.epoch.load()) == STATE_FREE:
-                continue                    # pooled: list words may be gone
-            listed = len(h.walk_local()) + len(h.walk_remote())
-            assert listed + h.blocks_per_span - h.bump_limit \
-                == h.blocks_per_span
+        check_heap(alloc, live=())
     finally:
         sys.setswitchinterval(old)

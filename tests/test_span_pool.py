@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from helpers import in_threads, make_allocator, pool_depth, stray_pages
+from helpers import census, in_threads, make_allocator, pooled_slots
 from spanalloc.arena import Arena
 from spanalloc.config import PAGE_SIZE, VIRTUAL_SPAN_SIZE
 from spanalloc.errors import ArenaExhausted, WildFree
@@ -126,14 +126,14 @@ def test_depth_hint_matches_walked_stacks(width):
             pool.put(held.pop(rng.randrange(len(held))), rng.randrange(8))
         else:
             sc = class_for_size(rng.choice(sizes))
-            empty = pool_depth(pool) == 0
+            empty = not pooled_slots(pool)
             fresh = pool.gets_from_arena.load()
             span = pool.get(sc, rng.randrange(8))
             assert (pool.gets_from_arena.load() > fresh) == empty
             span.init_for_class(sc)
             held.append(span)
         assert pool.puts.load() - pool.gets_from_pool.load() \
-            == pool_depth(pool)
+            == len(pooled_slots(pool))
     assert pool.gets_from_pool.load() and pool.gets_from_arena.load() > 1
 
 
@@ -378,7 +378,7 @@ def test_pool_hit_reclass_through_every_real_span_size_commits_nothing(
         assert span.real_span_size == TABLE[sc].real_span_size
         pool.put(span, 0)
         assert provider.committed_bytes == committed
-        assert not stray_pages(alloc)
+        assert not census(alloc).stray
     assert calls == {"touch": [], "_commit_page": []}
     assert pool.gets_from_arena.load() == 1
 
