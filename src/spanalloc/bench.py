@@ -549,7 +549,11 @@ def write_json(path, report):
 
 def _parse_size_range(text):
     lo, _, hi = text.partition(":")
-    return int(lo), int(hi)
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected MIN:MAX, two integers, not {text!r}") from None
 
 
 def build_arg_parser():

@@ -26,17 +26,19 @@ into a span the caller owns pushes on the local list; every other free
 span's state and owner come from one load of its epoch word, and the
 caller's owner word from its attachment record, read once at attach
 (it cannot change while any thread is attached to the LAB). After
-either push one check of the snapshot decides whether the free has
-state work: none when hot or when floating at or below the reusability
-threshold, the floating -> reusable marking when floating above it,
-the emptiness test when reusable. A span changes owner in one place
-only: a marking free whose put the owner's set refuses, because the
-owner terminated, adopts the span into the caller's set with one
-conditional replace from its marking's word. A span whose last block
-is freed goes back to the span pool inside that same call unless lazy
-reclamation is on. When the free that marks a span reusable also
-empties it (always so for single-block spans), that one call retires
-it to the pool without entering the owner's reusable set at all.
+either push a hot snapshot has no state work; any other free counts
+the span's free blocks once. A span whose last block is freed goes
+back to the span pool inside that same call unless lazy reclamation
+is on: the free that counts it empty retires it with one conditional
+replace from its snapshot, floating or reusable, to free. So a span
+that crosses the reusability threshold and empties in one free
+(always so for single-block spans) never enters a reusable set.
+Otherwise a floating span above the threshold gets the floating ->
+reusable marking, and a free into a reusable span has nothing more to
+do. A span changes owner in one place only: a marking free whose put
+the owner's set refuses, because the owner terminated, adopts the
+span into the caller's set with one conditional replace from its
+marking's word.
 
 All cross-thread handoffs ride on the epoch word: a stale snapshot
 fails its conditional replace and the loser simply moves on. No
@@ -54,9 +56,9 @@ from .atomic import AtomicWord
 from .config import CLAB, CPU_COUNT, TLAB
 from .size_classes import NUM_CLASSES
 from .span import (
-    EPOCH_OWNER_FIELD, EPOCH_OWNER_SHIFT, EPOCH_STATE_SHIFT, STATE_FLOATING,
-    STATE_FREE, STATE_HOT, STATE_REUSABLE, TERMINATED, owner_lab_ref,
-    pack_owner,
+    EPOCH_OWNER_FIELD, EPOCH_OWNER_SHIFT, EPOCH_STATE_SHIFT,
+    REMOTE_COUNT_SHIFT, STATE_FLOATING, STATE_FREE, STATE_HOT,
+    STATE_REUSABLE, TERMINATED, owner_lab_ref, pack_owner,
 )
 
 
@@ -325,7 +327,7 @@ class Frontend:
                 # to the backend from this slow path instead of from
                 # the free that emptied them.
                 if span.try_transition(stamp, STATE_FREE):
-                    self._pool_put(span, tid)
+                    self.pool.put(span, tid)
             elif span.try_transition(stamp, STATE_HOT):
                 stats.set_fetches += 1
                 return span
@@ -338,18 +340,27 @@ class Frontend:
             self.ledger.on_span_in(span.block_size * span.blocks_per_span)
         return span
 
-    def _pool_put(self, span, tid):
-        """Hand a span this call moved to free back to the span pool."""
-        if self.ledger is not None:
-            # Before the put: once pooled, another thread may re-class it.
-            self.ledger.on_span_out(span.block_size * span.blocks_per_span)
-        self.pool.put(span, tid)
-
     # -- deallocation ---------------------------------------------------------
 
     def deallocate(self, addr):
-        # The epoch snapshot, owner included, comes from before the free:
-        # the state transitions below must fail if anything moved since.
+        """Free `addr`, then settle its span's state from one count.
+
+        The epoch snapshot, owner included, comes from before the push:
+        a transition below fails if anything moved since. A hot snapshot
+        has no state work. Any other free counts its span's free blocks
+        once, after its push, and reads the other list's count then, so
+        the free with the last push sees every block. Under eager
+        reclamation the free that counts the span empty retires it with
+        one conditional replace from its snapshot, floating or reusable,
+        to free, and puts it in the pool. Another free may count it
+        empty too (one that counts after the last push), and a floating
+        -> free may race a marking from the same snapshot word: one CAS
+        wins, and a loser has nothing left to do, since a winning
+        marking tests the span for emptiness afresh (see `_settle`).
+        Short of empty, a floating snapshot above the reuse threshold
+        goes to the marking, `_settle`, and a free into a reusable span
+        makes no further call.
+        """
         span, old_epoch = self.space.block_span(addr)
         if self.ledger is not None:
             self.ledger.on_free(addr, span.block_size)
@@ -361,65 +372,74 @@ class Frontend:
         else:
             span.free_remote(addr)
             stats.frees_remote += 1
-        # One check of the snapshot: a hot span, or a floating one still
-        # at or below the threshold, has no state to change.
         old_state = old_epoch >> EPOCH_STATE_SHIFT
-        if old_state == STATE_REUSABLE or (
-                old_state == STATE_FLOATING
-                and span.free_block_count() > span.reuse_threshold_blocks):
+        if old_state == STATE_HOT:
+            return
+        blocks = span.blocks_per_span
+        free = span.local_count + (span.remote.load() >> REMOTE_COUNT_SHIFT) \
+            + blocks - span.bump_limit
+        if free == blocks and self.eager_reclaim:
+            if span.try_transition(old_epoch, STATE_FREE):
+                self.pool.put(span, tid)
+        elif old_state == STATE_FLOATING \
+                and free > span.reuse_threshold_blocks:
             self._settle(span, old_epoch, lab, tid, stats, mine)
 
     def _settle(self, span, old_epoch, lab, tid, stats, mine):
-        """The state work after a free into a span whose epoch read
-        `old_epoch` before it, called only when there is some: a
-        floating span (which crossed the threshold) goes reusable, a
-        reusable span that emptied goes free and back to the pool.
+        """The marking of a span whose floating epoch read `old_epoch`
+        before a free that pushed it over the reuse threshold without
+        retiring it: floating -> reusable, then a put in its owner's
+        set.
 
         The marking's own epoch word stamps the span's entry in its
         owner's set. A free that pools a span leaves any entry of it
         there, stale: the owner's take fails its conditional replace
-        from the stamp and skips it. A free that marks the span reusable
-        and finds it empty retires it in one call: floating -> reusable
-        -> free and a pool put, with no set entry at all. When the
-        owner terminated (before the marking or between it and the
-        put), its set refuses the entry, and this free adopts the span
-        into the caller's set, `lab`: one conditional replace from the
-        marking's word, which only this free holds, installs the caller
-        as owner, and the word it installs stamps the new entry.
+        from the stamp and skips it. When the owner terminated (before
+        the marking or between it and the put), its set refuses the
+        entry, and this free adopts the span into the caller's set,
+        `lab`: one conditional replace from the marking's word, which
+        only this free holds, installs the caller as owner, and the
+        word it installs stamps the new entry.
 
-        A last free that snapshotted the marking's word fails its retire
-        once the adoption lands first, and if the adopter tested for
-        emptiness before that push, the span stays reusable and empty in
-        the adopter's set. That delays reclamation and loses no span:
-        the entry is live, so the adopter's next take of the class
-        reuses it, as after a marking that raced a last free. Should the
-        adopter terminate first, the span is floated empty: that is
+        The marking CAS fails when another free from the same floating
+        word marked or retired the span first. When it wins, a last
+        free from that word fails its floating -> free, so under eager
+        reclamation this free tests the span for emptiness itself,
+        fresh, right after the marking (an empty span skips the set)
+        and again after the put or adoption; one CAS on the word it
+        installed picks one retirement against any last free that
+        snapshotted the marking. If the later test ran before the last
+        push, the span stays reusable and empty in its owner's set
+        until the owner's next take, which reuses it: that delays
+        reclamation and loses no span.
+
+        A last free that snapshotted the marking's word fails its
+        retire once the adoption lands first, and if the adopter tested
+        for emptiness before that push, the span stays reusable and
+        empty in the adopter's set, as above. Should the adopter
+        terminate first, the span is floated empty: that is
         termination's leak (ROADMAP item 1), not this race's."""
-        if old_epoch >> EPOCH_STATE_SHIFT == STATE_FLOATING:
-            # This call's own marking refreshes the snapshot to the word
-            # it installed, so a free that both crossed the threshold
-            # and emptied the span can still pool it on this call.
-            old_epoch = span.try_transition(old_epoch, STATE_REUSABLE)
-            if not old_epoch:
-                return
-            if self.eager_reclaim and span.is_empty():
-                # No set holds a live entry of it, and no live block is
-                # left for another free. Only a concurrent last free
-                # that snapshotted this marking can race for reusable
-                # -> free; the epoch CAS picks one.
-                if span.try_transition(old_epoch, STATE_FREE):
-                    self._pool_put(span, tid)
-                return
-            sc = span.size_class
-            if not self.labs[owner_lab_ref(old_epoch)].reusable[sc].put(
-                    span, old_epoch) \
-                    and (adopted := span.try_adopt(old_epoch, mine)):
-                stats.adopts += 1
-                old_epoch = adopted
-                lab.reusable[sc].put(span, old_epoch)
+        old_epoch = span.try_transition(old_epoch, STATE_REUSABLE)
+        if not old_epoch:
+            return
+        if self.eager_reclaim and span.is_empty():
+            # No set holds a live entry of it, and no live block is left
+            # for another free. Only a concurrent last free that
+            # snapshotted this marking can race for reusable -> free;
+            # the epoch CAS picks one.
+            if span.try_transition(old_epoch, STATE_FREE):
+                self.pool.put(span, tid)
+            return
+        sc = span.size_class
+        if not self.labs[owner_lab_ref(old_epoch)].reusable[sc].put(
+                span, old_epoch) \
+                and (adopted := span.try_adopt(old_epoch, mine)):
+            stats.adopts += 1
+            old_epoch = adopted
+            lab.reusable[sc].put(span, old_epoch)
         if self.eager_reclaim and span.is_empty():
             if span.try_transition(old_epoch, STATE_FREE):
-                self._pool_put(span, tid)
+                self.pool.put(span, tid)
 
     # -- termination --------------------------------------------------------
 

@@ -16,7 +16,8 @@ word becomes the next-pointer of whichever free list it sits on,
 written straight into span memory so page accounting sees it.
 
 Life cycle: free -> hot -> floating -> reusable -> {hot, free}, with
-floating also reachable from reusable at thread termination. Fresh
+floating also reachable from reusable at thread termination, and
+floating -> free for the free that empties a floating span. Fresh
 arena slots are implicitly "expected" until their header is first
 written. Every successful transition is a single conditional replace
 of the epoch word, recorded in the ledger's trace when instrumented.
@@ -53,6 +54,7 @@ LEGAL_EDGES = frozenset([
     (STATE_FREE, STATE_HOT),
     (STATE_HOT, STATE_FLOATING),
     (STATE_FLOATING, STATE_REUSABLE),
+    (STATE_FLOATING, STATE_FREE),       # the free that empties the span
     (STATE_REUSABLE, STATE_HOT),
     (STATE_REUSABLE, STATE_FREE),
     (STATE_REUSABLE, STATE_FLOATING),   # thread termination

@@ -202,6 +202,9 @@ def test_cli_stacks_csv_counts_every_push(tmp_path):
         == record["stats"]["stack_pushes"] > 0
 
 
+MALFORMED_RANGES = ("1:x", "5")
+
+
 @pytest.mark.parametrize("bad", [
     ["--workload", "prodcons", "--threads", "2", "--producers", "2"],
     ["--threads", "0"],
@@ -209,13 +212,18 @@ def test_cli_stacks_csv_counts_every_push(tmp_path):
     ["--ablate", "bogus"],
     ["--size-range", "8:1"],
     ["--size", "-5"],
+    *(["--size-range", text] for text in MALFORMED_RANGES),
 ])
 def test_cli_bad_values_are_usage_errors(bad, capsys):
     with pytest.raises(SystemExit) as exit_:
         main(["--rounds", "1", "--objects", "10",
               "--arena-bytes", str(SMALL_ARENA)] + bad)
     assert exit_.value.code == 2
-    assert "spanalloc-bench: error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "spanalloc-bench: error:" in err
+    if bad[-1] in MALFORMED_RANGES:
+        assert f"argument --size-range: expected MIN:MAX, two integers, " \
+            f"not '{bad[-1]}'" in err
 
 
 def test_cli_size_range(tmp_path):

@@ -3,11 +3,13 @@
 Each test counts the Python-level function calls (`sys.setprofile`
 "call" events, the outer `malloc` or `free` included) that one call
 makes on an uninstrumented `sim` allocator, on one path of the paper's
-free: a retirement of a 1M-class span to the pool, a free that empties
-a reusable 128K-class span with 8 committed block pages, a huge free, a
-local free into the caller's own floating span that leaves it below
-the reuse threshold, a remote free into a live owner's hot span, and a
-marking free that adopts an orphaned span;
+free: a retirement of a floating 1M-class span to the pool, a free
+that empties a reusable 128K-class span with 8 committed block pages, a
+huge free, a local free into the caller's own floating span that leaves
+it below the reuse threshold, a local free into the caller's own
+reusable 64 B span that leaves it live, a remote free into a floating
+span below the threshold, a remote free into a live owner's hot span,
+and a marking free that adopts an orphaned span;
 of its malloc: a small malloc served from the hot span, a malloc that
 takes its span from the reusable set, a 1M malloc that takes a pooled
 span, one that takes a fresh arena slot, and a huge malloc; and one
@@ -64,15 +66,15 @@ def state(alloc, addr):
 
 
 def test_free_that_retires_a_floating_1m_span():
-    # floating -> reusable -> free and a pool put that decommits the
-    # span's one block page, all in this free.
+    # One floating -> free and a pool put that decommits the span's one
+    # block page, all in this free.
     alloc = make_allocator()
     p = alloc.malloc(MB)
     alloc.provider.write_word(p, 1)      # its block page, as a user would
     alloc.malloc(MB)                     # floats p's span
     assert state(alloc, p) == STATE_FLOATING
     span = alloc.space.span_of(p)
-    assert calls_in(alloc.free, p) == 25
+    assert calls_in(alloc.free, p) == 18
     assert epoch_state(span.epoch.load()) == STATE_FREE
     assert alloc.stats()["pool_puts"] == 1
     assert alloc.provider.stats.decommit_calls == 1
@@ -91,7 +93,7 @@ def test_free_that_empties_a_reusable_128k_span():
     # free-list word (the last one's written above).
     assert alloc.provider.committed_in(span.base, span.real_span_size) \
         == 9 * PAGE_SIZE
-    assert calls_in(alloc.free, blocks[7]) == 21
+    assert calls_in(alloc.free, blocks[7]) == 18
     assert epoch_state(span.epoch.load()) == STATE_FREE
     assert alloc.provider.committed_in(span.base, span.real_span_size) \
         == PAGE_SIZE
@@ -177,8 +179,51 @@ def test_local_free_into_own_floating_span_below_threshold():
     alloc.malloc(128 * KB)               # floats the full span
     alloc.provider.write_word(blocks[0], 1)
     assert state(alloc, blocks[0]) == STATE_FLOATING
-    assert calls_in(alloc.free, blocks[0]) == 9
+    assert calls_in(alloc.free, blocks[0]) == 8
     assert state(alloc, blocks[0]) == STATE_FLOATING
+
+
+def test_local_free_into_own_reusable_span_that_leaves_it_live():
+    # A 64 B span (508 blocks, threshold 406) marked reusable by its
+    # 407th free: the next free pushes and counts once, and makes no
+    # further call while the span keeps a live block.
+    alloc = make_allocator()
+    blocks = [alloc.malloc(64) for _ in range(508)]
+    alloc.malloc(64)                     # floats the full span
+    for p in blocks[:407]:               # the 407th free marks it reusable
+        alloc.free(p)
+    p = blocks[407]
+    alloc.provider.write_word(p, 1)
+    assert state(alloc, p) == STATE_REUSABLE
+    assert calls_in(alloc.free, p) == 8
+    assert state(alloc, p) == STATE_REUSABLE
+    assert alloc.stats()["pool_puts"] == 0
+
+
+def test_remote_free_into_a_floating_span_below_threshold():
+    # An attached thread's free into the main thread's floating 128K
+    # span: a push on the remote list and one count against the
+    # threshold (6 of 8 blocks).
+    alloc = make_allocator()
+    blocks = [alloc.malloc(128 * KB) for _ in range(8)]
+    alloc.malloc(128 * KB)               # floats the full span
+    p = blocks[0]
+    alloc.provider.write_word(p, 1)
+    assert state(alloc, p) == STATE_FLOATING
+    counts = []
+
+    def remote():
+        alloc.attach_thread()
+        counts.append(calls_in(alloc.free, p))
+        alloc.detach_thread()
+
+    t = threading.Thread(target=remote)
+    t.start()
+    t.join(30)
+    assert not t.is_alive()
+    assert counts == [10]
+    assert state(alloc, p) == STATE_FLOATING
+    assert alloc.stats()["frees_remote"] == 1
 
 
 def test_remote_free_into_a_live_owners_hot_span():
@@ -229,7 +274,7 @@ def test_marking_free_that_adopts_an_orphan():
     alloc.provider.write_word(p, 1)
     span = alloc.space.span_of(p)
     assert epoch_state(span.epoch.load()) == STATE_FLOATING
-    assert calls_in(alloc.free, p) == 26
+    assert calls_in(alloc.free, p) == 25
     assert epoch_state(span.epoch.load()) == STATE_REUSABLE
     assert span in alloc.frontend.labs[0].reusable[span.size_class]
     assert alloc.stats()["adopts"] == 1

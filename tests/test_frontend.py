@@ -577,8 +577,8 @@ def test_set_put_rejects_span_no_longer_reusable(alloc):
 
 def test_crossing_and_emptying_in_one_free_still_pools(alloc):
     # Single-block spans (1MB class): the first free both crosses the
-    # threshold and empties the span. The refreshed snapshot lets that
-    # one call run floating -> reusable -> free and pool the span.
+    # threshold and empties the span. That one call retires it,
+    # floating -> free, and pools it.
     a = alloc.malloc(1 << 20)
     span = span_of(alloc, a)
     b = alloc.malloc(1 << 20)               # exhausts + floats span a
@@ -654,7 +654,7 @@ def test_settle_runs_only_when_state_can_change(alloc, monkeypatch):
 
     for b in blocks[T64 + 1:T64 + 4]:
         alloc.free(b)
-    assert settled == [span] * 4        # once per free into reusable
+    assert settled == [span]            # reusable, not emptied: no call
     assert state_of(span) == STATE_REUSABLE and in_a_set(alloc, span)
     assert alloc.pool.puts.load() == 0
     # Exhaust the current hot span; the reusable one must come back.
@@ -663,7 +663,7 @@ def test_settle_runs_only_when_state_can_change(alloc, monkeypatch):
     assert span_of(alloc, again) is span
     assert state_of(span) == STATE_HOT
     assert not in_a_set(alloc, span)
-    assert settled == [span] * 4
+    assert settled == [span]
 
 
 # -- retirement: a free that marks and empties a span skips the set -----------
@@ -707,7 +707,8 @@ def span_edges(alloc, span):
 ], ids=["1M-own", "1M-remote", "512K-own", "256K-own"])
 def test_marking_free_that_empties_skips_the_set(size, remote, monkeypatch):
     # 1, 2 and 4 blocks per span: the free that crosses the threshold
-    # is also the one that empties the span.
+    # is also the one that empties the span, and retires it with one
+    # floating -> free, never marking it.
     alloc = make_allocator(instrument=True)
     span, blocks, extra = floated_span(alloc, size)
     for b in blocks[:-1]:
@@ -726,7 +727,7 @@ def test_marking_free_that_empties_skips_the_set(size, remote, monkeypatch):
     assert len(alloc.frontend.labs[0].reusable[span.size_class]) == 0
     validate_transition_trace(alloc)
     assert span_edges(alloc, span)[-2:] == [
-        (STATE_FLOATING, STATE_REUSABLE), (STATE_REUSABLE, STATE_FREE)]
+        (STATE_HOT, STATE_FLOATING), (STATE_FLOATING, STATE_FREE)]
     alloc.free(extra)
 
 
@@ -789,6 +790,83 @@ def test_marking_free_loses_retirement_to_racing_last_free(monkeypatch):
     assert state_of(span) == STATE_FREE and not in_a_set(alloc, span)
     validate_transition_trace(alloc)
     alloc.free(extra)
+
+
+def retire_race_setup(monkeypatch):
+    """A floated 128K span (8 blocks, threshold 6) freed down to its
+    threshold on an instrumented allocator: the next free crosses the
+    threshold, the one after empties the span. Returns the allocator,
+    the span, its blocks, the extra block and the set-put counts."""
+    alloc = make_allocator(instrument=True)
+    span, blocks, extra = floated_span(alloc, 1 << 17)
+    for b in blocks[:T128K]:
+        alloc.free(b)
+    assert state_of(span) == STATE_FLOATING
+    return alloc, span, blocks, extra, count_set_ops(monkeypatch)
+
+
+def assert_retired_once(alloc, span, extra, counts):
+    assert counts == {"put": 0}
+    assert pooled_slots(alloc.pool) == [span.slot]
+    assert alloc.pool.puts.load() == 1
+    assert state_of(span) == STATE_FREE and not in_a_set(alloc, span)
+    validate_transition_trace(alloc)
+    alloc.free(extra)
+    check_heap(alloc, live=())
+
+
+def test_last_free_retires_before_the_crossing_free_marks(monkeypatch):
+    # The crossing (7th) free is held at its floating -> reusable while
+    # the last free, from the same floating snapshot, retires the span
+    # floating -> free. The marking then fails, and nothing else runs.
+    alloc, span, blocks, extra, counts = retire_race_setup(monkeypatch)
+    ran = hold(monkeypatch, SpanHeader, "try_transition",
+               lambda sp, observed, to, owner=None:
+                   sp is span and to == STATE_REUSABLE,
+               lambda: run_in_thread(alloc.free, blocks[T128K + 1]))
+    alloc.free(blocks[T128K])
+    assert ran and alloc.stats()["frees_remote"] == 1
+    assert span_edges(alloc, span)[-2:] == [
+        (STATE_HOT, STATE_FLOATING), (STATE_FLOATING, STATE_FREE)]
+    assert_retired_once(alloc, span, extra, counts)
+
+
+def test_crossing_free_marks_before_the_last_free_retires(monkeypatch):
+    # The crossing (7th) free is held at its floating -> reusable while
+    # the last free pushes, counts the span empty and reaches its
+    # floating -> free, where it is held until the crossing free
+    # returns. The marking wins, its fresh emptiness test sees the last
+    # push and retires the span reusable -> free; the last free's
+    # retire then fails on its stale snapshot.
+    alloc, span, blocks, extra, counts = retire_race_setup(monkeypatch)
+    real = SpanHeader.try_transition
+    reached, release = threading.Event(), threading.Event()
+    racer = []
+
+    def held(sp, observed, to, owner=None):
+        if sp is span and to == STATE_REUSABLE and not racer:
+            racer.append(other.submit(alloc.free, blocks[T128K + 1]))
+            assert reached.wait(30)
+        elif sp is span and to == STATE_FREE \
+                and epoch_state(observed) == STATE_FLOATING:
+            reached.set()
+            assert release.wait(30)
+        return real(sp, observed, to, owner)
+
+    monkeypatch.setattr(SpanHeader, "try_transition", held)
+    with ThreadPoolExecutor(max_workers=1) as other:
+        try:
+            alloc.free(blocks[T128K])
+            assert state_of(span) == STATE_FREE
+        finally:
+            release.set()
+        assert racer and racer[0].result(timeout=30) is None
+        other.submit(alloc.detach_thread).result(timeout=30)
+    assert alloc.stats()["frees_remote"] == 1
+    assert span_edges(alloc, span)[-3:] == [
+        (STATE_HOT, STATE_FLOATING), (STATE_FLOATING, STATE_REUSABLE),
+        (STATE_REUSABLE, STATE_FREE)]
+    assert_retired_once(alloc, span, extra, counts)
 
 
 def test_span_retirement_under_dense_interleaving():
