@@ -222,6 +222,25 @@ def validate_transition_trace(allocator):
     return sum(len(v) for v in per_span.values())
 
 
+# Seconds. A healthy barrier wait lasts milliseconds, so a barrier whose
+# partner thread died fails well before the joins' bound.
+JOIN_TIMEOUT = 30
+BARRIER_TIMEOUT = 10
+
+
+def run_threads(threads):
+    """Start `threads` as daemons, join each with `JOIN_TIMEOUT`, and
+    fail naming any thread still alive: a stuck thread fails its test
+    instead of hanging the suite, and cannot block interpreter exit."""
+    for t in threads:
+        t.daemon = True
+        t.start()
+    for t in threads:
+        t.join(JOIN_TIMEOUT)
+    stuck = [t.name for t in threads if t.is_alive()]
+    assert not stuck, f"threads still running after {JOIN_TIMEOUT} s: {stuck}"
+
+
 def in_threads(work, threads_n):
     """Run `work(i)` in threads i = 0 .. threads_n - 1, switching every
     microsecond, and restore the switch interval afterwards; returns the
@@ -230,15 +249,10 @@ def in_threads(work, threads_n):
     sys.setswitchinterval(1e-6)
     try:
         start = time.perf_counter()
-        threads = [threading.Thread(target=work, args=(i,))
-                   for i in range(threads_n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(10)
+        run_threads([threading.Thread(target=work, args=(i,))
+                     for i in range(threads_n)])
         elapsed = time.perf_counter() - start
     finally:
         sys.setswitchinterval(interval)
     assert sys.getswitchinterval() == interval
-    assert not any(t.is_alive() for t in threads)
     return elapsed

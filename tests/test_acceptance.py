@@ -20,13 +20,14 @@ import time
 
 import pytest
 
-from helpers import check_heap, frag_oracle, make_allocator
+from helpers import check_heap, frag_oracle, make_allocator, run_threads
 from spanalloc.arena import Arena
 from spanalloc.bench import WorkloadConfig, ablate, run
 from spanalloc.config import PAGE_SIZE, VIRTUAL_SPAN_SIZE
 from spanalloc.errors import ArenaExhausted
 from spanalloc.size_classes import TABLE, class_for_size
 from spanalloc.span import STATE_FREE, epoch_state
+from spanalloc.traces import make_trace, replay
 from spanalloc.vmem import SimProvider
 
 MB2 = VIRTUAL_SPAN_SIZE
@@ -88,10 +89,7 @@ def test_c02_arena_capacity_and_concurrent_uniqueness():
 
     threads = [threading.Thread(target=grab, args=(chunks[i], total // 8))
                for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    run_threads(threads)
     got = [b for c in chunks for b in c]
     distinct = len(set(got)) == total
     aligned = all(b % MB2 == 0 for b in got)
@@ -221,10 +219,7 @@ def test_c06_pool_counting_lifo_aba():
             errors.append(exc)
 
     threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    run_threads(threads)
     drained = []
     mark = pool.gets_from_arena.load()
     while True:
@@ -310,10 +305,7 @@ def test_c07_frontend_safety_stress():
     started = time.perf_counter()
     threads = [threading.Thread(target=worker, args=(t,))
                for t in range(n_threads)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    run_threads(threads)
     # Quiescence: free the stragglers left in inboxes.
     for box in inboxes:
         for p in box:
@@ -387,12 +379,20 @@ def test_c11_directional_scalability():
     cores = (__import__("os").cpu_count() or 1)
     gil = getattr(sys, "_is_gil_enabled", lambda: True)()
 
+    # Each thread replays its own one-thread trace: no baton passes
+    # between them, so they run as concurrently as the host allows.
+    trace = make_trace(WorkloadConfig(name="threadtest", rounds=5,
+                                      objects_per_round=4000, object_size=64,
+                                      seed=2, touch_objects=False))
+
     def throughput(threads, flags=()):
-        cfg = WorkloadConfig(name="threadtest", threads=threads, rounds=5,
-                             objects_per_round=4000, object_size=64,
-                             seed=2, touch_objects=False)
-        report = run(cfg, ablate(flags, arena_bytes=1 << 31))
-        return report.ops_per_sec
+        alloc = ablate(flags, arena_bytes=1 << 31)
+        started = time.perf_counter()
+        run_threads([threading.Thread(target=replay, args=(trace, alloc))
+                     for _ in range(threads)])
+        elapsed = time.perf_counter() - started
+        stats = alloc.stats()
+        return (stats["allocs"] + stats["frees"]) / elapsed
 
     t1 = throughput(1)
     t8 = throughput(8)

@@ -2,6 +2,7 @@ import threading
 
 import pytest
 
+from helpers import run_threads
 from spanalloc.arena import Arena
 from spanalloc.config import VIRTUAL_SPAN_SIZE
 from spanalloc.errors import ArenaExhausted
@@ -76,10 +77,7 @@ def test_concurrent_acquisition_unique():
 
     threads = [threading.Thread(target=grab, args=(results[i],))
                for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    run_threads(threads)
     got = [b for chunk in results for b in chunk]
     assert len(got) == 512
     assert len(set(got)) == 512

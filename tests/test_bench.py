@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from dataclasses import asdict
@@ -9,8 +10,9 @@ from helpers import SMALL_ARENA, check_heap
 from spanalloc.bench import (
     ABLATIONS, WorkloadConfig, ablate, main, run, write_json,
 )
-from spanalloc.config import AllocatorConfig
+from spanalloc.config import CLAB, AllocatorConfig
 from spanalloc.size_classes import NUM_CLASSES, NUM_REAL_SPAN_SIZES
+from spanalloc.traces import FREE, MALLOC, WORKLOADS, make_trace, replay
 
 
 def bench_alloc(**kw):
@@ -115,24 +117,70 @@ def test_ablate_flag_validation_and_effects():
     assert b.config.reuse_percent == 70 and not b.config.decommit_enabled
 
 
-def test_same_seed_reproduces_single_thread_run():
-    def one(cfg):
-        alloc = bench_alloc()
+def test_same_trace_reproduces_run():
+    # One trace replayed under one configuration: memory to the byte and
+    # every counter, whatever the OS schedule of the replaying threads.
+    def one(cfg, **kw):
+        alloc = bench_alloc(arena_bytes=1 << 31, **kw)
         report = run(cfg, alloc)
-        stats = alloc.stats()
+        check_heap(alloc, live=())
         return (report.ops, report.peak_committed_bytes,
-                report.stats["remote_free_fraction"],
-                stats["pool_puts"], stats["pool_gets"], stats["allocs"])
+                alloc.committed_bytes, report.stats, report.stacks)
 
-    for cfg in (
-        WorkloadConfig(name="shbench_like", threads=1, rounds=10,
-                       objects_per_round=100, seed=77),
+    # At 1,000 objects a round outlasts a switch interval, so threads
+    # running free would overlap differently from run to run.
+    cases = [(small(name, objects_per_round=1000, seed=7), {})
+             for name in WORKLOADS] + [
+        (small("threadtest", objects_per_round=1000, seed=7),
+         {"lab_mode": CLAB}),
+        (WorkloadConfig(name="shbench_like", threads=1, rounds=10,
+                        objects_per_round=100, seed=77), {}),
         # Each link hands its set to a new thread; the hand-off order
         # must not depend on thread timing.
-        WorkloadConfig(name="larson_like", threads=1, rounds=3,
-                       objects_per_round=3000, seed=5),
-    ):
-        assert one(cfg) == one(cfg) == one(cfg), cfg.name
+        (WorkloadConfig(name="larson_like", threads=1, rounds=3,
+                        objects_per_round=3000, seed=5), {}),
+    ]
+    for cfg, kw in cases:
+        assert one(cfg, **kw) == one(cfg, **kw) == one(cfg, **kw), \
+            (cfg.name, kw)
+
+
+def test_traces_are_pure_functions_of_the_seed():
+    for name in WORKLOADS:
+        cfg = small(name, seed=5)
+        trace = make_trace(cfg)
+        random.seed(name)                # no global random state leaks in
+        assert make_trace(cfg) == trace, name
+        # Well formed: each handle malloced once, freed once, after.
+        born, freed = set(), set()
+        for _, op, h, _ in trace:
+            if op == MALLOC:
+                assert h not in born, name
+                born.add(h)
+            elif op == FREE:
+                assert h in born and h not in freed, name
+                freed.add(h)
+        assert born == freed, name
+
+
+def test_run_peak_covers_every_window():
+    # Each epoch mark begins a new window of the provider's peak.
+    cfg = WorkloadConfig(name="prodcons", threads=2, rounds=12,
+                         objects_per_round=30, size_range=(1000, 300000),
+                         seed=1)
+    report = run(cfg, bench_alloc())
+    assert report.peak_committed_bytes >= max(report.extra["epoch_peaks"])
+
+
+def test_replay_raises_a_threads_error_instead_of_hanging():
+    alloc = bench_alloc()
+    trace = make_trace(small("threadtest"))
+    # Thread 1 frees a handle nobody malloced; thread 0 still has runs
+    # to wait for.
+    at = next(i for i, op in enumerate(trace) if op[0] == 1 and op[1] == FREE)
+    broken = trace[:at] + [(1, FREE, -1, None)] + trace[at:]
+    with pytest.raises(KeyError):
+        replay(broken, alloc)
 
 
 def test_csv_schema_stable(tmp_path):
@@ -258,7 +306,8 @@ def test_cli_default_provider_is_the_library_default(tmp_path):
 
 def test_workload_config_validation():
     for bad in ({"name": "nope"}, {"threads": 0}, {"object_size": -1},
-                {"size_range": (8, 1)}, {"size_range": (-1, 4)}):
+                {"size_range": (8, 1)}, {"size_range": (-1, 4)},
+                {"handoffs": -1}, {"objects_per_round": 0}):
         with pytest.raises(ValueError):
             WorkloadConfig(**{"name": "threadtest", **bad})
     # A prodcons split needs a producer and a consumer.

@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from helpers import check_heap, frag_oracle, make_allocator
+from helpers import check_heap, frag_oracle, make_allocator, run_threads
 from spanalloc import DoubleFree
 from spanalloc.size_classes import TABLE, class_for_size
 
@@ -130,10 +130,7 @@ def test_multithreaded_checked_at_quiescence():
         alloc.detach_thread()
 
     ts = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
-    for t in ts:
-        t.start()
-    for t in ts:
-        t.join()
+    run_threads(ts)
     # Only meaningful at global quiescence: frees and their follow-up
     # state work are non-atomic while threads run.
     check_heap(alloc, live=())
@@ -163,8 +160,7 @@ def test_double_free_raises_and_leaves_the_lists_alone():
         alloc.detach_thread()
 
     t = threading.Thread(target=free_elsewhere)
-    t.start()
-    t.join()
+    run_threads([t])
     assert raised == [True]
     assert lists() == before and alloc.ledger.f == f
     assert alloc.stats()["frees"] == 1

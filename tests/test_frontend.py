@@ -8,8 +8,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from helpers import (
-    census, check_heap, make_allocator, pooled_slots,
-    validate_transition_trace,
+    BARRIER_TIMEOUT, census, check_heap, make_allocator, pooled_slots,
+    run_threads, validate_transition_trace,
 )
 from spanalloc.atomic import AtomicWord
 from spanalloc.config import CLAB
@@ -55,8 +55,7 @@ def run_in_thread(fn, *args):
             out["error"] = exc
 
     t = threading.Thread(target=runner)
-    t.start()
-    t.join()
+    run_threads([t])
     if "error" in out:
         raise out["error"]
     return out.get("result")
@@ -250,7 +249,7 @@ def test_transition_trace_validates(traced_alloc):
 
 def test_active_false_sharing_probe(alloc):
     spans_seen = [set(), set()]
-    barrier = threading.Barrier(2)
+    barrier = threading.Barrier(2, timeout=BARRIER_TIMEOUT)
 
     def worker(i):
         alloc.attach_thread()
@@ -261,10 +260,7 @@ def test_active_false_sharing_probe(alloc):
         alloc.detach_thread()
 
     ts = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
-    for t in ts:
-        t.start()
-    for t in ts:
-        t.join()
+    run_threads(ts)
     assert not (spans_seen[0] & spans_seen[1])
 
 
@@ -352,10 +348,10 @@ def test_terminate_races_last_free_single_winner(alloc):
             alloc.free(holder["last"])
             alloc.detach_thread()
 
-        barrier = threading.Barrier(2)
+        barrier = threading.Barrier(2, timeout=BARRIER_TIMEOUT)
         t1 = threading.Thread(target=owner_thread)
         t2 = threading.Thread(target=racer_thread)
-        t1.start(); t2.start(); t1.join(); t2.join()
+        run_threads([t1, t2])
         span = holder["span"]
         st = state_of(span)
         assert st in (STATE_FREE, STATE_FLOATING)
@@ -444,12 +440,9 @@ def test_clab_mode_shares_lab_and_frees_remotely():
         alloc.detach_thread()
 
     n = 4
-    barrier = threading.Barrier(n)
+    barrier = threading.Barrier(n, timeout=BARRIER_TIMEOUT)
     ts = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
-    for t in ts:
-        t.start()
-    for t in ts:
-        t.join()
+    run_threads(ts)
     stats = alloc.stats()
     assert stats["frees_local"] == 0           # CLAB frees are remote
     assert stats["frees"] == 400
@@ -1600,8 +1593,7 @@ def test_finalizer_folds_threads_that_never_detach(alloc):
 
     threads = [threading.Thread(target=no_detach) for _ in range(20)]
     for t in threads:
-        t.start()
-        t.join()
+        run_threads([t])
     del threads, t
     gc.collect()
     assert len(alloc.frontend.thread_stats) == 0
@@ -1652,8 +1644,7 @@ def test_clab_finalizer_does_not_release_a_detached_thread_again():
     for _ in range(width - 1):                       # tids 1..width-1
         run_in_thread(short_lived)
     sharer = threading.Thread(target=short_lived)   # tid width -> LAB 0
-    sharer.start()
-    sharer.join()
+    run_threads([sharer])
     del sharer
     gc.collect()
     go.set()

@@ -6,7 +6,7 @@ remote frees, drains, and pool cycling."""
 import random
 import threading
 
-from helpers import check_heap, make_allocator
+from helpers import check_heap, make_allocator, run_threads
 
 
 def token_for(addr, nonce):
@@ -65,10 +65,7 @@ def test_multi_thread_no_corruption():
             alloc.detach_thread()
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    run_threads(threads)
     for i, box in enumerate(inboxes):
         for a, t in box:
             if alloc.provider.read_word(a) != t:
@@ -114,10 +111,7 @@ def test_dense_interleaving_stress():
 
         threads = [threading.Thread(target=worker, args=(t,))
                    for t in range(n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        run_threads(threads)
         assert not errors
         for box in inboxes:
             for p in box:

@@ -2,6 +2,7 @@ import threading
 
 import pytest
 
+from helpers import BARRIER_TIMEOUT, run_threads
 from spanalloc.arena import Arena
 from spanalloc.atomic import AtomicWord
 from spanalloc.config import PAGE_SIZE, VIRTUAL_SPAN_SIZE
@@ -168,10 +169,7 @@ def test_remote_free_concurrent_distinct_blocks():
             span.free_remote(b)
 
     threads = [threading.Thread(target=push, args=(c,)) for c in chunks]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    run_threads(threads)
     assert span.remote_count() == 800
     walked = {space.arena_base + o for o in span.walk_remote()}
     assert walked == set(blocks)
@@ -259,7 +257,7 @@ def test_transition_race_single_winner():
     span.try_transition(span.epoch.load(), STATE_REUSABLE)
     observed = span.epoch.load()
     results = []
-    barrier = threading.Barrier(2)
+    barrier = threading.Barrier(2, timeout=BARRIER_TIMEOUT)
 
     def racer(target):
         barrier.wait()
@@ -267,7 +265,7 @@ def test_transition_race_single_winner():
 
     a = threading.Thread(target=racer, args=(STATE_FREE,))
     b = threading.Thread(target=racer, args=(STATE_HOT,))
-    a.start(); b.start(); a.join(); b.join()
+    run_threads([a, b])
     assert results.count(False) == 1
     assert span.epoch.load() in results
 
@@ -294,7 +292,7 @@ def test_adopt_single_winner():
     space, provider, arena = make_space()
     span, stamp = reusable_span(space, arena)
     results = []
-    barrier = threading.Barrier(2)
+    barrier = threading.Barrier(2, timeout=BARRIER_TIMEOUT)
 
     def adopter(word):
         barrier.wait()
@@ -302,7 +300,7 @@ def test_adopt_single_winner():
 
     a = threading.Thread(target=adopter, args=(pack_owner(2, 5),))
     b = threading.Thread(target=adopter, args=(pack_owner(3, 6),))
-    a.start(); b.start(); a.join(); b.join()
+    run_threads([a, b])
     assert results.count(False) == 1
     won = next(r for r in results if r is not False)
     assert won == span.epoch.load()

@@ -3,7 +3,9 @@ import threading
 
 import pytest
 
-from helpers import census, in_threads, make_allocator, pooled_slots
+from helpers import (
+    census, in_threads, make_allocator, pooled_slots, run_threads,
+)
 from spanalloc.arena import Arena
 from spanalloc.config import PAGE_SIZE, VIRTUAL_SPAN_SIZE
 from spanalloc.errors import ArenaExhausted, WildFree
@@ -250,10 +252,7 @@ def test_counting_stress_no_loss_no_duplication():
             errors.append(exc)
 
     threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    run_threads(threads)
     assert not errors
     # Drain the pool completely; exactly the original spans come out,
     # each exactly once. The first arena fallback marks true emptiness.
@@ -282,10 +281,7 @@ def test_disjoint_indices_see_no_contention():
                 mine[i] = pool.get(3, tid)
 
     threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    run_threads(threads)
     assert pool.counter_totals()["retries"] == 0
     assert pool.gets_from_arena.load() == 0
 
