@@ -140,8 +140,8 @@ class LAB:
         self.reusable = [ReusableSet(self.owner_word)
                          for _ in range(NUM_CLASSES)]
         # CLAB only. A plain lock: nothing re-enters allocate while it
-        # holds a class latch (_allocate reaches only the set, the pool,
-        # the span and the ledger), and termination takes none.
+        # holds a class latch (under it allocate reaches only the set,
+        # the pool, the span and the ledger), and termination takes none.
         self.class_latches = \
             [threading.Lock() for _ in range(NUM_CLASSES)] if latched else None
         self.attached = 0
@@ -275,47 +275,58 @@ class Frontend:
         return lab
 
     def _current(self):
-        """The caller's attachment record, attaching on first use; one
-        thread-local read when attached."""
-        try:
-            return self._tls.attached
-        except AttributeError:
-            self.attach()
-            return self._tls.attached
+        """The caller's attachment record, after attaching the caller:
+        the entry points' first-use path, taken when their thread-local
+        read finds no record."""
+        self.attach()
+        return self._tls.attached
 
     # -- allocation ---------------------------------------------------------
 
-    def allocate(self, class_id):
-        lab, tid, stats, mine, _ = self._current()
-        if lab.class_latches is None:
-            return self._allocate(lab, tid, stats, mine, class_id)
-        with lab.class_latches[class_id]:
-            return self._allocate(lab, tid, stats, mine, class_id)
-
-    def _allocate(self, lab, tid, stats, mine, sc):
-        stats.allocs += 1
-        fetches = 0
-        hot = lab.hot_spans[sc]
-        while True:
-            if hot is None:
-                hot = self._get_span(lab, tid, stats, mine, sc)
-                lab.hot_spans[sc] = hot
-                fetches += 1
-            block = hot.alloc_block()
-            if block:
-                if fetches > stats.max_fetches_per_alloc:
-                    stats.max_fetches_per_alloc = fetches
-                if self.ledger is not None:
-                    self.ledger.on_alloc(block, hot.block_size)
-                return block
-            if hot.drain_remotes() > 0:
-                stats.drains += 1
-                continue
-            # Exhausted and not worth draining: retire it and refetch.
-            took = hot.try_transition(hot.epoch.load(), STATE_FLOATING)
-            assert took, "hot spans are only transitioned by their owner"
-            lab.hot_spans[sc] = None
-            hot = None
+    def allocate(self, sc):
+        """One block of class `sc` from the caller's LAB, in this one
+        frame: the attachment record comes from one thread-local read
+        (attaching on first use), and in CLAB mode the class latch is
+        taken with `acquire()` and released in `finally`, on every exit
+        (see `atomic.py`). The hot span serves the block; one that runs
+        dry drains its remote list if enough blocks accumulated, and
+        otherwise goes floating and `_get_span` fetches a replacement.
+        """
+        try:
+            lab, tid, stats, mine, _ = self._tls.attached
+        except AttributeError:
+            lab, tid, stats, mine, _ = self._current()
+        latches = lab.class_latches
+        if latches is not None:
+            latch = latches[sc]
+            latch.acquire()
+        try:
+            stats.allocs += 1
+            fetches = 0
+            hot = lab.hot_spans[sc]
+            while True:
+                if hot is None:
+                    hot = self._get_span(lab, tid, stats, mine, sc)
+                    lab.hot_spans[sc] = hot
+                    fetches += 1
+                block = hot.alloc_block()
+                if block:
+                    if fetches and fetches > stats.max_fetches_per_alloc:
+                        stats.max_fetches_per_alloc = fetches
+                    if self.ledger is not None:
+                        self.ledger.on_alloc(block, hot.block_size)
+                    return block
+                if hot.drain_remotes() > 0:
+                    stats.drains += 1
+                    continue
+                # Exhausted and not worth draining: retire it and refetch.
+                took = hot.try_transition(hot.epoch.load(), STATE_FLOATING)
+                assert took, "hot spans are only transitioned by their owner"
+                lab.hot_spans[sc] = None
+                hot = None
+        finally:
+            if latches is not None:
+                latch.release()
 
     def _get_span(self, lab, tid, stats, mine, sc):
         """Next hot span: the reusable set first, then pool or arena."""
@@ -364,7 +375,10 @@ class Frontend:
         span, old_epoch = self.space.block_span(addr)
         if self.ledger is not None:
             self.ledger.on_free(addr, span.block_size)
-        lab, tid, stats, mine, _ = self._current()
+        try:
+            lab, tid, stats, mine, _ = self._tls.attached
+        except AttributeError:
+            lab, tid, stats, mine, _ = self._current()
         if (old_epoch & EPOCH_OWNER_FIELD) >> EPOCH_OWNER_SHIFT == mine \
                 and self.tlab:
             span.free_local(addr)

@@ -86,9 +86,9 @@ class _Provider:
     (base, length, backing), the backing being the os provider's mmap
     object (None on sim). Arena reservations sit in a short list; a page
     mapping is indexed under every 2MB slot it covers, slack slots never.
-    `decommit`, `unmap` and the sim page commit take the lock with
-    `acquire()` and release it in `finally`, which is cheaper than
-    `with` (see `atomic.py`).
+    `map_pages`, `unmap`, `decommit` and the sim page commit take the
+    lock with `acquire()` and release it in `finally`, which is cheaper
+    than `with` (see `atomic.py`).
     """
 
     def __init__(self, reservation_cap=RESERVATION_CAP):
@@ -122,12 +122,20 @@ class _Provider:
         exact base."""
         if length <= 0 or length % PAGE_SIZE:
             raise ValueError("mapping must be a positive multiple of the page size")
-        with self._lock:
-            record = self._claim(length, _round_up(length, VIRTUAL_SPAN_SIZE))
-            for slot in _slots_of(record[0], length):
-                self._slots[slot] = record
+        lock = self._lock
+        lock.acquire()
+        try:
+            record = self._claim(
+                length, -(-length // VIRTUAL_SPAN_SIZE) * VIRTUAL_SPAN_SIZE)
+            base = record[0]
+            slots = self._slots
+            for slot in range(base >> SPAN_SHIFT,
+                              ((base + length - 1) >> SPAN_SHIFT) + 1):
+                slots[slot] = record
             self.map_calls += 1
-        return record[0]
+        finally:
+            lock.release()
+        return base
 
     def unmap(self, base):
         """Drop a page mapping and all of its committed pages."""
@@ -434,15 +442,6 @@ class OsProvider(_Provider):
 
     def _release(self, record):
         record[2].close()
-
-
-def _round_up(value, step):
-    return -(-value // step) * step
-
-
-def _slots_of(base, length):
-    """The 2MB slots that [base, base+length) touches."""
-    return range(base >> SPAN_SHIFT, ((base + length - 1) >> SPAN_SHIFT) + 1)
 
 
 def _process_rss_bytes():

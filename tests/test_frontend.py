@@ -331,19 +331,27 @@ def test_terminate_races_last_free_single_winner(alloc):
         holder = {}
 
         def owner_thread():
-            alloc.attach_thread()
-            blocks = [alloc.malloc(64) for _ in range(B64)]
-            alloc.malloc(64)                       # float it
-            for b in blocks[:-1]:
-                alloc.free(b)                      # now reusable
-            holder["span"] = span_of(alloc, blocks[0])
-            holder["last"] = blocks[-1]
-            holder["leftover"] = blocks
+            try:
+                alloc.attach_thread()
+                blocks = [alloc.malloc(64) for _ in range(B64)]
+                alloc.malloc(64)                   # float it
+                for b in blocks[:-1]:
+                    alloc.free(b)                  # now reusable
+                holder["span"] = span_of(alloc, blocks[0])
+                holder["last"] = blocks[-1]
+                holder["leftover"] = blocks
+            except BaseException:
+                barrier.abort()                    # the racer fails now
+                raise
             barrier.wait()                         # racer go
             alloc.detach_thread()                  # terminate here
 
         def racer_thread():
-            alloc.attach_thread()
+            try:
+                alloc.attach_thread()
+            except BaseException:
+                barrier.abort()
+                raise
             barrier.wait()
             alloc.free(holder["last"])
             alloc.detach_thread()
@@ -447,6 +455,32 @@ def test_clab_mode_shares_lab_and_frees_remotely():
     assert stats["frees_local"] == 0           # CLAB frees are remote
     assert stats["frees"] == 400
     assert len(alloc.frontend.labs) <= width
+
+
+def test_clab_latch_is_released_when_the_span_fetch_raises():
+    # One arena slot: the 64 B span takes it, so the 1M malloc's fetch
+    # raises ArenaExhausted inside _get_span, under the 1M class latch.
+    # The malloc returns NULL and leaves the latch free: a thread that
+    # lands on the same shared LAB gets its own NULL instead of blocking.
+    alloc = make_allocator(lab_mode=CLAB, arena_bytes=2 << 20)
+    assert alloc.malloc(64) != 0
+    assert alloc.malloc(1 << 20) == 0
+    lab = alloc.frontend._tls.attached[0]
+    latch = lab.class_latches[class_for_size(1 << 20)]
+    assert not latch.locked()
+    for _ in range(alloc.frontend.clab_width - 1):
+        attach_and_detach(alloc)
+
+    def sharer():
+        alloc.attach_thread()
+        assert alloc.frontend._tls.attached[0] is lab
+        try:
+            return alloc.malloc(1 << 20)
+        finally:
+            alloc.detach_thread()
+
+    assert run_in_thread(sharer) == 0
+    assert not latch.locked()
 
 
 def test_lab_indices_recycled_tlab(alloc):
@@ -833,16 +867,26 @@ def test_crossing_free_marks_before_the_last_free_retires(monkeypatch):
     # retire then fails on its stale snapshot.
     alloc, span, blocks, extra, counts = retire_race_setup(monkeypatch)
     real = SpanHeader.try_transition
-    reached, release = threading.Event(), threading.Event()
+    main = threading.current_thread()
+    # `settled` is set when the last free reaches its hooked retire
+    # (`reached`) or ends without reaching it, so a free path that never
+    # gets there fails the marking at once instead of at the bound.
+    reached, settled, release = \
+        threading.Event(), threading.Event(), threading.Event()
     racer = []
 
     def held(sp, observed, to, owner=None):
         if sp is span and to == STATE_REUSABLE and not racer:
             racer.append(other.submit(alloc.free, blocks[T128K + 1]))
-            assert reached.wait(30)
+            racer[0].add_done_callback(lambda _: settled.set())
+            assert settled.wait(30)
+            assert reached.is_set(), \
+                "the last free ended without reaching its floating -> free"
         elif sp is span and to == STATE_FREE \
-                and epoch_state(observed) == STATE_FLOATING:
+                and epoch_state(observed) == STATE_FLOATING \
+                and threading.current_thread() is not main:
             reached.set()
+            settled.set()
             assert release.wait(30)
         return real(sp, observed, to, owner)
 
