@@ -7,11 +7,11 @@ the unique hot span serving allocations and a latched FIFO set of
 reusable spans (spans whose free-block count crossed the reusability
 threshold). Each set entry is stamped with the epoch word the span's
 reusable-marking installed, and every hand-off out of a set (to hot, to
-free under lazy reclamation, to floating at termination) is one
-conditional replace from that stamp. A span that moved on since its
-marking (emptied and pooled, or reused and marked again elsewhere)
-leaves a stale entry behind, which nothing removes: the take that
-reaches it fails its replace and skips it.
+free under lazy reclamation or at termination, to floating at
+termination) is one conditional replace from that stamp. A span that
+moved on since its marking (emptied and pooled, or reused and marked
+again elsewhere) leaves a stale entry behind, which nothing removes:
+the take that reaches it fails its replace and skips it.
 
 Allocation serves from the hot span's local list or bump region. When
 that runs dry it drains the remote list if enough blocks accumulated,
@@ -52,6 +52,7 @@ import threading
 import weakref
 from collections import OrderedDict
 
+from . import atomic
 from .atomic import AtomicWord
 from .config import CLAB, CPU_COUNT, TLAB
 from .size_classes import NUM_CLASSES
@@ -84,7 +85,7 @@ class ReusableSet:
     __slots__ = ("_latch", "owner", "stamps")
 
     def __init__(self, owner):
-        self._latch = threading.Lock()
+        self._latch = atomic.Latch()
         self.owner = owner            # the LAB's owner word
         self.stamps = OrderedDict()
 
@@ -143,7 +144,7 @@ class LAB:
         # holds a class latch (under it allocate reaches only the set,
         # the pool, the span and the ledger), and termination takes none.
         self.class_latches = \
-            [threading.Lock() for _ in range(NUM_CLASSES)] if latched else None
+            [atomic.Latch() for _ in range(NUM_CLASSES)] if latched else None
         self.attached = 0
 
     def activate(self):
@@ -195,7 +196,7 @@ class Frontend:
         self.clab_width = CPU_COUNT
         self.labs = []
         self._free_labs = []
-        self._mgr_lock = threading.Lock()
+        self._mgr_lock = atomic.Latch()
         # Per thread, one attribute: the (lab, tid, stats, mine, release)
         # record of its attachment, absent while detached; `mine` is the
         # LAB's owner word (see attach), `release` its finalizer.
@@ -265,7 +266,7 @@ class Frontend:
             lab.attached -= 1
             if lab.attached > 0:
                 return
-            self._terminate_lab(lab)
+            self._terminate_lab(lab, tid)
             if self.tlab:
                 self._free_labs.append(lab.index)
 
@@ -431,8 +432,7 @@ class Frontend:
         retire once the adoption lands first, and if the adopter tested
         for emptiness before that push, the span stays reusable and
         empty in the adopter's set, as above. Should the adopter
-        terminate first, the span is floated empty: that is
-        termination's leak (ROADMAP item 1), not this race's."""
+        terminate first, its termination pools the empty span."""
         old_epoch = span.try_transition(old_epoch, STATE_REUSABLE)
         if not old_epoch:
             return
@@ -457,26 +457,44 @@ class Frontend:
 
     # -- termination --------------------------------------------------------
 
-    def _terminate_lab(self, lab):
+    def _terminate_lab(self, lab, tid):
         """Mark the LAB terminated, which closes its sets, then float
         every hot and reusable span; spans with live blocks become
         orphans, adopted by the free that next marks each reusable. A
         put reads the owner word and inserts under the set latch, and
         the drain takes under it after the store, so each put lands
         before the drain or is refused. Adoption follows a marking, so
-        no hot span changes owner meanwhile."""
+        no hot span changes owner meanwhile.
+
+        An empty span goes to the pool instead, under lazy reclamation
+        too, since no slow path of this LAB is left to reclaim it: an
+        empty entry goes reusable -> free from its stamp, and a floated
+        span that is empty goes floating -> free from the word its float
+        installed. That one CAS picks one retirement against a last free
+        that snapshotted the same word. A last free that read the epoch
+        before the float, and pushes after the emptiness test here,
+        fails its retire, and the span floats empty (ROADMAP item 1)."""
         lab.owner_word.store(TERMINATED)
         for sc in range(NUM_CLASSES):
             hot = lab.hot_spans[sc]
             if hot is not None:
-                took = hot.try_transition(hot.epoch.load(), STATE_FLOATING)
-                assert took, "no one else transitions a hot span"
+                floated = hot.try_transition(hot.epoch.load(), STATE_FLOATING)
+                assert floated, "no one else transitions a hot span"
                 lab.hot_spans[sc] = None
+                self._retire_empty(hot, floated, tid)
             take = lab.reusable[sc].take
             while (entry := take()) is not None:
-                span, stamp = entry
-                # Fails only on a stale entry: the span moved on.
-                span.try_transition(stamp, STATE_FLOATING)
+                span, word = entry
+                if not span.is_empty():
+                    # Fails only on a stale entry: the span moved on.
+                    word = span.try_transition(word, STATE_FLOATING)
+                if word:
+                    self._retire_empty(span, word, tid)
+
+    def _retire_empty(self, span, word, tid):
+        """Pool `span` if it is empty and its epoch still reads `word`."""
+        if span.is_empty() and span.try_transition(word, STATE_FREE):
+            self.pool.put(span, tid)
 
     # -- reporting ----------------------------------------------------------
 

@@ -49,10 +49,6 @@ class TaggedStack:
     def load_top(self):
         return self._top.load()
 
-    def cas_top(self, old, new):
-        # Exposed for targeted interleaving tests.
-        return self._top.compare_exchange(old, new)
-
     def push(self, span):
         ref = span.slot + 1
         top = self._top

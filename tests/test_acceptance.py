@@ -20,6 +20,8 @@ import time
 
 import pytest
 
+import scenarios
+from explore import explore
 from helpers import check_heap, frag_oracle, make_allocator, run_threads
 from spanalloc.arena import Arena
 from spanalloc.bench import WorkloadConfig, ablate, run
@@ -236,27 +238,12 @@ def test_c06_pool_counting_lifo_aba():
         stack.push(s)
     lifo = [stack.pop(space) for _ in range(10)] == spans[:10][::-1]
 
-    # ABA probe: a stale top snapshot must fail after pop/pop/push-back.
-    a, b = spans[0], spans[1]
-    aba_ok = True
-    for _ in range(10_000):
-        stack.push(b)
-        stack.push(a)
-        observed = stack.load_top()
-        nxt = space.headers[(observed & (1 << 48) - 1) - 1].link & 0xFFFFFF
-        stale = ((((observed >> 48) + 1) & 0xFFFF) << 48) | nxt
-        stack.pop(space)
-        stack.pop(space)
-        stack.push(a)
-        if stack.cas_top(observed, stale):
-            aba_ok = False
-            break
-        if stack.pop(space) is not a or stack.pop(space) is not None:
-            aba_ok = False
-            break
-    _report(6, conserved and lifo and aba_ok,
+    # ABA: every schedule of a pop against a pop and two pushes
+    # (scenarios.aba) conserves both spans.
+    aba_schedules = explore(scenarios.aba)
+    _report(6, conserved and lifo,
             f"8x{pairs} put/get pairs conserved 64 spans={conserved}; "
-            f"LIFO exact={lifo}; ABA probe 10^4 iterations={aba_ok}")
+            f"LIFO exact={lifo}; ABA schedules explored={aba_schedules}")
 
 
 # -- 7: frontend safety ---------------------------------------------------------------------

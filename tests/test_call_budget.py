@@ -26,11 +26,10 @@ CPython 3.11 only.
 """
 
 import sys
-import threading
 
 import pytest
 
-from helpers import make_allocator
+from helpers import make_allocator, run_in_thread
 from spanalloc.config import CLAB, PAGE_SIZE
 from spanalloc.span import (
     STATE_FLOATING, STATE_FREE, STATE_HOT, STATE_REUSABLE, epoch_state,
@@ -239,10 +238,7 @@ def test_remote_free_into_a_floating_span_below_threshold():
         calls.append(calls_in(alloc.free, p))
         alloc.detach_thread()
 
-    t = threading.Thread(target=remote)
-    t.start()
-    t.join(30)
-    assert not t.is_alive()
+    run_in_thread(remote)
     assert len(calls) == 1
     assert_budget(calls[0], 9)
     assert state(alloc, p) == STATE_FLOATING
@@ -263,10 +259,7 @@ def test_remote_free_into_a_live_owners_hot_span():
         calls.append(calls_in(alloc.free, p))
         alloc.detach_thread()
 
-    t = threading.Thread(target=remote)
-    t.start()
-    t.join(30)
-    assert not t.is_alive()
+    run_in_thread(remote)
     assert len(calls) == 1
     assert_budget(calls[0], 8)
     assert state(alloc, p) == STATE_HOT
@@ -290,10 +283,7 @@ def test_marking_free_that_adopts_an_orphan():
         alloc.detach_thread()            # orphans the span
         left.extend(blocks[6:])
 
-    t = threading.Thread(target=producer)
-    t.start()
-    t.join(30)
-    assert not t.is_alive()
+    run_in_thread(producer)
     p = left[0]
     alloc.provider.write_word(p, 1)
     span = alloc.space.span_of(p)
@@ -321,11 +311,8 @@ def test_attach_and_detach_of_a_tlab_thread():
         calls.append(calls_in(alloc.attach_thread)
                       + calls_in(alloc.detach_thread))
 
-    for work in (warm_up, counted):         # a fresh thread each
-        t = threading.Thread(target=work)
-        t.start()
-        t.join(30)
-        assert not t.is_alive()
+    run_in_thread(warm_up)                  # a fresh thread each
+    run_in_thread(counted)
     assert len(calls) == 1
     assert_budget(calls[0], 44)
     assert len(alloc.frontend.labs) == 1

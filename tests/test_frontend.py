@@ -3,21 +3,23 @@ import random
 import sys
 import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import scenarios
+from explore import replay
 from helpers import (
-    BARRIER_TIMEOUT, census, check_heap, make_allocator, pooled_slots,
-    run_threads, validate_transition_trace,
+    BARRIER_TIMEOUT, check_heap, floated_span, make_allocator, run_in_thread,
+    run_parked, run_threads, validate_transition_trace,
 )
+from scenarios import span_edges
 from spanalloc.atomic import AtomicWord
 from spanalloc.config import CLAB
 from spanalloc.frontend import Frontend, ReusableSet
 from spanalloc.size_classes import TABLE, class_for_size
 from spanalloc.span import (
     OWNER_REF_MASK, REMOTE_COUNT_SHIFT, STATE_FLOATING, STATE_FREE,
-    STATE_HOT, STATE_REUSABLE, TERMINATED, SpanHeader, epoch_owner,
+    STATE_HOT, STATE_REUSABLE, TERMINATED, epoch_owner,
     epoch_state, owner_lab_ref, pack_owner,
 )
 
@@ -41,24 +43,6 @@ def owner_of(span):
 def in_a_set(alloc, span):
     """Whether any LAB's reusable set holds `span`."""
     return any(span in s for lab in alloc.frontend.labs for s in lab.reusable)
-
-
-def run_in_thread(fn, *args):
-    """`fn(*args)` in a new thread: its result, or its exception raised
-    again here."""
-    out = {}
-
-    def runner():
-        try:
-            out["result"] = fn(*args)
-        except BaseException as exc:
-            out["error"] = exc
-
-    t = threading.Thread(target=runner)
-    run_threads([t])
-    if "error" in out:
-        raise out["error"]
-    return out.get("result")
 
 
 def test_warm_fast_path_no_extra_fetches(alloc):
@@ -177,11 +161,11 @@ def test_remote_frees_insert_into_owners_set(alloc):
     span = span_of(alloc, blocks[0])
     alloc.malloc(64)
 
-    def remote_free_past_threshold():
+    def remote_free_to_cross():
         for b in blocks[:T64 + 1]:
             alloc.free(b)
 
-    run_in_thread(remote_free_past_threshold)
+    run_in_thread(remote_free_to_cross)
     assert state_of(span) == STATE_REUSABLE
     owner_lab = alloc.frontend.labs[0]
     assert span in owner_lab.reusable[C64]
@@ -204,7 +188,6 @@ def test_remote_last_free_pools_span(alloc):
 
 
 def test_block_never_live_twice_mixed_workload(alloc):
-    import random
     rng = random.Random(42)
     live = {}
     for i in range(20_000):
@@ -225,7 +208,6 @@ def test_block_never_live_twice_mixed_workload(alloc):
 
 
 def test_conservation_at_quiescence(alloc):
-    import random
     rng = random.Random(3)
     live = []
     for _ in range(5000):
@@ -294,7 +276,7 @@ def test_thread_termination_orphans_adopted_and_reclaimed(alloc):
     blocks = holder["blocks"]
     span = span_of(alloc, blocks[0])
     assert state_of(span) == STATE_FLOATING       # floated by terminate
-    lab0 = alloc.frontend.labs[owner_ref(span)]
+    lab0 = alloc.frontend.labs[owner_lab_ref(span.epoch.load())]
     assert lab0.owner_word.load() == TERMINATED
     adopts_before = alloc.stats()["adopts"]
     alloc.free(blocks[0])                          # a plain remote push
@@ -317,57 +299,6 @@ def test_thread_termination_orphans_adopted_and_reclaimed(alloc):
     assert state_of(span) == STATE_FREE            # reclaimed when empty
     assert alloc.pool.puts.load() >= 1
     check_heap(alloc)
-
-
-def owner_ref(span):
-    return owner_lab_ref(span.epoch.load())
-
-
-def test_terminate_races_last_free_single_winner(alloc):
-    # A span sitting reusable in a terminating LAB while another thread
-    # frees its last block: exactly one of floating-marking and
-    # reusable->free wins. Run many times to shake interleavings.
-    for _ in range(50):
-        holder = {}
-
-        def owner_thread():
-            try:
-                alloc.attach_thread()
-                blocks = [alloc.malloc(64) for _ in range(B64)]
-                alloc.malloc(64)                   # float it
-                for b in blocks[:-1]:
-                    alloc.free(b)                  # now reusable
-                holder["span"] = span_of(alloc, blocks[0])
-                holder["last"] = blocks[-1]
-                holder["leftover"] = blocks
-            except BaseException:
-                barrier.abort()                    # the racer fails now
-                raise
-            barrier.wait()                         # racer go
-            alloc.detach_thread()                  # terminate here
-
-        def racer_thread():
-            try:
-                alloc.attach_thread()
-            except BaseException:
-                barrier.abort()
-                raise
-            barrier.wait()
-            alloc.free(holder["last"])
-            alloc.detach_thread()
-
-        barrier = threading.Barrier(2, timeout=BARRIER_TIMEOUT)
-        t1 = threading.Thread(target=owner_thread)
-        t2 = threading.Thread(target=racer_thread)
-        run_threads([t1, t2])
-        span = holder["span"]
-        st = state_of(span)
-        assert st in (STATE_FREE, STATE_FLOATING)
-        if st == STATE_FLOATING:
-            # Orphaned with zero live blocks; anyone freeing later would
-            # adopt, but it is consistent: not in any set, not pooled.
-            assert not in_a_set(alloc, span)
-        # Clean up for the next round: leftover hot-span block.
 
 
 def make_reusable(span, owner):
@@ -495,111 +426,57 @@ def test_lab_indices_recycled_tlab(alloc):
     assert len(alloc.frontend.labs) <= 2
 
 
-def test_get_span_skips_span_raced_to_free(alloc):
-    # Build a reusable span, then play the racing deallocator's half by
-    # hand: mark it free and pool it, leaving its set entry stale.
-    # get_span must pop the entry, fail its transition from the stamp,
-    # skip it, and recover the span via the pool.
-    blocks = [alloc.malloc(64) for _ in range(B64)]
-    span = span_of(alloc, blocks[0])
-    extra = alloc.malloc(64)
-    for b in blocks[:T64 + 1]:
-        alloc.free(b)
-    assert state_of(span) == STATE_REUSABLE and in_a_set(alloc, span)
-    for b in blocks[T64 + 1:]:
-        span.free_local(b)                     # backdoor: no state work
-    assert span.is_empty()
-    assert span.try_transition(span.epoch.load(), STATE_FREE)
-    alloc.pool.put(span, 0)                    # racer pooled it; set stale
-    # Exhaust the hot span; the slow path must not trip on the stale
-    # set entry and must end up reusing the pooled span.
-    hot = span_of(alloc, extra)
-    for _ in range(B64 - 1):
-        alloc.malloc(64)
-    p = alloc.malloc(64)
-    assert p != 0
-    assert span_of(alloc, p) is span           # recovered via the pool
-    assert state_of(span) == STATE_HOT
-    assert len(alloc.frontend.labs[0].reusable[C64]) == 0
+def test_get_span_skips_span_raced_to_free():
+    # LAB 0's take waits before its reusable -> hot while LAB 1's free of
+    # the last block retires the span: the take skips the stale entry and
+    # the span comes back hot from the pool.
+    def check(w):
+        assert span_of(w.alloc, w.fills[-1]) is w.span
+        assert state_of(w.span) == STATE_HOT
+        assert len(w.alloc.frontend.labs[0].reusable[w.span.size_class]) == 0
+    replay(scenarios.late_take, [0] * 5 + [1] * 9 + [0], check)
 
 
 def test_clab_contention_stress_conserves_blocks():
     alloc = make_allocator(lab_mode=CLAB, arena_bytes=1 << 31)
-    n = 6                                  # more threads than cores
-    errors = []
-    # Workers park twice, before freeing what they hold: in between,
-    # the main thread checks the sets of live LABs.
-    parked = threading.Barrier(n + 1, timeout=60)
 
-    def worker(seed):
-        import random
-        rng = random.Random(seed)
-        alloc.attach_thread()
-        mine = []
-        try:
-            for _ in range(5000):
-                if mine and rng.random() < 0.5:
-                    alloc.free(mine.pop(rng.randrange(len(mine))))
-                else:
-                    p = alloc.malloc(rng.choice([16, 64, 256]))
-                    assert p != 0
-                    mine.append(p)
-            parked.wait()
-            parked.wait()
-            for p in mine:
-                alloc.free(p)
-        except Exception as exc:           # pragma: no cover
-            errors.append(exc)
-            parked.abort()
-        finally:
-            alloc.detach_thread()
+    def work(seed, park):
+        rng, mine = random.Random(seed), []
+        for _ in range(5000):
+            if mine and rng.random() < 0.5:
+                alloc.free(mine.pop(rng.randrange(len(mine))))
+            else:
+                p = alloc.malloc(rng.choice([16, 64, 256]))
+                assert p != 0
+                mine.append(p)
+        park()                  # worker 0 checks the sets of live LABs
+        for p in mine:
+            alloc.free(p)
 
-    ts = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
-    for t in ts:
-        t.start()
-    parked.wait()
-    try:
-        assert not census(alloc).bad
-    finally:
-        parked.wait()
-    for t in ts:
-        t.join(timeout=60)
-    assert not any(t.is_alive() for t in ts)
-    assert not errors
+    run_parked(alloc, 6, work)          # more threads than cores
     stats = alloc.stats()
     assert stats["allocs"] == stats["frees"]
     check_heap(alloc, live=())
 
 
-def test_set_put_rejects_span_no_longer_reusable(alloc):
-    # The window: a deallocator wins floating -> reusable but is delayed
-    # before its set insert; meanwhile the last free empties the span,
-    # marks it free, and pools it. The late insert must be refused: its
-    # stamp is no longer the span's epoch.
-    blocks = [alloc.malloc(64) for _ in range(B64)]
-    span = span_of(alloc, blocks[0])
-    alloc.malloc(64)                            # hot -> floating
-    for b in blocks[:T64 + 1]:
-        span.free_local(b)                      # backdoor: no state work
-    owner_word = alloc.frontend.labs[0].owner_word.load()
-    the_set = alloc.frontend.labs[0].reusable[C64]
-    e = span.epoch.load()
-    assert span.try_transition(e, STATE_REUSABLE)   # marker's half, no put
-    stamp = span.epoch.load()
-    for b in blocks[T64 + 1:]:
-        span.free_local(b)                      # now empty
-    e = span.epoch.load()
-    assert span.try_transition(e, STATE_FREE)       # racing last free wins
-    alloc.pool.put(span, 0)
-    assert not the_set.put(span, stamp)         # late insert refused
-    assert not in_a_set(alloc, span) and len(the_set) == 0
-    # The pooled span must come back intact.
-    got = alloc.pool.get(C64, 0)
-    assert got is span
-    got.init_for_class(C64)
-    e = got.epoch.load()
-    assert got.try_transition(e, STATE_HOT, owner_word)
-    assert not the_set.put(span, stamp)         # hot is refused too
+def test_set_put_rejects_span_no_longer_reusable():
+    # LAB 0's marking free waits before its put while the last free
+    # retires the span. The late put must be refused, and so must a put
+    # of that stamp once the pooled span is hot again.
+    def check(w):
+        scenarios.retired_by((STATE_FLOATING, STATE_REUSABLE),
+                             (STATE_REUSABLE, STATE_FREE))(w)
+        the_set = w.alloc.frontend.labs[0].reusable[w.span.size_class]
+        assert len(the_set) == 0
+        stamp = [new for slot, _, new in w.alloc.ledger.trace
+                 if slot == w.span.slot][-2]
+        got = w.alloc.pool.get(w.span.size_class, 0)
+        assert got is w.span
+        got.init_for_class(got.size_class)
+        assert got.try_transition(got.epoch.load(), STATE_HOT,
+                                  the_set.owner.load())
+        assert not the_set.put(got, stamp)
+    replay(scenarios.retire_race, [0] * 5 + [1], check)
 
 
 def test_crossing_and_emptying_in_one_free_still_pools(alloc):
@@ -696,37 +573,15 @@ def test_settle_runs_only_when_state_can_change(alloc, monkeypatch):
 # -- retirement: a free that marks and empties a span skips the set -----------
 
 def count_set_ops(monkeypatch):
-    """Patch ReusableSet.put to count its calls; returns the dict of
-    counts."""
-    counts = {"put": 0}
+    """Patch ReusableSet.put to count its calls; returns the counts."""
+    counts, real = {"put": 0}, ReusableSet.put
 
-    def counting(name):
-        real = getattr(ReusableSet, name)
+    def put(the_set, *args):
+        counts["put"] += 1
+        return real(the_set, *args)
 
-        def wrapper(the_set, *args):
-            counts[name] += 1
-            return real(the_set, *args)
-        return wrapper
-
-    for name in counts:
-        monkeypatch.setattr(ReusableSet, name, counting(name))
+    monkeypatch.setattr(ReusableSet, "put", put)
     return counts
-
-
-def floated_span(alloc, size):
-    """Fill one span of `size` blocks, then float it with one more
-    malloc; returns the span, its blocks and the extra block."""
-    blocks = [alloc.malloc(size)
-              for _ in range(TABLE[class_for_size(size)].blocks_per_span)]
-    extra = alloc.malloc(size)
-    span = span_of(alloc, blocks[0])
-    assert state_of(span) == STATE_FLOATING
-    return span, blocks, extra
-
-
-def span_edges(alloc, span):
-    return [(epoch_state(old), epoch_state(new))
-            for slot, old, new in alloc.ledger.trace if slot == span.slot]
 
 
 @pytest.mark.parametrize("size,remote", [
@@ -788,124 +643,6 @@ def test_crossing_then_emptying_uses_the_set(monkeypatch):
     assert list(the_set.stamps) == [span] and span not in the_set
 
 
-def test_marking_free_loses_retirement_to_racing_last_free(monkeypatch):
-    # 128K: 8 blocks, threshold 6. The 7th free marks the span; between
-    # its marking and its emptiness test another thread frees the 8th
-    # block, sees the span reusable and empty, and pools it. The marking
-    # free then finds the span empty too, and its reusable -> free must
-    # lose, so the span is pooled once.
-    alloc = make_allocator(instrument=True)
-    span, blocks, extra = floated_span(alloc, 1 << 17)
-    for b in blocks[:6]:
-        alloc.free(b)
-    real_is_empty = SpanHeader.is_empty
-    racer = []
-
-    def is_empty_after_racer(s):
-        if s is span and not racer:
-            racer.append(True)      # first: the racer's free calls this too
-            run_in_thread(alloc.free, blocks[7])
-        return real_is_empty(s)
-
-    monkeypatch.setattr(SpanHeader, "is_empty", is_empty_after_racer)
-    counts = count_set_ops(monkeypatch)
-    alloc.free(blocks[6])
-    assert racer and alloc.stats()["frees_remote"] == 1
-    assert counts == {"put": 0}
-    assert alloc.pool.puts.load() == 1
-    assert pooled_slots(alloc.pool) == [span.slot]
-    assert state_of(span) == STATE_FREE and not in_a_set(alloc, span)
-    validate_transition_trace(alloc)
-    alloc.free(extra)
-
-
-def retire_race_setup(monkeypatch):
-    """A floated 128K span (8 blocks, threshold 6) freed down to its
-    threshold on an instrumented allocator: the next free crosses the
-    threshold, the one after empties the span. Returns the allocator,
-    the span, its blocks, the extra block and the set-put counts."""
-    alloc = make_allocator(instrument=True)
-    span, blocks, extra = floated_span(alloc, 1 << 17)
-    for b in blocks[:T128K]:
-        alloc.free(b)
-    assert state_of(span) == STATE_FLOATING
-    return alloc, span, blocks, extra, count_set_ops(monkeypatch)
-
-
-def assert_retired_once(alloc, span, extra, counts):
-    assert counts == {"put": 0}
-    assert pooled_slots(alloc.pool) == [span.slot]
-    assert alloc.pool.puts.load() == 1
-    assert state_of(span) == STATE_FREE and not in_a_set(alloc, span)
-    validate_transition_trace(alloc)
-    alloc.free(extra)
-    check_heap(alloc, live=())
-
-
-def test_last_free_retires_before_the_crossing_free_marks(monkeypatch):
-    # The crossing (7th) free is held at its floating -> reusable while
-    # the last free, from the same floating snapshot, retires the span
-    # floating -> free. The marking then fails, and nothing else runs.
-    alloc, span, blocks, extra, counts = retire_race_setup(monkeypatch)
-    ran = hold(monkeypatch, SpanHeader, "try_transition",
-               lambda sp, observed, to, owner=None:
-                   sp is span and to == STATE_REUSABLE,
-               lambda: run_in_thread(alloc.free, blocks[T128K + 1]))
-    alloc.free(blocks[T128K])
-    assert ran and alloc.stats()["frees_remote"] == 1
-    assert span_edges(alloc, span)[-2:] == [
-        (STATE_HOT, STATE_FLOATING), (STATE_FLOATING, STATE_FREE)]
-    assert_retired_once(alloc, span, extra, counts)
-
-
-def test_crossing_free_marks_before_the_last_free_retires(monkeypatch):
-    # The crossing (7th) free is held at its floating -> reusable while
-    # the last free pushes, counts the span empty and reaches its
-    # floating -> free, where it is held until the crossing free
-    # returns. The marking wins, its fresh emptiness test sees the last
-    # push and retires the span reusable -> free; the last free's
-    # retire then fails on its stale snapshot.
-    alloc, span, blocks, extra, counts = retire_race_setup(monkeypatch)
-    real = SpanHeader.try_transition
-    main = threading.current_thread()
-    # `settled` is set when the last free reaches its hooked retire
-    # (`reached`) or ends without reaching it, so a free path that never
-    # gets there fails the marking at once instead of at the bound.
-    reached, settled, release = \
-        threading.Event(), threading.Event(), threading.Event()
-    racer = []
-
-    def held(sp, observed, to, owner=None):
-        if sp is span and to == STATE_REUSABLE and not racer:
-            racer.append(other.submit(alloc.free, blocks[T128K + 1]))
-            racer[0].add_done_callback(lambda _: settled.set())
-            assert settled.wait(30)
-            assert reached.is_set(), \
-                "the last free ended without reaching its floating -> free"
-        elif sp is span and to == STATE_FREE \
-                and epoch_state(observed) == STATE_FLOATING \
-                and threading.current_thread() is not main:
-            reached.set()
-            settled.set()
-            assert release.wait(30)
-        return real(sp, observed, to, owner)
-
-    monkeypatch.setattr(SpanHeader, "try_transition", held)
-    with ThreadPoolExecutor(max_workers=1) as other:
-        try:
-            alloc.free(blocks[T128K])
-            assert state_of(span) == STATE_FREE
-        finally:
-            release.set()
-        assert racer and racer[0].result(timeout=30) is None
-        other.submit(alloc.detach_thread).result(timeout=30)
-    assert alloc.stats()["frees_remote"] == 1
-    assert span_edges(alloc, span)[-3:] == [
-        (STATE_HOT, STATE_FLOATING), (STATE_FLOATING, STATE_REUSABLE),
-        (STATE_REUSABLE, STATE_FREE)]
-    assert_retired_once(alloc, span, extra, counts)
-
-
 def test_span_retirement_under_dense_interleaving():
     # Spans of 1..16 blocks, freed by other threads, with preemption
     # inside the retire path: the free that marks a span and the free
@@ -918,48 +655,24 @@ def test_span_retirement_under_dense_interleaving():
         n = 4                                   # more threads than cores
         inboxes = [[] for _ in range(n)]
         locks = [threading.Lock() for _ in range(n)]
-        errors = []
-        # Workers park twice before detaching: in between, the main
-        # thread checks the sets of live LABs.
-        parked = threading.Barrier(n + 1, timeout=60)
 
-        def worker(tid):
+        def work(tid, park):
             rng = random.Random(9100 + tid)
-            alloc.attach_thread()
-            try:
-                for _ in range(500):
-                    if rng.random() < 0.5:
-                        p = alloc.malloc(rng.choice(
-                            (1 << 14, 1 << 17, 1 << 18, 1 << 19, 1 << 20)))
-                        target = rng.randrange(n)
-                        with locks[target]:
-                            inboxes[target].append(p)
-                    else:
-                        with locks[tid]:
-                            mine, inboxes[tid][:] = inboxes[tid][:], []
-                        for p in mine:
-                            alloc.free(p)
-                parked.wait()
-                parked.wait()
-            except Exception as exc:            # pragma: no cover
-                errors.append(exc)
-                parked.abort()
-            finally:
-                alloc.detach_thread()
+            for _ in range(500):
+                if rng.random() < 0.5:
+                    p = alloc.malloc(rng.choice(
+                        (1 << 14, 1 << 17, 1 << 18, 1 << 19, 1 << 20)))
+                    target = rng.randrange(n)
+                    with locks[target]:
+                        inboxes[target].append(p)
+                else:
+                    with locks[tid]:
+                        mine, inboxes[tid][:] = inboxes[tid][:], []
+                    for p in mine:
+                        alloc.free(p)
+            park()              # worker 0 checks the sets of live LABs
 
-        threads = [threading.Thread(target=worker, args=(t,))
-                   for t in range(n)]
-        for t in threads:
-            t.start()
-        parked.wait()
-        try:
-            assert not census(alloc).bad
-        finally:
-            parked.wait()
-        for t in threads:
-            t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
-        assert not errors
+        run_parked(alloc, n, work)
         for box in inboxes:
             for p in box:
                 alloc.free(p)
@@ -1004,132 +717,18 @@ def test_full_reuse_percent_does_not_leak_spans(size):
                for h in alloc.space.iter_headers())
 
 
-# -- set hand-offs: one conditional replace from the marking's stamp ----------
-#
-# Each test holds one hand-off of a reusable span open in its window, and
-# meanwhile sends the span round its life cycle through another LAB: it
-# is emptied, pooled, reused there and marked reusable again. It reads as
-# reusable once more, so only the stamp tells the two markings apart.
-
-B128K = TABLE[class_for_size(1 << 17)].blocks_per_span     # 8
-T128K = B128K * 80 // 100                                   # 6
-
-
-def send_round(other, alloc, span, last_blocks):
-    """On executor `other`'s thread, attached to its own LAB: free
-    `last_blocks`, the last live blocks of the 128K `span`, which
-    empties and pools it; take it back from the pool, fill and float
-    it, and free all but one of its blocks so that it is reusable in
-    that LAB's set. Returns the blocks left live."""
-    def go():
-        for p in last_blocks:
-            alloc.free(p)
-        assert state_of(span) == STATE_FREE
-        mine = [alloc.malloc(1 << 17) for _ in range(B128K + 1)]
-        assert {span_of(alloc, p) for p in mine[:-1]} == {span}
-        for p in mine[1:-1]:
-            alloc.free(p)
-        assert state_of(span) == STATE_REUSABLE
-        return [mine[0], mine[-1]]
-    return other.submit(go).result(timeout=30)
-
-
-def hold(monkeypatch, cls, name, when, run):
-    """Patch method `name` of `cls` so that its first call whose
-    arguments satisfy `when` calls `run()` before it goes on. Returns a
-    list that then holds run's result."""
-    real = getattr(cls, name)
-    ran = []
-
-    def held(*args):
-        if not ran and when(*args):
-            ran.append(None)
-            ran[0] = run()
-        return real(*args)
-
-    monkeypatch.setattr(cls, name, held)
-    return ran
-
-
-def test_late_set_put_is_refused_after_the_span_went_round(monkeypatch):
-    # The window between a free's floating -> reusable marking and its
-    # set put. The late put must not add the span to LAB 0's set while
-    # it is reusable in LAB 1's.
-    alloc = make_allocator(instrument=True)
-    alloc.attach_thread()                               # LAB 0
-    with ThreadPoolExecutor(max_workers=1) as other:
-        other.submit(alloc.attach_thread).result(timeout=30)   # LAB 1
-        span, blocks, extra = floated_span(alloc, 1 << 17)
-        for b in blocks[:T128K]:
-            alloc.free(b)
-        ran = hold(monkeypatch, ReusableSet, "put",
-                   lambda the_set, sp, stamp: sp is span,
-                   lambda: send_round(other, alloc, span, blocks[T128K + 1:]))
-        alloc.free(blocks[T128K])           # marks, then puts late
-        heap = check_heap(alloc)
-        assert ran and heap.holders[span.slot] == [1] and heap.entries == 1
-        assert state_of(span) == STATE_REUSABLE
-        for p in ran[0]:
-            other.submit(alloc.free, p).result(timeout=30)
-        other.submit(alloc.detach_thread).result(timeout=30)
-    alloc.free(extra)
-
-
-def test_set_take_skips_a_span_that_went_round(monkeypatch):
-    # The window between the owner's take of a set entry and its
-    # reusable -> hot. The owner must not make the span hot while it is
-    # reusable in LAB 1's set.
-    alloc = make_allocator(instrument=True)
-    alloc.attach_thread()                               # LAB 0
-    with ThreadPoolExecutor(max_workers=1) as other:
-        other.submit(alloc.attach_thread).result(timeout=30)   # LAB 1
-        span, blocks, extra = floated_span(alloc, 1 << 17)
-        for b in blocks[:T128K + 1]:
-            alloc.free(b)
-        assert state_of(span) == STATE_REUSABLE
-        assert census(alloc).holders[span.slot] == [0]
-        ran = hold(monkeypatch, SpanHeader, "try_transition",
-                   lambda sp, observed, to, owner=None:
-                       sp is span and to == STATE_HOT,
-                   lambda: send_round(other, alloc, span, blocks[T128K + 1:]))
-        # Fill the hot span; the next malloc fetches from the set.
-        fills = [alloc.malloc(1 << 17) for _ in range(B128K)]
-        heap = check_heap(alloc)
-        assert ran and heap.holders[span.slot] == [1] and heap.entries == 1
-        assert state_of(span) == STATE_REUSABLE
-        assert all(span_of(alloc, p) is not span for p in fills)
-        for p in ran[0]:
-            other.submit(alloc.free, p).result(timeout=30)
-        other.submit(alloc.detach_thread).result(timeout=30)
-    for p in fills + [extra]:
-        alloc.free(p)
-
-
-def test_lab_termination_skips_a_span_that_went_round(monkeypatch):
-    # LAB 0 terminates with a reusable span in its set: the window
-    # between the take and the reusable -> floating. Termination must
-    # not float the span while it is reusable in LAB 1's set.
-    alloc = make_allocator(instrument=True)
-    alloc.attach_thread()                               # LAB 0
-    with ThreadPoolExecutor(max_workers=1) as other:
-        other.submit(alloc.attach_thread).result(timeout=30)   # LAB 1
-        span, blocks, extra = floated_span(alloc, 1 << 17)
-        for b in blocks[:T128K + 1]:
-            alloc.free(b)
-        assert state_of(span) == STATE_REUSABLE
-        assert census(alloc).holders[span.slot] == [0]
-        ran = hold(monkeypatch, SpanHeader, "try_transition",
-                   lambda sp, observed, to, owner=None:
-                       sp is span and to == STATE_FLOATING,
-                   lambda: send_round(other, alloc, span, blocks[T128K + 1:]))
-        alloc.detach_thread()               # terminates LAB 0
-        heap = check_heap(alloc)
-        assert ran and heap.holders[span.slot] == [1] and heap.entries == 1
-        assert state_of(span) == STATE_REUSABLE
-        for p in ran[0]:
-            other.submit(alloc.free, p).result(timeout=30)
-        other.submit(alloc.detach_thread).result(timeout=30)
-    alloc.free(extra)
+@pytest.mark.parametrize("eager", [True, False], ids=["eager", "lazy"])
+@pytest.mark.parametrize("size", [64, 4096, 1 << 17])
+def test_thread_churn_retires_empty_spans(size, eager):
+    # 200 threads one after another, each doing malloc, free and detach:
+    # termination pools the thread's empty hot span, under lazy
+    # reclamation too, so the next thread reuses it.
+    alloc = make_allocator(eager_reclaim=eager, arena_bytes=1 << 30)
+    for _ in range(200):
+        run_in_thread(lambda: (alloc.free(alloc.malloc(size)),
+                               alloc.detach_thread()))
+    check_heap(alloc, live=())
+    assert alloc.stats()["arena_spans"] <= 2
 
 
 def test_adopting_free_that_marks_puts_in_adopters_set():
@@ -1142,10 +741,10 @@ def test_adopting_free_that_marks_puts_in_adopters_set():
     def producer():
         alloc.attach_thread()                           # LAB 1
         span, blocks, extra = floated_span(alloc, 1 << 17)
-        for b in blocks[:T128K]:
+        for b in blocks[:6]:
             alloc.free(b)                               # at the threshold
         alloc.detach_thread()                           # orphans the span
-        return span, blocks[T128K:], extra
+        return span, blocks[6:], extra
 
     span, left, extra = run_in_thread(producer)
     assert state_of(span) == STATE_FLOATING
@@ -1157,7 +756,7 @@ def test_adopting_free_that_marks_puts_in_adopters_set():
     heap = check_heap(alloc)
     assert heap.holders[span.slot] == [0] and heap.entries == 1
     arena_spans = alloc.stats()["arena_spans"]
-    reused = [alloc.malloc(1 << 17) for _ in range(T128K)]
+    reused = [alloc.malloc(1 << 17) for _ in range(6)]
     assert {span_of(alloc, p) for p in reused} == {span}
     assert alloc.stats()["arena_spans"] == arena_spans
     for p in reused + left[1:] + [extra]:
@@ -1165,326 +764,95 @@ def test_adopting_free_that_marks_puts_in_adopters_set():
     validate_transition_trace(alloc)
 
 
-def test_refused_set_put_is_adopted_by_the_freeing_thread(monkeypatch):
-    # The owner LAB terminates between a remote free's floating ->
-    # reusable marking and its set put. Its closed set refuses the
-    # entry: the freeing thread adopts the span into its own set rather
-    # than leave it reusable in no set.
-    alloc = make_allocator(instrument=True)
-    alloc.attach_thread()                               # LAB 0
-    with ThreadPoolExecutor(max_workers=1) as other:
-        other.submit(alloc.attach_thread).result(timeout=30)   # LAB 1
-        span, blocks, extra = other.submit(
-            floated_span, alloc, 1 << 17).result(timeout=30)
-        for b in blocks[:T128K]:
-            alloc.free(b)                               # at the threshold
-        assert state_of(span) == STATE_FLOATING
-        ran = hold(monkeypatch, ReusableSet, "put",
-                   lambda the_set, sp, stamp: sp is span,
-                   lambda: other.submit(alloc.detach_thread).result(30))
-        adopts = alloc.stats()["adopts"]
-        alloc.free(blocks[T128K])           # marks; LAB 1 ends before the put
-        assert ran and alloc.frontend.labs[1].owner_word.load() == TERMINATED
-    assert state_of(span) == STATE_REUSABLE
-    assert alloc.stats()["adopts"] == adopts + 1
-    assert owner_of(span) == alloc.frontend.labs[0].owner_word.load()
-    heap = check_heap(alloc)
-    assert heap.holders[span.slot] == [0] and heap.entries == 1
-    arena_spans = alloc.stats()["arena_spans"]
-    again = alloc.malloc(1 << 17)
-    assert span_of(alloc, again) is span
-    assert alloc.stats()["arena_spans"] == arena_spans
-    for p in [again] + blocks[T128K + 1:] + [extra]:
-        alloc.free(p)
-    validate_transition_trace(alloc)
+# -- races: schedules the hand-held race tests forced, replayed from
+# scenarios.py (test_races.py explores each one) with their end checks ----
+
+def test_last_free_retires_before_the_crossing_free_marks(monkeypatch):
+    # The crossing free waits at its marking while the last free retires.
+    replay(scenarios.retire_race, [0, 0, 0, 1], scenarios.retired_once(
+        count_set_ops(monkeypatch),
+        (STATE_HOT, STATE_FLOATING), (STATE_FLOATING, STATE_FREE)))
 
 
-def test_marking_during_termination_is_adopted_by_the_freeing_thread(
-        monkeypatch):
-    # LAB 1 terminates while a remote free marks one of its floating
-    # spans: the marking lands after termination's first step (here at
-    # its hot -> floating of LAB 1's hot span). The owner word must
-    # already read TERMINATED there, so that the freeing thread adopts
-    # the span into its own set rather than leave it in no set.
-    alloc = make_allocator(instrument=True)
-    alloc.attach_thread()                               # LAB 0
-    with ThreadPoolExecutor(max_workers=1) as other:
-        other.submit(alloc.attach_thread).result(timeout=30)   # LAB 1
-        span, blocks, extra = other.submit(
-            floated_span, alloc, 1 << 17).result(timeout=30)
-        hot = span_of(alloc, extra)
-        for b in blocks[:T128K]:
-            alloc.free(b)                               # at the threshold
-        at_hook, marked = threading.Event(), threading.Event()
-
-        def wait_for_marking():
-            at_hook.set()
-            assert marked.wait(30)
-
-        ran = hold(monkeypatch, SpanHeader, "try_transition",
-                   lambda sp, observed, to, owner=None:
-                       sp is hot and to == STATE_FLOATING,
-                   wait_for_marking)
-        adopts = alloc.stats()["adopts"]
-        detached = other.submit(alloc.detach_thread)
-        try:
-            assert at_hook.wait(30)
-            alloc.free(blocks[T128K])           # marks while LAB 1 ends
-        finally:
-            marked.set()
-        detached.result(timeout=30)
-        assert ran
-    assert state_of(span) == STATE_REUSABLE
-    assert alloc.stats()["adopts"] == adopts + 1
-    assert owner_of(span) == alloc.frontend.labs[0].owner_word.load()
-    heap = check_heap(alloc)
-    assert heap.holders[span.slot] == [0] and heap.entries == 1
-    arena_spans = alloc.stats()["arena_spans"]
-    again = alloc.malloc(1 << 17)
-    assert span_of(alloc, again) is span
-    assert alloc.stats()["arena_spans"] == arena_spans
-    for p in [again] + blocks[T128K + 1:] + [extra]:
-        alloc.free(p)
-    validate_transition_trace(alloc)
+def test_crossing_free_marks_before_the_last_free_retires(monkeypatch):
+    # The crossing free waits at its marking while the last free pushes
+    # and reaches its retire, which then waits until the crossing free,
+    # whose fresh emptiness test sees the push, has retired the span.
+    replay(scenarios.retire_race, [0] * 3 + [1] * 5 + [0],
+           scenarios.retired_once(
+               count_set_ops(monkeypatch), (STATE_HOT, STATE_FLOATING),
+               (STATE_FLOATING, STATE_REUSABLE), (STATE_REUSABLE, STATE_FREE)))
 
 
-B32K = TABLE[class_for_size(1 << 15)].blocks_per_span       # 16
-T32K = B32K * 80 // 100                                     # 12
+def test_marking_free_loses_retirement_to_racing_last_free(monkeypatch):
+    # Between the marking and its emptiness test, the last free retires.
+    replay(scenarios.retire_race, [0] * 4 + [1], scenarios.retired_once(
+        count_set_ops(monkeypatch),
+        (STATE_FLOATING, STATE_REUSABLE), (STATE_REUSABLE, STATE_FREE)))
 
 
-def test_only_the_marking_free_adopts_a_refused_span(monkeypatch):
-    # LAB 0 marks LAB 1's floating span; LAB 1 terminates before the
-    # put, and LAB 2 frees a block into the span meanwhile. LAB 2's free
-    # is a plain remote push: only a marking free adopts. LAB 1's set
-    # refuses LAB 0's put, so LAB 0 adopts the span into its own set.
-    alloc = make_allocator(instrument=True)
-    alloc.attach_thread()                               # LAB 0
-    with ThreadPoolExecutor(max_workers=1) as one, \
-            ThreadPoolExecutor(max_workers=1) as two:
-        one.submit(alloc.attach_thread).result(timeout=30)     # LAB 1
-        two.submit(alloc.attach_thread).result(timeout=30)     # LAB 2
-        span, blocks, extra = one.submit(
-            floated_span, alloc, 1 << 15).result(timeout=30)
-        for b in blocks[:T32K]:
-            alloc.free(b)                               # at the threshold
-        assert state_of(span) == STATE_FLOATING
-
-        def free_from_lab_2():
-            one.submit(alloc.detach_thread).result(timeout=30)
-            two.submit(alloc.free, blocks[T32K + 1]).result(timeout=30)
-
-        ran = hold(monkeypatch, ReusableSet, "put",
-                   lambda the_set, sp, stamp: sp is span,
-                   free_from_lab_2)
-        adopts = alloc.stats()["adopts"]
-        alloc.free(blocks[T32K])            # marks; LAB 2 pushes meanwhile
-        assert ran
-        assert alloc.stats()["adopts"] == adopts + 1
-        assert state_of(span) == STATE_REUSABLE
-        assert owner_of(span) == alloc.frontend.labs[0].owner_word.load()
-        heap = check_heap(alloc)
-        assert heap.holders[span.slot] == [0] and heap.entries == 1
-        arena_spans = alloc.stats()["arena_spans"]
-        again = alloc.malloc(1 << 15)
-        assert span_of(alloc, again) is span
-        assert alloc.stats()["arena_spans"] == arena_spans
-        for p in [again] + blocks[T32K + 2:] + [extra]:
-            alloc.free(p)
-        two.submit(alloc.detach_thread).result(timeout=30)
-    validate_transition_trace(alloc)
+def test_terminate_races_last_free_single_winner():
+    # The last free has counted the span empty when LAB 0's termination
+    # retires the empty entry from its stamp; the free's retire fails.
+    replay(scenarios.terminate_race, [1] * 5 + [0],
+           scenarios.retired_by((STATE_REUSABLE, STATE_FREE)))
 
 
-def test_marking_free_reads_its_owner_after_its_epoch(monkeypatch):
-    # Just before the main thread's free reads the span's epoch, LAB 2
-    # adopts LAB 1's orphan, takes it hot, floats it and frees it back
-    # to the threshold. The free's one load of the epoch word reads the
-    # state and the owner together, so the owner is LAB 2 and the free's
-    # marking puts the span in LAB 2's set. An owner read before that
-    # epoch would be LAB 1's dead one: its set refuses the put and the
-    # adoption fails, and the span stays reusable in no set.
-    alloc = make_allocator(instrument=True)
-    alloc.attach_thread()                               # LAB 0
-    main = threading.current_thread()
-    with ThreadPoolExecutor(max_workers=1) as one, \
-            ThreadPoolExecutor(max_workers=1) as two:
-        one.submit(alloc.attach_thread).result(timeout=30)     # LAB 1
-        two.submit(alloc.attach_thread).result(timeout=30)     # LAB 2
-        span, blocks, extra = one.submit(
-            floated_span, alloc, 1 << 15).result(timeout=30)
-        for b in blocks[:T32K]:
-            alloc.free(b)                               # at the threshold
-        one.submit(alloc.detach_thread).result(timeout=30)     # orphans it
-        adopts = alloc.stats()["adopts"]
-
-        def adopt_and_reuse():
-            alloc.free(blocks[T32K])                    # marks and adopts
-            assert owner_of(span) \
-                == alloc.frontend.labs[2].owner_word.load()
-            got = [alloc.malloc(1 << 15) for _ in range(B32K - 2)]
-            assert {span_of(alloc, p) for p in got[:-1]} == {span}
-            assert state_of(span) == STATE_FLOATING    # exhausted
-            for p in got[:T32K]:
-                alloc.free(p)                           # at the threshold
-            return got[T32K:]
-
-        ran = hold(monkeypatch, AtomicWord, "load",
-                   lambda word: word is span.epoch
-                   and threading.current_thread() is main,
-                   lambda: two.submit(adopt_and_reuse).result(timeout=30))
-        alloc.free(blocks[T32K + 1])                    # marks
-        assert ran
-        assert state_of(span) == STATE_REUSABLE
-        assert alloc.stats()["adopts"] == adopts + 1
-        heap = check_heap(alloc)
-        assert heap.holders[span.slot] == [2] and heap.entries == 1
-        arena_spans = alloc.stats()["arena_spans"]
-        # LAB 2 serves from the hot span that got[-1] came from first.
-        again = two.submit(
-            lambda: [alloc.malloc(1 << 15) for _ in range(B32K)]).result(30)
-        assert span_of(alloc, again[-1]) is span
-        assert alloc.stats()["arena_spans"] == arena_spans
-        for p in again + ran[0] + blocks[T32K + 2:] + [extra]:
-            two.submit(alloc.free, p).result(timeout=30)
-        two.submit(alloc.detach_thread).result(timeout=30)
-    validate_transition_trace(alloc)
+def test_late_set_put_is_refused_after_the_span_went_round():
+    # LAB 0's marking free waits before its put.
+    replay(scenarios.late_put, [0] * 5 + [1], scenarios.went_round)
 
 
-def test_late_adoption_leaves_the_spans_next_life_alone(monkeypatch):
-    # LAB 0 marks LAB 1's floating span and is held before its put.
-    # Meanwhile the span empties and is pooled, LAB 1 takes it back
-    # under the same owner word and terminates, and LAB 2 marks the span
-    # in this next life and is held before its own put. LAB 1's set
-    # refuses both puts. An adoption that compared the owner alone would
-    # let LAB 0 take the span under its stale stamp, so that LAB 2's
-    # adoption failed and the span stayed reusable in no set; an
-    # adoption replaces the whole epoch word from the marking's stamp,
-    # counter included, so LAB 0's fails and LAB 2 adopts the span.
-    alloc = make_allocator(instrument=True)
-    alloc.attach_thread()                               # LAB 0
-    main = threading.current_thread()
-    with ThreadPoolExecutor(max_workers=1) as one, \
-            ThreadPoolExecutor(max_workers=1) as two:
-        one.submit(alloc.attach_thread).result(timeout=30)     # LAB 1
-        two.submit(alloc.attach_thread).result(timeout=30)     # LAB 2
-        span, blocks, extra = one.submit(
-            floated_span, alloc, 1 << 15).result(timeout=30)
-        for b in blocks[:T32K]:
-            alloc.free(b)                               # at the threshold
-        at_second_put, second_go = threading.Event(), threading.Event()
-
-        def refill():
-            got = []
-            while len(got) < B32K:
-                p = alloc.malloc(1 << 15)
-                if span_of(alloc, p) is span:
-                    got.append(p)
-            alloc.detach_thread()                       # floats the span
-            return got
-
-        def next_life():
-            for b in blocks[T32K + 1:]:
-                one.submit(alloc.free, b).result(timeout=30)
-            assert state_of(span) == STATE_FREE         # pooled
-            got = one.submit(refill).result(timeout=30)
-            assert state_of(span) == STATE_FLOATING
-            for p in got[:T32K]:
-                two.submit(alloc.free, p).result(timeout=30)
-            marking = two.submit(alloc.free, got[T32K])
-            assert at_second_put.wait(30)
-            return got, marking
-
-        def wait_at_second_put():
-            at_second_put.set()
-            assert second_go.wait(30)
-
-        first = hold(monkeypatch, ReusableSet, "put",
-                     lambda the_set, sp, stamp: sp is span
-                     and threading.current_thread() is main, next_life)
-        second = hold(monkeypatch, ReusableSet, "put",
-                      lambda the_set, sp, stamp: sp is span
-                      and threading.current_thread() is not main,
-                      wait_at_second_put)
-        adopts = alloc.stats()["adopts"]
-        try:
-            alloc.free(blocks[T32K])                    # marks, then held
-        finally:
-            second_go.set()
-        got, marking = first[0]
-        marking.result(timeout=30)
-        assert second
-        assert state_of(span) == STATE_REUSABLE
-        assert owner_of(span) == alloc.frontend.labs[2].owner_word.load()
-        assert alloc.stats()["adopts"] == adopts + 1
-        heap = check_heap(alloc)
-        assert heap.holders[span.slot] == [2] and heap.entries == 1
-        arena_spans = alloc.stats()["arena_spans"]
-        again = two.submit(alloc.malloc, 1 << 15).result(timeout=30)
-        assert span_of(alloc, again) is span
-        assert alloc.stats()["arena_spans"] == arena_spans
-        for p in [again] + got[T32K + 1:]:
-            two.submit(alloc.free, p).result(timeout=30)
-        two.submit(alloc.detach_thread).result(timeout=30)
-    validate_transition_trace(alloc)
+def test_set_take_skips_a_span_that_went_round():
+    # LAB 0's take waits before its reusable -> hot.
+    replay(scenarios.late_take, [0] * 5 + [1], scenarios.went_round)
 
 
-def test_last_free_that_read_the_marking_loses_to_the_adoption(monkeypatch):
-    # LAB 0 marks LAB 1's orphaned 32K span; LAB 1's set refuses the put
-    # and LAB 0 is held before its adoption. Meanwhile LAB 2 frees the
-    # span's other blocks, and its free of the last one snapshots the
-    # marking's word and is held before its push until LAB 0's free has
-    # returned. The adoption moved the epoch past that word, so the last
-    # free's retire fails: the span stays empty and reusable in LAB 0's
-    # set, and LAB 0's next malloc of the class reuses it.
-    alloc = make_allocator(instrument=True)
-    alloc.attach_thread()                               # LAB 0
-    with ThreadPoolExecutor(max_workers=1) as one, \
-            ThreadPoolExecutor(max_workers=1) as two:
-        one.submit(alloc.attach_thread).result(timeout=30)     # LAB 1
-        two.submit(alloc.attach_thread).result(timeout=30)     # LAB 2
-        span, blocks, extra = one.submit(
-            floated_span, alloc, 1 << 15).result(timeout=30)
-        for b in blocks[:T32K]:
-            alloc.free(b)                               # at the threshold
-        one.submit(alloc.detach_thread).result(timeout=30)     # orphans it
-        last = blocks[-1]
-        at_push, push_go = threading.Event(), threading.Event()
+def test_lab_termination_skips_a_span_that_went_round():
+    # LAB 0's termination waits before its reusable -> floating.
+    replay(scenarios.late_float, [0] * 32 + [1], scenarios.went_round)
 
-        def wait_at_push():
-            at_push.set()
-            assert push_go.wait(30)
 
-        def free_the_rest():
-            for b in blocks[T32K + 1:-1]:
-                two.submit(alloc.free, b).result(timeout=30)
-            last_free = two.submit(alloc.free, last)
-            assert at_push.wait(30)
-            return last_free
+def test_refused_set_put_is_adopted_by_the_freeing_thread():
+    # LAB 1 terminates while LAB 0's marking free waits before its put.
+    replay(scenarios.marking_vs_termination, [0] * 7 + [1],
+           scenarios.adopted_into(0, terminated=1))
 
-        pushed = hold(monkeypatch, SpanHeader, "free_remote",
-                      lambda sp, addr: addr == last, wait_at_push)
-        adopting = hold(monkeypatch, SpanHeader, "try_adopt",
-                        lambda sp, stamp, owner: sp is span, free_the_rest)
-        stats = alloc.stats()
-        try:
-            alloc.free(blocks[T32K])            # marks, then adopts late
-        finally:
-            push_go.set()
-        adopting[0].result(timeout=30)
-        assert pushed
-        assert state_of(span) == STATE_REUSABLE and span.is_empty()
-        assert owner_of(span) == alloc.frontend.labs[0].owner_word.load()
-        after = alloc.stats()
-        assert after["adopts"] == stats["adopts"] + 1
-        assert after["pool_puts"] == stats["pool_puts"]     # not pooled
-        heap = check_heap(alloc)
-        assert heap.holders[span.slot] == [0] and heap.entries == 1
-        again = alloc.malloc(1 << 15)
-        assert span_of(alloc, again) is span and state_of(span) == STATE_HOT
-        assert alloc.stats()["arena_spans"] == after["arena_spans"]
-        for p in (again, extra):
-            alloc.free(p)
-        two.submit(alloc.detach_thread).result(timeout=30)
-    check_heap(alloc)
+
+def test_marking_during_termination_is_adopted_by_the_freeing_thread():
+    # LAB 0 marks while LAB 1's termination waits at its first float,
+    # after the TERMINATED store.
+    replay(scenarios.marking_vs_termination, [1] * 28 + [0],
+           scenarios.adopted_into(0))
+
+
+def test_only_the_marking_free_adopts_a_refused_span():
+    # While LAB 0 waits before its put, LAB 1 terminates and LAB 2 frees
+    # another block: a plain push, which adopts nothing.
+    replay(scenarios.marking_vs_termination_and_push,
+           [0] * 7 + [1] * 34 + [2], scenarios.adopted_into(0))
+
+
+def test_marking_free_reads_its_owner_after_its_epoch():
+    # LAB 2 adopts and reuses the orphan before LAB 0's free reads the
+    # epoch, whose one load gives state and owner: LAB 2's set gets it.
+    replay(scenarios.marking_vs_reuse, [2], scenarios.adopted_into(2))
+
+
+def test_late_adoption_leaves_the_spans_next_life_alone():
+    # LAB 0 waits before its put while the span lives again in LAB 1
+    # under the same owner word and LAB 2 marks it and waits before its
+    # own put. LAB 0's adoption from its stale stamp fails; LAB 2's wins.
+    replay(scenarios.adoption_in_the_next_life,
+           [0] * 7 + [1] * 52 + [2] * 31 + [0], scenarios.adopted_into(2))
+
+
+def test_last_free_that_read_the_marking_loses_to_the_adoption():
+    # LAB 2's last free reads the marking's word and waits before its
+    # push until LAB 0 has adopted the span: its retire fails, and the
+    # span stays empty in LAB 0's set until that LAB reuses it.
+    replay(scenarios.last_free_vs_adoption, [0] * 9 + [2, 2, 0],
+           scenarios.adopted_into(0, empty=True))
 
 
 # -- the attachment record caches its LAB's owner word ------------------------
@@ -1663,35 +1031,30 @@ def test_clab_finalizer_does_not_release_a_detached_thread_again():
     # must not release the LAB a second time when its Thread object is
     # collected, which would terminate it under the thread still on it.
     alloc = make_allocator(lab_mode=CLAB)
-    fe = alloc.frontend
-    width = fe.clab_width
-    go = threading.Event()
-    seen = {}
+    lab0 = []
+    # The holder attaches first (tid 0 -> LAB 0), then waits until the
+    # sharer (tid width -> LAB 0) has detached and been collected.
+    parked = threading.Barrier(2, timeout=BARRIER_TIMEOUT)
 
     def long_lived():
-        alloc.attach_thread()
         p = alloc.malloc(64)
-        go.wait(10)
-        lab = fe.labs[0]
-        seen["attached"] = lab.attached
-        seen["live"] = lab.owner_word.load() != TERMINATED
+        parked.wait()
+        parked.wait()
+        lab = alloc.frontend.labs[0]
+        lab0.append((lab.attached, lab.owner_word.load() != TERMINATED))
         alloc.free(p)
         alloc.detach_thread()
 
-    def short_lived():
-        alloc.attach_thread()
-        alloc.malloc(64)
-        alloc.detach_thread()
+    def share_and_collect():
+        parked.wait()
+        for _ in range(alloc.frontend.clab_width):  # the last one shares
+            sharer = threading.Thread(target=lambda: (
+                alloc.malloc(64), alloc.detach_thread()))
+            run_threads([sharer])
+        del sharer
+        gc.collect()
+        parked.wait()
 
-    holder = threading.Thread(target=long_lived)    # tid 0 -> LAB 0
-    holder.start()
-    for _ in range(width - 1):                       # tids 1..width-1
-        run_in_thread(short_lived)
-    sharer = threading.Thread(target=short_lived)   # tid width -> LAB 0
-    run_threads([sharer])
-    del sharer
-    gc.collect()
-    go.set()
-    holder.join(10)
-    assert not holder.is_alive()
-    assert seen == {"attached": 1, "live": True}
+    run_threads([threading.Thread(target=long_lived),
+                 threading.Thread(target=share_and_collect)])
+    assert lab0 == [(1, True)]

@@ -3,6 +3,8 @@ import threading
 
 import pytest
 
+import scenarios
+from explore import explore, replay
 from helpers import (
     census, in_threads, make_allocator, pooled_slots, run_threads,
 )
@@ -182,30 +184,16 @@ def test_stack_tag_increments_on_every_replacement():
 
 
 def test_aba_interleaving_probe():
-    # Classic hazard: T1 reads top=A (next=B); meanwhile A and B are
-    # popped and A is pushed back. Without the tag T1's conditional
-    # replace would succeed and resurrect B. With the tag it must fail.
-    pool, space, provider, arena = make_pool(width=1)
-    space_headers = space.headers
-    stack = pool.stacks[0][0]
-    a = pooled_span(pool, space, arena)
-    b = pooled_span(pool, space, arena)
-    for _ in range(10_000):
-        stack.push(b)
-        stack.push(a)                     # top: a -> b
-        observed = stack.load_top()
-        ref = observed & (1 << 48) - 1
-        next_ref = space_headers[ref - 1].link & 0xFFFFFF
-        stale_new = ((((observed >> 48) + 1) & 0xFFFF) << 48) | next_ref
-        # Interleaving: pop a, pop b, push a back.
-        assert stack.pop(space) is a
-        assert stack.pop(space) is b
-        stack.push(a)                     # top: a, next = empty
-        assert not stack.cas_top(observed, stale_new)   # tag mismatch
-        got = stack.pop(space)
-        assert got is a
-        assert stack.pop(space) is None   # b must not reappear
-        assert stack.load_top() & ((1 << 48) - 1) == 0
+    # Every schedule of a pop against a pop and two pushes keeps both
+    # spans. The classic one: the pop reads top a (next: none), thread 1
+    # pops a and pushes b and a back; the tag fails the stale replace,
+    # and the retry pops a from over b.
+    def check(w):
+        assert w.stack.retries == 1 and w.held[0] is w.a
+        assert [s.slot for s in w.held[1:]] == [w.b.slot]
+
+    assert explore(scenarios.aba) > 1
+    replay(scenarios.aba, [0, 0, 1], check)
 
 
 def test_pooled_span_link_holds_only_the_next_reference():
