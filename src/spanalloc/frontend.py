@@ -54,7 +54,8 @@ from collections import OrderedDict
 
 from . import atomic
 from .atomic import AtomicWord
-from .config import CLAB, CPU_COUNT, TLAB
+from .config import CLAB, CPU_COUNT, SPAN_SHIFT, TLAB
+from .errors import WildFree
 from .size_classes import NUM_CLASSES
 from .span import (
     EPOCH_OWNER_FIELD, EPOCH_OWNER_SHIFT, EPOCH_STATE_SHIFT,
@@ -355,7 +356,18 @@ class Frontend:
     # -- deallocation ---------------------------------------------------------
 
     def deallocate(self, addr):
-        """Free `addr`, then settle its span's state from one count.
+        """Free `addr`, an in-arena address, then settle its span's state
+        from one count, all in this one frame.
+
+        The checks come first, each O(1) and before any list push:
+        WildFree when the slot has no header, or when the span is free
+        (or was never initialized) or `addr` is not a block below its
+        bump limit, the rule `SpanSpace.block_span` makes, inlined here;
+        then, when instrumented, the ledger's DoubleFree. The span's
+        state and owner come from one load of its epoch word, and a TLAB
+        free into a span the caller owns pushes on the local list inline
+        (link word, then head and count), as `SpanHeader.free_local`
+        does; every other free goes through `free_remote`.
 
         The epoch snapshot, owner included, comes from before the push:
         a transition below fails if anything moved since. A hot snapshot
@@ -373,21 +385,36 @@ class Frontend:
         goes to the marking, `_settle`, and a free into a reusable span
         makes no further call.
         """
-        span, old_epoch = self.space.block_span(addr)
+        space = self.space
+        base = space.arena_base
+        try:
+            span = space.headers[(addr - base) >> SPAN_SHIFT]
+        except IndexError:
+            span = None
+        if span is None:
+            raise WildFree(f"{addr:#x} is in the arena but not in any span")
+        old_epoch = span.epoch.load()
+        old_state = old_epoch >> EPOCH_STATE_SHIFT
+        off = addr - span.payload
+        size = span.block_size
+        if old_state == STATE_FREE or off < 0 \
+                or off >= span.bump_limit * size or off % size:
+            raise WildFree(f"{addr:#x} is not a handed-out block of its span")
         if self.ledger is not None:
-            self.ledger.on_free(addr, span.block_size)
+            self.ledger.on_free(addr, size)
         try:
             lab, tid, stats, mine, _ = self._tls.attached
         except AttributeError:
             lab, tid, stats, mine, _ = self._current()
         if (old_epoch & EPOCH_OWNER_FIELD) >> EPOCH_OWNER_SHIFT == mine \
                 and self.tlab:
-            span.free_local(addr)
+            space.provider.write_word(addr, span.local_head)
+            span.local_head = addr - base
+            span.local_count += 1
             stats.frees_local += 1
         else:
             span.free_remote(addr)
             stats.frees_remote += 1
-        old_state = old_epoch >> EPOCH_STATE_SHIFT
         if old_state == STATE_HOT:
             return
         blocks = span.blocks_per_span

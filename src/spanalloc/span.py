@@ -165,7 +165,11 @@ class SpanHeader:
         return 0
 
     def free_local(self, addr):
-        """Push onto the local list (LIFO); returns the new local count."""
+        """Push onto the local list (LIFO); returns the new local count.
+
+        `Frontend.deallocate` makes this same push inline, to keep a
+        free to one frame; this method serves span-level tests and
+        per-layer tracing, which wraps it by name."""
         space = self.space
         space.provider.write_word(addr, self.local_head)
         self.local_head = addr - space.arena_base
@@ -358,8 +362,9 @@ class SpanSpace:
         """Header of the span containing `addr` (which must be in-arena).
         A LookupError when its slot has no header: IndexError past the
         end of `headers`, KeyError for a None slot (a gap below the last
-        header, or a grown slot past it). `block_span`, on the free
-        path, does the same index itself."""
+        header, or a grown slot past it). The WildFree checks,
+        `block_span` and `Frontend.deallocate`, make the same index
+        themselves."""
         header = self.headers[(addr - self.arena_base) >> SPAN_SHIFT]
         if header is None:
             raise KeyError(f"no span header at {addr:#x}")
@@ -370,7 +375,9 @@ class SpanSpace:
         `interior`, any address inside one), the word read once. O(1)
         WildFree when the slot has no header, the span is free (or was
         never initialized), or `addr` is not a block below the bump
-        limit."""
+        limit. This is the check of `realloc` and of `usable_size`
+        (`interior`); `Frontend.deallocate` inlines the same rule, with
+        the same messages."""
         try:
             span = self.headers[(addr - self.arena_base) >> SPAN_SHIFT]
         except IndexError:

@@ -2,7 +2,7 @@ import pytest
 
 from helpers import census, check_heap, make_allocator
 from spanalloc import NULL, Allocator, ReservationError, WildFree
-from spanalloc.config import PAGE_SIZE, VIRTUAL_SPAN_SIZE
+from spanalloc.config import CLAB, PAGE_SIZE, TLAB, VIRTUAL_SPAN_SIZE
 from spanalloc.size_classes import TABLE, class_for_size
 
 
@@ -103,6 +103,51 @@ def test_bad_huge_addresses_change_nothing(alloc):
     assert alloc.provider.mapping_length(p) is None
     with pytest.raises(WildFree, match="not an allocated address"):
         alloc.free(p)                                   # second free
+
+
+@pytest.mark.parametrize("lab_mode", [TLAB, CLAB])
+def test_bad_arena_addresses_change_nothing(lab_mode):
+    # free checks inline what realloc and usable_size check through
+    # `block_span`: each rejects the same addresses, with the same
+    # message, and changes no span word, list or counter.
+    alloc = make_allocator(lab_mode=lab_mode)
+    p = alloc.malloc(64)
+    alloc.free(alloc.malloc(64))       # a listed block, local or remote
+    span = alloc.space.span_of(p)
+    limit = span.payload + span.bump_limit * span.block_size
+    a = alloc.malloc(1 << 20)
+    alloc.malloc(1 << 20)              # floats a's span
+    alloc.free(a)                      # empties and pools it
+    alloc.space.header_for_base(alloc.arena.base_of_slot(20), create=True)
+
+    def words():
+        return [(h.epoch.load(), h.local_head, h.local_count, h.remote.load())
+                for h in alloc.space.iter_headers()]
+
+    before = words()
+    committed = alloc.committed_bytes
+    stats = alloc.stats()
+    for bad in (alloc.arena.base_of_slot(15) + PAGE_SIZE,   # a gap slot
+                alloc.arena.base_of_slot(20) + PAGE_SIZE,   # unused header
+                span.payload - 16, span.payload - 64,       # header bytes
+                p + 8,                                      # interior
+                limit, limit + 10 * 64,                     # at, above limit
+                a):                                         # pooled span
+        with pytest.raises(WildFree) as freed:
+            alloc.free(bad)
+        with pytest.raises(WildFree) as reallocated:
+            alloc.realloc(bad, 64)
+        assert str(freed.value) == str(reallocated.value)
+        if bad == p + 8:
+            assert alloc.usable_size(bad) == 64
+        else:
+            with pytest.raises(WildFree) as sized:
+                alloc.usable_size(bad)
+            assert str(sized.value) == str(freed.value)
+        assert words() == before
+        assert alloc.committed_bytes == committed
+        assert alloc.stats() == stats
+    alloc.free(p)
 
 
 def test_huge_objects_commit_only_their_pages(alloc):

@@ -5,11 +5,12 @@ Each test counts the Python-level function calls (`sys.setprofile`
 makes on an uninstrumented `sim` allocator, on one path of the paper's
 free: a retirement of a floating 1M-class span to the pool, a free
 that empties a reusable 128K-class span with 8 committed block pages, a
-huge free, a local free into the caller's own floating span that leaves
-it below the reuse threshold, a local free into the caller's own
-reusable 64 B span that leaves it live, a remote free into a floating
-span below the threshold, a remote free into a live owner's hot span,
-and a marking free that adopts an orphaned span;
+huge free, a local free into the caller's own hot span, a CLAB free
+into the shared LAB's hot span, a local free into the caller's own
+floating span that leaves it below the reuse threshold, a local free
+into the caller's own reusable 64 B span that leaves it live, a remote
+free into a floating span below the threshold, a remote free into a
+live owner's hot span, and a marking free that adopts an orphaned span;
 of its malloc: a small malloc served from the hot span, in TLAB and in
 CLAB mode, a malloc that takes its span from the reusable set, a 1M
 malloc that takes a pooled span, one that takes a fresh arena slot,
@@ -83,7 +84,7 @@ def test_free_that_retires_a_floating_1m_span():
     alloc.malloc(MB)                     # floats p's span
     assert state(alloc, p) == STATE_FLOATING
     span = alloc.space.span_of(p)
-    assert_budget(calls_in(alloc.free, p), 17)
+    assert_budget(calls_in(alloc.free, p), 15)
     assert epoch_state(span.epoch.load()) == STATE_FREE
     assert alloc.stats()["pool_puts"] == 1
     assert alloc.provider.stats.decommit_calls == 1
@@ -102,7 +103,7 @@ def test_free_that_empties_a_reusable_128k_span():
     # free-list word (the last one's written above).
     assert alloc.provider.committed_in(span.base, span.real_span_size) \
         == 9 * PAGE_SIZE
-    assert_budget(calls_in(alloc.free, blocks[7]), 17)
+    assert_budget(calls_in(alloc.free, blocks[7]), 15)
     assert epoch_state(span.epoch.load()) == STATE_FREE
     assert alloc.provider.committed_in(span.base, span.real_span_size) \
         == PAGE_SIZE
@@ -192,6 +193,35 @@ def test_1m_malloc_from_a_fresh_arena_slot():
     assert alloc.committed_bytes == committed + PAGE_SIZE
 
 
+def test_local_free_into_own_hot_span():
+    # The most frequent free: a push on the caller's own hot span's
+    # local list, and no count, since a hot span has no state work.
+    alloc = make_allocator()
+    p = alloc.malloc(64)
+    alloc.malloc(64)
+    alloc.provider.write_word(p, 1)
+    span = alloc.space.span_of(p)
+    assert_budget(calls_in(alloc.free, p), 4)
+    assert state(alloc, p) == STATE_HOT
+    assert (span.local_count, span.remote_count()) == (1, 0)
+    assert alloc.stats()["frees_local"] == 1
+
+
+def test_clab_free_into_the_shared_labs_hot_span():
+    # In CLAB mode every free is a push on the remote list, into the
+    # shared LAB's hot span too; the class latch is not taken.
+    alloc = make_allocator(lab_mode=CLAB)
+    p = alloc.malloc(64)
+    alloc.malloc(64)
+    alloc.provider.write_word(p, 1)
+    span = alloc.space.span_of(p)
+    assert_budget(calls_in(alloc.free, p), 7)
+    assert state(alloc, p) == STATE_HOT
+    assert (span.local_count, span.remote_count()) == (0, 1)
+    assert not alloc.frontend.labs[0].class_latches[span.size_class].locked()
+    assert alloc.stats()["frees_remote"] == 1
+
+
 def test_local_free_into_own_floating_span_below_threshold():
     # The common free of a span that went floating: a push on the local
     # list and one count against the reuse threshold (6 of 8 blocks).
@@ -200,7 +230,7 @@ def test_local_free_into_own_floating_span_below_threshold():
     alloc.malloc(128 * KB)               # floats the full span
     alloc.provider.write_word(blocks[0], 1)
     assert state(alloc, blocks[0]) == STATE_FLOATING
-    assert_budget(calls_in(alloc.free, blocks[0]), 7)
+    assert_budget(calls_in(alloc.free, blocks[0]), 5)
     assert state(alloc, blocks[0]) == STATE_FLOATING
 
 
@@ -216,7 +246,7 @@ def test_local_free_into_own_reusable_span_that_leaves_it_live():
     p = blocks[407]
     alloc.provider.write_word(p, 1)
     assert state(alloc, p) == STATE_REUSABLE
-    assert_budget(calls_in(alloc.free, p), 7)
+    assert_budget(calls_in(alloc.free, p), 5)
     assert state(alloc, p) == STATE_REUSABLE
     assert alloc.stats()["pool_puts"] == 0
 
@@ -240,7 +270,7 @@ def test_remote_free_into_a_floating_span_below_threshold():
 
     run_in_thread(remote)
     assert len(calls) == 1
-    assert_budget(calls[0], 9)
+    assert_budget(calls[0], 8)
     assert state(alloc, p) == STATE_FLOATING
     assert alloc.stats()["frees_remote"] == 1
 
@@ -261,7 +291,7 @@ def test_remote_free_into_a_live_owners_hot_span():
 
     run_in_thread(remote)
     assert len(calls) == 1
-    assert_budget(calls[0], 8)
+    assert_budget(calls[0], 7)
     assert state(alloc, p) == STATE_HOT
     assert alloc.stats()["frees_remote"] == 1
 
@@ -288,7 +318,7 @@ def test_marking_free_that_adopts_an_orphan():
     alloc.provider.write_word(p, 1)
     span = alloc.space.span_of(p)
     assert epoch_state(span.epoch.load()) == STATE_FLOATING
-    assert_budget(calls_in(alloc.free, p), 24)
+    assert_budget(calls_in(alloc.free, p), 23)
     assert epoch_state(span.epoch.load()) == STATE_REUSABLE
     assert span in alloc.frontend.labs[0].reusable[span.size_class]
     assert alloc.stats()["adopts"] == 1
