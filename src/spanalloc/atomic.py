@@ -28,7 +28,7 @@ over one word. A word made without `lock` gets its own.
 import threading
 
 # The lock type of the latches held across an AtomicWord call: the
-# reusable sets' latches, the CLAB class latches and the frontend's
+# LABs' set latches, the CLAB class latches and the frontend's
 # manager lock. A schedule explorer swaps it for a latch whose acquire
 # is a yield point; otherwise it is threading.Lock itself.
 Latch = threading.Lock

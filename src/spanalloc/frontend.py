@@ -3,15 +3,16 @@
 Each attached thread owns a LAB (TLAB mode, the default); in CLAB mode
 threads with equal ids modulo the core count share one LAB and the
 per-class fast path takes that LAB's class latch. Per class a LAB holds
-the unique hot span serving allocations and a latched FIFO set of
-reusable spans (spans whose free-block count crossed the reusability
-threshold). Each set entry is stamped with the epoch word the span's
-reusable-marking installed, and every hand-off out of a set (to hot, to
-free under lazy reclamation or at termination, to floating at
-termination) is one conditional replace from that stamp. A span that
-moved on since its marking (emptied and pooled, or reused and marked
-again elsewhere) leaves a stale entry behind, which nothing removes:
-the take that reaches it fails its replace and skips it.
+the unique hot span serving allocations and a FIFO set of reusable
+spans (spans whose free-block count crossed the reusability threshold);
+one latch per LAB guards all of its sets. Each set entry is stamped
+with the epoch word the span's reusable-marking installed, and every
+hand-off out of a set (to hot, to free under lazy reclamation or at
+termination, to floating at termination) is one conditional replace
+from that stamp. A span that moved on since its marking (emptied and
+pooled, or reused and marked again elsewhere) leaves a stale entry
+behind, which nothing removes: the take that reaches it fails its
+replace and skips it.
 
 Allocation serves from the hot span's local list or bump region. When
 that runs dry it drains the remote list if enough blocks accumulated,
@@ -64,43 +65,48 @@ from .span import (
 )
 
 
-class ReusableSet:
-    """Latched FIFO of one LAB's reusable spans, each entry stamped
-    with the epoch word of the marking that made it reusable.
+class LAB:
+    """Per size class, the hot span and the reusable set: an OrderedDict
+    span -> stamp in FIFO order (a plain dict would walk the deleted
+    slots left at its front on every take). `latch` guards all of the
+    sets, taken with `acquire()` and released in `finally` (cheaper than
+    `with`, see `atomic.py`). `put` is refused unless the owner in the
+    stamp equals the owner word, the only record of whether the sets
+    accept puts (a stale generation or TERMINATED is refused), or when
+    the span's epoch has moved past the stamp. An entry is live while
+    its stamp equals its span's epoch; a stale one stays until taken and
+    then fails the taker's conditional replace."""
 
-    put is refused unless the owner in the stamp equals the LAB's owner
-    word, the only record of whether its sets accept puts (a stale
-    generation or TERMINATED is refused), or when the span's epoch has
-    moved past the stamp. take pops the oldest entry as
-    (span, stamp). An entry is live while its stamp equals the span's
-    epoch; a span that moves on leaves a stale entry behind, which
-    stays until taken and then fails the taker's conditional replace.
-    `in` sees live entries only; len() counts stale ones too. The
-    entries live in one OrderedDict, span -> stamp (not a plain dict:
-    taking its first key over and over walks the deleted slots left at
-    its front). put and take hold the latch, taken with `acquire()` and
-    released in `finally`, which is cheaper than `with` (see
-    `atomic.py`).
-    """
+    __slots__ = ("index", "generation", "owner_word", "hot_spans",
+                 "reusable", "latch", "class_latches", "attached")
 
-    __slots__ = ("_latch", "owner", "stamps")
+    def __init__(self, index, latched):
+        self.index = index
+        self.generation = 0
+        self.owner_word = AtomicWord(TERMINATED)
+        self.hot_spans = [None] * NUM_CLASSES
+        self.reusable = [OrderedDict() for _ in range(NUM_CLASSES)]
+        self.latch = atomic.Latch()
+        # CLAB only. A plain lock: nothing re-enters allocate while it
+        # holds a class latch (under it allocate reaches only the set,
+        # the pool, the span and the ledger). The lock order is class
+        # latch, then `latch`, never the reverse: termination and the
+        # free path take no class latch.
+        self.class_latches = \
+            [atomic.Latch() for _ in range(NUM_CLASSES)] if latched else None
+        self.attached = 0
 
-    def __init__(self, owner):
-        self._latch = atomic.Latch()
-        self.owner = owner            # the LAB's owner word
-        self.stamps = OrderedDict()
+    def activate(self):
+        """Install a fresh generation; the sets accept puts for it."""
+        self.generation = (self.generation + 1) & 0xFFFF
+        self.owner_word.store(pack_owner(self.generation, self.index))
 
-    def __len__(self):
-        return len(self.stamps)
-
-    def __contains__(self, span):
-        return self.stamps.get(span) == span.epoch.load()
-
-    def put(self, span, stamp):
-        latch = self._latch
+    def put(self, sc, span, stamp):
+        """Enter `span` in set `sc`, stamped `stamp`; False if refused."""
+        latch = self.latch
         latch.acquire()
         try:
-            if self.owner.load() != \
+            if self.owner_word.load() != \
                     (stamp & EPOCH_OWNER_FIELD) >> EPOCH_OWNER_SHIFT:
                 return False
             if span.epoch.load() != stamp:
@@ -112,46 +118,36 @@ class ReusableSet:
                 return False
             # A stale entry of the same span makes way for the new one
             # at the back: take order is marking order.
-            stamps = self.stamps
+            stamps = self.reusable[sc]
             stamps[span] = stamp
             stamps.move_to_end(span)
             return True
         finally:
             latch.release()
 
-    def take(self):
-        """The oldest entry as (span, stamp); None when the set is empty."""
-        latch = self._latch
+    def take(self, sc):
+        """Set `sc`'s oldest entry as (span, stamp); None when empty."""
+        latch = self.latch
         latch.acquire()
         try:
-            stamps = self.stamps
+            stamps = self.reusable[sc]
             return stamps.popitem(last=False) if stamps else None
         finally:
             latch.release()
 
-
-class LAB:
-    __slots__ = ("index", "generation", "owner_word", "hot_spans",
-                 "reusable", "class_latches", "attached")
-
-    def __init__(self, index, latched):
-        self.index = index
-        self.generation = 0
-        self.owner_word = AtomicWord(TERMINATED)
-        self.hot_spans = [None] * NUM_CLASSES
-        self.reusable = [ReusableSet(self.owner_word)
-                         for _ in range(NUM_CLASSES)]
-        # CLAB only. A plain lock: nothing re-enters allocate while it
-        # holds a class latch (under it allocate reaches only the set,
-        # the pool, the span and the ledger), and termination takes none.
-        self.class_latches = \
-            [atomic.Latch() for _ in range(NUM_CLASSES)] if latched else None
-        self.attached = 0
-
-    def activate(self):
-        """Install a fresh generation; the sets accept puts for it."""
-        self.generation = (self.generation + 1) & 0xFFFF
-        self.owner_word.store(pack_owner(self.generation, self.index))
+    def take_all(self):
+        """Every entry of every set, as (span, stamp), in one critical
+        section."""
+        latch = self.latch
+        latch.acquire()
+        try:
+            entries = []
+            for stamps in self.reusable:
+                entries += stamps.items()
+                stamps.clear()
+            return entries
+        finally:
+            latch.release()
 
 
 # ThreadStats counters that add up across threads; the other one,
@@ -332,8 +328,7 @@ class Frontend:
 
     def _get_span(self, lab, tid, stats, mine, sc):
         """Next hot span: the reusable set first, then pool or arena."""
-        take = lab.reusable[sc].take
-        while (entry := take()) is not None:
+        while (entry := lab.take(sc)) is not None:
             span, stamp = entry
             if not self.eager_reclaim and span.is_empty():
                 # Deferred-reclamation ablation: empty spans ride back
@@ -472,12 +467,11 @@ class Frontend:
                 self.pool.put(span, tid)
             return
         sc = span.size_class
-        if not self.labs[owner_lab_ref(old_epoch)].reusable[sc].put(
-                span, old_epoch) \
+        if not self.labs[owner_lab_ref(old_epoch)].put(sc, span, old_epoch) \
                 and (adopted := span.try_adopt(old_epoch, mine)):
             stats.adopts += 1
             old_epoch = adopted
-            lab.reusable[sc].put(span, old_epoch)
+            lab.put(sc, span, old_epoch)
         if self.eager_reclaim and span.is_empty():
             if span.try_transition(old_epoch, STATE_FREE):
                 self.pool.put(span, tid)
@@ -486,12 +480,13 @@ class Frontend:
 
     def _terminate_lab(self, lab, tid):
         """Mark the LAB terminated, which closes its sets, then float
-        every hot and reusable span; spans with live blocks become
-        orphans, adopted by the free that next marks each reusable. A
-        put reads the owner word and inserts under the set latch, and
-        the drain takes under it after the store, so each put lands
-        before the drain or is refused. Adoption follows a marking, so
-        no hot span changes owner meanwhile.
+        every hot span, then take every set entry in one critical
+        section of the LAB latch and float each entry's span; spans with
+        live blocks become orphans, adopted by the free that next marks
+        each reusable. A put reads the owner word and inserts under the
+        LAB latch, and the take runs under it after the store, so each
+        put lands before the take or is refused. Adoption follows a
+        marking, so no hot span changes owner meanwhile.
 
         An empty span goes to the pool instead, under lazy reclamation
         too, since no slow path of this LAB is left to reclaim it: an
@@ -502,21 +497,18 @@ class Frontend:
         before the float, and pushes after the emptiness test here,
         fails its retire, and the span floats empty (ROADMAP item 1)."""
         lab.owner_word.store(TERMINATED)
-        for sc in range(NUM_CLASSES):
-            hot = lab.hot_spans[sc]
+        for sc, hot in enumerate(lab.hot_spans):
             if hot is not None:
                 floated = hot.try_transition(hot.epoch.load(), STATE_FLOATING)
                 assert floated, "no one else transitions a hot span"
                 lab.hot_spans[sc] = None
                 self._retire_empty(hot, floated, tid)
-            take = lab.reusable[sc].take
-            while (entry := take()) is not None:
-                span, word = entry
-                if not span.is_empty():
-                    # Fails only on a stale entry: the span moved on.
-                    word = span.try_transition(word, STATE_FLOATING)
-                if word:
-                    self._retire_empty(span, word, tid)
+        for span, word in lab.take_all():
+            if not span.is_empty():
+                # Fails only on a stale entry: the span moved on.
+                word = span.try_transition(word, STATE_FLOATING)
+            if word:
+                self._retire_empty(span, word, tid)
 
     def _retire_empty(self, span, word, tid):
         """Pool `span` if it is empty and its epoch still reads `word`."""

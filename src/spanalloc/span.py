@@ -331,11 +331,11 @@ class SpanSpace:
         self.headers = []
         self._grow_lock = threading.Lock()
 
-    def header_for_base(self, base, create=False):
-        """The header of the slot at `base`; KeyError when it has none,
-        unless `create`, which builds it and commits its page (with no
-        bytes: the header's fields live in this object, and only a
-        small class's blocks, which share the page, write to it).
+    def header_for_base(self, base):
+        """The header of the slot at `base`, built on the slot's first
+        use, which commits its page (with no bytes: the header's fields
+        live in this object, and only a small class's blocks, which
+        share the page, write to it).
 
         Creation takes no lock: the arena hands each slot out exactly
         once, so no two threads create the same header. Only growing
@@ -347,8 +347,6 @@ class SpanSpace:
         headers = self.headers
         header = headers[slot] if slot < len(headers) else None
         if header is None:
-            if not create:
-                raise KeyError(f"no span header at {base:#x}")
             if slot >= len(headers):
                 with self._grow_lock:
                     n = len(headers)

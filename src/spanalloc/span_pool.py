@@ -136,7 +136,7 @@ class SpanPool:
                 return span
         base = self.arena.acquire_virtual_span()
         self.gets_from_arena.fetch_add(1)
-        return self.space.header_for_base(base, create=True)
+        return self.space.header_for_base(base)
 
     def stack_counters(self):
         """Per-stack (rs_index, pool_index, pushes, pops, retries) rows."""

@@ -40,6 +40,13 @@ def floated_span(allocator, size):
     return span, blocks, extra
 
 
+def live_entry(lab, span):
+    """Whether `lab`'s reusable set of `span`'s class holds a live entry
+    of it: one whose stamp equals the span's epoch (`in` on the set
+    would also see a stale entry)."""
+    return lab.reusable[span.size_class].get(span) == span.epoch.load()
+
+
 def frag_oracle(allocator):
     """Brute-force span-internal fragmentation: free payload bytes over
     every span currently in the frontend (any state but free)."""
@@ -100,7 +107,7 @@ def census(allocator, live=None):
     left out: a remote free that read a hot snapshot does no state work,
     so when its push lands after the owner floated the span, the span
     floats empty for good (the hot-snapshot leak, a strict xfail in
-    test_frontend.py). Termination no longer floats empty spans: it pools
+    test_races.py). Termination no longer floats empty spans: it pools
     them (leak 1, fixed).
 
     A span adds up when, pooled, it holds no live block (decommit may
@@ -122,8 +129,8 @@ def census(allocator, live=None):
         for span in lab.hot_spans:
             if span is not None:
                 holders.setdefault(span.slot, []).append(lab.index)
-        for sc, the_set in enumerate(lab.reusable):
-            for span, stamp in list(the_set.stamps.items()):
+        for sc, stamps in enumerate(lab.reusable):
+            for span, stamp in list(stamps.items()):
                 epoch = span.epoch.load()
                 if stamp != epoch:
                     continue
@@ -148,7 +155,7 @@ def census(allocator, live=None):
             if state == STATE_HOT:
                 home = alive and lab.hot_spans[h.size_class] is h
             elif state == STATE_REUSABLE:
-                home = alive and h in lab.reusable[h.size_class]
+                home = alive and live_entry(lab, h)
             else:
                 home = not alive \
                     or h.free_block_count() <= h.reuse_threshold_blocks

@@ -6,9 +6,9 @@ Each scenario's oracle is `check_heap` on an instrumented allocator. In
 floats it with one more malloc (`blocks`, `extra`), and thread 0 frees
 its first blocks down to the reuse threshold (6 of 8 at 128K, 12 of 16
 at 32K). A scenario's `bound` is 2 unless it says why it is 1: a
-schedule takes 1-2 ms on the 2-vCPU host, and a body with tens of yield
-points (a termination takes one latch per size class) makes hundreds to
-thousands of schedules at bound 2.
+schedule takes 1-3 ms on the 2-vCPU host, and a body with tens of yield
+points (a span's round trip through another LAB), or a third racing
+thread, makes hundreds to thousands of schedules at bound 2.
 """
 
 from explore import Scenario
@@ -67,12 +67,11 @@ def terminate_race():
     against another thread's free of that block."""
     w = floated(freed=7)
     w.threads = [w.alloc.detach_thread, w.free(7)]
-    w.bound = 1         # the termination's latches: 645 schedules at 2
     return w
 
 
 def send_round(w):
-    """LAB 1's body, 45 yield points (744 to 3,613 schedules at bound 2):
+    """LAB 1's body, 45 yield points (744 to 951 schedules at bound 2):
     it frees the span's last block, takes the span back from the pool,
     fills and floats it, and frees it down to reusable in its own set."""
     def body():
@@ -107,7 +106,8 @@ def late_float():
     """LAB 0's termination, which floats the span from its set entry,
     against the span's round through LAB 1."""
     w = floated(freed=7)
-    w.threads, w.bound = [w.alloc.detach_thread, send_round(w)], 1
+    w.threads = [w.alloc.detach_thread, send_round(w)]
+    w.bound = 1         # send_round: 897 schedules at 2
     return w
 
 
@@ -117,7 +117,6 @@ def marking_vs_termination():
     w = floated(owner=1)
     w.threads = [w.free(6), w.alloc.detach_thread]
     w.after = [(0, w.malloc_again)]
-    w.bound = 1         # the termination's latches: 799 schedules at 2
     return w
 
 
@@ -127,7 +126,7 @@ def marking_vs_termination_and_push():
     w = floated(K32, owner=1, labs=3)
     w.threads = [w.free(12), w.alloc.detach_thread, w.free(13)]
     w.after = [(0, w.malloc_again)]
-    w.bound = 1         # as above
+    w.bound = 1         # three racing threads: 2,898 schedules at 2
     return w
 
 
@@ -168,7 +167,9 @@ def adoption_in_the_next_life():
 
     w.threads = [w.free(6), next_life, mark_again]
     w.after = [(2, w.malloc_again)]
-    w.bound = 1         # 100 yield points; its recorded schedule takes 2
+    # 74 yield points: 5,301 schedules at bound 2, though its recorded
+    # schedule preempts twice
+    w.bound = 1
     return w
 
 
@@ -205,8 +206,8 @@ def aba():
     thread 1 pops a, pushes b and pushes a back. The oracle: each span
     held or stacked once (a bare stack has no state for `check_heap`)."""
     space = make_allocator().space
-    a, b = (space.header_for_base(space.arena.acquire_virtual_span(),
-                                  create=True) for _ in range(2))
+    a, b = (space.header_for_base(space.arena.acquire_virtual_span())
+            for _ in range(2))
     stack = TaggedStack()
     stack.push(a)
 

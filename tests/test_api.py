@@ -76,7 +76,7 @@ def test_wild_free_detected(alloc):
         alloc.free(alloc.arena.base + 10 * VIRTUAL_SPAN_SIZE + 64)
     # A header created past the others leaves a gap of empty slots, and
     # is itself uninitialized until its span is handed out.
-    alloc.space.header_for_base(alloc.arena.base_of_slot(20), create=True)
+    alloc.space.header_for_base(alloc.arena.base_of_slot(20))
     for slot in (15, 20):
         with pytest.raises(WildFree):
             alloc.free(alloc.arena.base_of_slot(slot) + PAGE_SIZE)
@@ -118,7 +118,7 @@ def test_bad_arena_addresses_change_nothing(lab_mode):
     a = alloc.malloc(1 << 20)
     alloc.malloc(1 << 20)              # floats a's span
     alloc.free(a)                      # empties and pools it
-    alloc.space.header_for_base(alloc.arena.base_of_slot(20), create=True)
+    alloc.space.header_for_base(alloc.arena.base_of_slot(20))
 
     def words():
         return [(h.epoch.load(), h.local_head, h.local_count, h.remote.load())
@@ -243,7 +243,7 @@ def test_usable_size_validates_like_free(alloc):
     ):
         with pytest.raises(WildFree):
             alloc.usable_size(bad)
-    alloc.space.header_for_base(alloc.arena.base_of_slot(20), create=True)
+    alloc.space.header_for_base(alloc.arena.base_of_slot(20))
     for slot in (15, 20):                   # a gap slot, an unused header
         with pytest.raises(WildFree):
             alloc.usable_size(alloc.arena.base_of_slot(slot) + PAGE_SIZE)

@@ -14,8 +14,9 @@ live owner's hot span, and a marking free that adopts an orphaned span;
 of its malloc: a small malloc served from the hot span, in TLAB and in
 CLAB mode, a malloc that takes its span from the reusable set, a 1M
 malloc that takes a pooled span, one that takes a fresh arena slot,
-and a huge malloc; and one attach and detach of a thread on a recycled
-LAB. Builtins and C methods (dict and set operations, lock acquire and
+and a huge malloc; of `Allocator.realloc`, a 64 B block moved to
+128 B; and one attach and detach of a thread on a recycled LAB.
+Builtins and C methods (dict and set operations, lock acquire and
 release) make no "call" event and are not counted.
 
 The budgets are the counts of the current code. A path over its budget
@@ -30,7 +31,7 @@ import sys
 
 import pytest
 
-from helpers import make_allocator, run_in_thread
+from helpers import live_entry, make_allocator, run_in_thread
 from spanalloc.config import CLAB, PAGE_SIZE
 from spanalloc.span import (
     STATE_FLOATING, STATE_FREE, STATE_HOT, STATE_REUSABLE, epoch_state,
@@ -320,14 +321,30 @@ def test_marking_free_that_adopts_an_orphan():
     assert epoch_state(span.epoch.load()) == STATE_FLOATING
     assert_budget(calls_in(alloc.free, p), 23)
     assert epoch_state(span.epoch.load()) == STATE_REUSABLE
-    assert span in alloc.frontend.labs[0].reusable[span.size_class]
+    assert live_entry(alloc.frontend.labs[0], span)
     assert alloc.stats()["adopts"] == 1
+
+
+def test_realloc_of_a_64b_block_to_128b():
+    # The malloc takes the 128 B class's first span from a fresh arena
+    # slot, the copy moves the block, and the free pushes it on the
+    # local list of its own hot span. The block's WildFree test runs
+    # twice: in `block_span`, with one epoch load, before the malloc,
+    # and again inside the free.
+    alloc = make_allocator()
+    p = alloc.malloc(64)
+    calls = calls_in(alloc.realloc, p, 128)
+    assert_budget(calls, 35)
+    assert calls.count("spanalloc.span:SpanSpace.block_span") == 1
+    assert alloc.stats()["frees_local"] == 1
+    assert alloc.stats()["arena_spans"] == 2
 
 
 def test_attach_and_detach_of_a_tlab_thread():
     # Activation stores the recycled LAB's owner word, and termination's
-    # one TERMINATED store closes all of its reusable sets: neither
-    # makes a call per set. Detach calls the attachment's finalizer,
+    # one TERMINATED store closes all of its reusable sets and one
+    # `take_all` empties them under the LAB's one latch: neither makes
+    # a call per set. Detach calls the attachment's finalizer,
     # which calls the release: one call more than a direct release, and
     # no finalizer left behind holding the allocator.
     alloc = make_allocator()
@@ -344,5 +361,5 @@ def test_attach_and_detach_of_a_tlab_thread():
     run_in_thread(warm_up)                  # a fresh thread each
     run_in_thread(counted)
     assert len(calls) == 1
-    assert_budget(calls[0], 44)
+    assert_budget(calls[0], 17)
     assert len(alloc.frontend.labs) == 1

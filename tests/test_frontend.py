@@ -9,14 +9,14 @@ import pytest
 import scenarios
 from explore import replay
 from helpers import (
-    BARRIER_TIMEOUT, check_heap, floated_span, make_allocator, run_in_thread,
-    run_parked, run_threads, validate_transition_trace,
+    BARRIER_TIMEOUT, check_heap, floated_span, live_entry, make_allocator,
+    run_in_thread, run_parked, run_threads, validate_transition_trace,
 )
 from scenarios import span_edges
-from spanalloc.atomic import AtomicWord
+from spanalloc import atomic
 from spanalloc.config import CLAB
-from spanalloc.frontend import Frontend, ReusableSet
-from spanalloc.size_classes import TABLE, class_for_size
+from spanalloc.frontend import LAB, Frontend
+from spanalloc.size_classes import NUM_CLASSES, TABLE, class_for_size
 from spanalloc.span import (
     OWNER_REF_MASK, REMOTE_COUNT_SHIFT, STATE_FLOATING, STATE_FREE,
     STATE_HOT, STATE_REUSABLE, TERMINATED, epoch_owner,
@@ -41,8 +41,8 @@ def owner_of(span):
 
 
 def in_a_set(alloc, span):
-    """Whether any LAB's reusable set holds `span`."""
-    return any(span in s for lab in alloc.frontend.labs for s in lab.reusable)
+    """Whether any LAB's reusable set holds a live entry of `span`."""
+    return any(live_entry(lab, span) for lab in alloc.frontend.labs)
 
 
 def test_warm_fast_path_no_extra_fetches(alloc):
@@ -168,7 +168,7 @@ def test_remote_frees_insert_into_owners_set(alloc):
     run_in_thread(remote_free_to_cross)
     assert state_of(span) == STATE_REUSABLE
     owner_lab = alloc.frontend.labs[0]
-    assert span in owner_lab.reusable[C64]
+    assert live_entry(owner_lab, span)
     assert alloc.stats()["adopts"] == 0    # owner alive: no adoption
 
 
@@ -309,59 +309,77 @@ def make_reusable(span, owner):
         assert span.try_transition(span.epoch.load(), target)
 
 def test_generation_gating_after_lab_reuse(alloc):
-    owner = AtomicWord(TERMINATED)
-    s = ReusableSet(owner)
-    word1 = pack_owner(1, 0)
-    word2 = pack_owner(2, 0)
-    span = alloc.space.header_for_base(alloc.arena.acquire_virtual_span(),
-                                       create=True)
+    lab = LAB(0, latched=False)
+    span = alloc.space.header_for_base(alloc.arena.acquire_virtual_span())
     span.init_for_class(C64)
-    make_reusable(span, word1)
+    lab.activate()                         # generation 1
+    make_reusable(span, lab.owner_word.load())
     stamp = span.epoch.load()
-    owner.store(word1)
-    assert s.put(span, stamp)
-    assert s.take() == (span, stamp)
-    owner.store(TERMINATED)
-    assert not s.put(span, stamp)          # closed: LAB terminated
-    owner.store(word2)                     # LAB reused, new generation
-    assert not s.put(span, stamp)          # stale generation rejected
+    assert lab.put(C64, span, stamp)
+    assert lab.take(C64) == (span, stamp)
+    lab.owner_word.store(TERMINATED)
+    assert not lab.put(C64, span, stamp)   # closed: LAB terminated
+    lab.activate()                         # LAB reused, new generation
+    word2 = lab.owner_word.load()
+    assert word2 == pack_owner(2, 0)
+    assert not lab.put(C64, span, stamp)   # stale generation rejected
     adopted = span.try_adopt(stamp, word2)  # re-marked for the new one
     assert adopted and epoch_owner(adopted) == word2
-    assert not s.put(span, stamp)          # the old stamp is stale now
-    assert s.put(span, adopted)
-    assert s.take() == (span, adopted)
-    assert s.take() is None
+    assert not lab.put(C64, span, stamp)   # the old stamp is stale now
+    assert lab.put(C64, span, adopted)
+    assert lab.take(C64) == (span, adopted)
+    assert lab.take(C64) is None
 
 
 def test_reusable_set_take_order_and_stale_entries(alloc):
-    word = pack_owner(1, 0)
-    s = ReusableSet(AtomicWord(word))
+    lab = LAB(0, latched=False)
+    lab.activate()
+    word, stamps_of = lab.owner_word.load(), lab.reusable[C64]
     spans = []
     for i in range(3):
-        sp = alloc.space.header_for_base(alloc.arena.acquire_virtual_span(),
-                                         create=True)
+        sp = alloc.space.header_for_base(alloc.arena.acquire_virtual_span())
         sp.init_for_class(C64)
         make_reusable(sp, word)
         spans.append(sp)
     stamps = [sp.epoch.load() for sp in spans]
     for sp, stamp in zip(spans, stamps):
-        assert s.put(sp, stamp)
-    assert len(s) == 3 and all(sp in s for sp in spans)
+        assert lab.put(C64, sp, stamp)
+    assert len(stamps_of) == 3 and all(live_entry(lab, sp) for sp in spans)
     # A stamp the span's epoch has moved past is refused.
-    assert not s.put(spans[0], stamps[0] - 1)
+    assert not lab.put(C64, spans[0], stamps[0] - 1)
     # Span 1 moves on (reusable -> free): its entry stays, stale, in
-    # place. len() counts it, `in` does not.
+    # place. len() counts it, `live_entry` does not.
     assert spans[1].try_transition(stamps[1], STATE_FREE)
-    assert len(s) == 3 and spans[1] not in s
+    assert len(stamps_of) == 3 and not live_entry(lab, spans[1])
     # Back through hot and floating to reusable: the new marking's
     # entry replaces the stale one at the back, as a fresh put would.
     make_reusable(spans[1], word)
     renewed = spans[1].epoch.load()
-    assert s.put(spans[1], renewed)
-    assert len(s) == 3 and spans[1] in s
-    assert [s.take() for _ in range(3)] == [
+    assert lab.put(C64, spans[1], renewed)
+    assert len(stamps_of) == 3 and live_entry(lab, spans[1])
+    assert [lab.take(C64) for _ in range(3)] == [
         (spans[0], stamps[0]), (spans[2], stamps[2]), (spans[1], renewed)]
-    assert s.take() is None and len(s) == 0
+    assert lab.take(C64) is None and len(stamps_of) == 0
+    # take_all empties every set in one go, each in take order.
+    assert lab.put(C64, spans[2], stamps[2])
+    assert lab.put(C64, spans[0], stamps[0])
+    assert lab.take_all() == [(spans[2], stamps[2]), (spans[0], stamps[0])]
+    assert lab.take(C64) is None
+
+
+@pytest.mark.parametrize("latched", [False, True], ids=["tlab", "clab"])
+def test_one_latch_guards_all_of_a_labs_sets(monkeypatch, latched):
+    # A CLAB LAB adds its class latches, one per size class.
+    built = []
+
+    def latch():
+        built.append(threading.Lock())
+        return built[-1]
+
+    monkeypatch.setattr(atomic, "Latch", latch)
+    lab = LAB(0, latched)
+    assert len(built) == 1 + NUM_CLASSES * latched
+    assert built[0] is lab.latch and len(lab.reusable) == NUM_CLASSES
 
 
 def test_clab_mode_shares_lab_and_frees_remotely():
@@ -466,16 +484,16 @@ def test_set_put_rejects_span_no_longer_reusable():
     def check(w):
         scenarios.retired_by((STATE_FLOATING, STATE_REUSABLE),
                              (STATE_REUSABLE, STATE_FREE))(w)
-        the_set = w.alloc.frontend.labs[0].reusable[w.span.size_class]
-        assert len(the_set) == 0
+        lab, sc = w.alloc.frontend.labs[0], w.span.size_class
+        assert len(lab.reusable[sc]) == 0
         stamp = [new for slot, _, new in w.alloc.ledger.trace
                  if slot == w.span.slot][-2]
-        got = w.alloc.pool.get(w.span.size_class, 0)
+        got = w.alloc.pool.get(sc, 0)
         assert got is w.span
-        got.init_for_class(got.size_class)
+        got.init_for_class(sc)
         assert got.try_transition(got.epoch.load(), STATE_HOT,
-                                  the_set.owner.load())
-        assert not the_set.put(got, stamp)
+                                  lab.owner_word.load())
+        assert not lab.put(sc, got, stamp)
     replay(scenarios.retire_race, [0] * 5 + [1], check)
 
 
@@ -517,7 +535,8 @@ def test_remote_crossing_and_emptying_in_one_free(lab_mode, eager):
     else:
         assert state_of(span) == STATE_REUSABLE
         assert alloc.pool.puts.load() == puts_before
-        assert span in owner_set and len(owner_set) == 1
+        assert live_entry(alloc.frontend.labs[0], span) \
+            and len(owner_set) == 1
     alloc.free(b)
 
 
@@ -573,14 +592,14 @@ def test_settle_runs_only_when_state_can_change(alloc, monkeypatch):
 # -- retirement: a free that marks and empties a span skips the set -----------
 
 def count_set_ops(monkeypatch):
-    """Patch ReusableSet.put to count its calls; returns the counts."""
-    counts, real = {"put": 0}, ReusableSet.put
+    """Patch LAB.put to count its calls; returns the counts."""
+    counts, real = {"put": 0}, LAB.put
 
-    def put(the_set, *args):
+    def put(lab, *args):
         counts["put"] += 1
-        return real(the_set, *args)
+        return real(lab, *args)
 
-    monkeypatch.setattr(ReusableSet, "put", put)
+    monkeypatch.setattr(LAB, "put", put)
     return counts
 
 
@@ -621,7 +640,7 @@ def test_lazy_marking_free_that_empties_stays_in_the_set(monkeypatch):
     assert counts == {"put": 1}
     assert alloc.pool.puts.load() == 0
     assert state_of(span) == STATE_REUSABLE
-    assert span in alloc.frontend.labs[0].reusable[span.size_class]
+    assert live_entry(alloc.frontend.labs[0], span)
 
 
 def test_crossing_then_emptying_uses_the_set(monkeypatch):
@@ -639,8 +658,9 @@ def test_crossing_then_emptying_uses_the_set(monkeypatch):
     assert alloc.pool.puts.load() == 1
     assert state_of(span) == STATE_FREE and not in_a_set(alloc, span)
     # Its entry stays behind, stale, until the owner's take skips it.
-    the_set = alloc.frontend.labs[0].reusable[span.size_class]
-    assert list(the_set.stamps) == [span] and span not in the_set
+    lab = alloc.frontend.labs[0]
+    assert list(lab.reusable[span.size_class]) == [span] \
+        and not live_entry(lab, span)
 
 
 def test_span_retirement_under_dense_interleaving():
@@ -810,7 +830,7 @@ def test_set_take_skips_a_span_that_went_round():
 
 def test_lab_termination_skips_a_span_that_went_round():
     # LAB 0's termination waits before its reusable -> floating.
-    replay(scenarios.late_float, [0] * 32 + [1], scenarios.went_round)
+    replay(scenarios.late_float, [0] * 8 + [1], scenarios.went_round)
 
 
 def test_refused_set_put_is_adopted_by_the_freeing_thread():
@@ -822,7 +842,7 @@ def test_refused_set_put_is_adopted_by_the_freeing_thread():
 def test_marking_during_termination_is_adopted_by_the_freeing_thread():
     # LAB 0 marks while LAB 1's termination waits at its first float,
     # after the TERMINATED store.
-    replay(scenarios.marking_vs_termination, [1] * 28 + [0],
+    replay(scenarios.marking_vs_termination, [1] * 4 + [0],
            scenarios.adopted_into(0))
 
 
@@ -830,7 +850,7 @@ def test_only_the_marking_free_adopts_a_refused_span():
     # While LAB 0 waits before its put, LAB 1 terminates and LAB 2 frees
     # another block: a plain push, which adopts nothing.
     replay(scenarios.marking_vs_termination_and_push,
-           [0] * 7 + [1] * 34 + [2], scenarios.adopted_into(0))
+           [0] * 7 + [1] * 7 + [2], scenarios.adopted_into(0))
 
 
 def test_marking_free_reads_its_owner_after_its_epoch():
@@ -844,7 +864,7 @@ def test_late_adoption_leaves_the_spans_next_life_alone():
     # under the same owner word and LAB 2 marks it and waits before its
     # own put. LAB 0's adoption from its stale stamp fails; LAB 2's wins.
     replay(scenarios.adoption_in_the_next_life,
-           [0] * 7 + [1] * 52 + [2] * 31 + [0], scenarios.adopted_into(2))
+           [0] * 7 + [1] * 25 + [2] * 31 + [0], scenarios.adopted_into(2))
 
 
 def test_last_free_that_read_the_marking_loses_to_the_adoption():

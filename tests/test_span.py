@@ -28,7 +28,7 @@ def make_space(spans=16, **kw):
 
 def fresh_span(space, arena, size=64):
     base = arena.acquire_virtual_span()
-    span = space.header_for_base(base, create=True)
+    span = space.header_for_base(base)
     span.init_for_class(class_for_size(size))
     return span
 
@@ -56,10 +56,10 @@ def test_init_commits_only_header_page():
 def test_header_page_is_committed_when_the_header_is_created():
     space, provider, arena = make_space()
     base = arena.acquire_virtual_span()
-    span = space.header_for_base(base, create=True)
+    span = space.header_for_base(base)
     assert span.size_class == -1                # not yet initialized
     assert provider.committed_page_indices() == {base // PAGE_SIZE}
-    assert space.header_for_base(base) is span
+    assert space.span_of(base) is span
     span.init_for_class(class_for_size(1 << 20))
     assert provider.committed_page_indices() == {base // PAGE_SIZE}
 

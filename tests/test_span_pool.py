@@ -28,7 +28,7 @@ def make_pool(spans=64, width=4, **kw):
 
 def pooled_span(pool, space, arena, size=64):
     """A span initialized for `size` in state free, as put() expects."""
-    span = space.header_for_base(arena.acquire_virtual_span(), create=True)
+    span = space.header_for_base(arena.acquire_virtual_span())
     span.init_for_class(class_for_size(size))
     return span
 
