@@ -2,16 +2,16 @@
 
 Reproduces the classic allocator workload families at desk scale. A run
 builds the family's seeded trace and replays it under one allocator
-(see `traces`): `threads` counts logical threads, each on its own OS
-thread, and a baton passes between them in trace order. Peak and end
-committed bytes and every `Allocator.stats()` counter are then exact
-functions of the workload and allocator configurations under the sim
-provider. `ops_per_sec` is a serialized rate: the ops run one at a
-time, and each baton hand-off adds a thread switch.
+(see `traces`): `threads` counts logical threads, each an attachment
+record of its own, and all of them run in trace order on the calling
+OS thread. Peak and end committed bytes and every `Allocator.stats()`
+counter are then exact functions of the workload and allocator
+configurations under the sim provider. `ops_per_sec` is the rate of
+one OS thread running every op.
 
 A run is one `RunReport`: both configurations, throughput, the whole
 run's peak committed memory (exact under sim, sampled RSS under os),
-each logical thread's baton hold time, `Allocator.stats()` and the
+the time each logical thread's runs took, `Allocator.stats()` and the
 pool's per-stack counters at the end, and the workload's own results.
 `write_json` appends it to a file as one JSON line.
 
@@ -104,7 +104,7 @@ class RunReport:
     elapsed_s: float                # the replay's wall time
     ops_per_sec: float
     peak_committed_bytes: int       # over the whole run
-    thread_alloc_times_s: list[float]   # baton hold time per logical thread
+    thread_alloc_times_s: list[float]   # time of each logical thread's runs
     stats: dict                     # Allocator.stats() after the run
     stacks: list                    # SpanPool.stack_counters() rows
     extra: dict = field(default_factory=dict)   # workload-specific results

@@ -196,7 +196,9 @@ class Frontend:
         self._mgr_lock = atomic.Latch()
         # Per thread, one attribute: the (lab, tid, stats, mine, release)
         # record of its attachment, absent while detached; `mine` is the
-        # LAB's owner word (see attach), `release` its finalizer.
+        # LAB's owner word (see attach), `release` its finalizer. Its one
+        # user outside this module is `traces.replay`, which switches
+        # records in and out to run many logical threads on one OS thread.
         self._tls = threading.local()
         self._tid_counter = itertools.count()
         self.thread_stats = {}              # attached threads only

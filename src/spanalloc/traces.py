@@ -1,4 +1,4 @@
-"""Workload traces and their baton replay.
+"""Workload traces and their replay.
 
 A trace is a list of `(logical thread, op, handle, size)`, with `op`
 one of attach, malloc, free, detach and mark. Handles stand in for
@@ -7,16 +7,17 @@ addresses, so one trace runs under any allocator configuration, and
 included (trace-driven evaluation, after Zorn and Grunwald, "Evaluating
 models of memory allocation", ACM TOMACS 1994).
 
-`replay` runs a trace with one OS thread per logical thread, so each
-keeps its own LAB, and passes a baton in trace order: one thread runs
-at a time. Committed bytes and every `Allocator.stats()` counter are
-then functions of the trace and the allocator's configuration.
+`replay` runs a trace in trace order on the calling thread. All of a
+thread's frontend state is its attachment record, so a logical thread
+is one such record, switched in before each run of its ops: each keeps
+its own LAB, and committed bytes and every `Allocator.stats()` counter
+are functions of the trace and the allocator's configuration.
 `results` reads a family's own results off its replay.
 """
 
 import random
-import threading
-from itertools import count, islice
+from itertools import count, groupby, islice
+from operator import itemgetter
 from time import perf_counter
 
 from .api import NULL
@@ -24,9 +25,9 @@ from .errors import SpanAllocError
 
 ATTACH, MALLOC, FREE, DETACH, MARK = "attach", "malloc", "free", "detach", "mark"
 
-# Mean ops per run in `interleave`. Each baton hand-off costs a thread
-# switch (tens of microseconds), so a run must amortize it over many
-# ops; threads' live sets still overlap at every scale a family uses.
+# Mean ops per run in `interleave`. Every trace, and so every exact
+# figure a test pins, rests on it; threads' live sets overlap at every
+# scale a family uses.
 RUN_MEAN = 64
 
 SIZESWEEP_EXPONENTS = range(4, 21, 2)
@@ -267,43 +268,32 @@ def results(config, allocator, trace, addresses, durations, peaks):
 
 
 def replay(trace, allocator, touch=False):
-    """Run `trace` on `allocator` in trace order, one OS thread per
-    logical thread, which starts when the thread first takes the baton
-    (a lock used as a binary semaphore) and ends after its last op. With
-    `touch`, a malloc writes a tag word into its block. A mark records
-    `(perf_counter, window_peak)` and begins a new window. A thread that
-    raises releases every baton, so the others stop, and `replay` raises
-    its error. Returns each handle's address, the marks, and each
-    logical thread's baton hold time."""
-    last = {op[0]: i for i, op in enumerate(trace)}     # thread -> last op
-    held = [0.0] * (1 + max(last, default=-1))
-    batons, threads, errors, cursor = {}, [], [], [0]
+    """Run `trace` on `allocator` in trace order, on the calling thread.
+    A logical thread is its attachment record, the one attribute of
+    `Frontend._tls`: a run of a thread's ops begins with the thread's
+    saved record installed, or with none before its first op, which
+    then attaches it afresh as a new OS thread would, and ends by saving
+    whatever record is left. With `touch`, a malloc writes a tag word
+    into its block. A mark records `(perf_counter, window_peak)` and
+    begins a new window. After an error, every logical thread still
+    attached detaches and the error propagates; either way the caller's
+    own record is restored. Returns each handle's address, the marks,
+    and the time each logical thread's runs took."""
+    held = [0.0] * (1 + max((op[0] for op in trace), default=-1))
+    records = {}            # logical thread -> its saved record
     addresses, marks = {}, []
     provider = allocator.provider
     malloc, free, write_word = allocator.malloc, allocator.free, \
         provider.write_word
-
-    def hand_to(tid):
-        if tid in batons:
-            batons[tid].release()
-        else:                   # a fresh baton is free: the thread runs
-            batons[tid] = threading.Lock()
-            threads.append(threading.Thread(
-                target=body, args=(tid,), name=f"bench-{tid}", daemon=True))
-            threads[-1].start()
-
-    def body(tid):
-        i = cursor[0]
-        try:
-            while i <= last[tid]:
-                batons[tid].acquire()
-                if errors:
-                    return
-                t0 = perf_counter()
-                i = cursor[0]
-                while i < len(trace) and trace[i][0] == tid:
-                    _, op, h, size = trace[i]
-                    i += 1
+    slot = vars(allocator.frontend._tls)    # this OS thread's attributes
+    caller = slot.pop("attached", None)
+    try:
+        for tid, run in groupby(trace, itemgetter(0)):
+            if tid in records:
+                slot["attached"] = records.pop(tid)
+            t0 = perf_counter()
+            try:
+                for _, op, h, size in run:
                     if op == FREE:
                         free(addresses[h])
                     elif op == MALLOC:
@@ -319,22 +309,14 @@ def replay(trace, allocator, touch=False):
                         allocator.attach_thread()
                     else:
                         allocator.detach_thread()
-                cursor[0] = i
-                held[tid] += perf_counter() - t0
-                if i < len(trace):
-                    hand_to(trace[i][0])
-        except BaseException as exc:     # re-raised by replay
-            errors.append(exc)
-            for baton in list(batons.values()):
-                if baton.locked():
-                    baton.release()
-
-    if trace:
-        hand_to(trace[0][0])
-    # Only the baton holder starts a thread, and it lists the thread
-    # first: once every listed thread has ended, the list is complete.
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
+            finally:
+                if "attached" in slot:
+                    records[tid] = slot.pop("attached")
+            held[tid] += perf_counter() - t0
+    finally:
+        for record in records.values():     # only after an error
+            slot["attached"] = record
+            allocator.detach_thread()
+        if caller is not None:
+            slot["attached"] = caller
     return addresses, marks, held

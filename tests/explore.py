@@ -2,7 +2,7 @@
 OSDI 2008): a scenario runs from scratch once per schedule that preempts
 a running thread at most `bound` times, and its oracle runs after each.
 Each logical thread is a real thread that runs only while it holds its
-baton, a lock used as a binary semaphore as in `traces.replay`. Every
+baton, a lock used as a binary semaphore. Every
 `AtomicWord` method call and every acquire of a latch built through
 `atomic.Latch` is a yield point, where the next thread to go on is
 picked; a thread paused at the acquire of a held latch cannot be. A

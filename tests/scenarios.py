@@ -1,18 +1,21 @@
 """Race scenarios for the schedule explorer (`explore.py`), and the end
 checks of their replays in test_frontend.py.
 
-Each scenario's oracle is `check_heap` on an instrumented allocator. In
-`floated`'s steps thread i attaches LAB i, LAB `owner` fills a span and
-floats it with one more malloc (`blocks`, `extra`), and thread 0 frees
-its first blocks down to the reuse threshold (6 of 8 at 128K, 12 of 16
-at 32K). A scenario's `bound` is 2 unless it says why it is 1: a
-schedule takes 1-3 ms on the 2-vCPU host, and a body with tens of yield
-points (a span's round trip through another LAB), or a third racing
-thread, makes hundreds to thousands of schedules at bound 2.
+Each scenario's oracle is `check_heap` on an instrumented allocator,
+but for the two that race a bare span (`push_vs_drain`) or stack
+(`aba`). In `floated`'s steps thread i attaches LAB i, LAB `owner`
+fills a span and floats it with one more malloc (`blocks`, `extra`),
+and thread 0 frees its first blocks down to the reuse threshold (6 of
+8 at 128K, 12 of 16 at 32K). A scenario's `bound` is 2 unless it says
+why it is 1: a schedule takes 1-3 ms on the 2-vCPU host, and a body
+with tens of yield points (a span's round trip through another LAB), or
+a third racing thread, makes hundreds to thousands of schedules at
+bound 2.
 """
 
 from explore import Scenario
 from helpers import check_heap, floated_span, make_allocator, pooled_slots
+from spanalloc.size_classes import class_for_size
 from spanalloc.span import (
     STATE_FLOATING, STATE_FREE, STATE_HOT, STATE_REUSABLE, TERMINATED,
     epoch_owner, epoch_state,
@@ -224,6 +227,33 @@ def aba():
 
     w = Scenario(stack=stack, held=[], a=a, b=b, check=check)
     w.threads = [lambda: w.held.append(stack.pop(space)), pop_push_push]
+    return w
+
+
+def push_vs_drain():
+    """The owner's drain of a 64 B span, then its pops of the local list
+    down to empty, against two remote frees. The oracle: the popped
+    blocks and the remote list are the two freed blocks, each once, and
+    the remote count matches the list (a bare span has no LAB for
+    `check_heap`)."""
+    space = make_allocator(reuse_percent=0).space
+    span = space.header_for_base(space.arena.acquire_virtual_span())
+    span.init_for_class(class_for_size(64))
+    blocks = [span.alloc_block() for _ in range(2)]
+
+    def drain_and_pop():
+        span.drain_remotes()
+        while span.local_head:
+            w.popped.append(span.alloc_block())
+
+    def check(w):
+        remote = [space.arena_base + off for off in span.walk_remote()]
+        assert sorted(w.popped + remote) == sorted(blocks)
+        assert span.remote_count() == len(remote) and span.local_count == 0
+
+    w = Scenario(span=span, popped=[], check=check)
+    w.threads = [drain_and_pop] + [
+        lambda b=b: span.free_remote(b) for b in blocks]
     return w
 
 

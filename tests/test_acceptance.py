@@ -366,8 +366,9 @@ def test_c11_directional_scalability():
     cores = (__import__("os").cpu_count() or 1)
     gil = getattr(sys, "_is_gil_enabled", lambda: True)()
 
-    # Each thread replays its own one-thread trace: no baton passes
-    # between them, so they run as concurrently as the host allows.
+    # Each OS thread replays its own one-thread trace, switching records
+    # in its own view of the frontend's thread-local slot, so the
+    # threads run as concurrently as the host allows.
     trace = make_trace(WorkloadConfig(name="threadtest", rounds=5,
                                       objects_per_round=4000, object_size=64,
                                       seed=2, touch_objects=False))

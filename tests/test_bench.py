@@ -67,7 +67,7 @@ def test_larson_runs_clean():
     report = run(cfg, alloc)
     check_heap(alloc, live=())
     assert report.extra["leaked_blocks"] == 0
-    # Each hand-off spawns a continuation thread.
+    # Each hand-off passes the set to a new logical thread.
     assert len(report.thread_alloc_times_s) == 2 * (4 + 1)
     record = exported(report)
     assert record["workload"]["handoffs"] == 4
@@ -119,7 +119,7 @@ def test_ablate_flag_validation_and_effects():
 
 def test_same_trace_reproduces_run():
     # One trace replayed under one configuration: memory to the byte and
-    # every counter, whatever the OS schedule of the replaying threads.
+    # every counter, run after run.
     def one(cfg, **kw):
         alloc = bench_alloc(arena_bytes=1 << 31, **kw)
         report = run(cfg, alloc)
@@ -127,16 +127,16 @@ def test_same_trace_reproduces_run():
         return (report.ops, report.peak_committed_bytes,
                 alloc.committed_bytes, report.stats, report.stacks)
 
-    # At 1,000 objects a round outlasts a switch interval, so threads
-    # running free would overlap differently from run to run.
+    # At 1,000 objects a round each thread's lane spans many runs, so a
+    # replay switches attachment records many times.
     cases = [(small(name, objects_per_round=1000, seed=7), {})
              for name in WORKLOADS] + [
         (small("threadtest", objects_per_round=1000, seed=7),
          {"lab_mode": CLAB}),
         (WorkloadConfig(name="shbench_like", threads=1, rounds=10,
                         objects_per_round=100, seed=77), {}),
-        # Each link hands its set to a new thread; the hand-off order
-        # must not depend on thread timing.
+        # Each link hands its set to a new logical thread; the hand-off
+        # order follows the trace alone.
         (WorkloadConfig(name="larson_like", threads=1, rounds=3,
                         objects_per_round=3000, seed=5), {}),
     ]
@@ -172,15 +172,37 @@ def test_run_peak_covers_every_window():
     assert report.peak_committed_bytes >= max(report.extra["epoch_peaks"])
 
 
-def test_replay_raises_a_threads_error_instead_of_hanging():
+def caller_attached(alloc, attached):
+    """Attach the calling thread or not; returns its record, or None."""
+    if attached:
+        alloc.attach_thread()
+    return getattr(alloc.frontend._tls, "attached", None)
+
+
+@pytest.mark.parametrize("attached", [False, True],
+                         ids=["caller_detached", "caller_attached"])
+def test_replay_keeps_the_callers_own_attachment(attached):
     alloc = bench_alloc()
+    mine = caller_attached(alloc, attached)
+    replay(make_trace(small("threadtest")), alloc)
+    assert getattr(alloc.frontend._tls, "attached", None) is mine
+    assert len(alloc.frontend.thread_stats) == attached
+    alloc.free(alloc.malloc(64))
+    check_heap(alloc, live=())
+
+
+def test_a_failing_replay_raises_its_error_and_leaves_only_the_caller():
     trace = make_trace(small("threadtest"))
-    # Thread 1 frees a handle nobody malloced; thread 0 still has runs
-    # to wait for.
+    # Thread 1 frees a handle nobody malloced, with thread 0 attached.
     at = next(i for i, op in enumerate(trace) if op[0] == 1 and op[1] == FREE)
     broken = trace[:at] + [(1, FREE, -1, None)] + trace[at:]
-    with pytest.raises(KeyError):
-        replay(broken, alloc)
+    for attached in (False, True):
+        alloc = bench_alloc()
+        mine = caller_attached(alloc, attached)
+        with pytest.raises(KeyError):
+            replay(broken, alloc)
+        assert getattr(alloc.frontend._tls, "attached", None) is mine
+        assert list(alloc.frontend.thread_stats) == ([mine[1]] if mine else [])
 
 
 def test_csv_schema_stable(tmp_path):

@@ -17,6 +17,7 @@ from explore import explore, replay
         strict=True, reason="leak 3: [0] * 2 + [2] leaves LAB 0's free "
         "a stale floating snapshot, and its marking CAS fails")),
     scenarios.adoption_in_the_next_life, scenarios.last_free_vs_adoption,
+    scenarios.push_vs_drain,
 ], ids=lambda build: build.__name__)
 def test_every_schedule_keeps_the_heap(build):
     assert explore(build) > 1

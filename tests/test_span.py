@@ -158,23 +158,6 @@ def test_remote_free_counts_and_list():
     assert [space.arena_base + o for o in offsets] == [blocks[1], blocks[0]]
 
 
-def test_remote_free_concurrent_distinct_blocks():
-    space, provider, arena = make_space()
-    span = fresh_span(space, arena, 16)      # 2032 blocks
-    blocks = [span.alloc_block() for _ in range(800)]
-    chunks = [blocks[i::8] for i in range(8)]
-
-    def push(chunk):
-        for b in chunk:
-            span.free_remote(b)
-
-    threads = [threading.Thread(target=push, args=(c,)) for c in chunks]
-    run_threads(threads)
-    assert span.remote_count() == 800
-    walked = {space.arena_base + o for o in span.walk_remote()}
-    assert walked == set(blocks)
-
-
 def test_drain_threshold_boundary():
     space, provider, arena = make_space()
     span = fresh_span(space, arena, 64)      # threshold = 508*80//100 = 406
@@ -190,44 +173,6 @@ def test_drain_threshold_boundary():
     assert span.remote.load() == 0
     assert span.local_count == t + 1
     assert len(span.walk_local()) == t + 1
-
-
-def test_drain_never_loses_concurrent_frees():
-    space, provider, arena = make_space(reuse_percent=0)
-    span = fresh_span(space, arena, 16)
-    blocks = [span.alloc_block() for _ in range(1000)]
-    stop = threading.Event()
-    drained = []
-    popped = []
-
-    def owner_drain():
-        # As the allocator does: drain only with the local list empty,
-        # then pop it empty again.
-        while True:
-            last = stop.is_set()
-            got = span.drain_remotes()
-            if got:
-                drained.append(got)
-            while span.local_head:
-                popped.append(span.alloc_block())
-            if last:
-                return
-
-    t = threading.Thread(target=owner_drain)
-    t.start()
-    for b in blocks:
-        span.free_remote(b)
-    stop.set()
-    t.join(timeout=30)
-    assert not t.is_alive()
-    # Whatever missed the final swap is still on the remote list.
-    leftover = span.remote_count()
-    assert sum(drained) + leftover == 1000
-    assert len(popped) == len(set(popped)) == sum(drained)
-    assert span.local_count == 0
-    remote = {space.arena_base + o for o in span.walk_remote()}
-    assert len(remote) == leftover
-    assert set(popped) | remote == set(blocks)
 
 
 def test_transitions_happy_path_and_stale_failure():
