@@ -24,28 +24,27 @@ address that is not a handed-out block of a live span (WildFree) and,
 when instrumented, a block that is not live (DoubleFree). A TLAB free
 into a span the caller owns pushes on the local list; every other free
 (remote, CLAB, or into an orphan) is a push on the remote list. The
-span's state and owner come from one load of its epoch word, and the
-caller's owner word from its attachment record, read once at attach
-(it cannot change while any thread is attached to the LAB). After
-either push a hot snapshot has no state work; any other free counts
-the span's free blocks once. A span whose last block is freed goes
-back to the span pool inside that same call unless lazy reclamation
-is on: the free that counts it empty retires it with one conditional
-replace from its snapshot, floating or reusable, to free. So a span
-that crosses the reusability threshold and empties in one free
-(always so for single-block spans) never enters a reusable set.
-Otherwise a floating span above the threshold gets the floating ->
-reusable marking, and a free into a reusable span has nothing more to
-do. A span changes owner in one place only: a marking free whose put
-the owner's set refuses, because the owner terminated, adopts the
-span into the caller's set with one conditional replace from its
-marking's word.
+caller's owner word comes from its attachment record, read once at
+attach (it cannot change while any thread is attached to the LAB).
 
-All cross-thread handoffs ride on the epoch word: a stale snapshot
-fails its conditional replace and the loser simply moves on. No
-hand-off re-reads the epoch after losing track of the span, since a
-span that went round its life cycle in between would read as the same
-state again.
+One rule settles a span's state. A remote or CLAB free decides from
+the epoch word it reads after its push; an own TLAB free may keep the
+word it read before, since only its own thread floats its hot span and
+only a remote marking moves its floating word. A hot or free word has
+no state work. Otherwise the free counts the span's free blocks once:
+under eager reclamation the free that counts the span empty retires it
+from its word and pools it in that same call (so a span that crosses
+the reuse threshold and empties in one free never enters a set), and a
+floating span above the threshold gets the floating -> reusable
+marking. Every thread that moves the word (the malloc that floats an
+exhausted hot span, the marking free after its set put or adoption,
+termination after each float) ends with one emptiness test from the
+word it installed, `_retire_empty`. So between a last push and a move
+of the word, one of the two threads sees both, and one conditional
+replace picks one retirement; a loser never retries. A span changes
+owner in one place only: a marking free whose put the owner's set
+refuses, because the owner terminated, adopts the span into the
+caller's set with one conditional replace from its marking's word.
 """
 
 import itertools
@@ -290,7 +289,8 @@ class Frontend:
         taken with `acquire()` and released in `finally`, on every exit
         (see `atomic.py`). The hot span serves the block; one that runs
         dry drains its remote list if enough blocks accumulated, and
-        otherwise goes floating and `_get_span` fetches a replacement.
+        otherwise goes floating, is retired if a remote push emptied it
+        after the drain test, and `_get_span` fetches a replacement.
         """
         try:
             lab, tid, stats, mine, _ = self._tls.attached
@@ -319,10 +319,11 @@ class Frontend:
                 if hot.drain_remotes() > 0:
                     stats.drains += 1
                     continue
-                # Exhausted and not worth draining: retire it and refetch.
+                # Exhausted and not worth draining: float it and refetch.
                 took = hot.try_transition(hot.epoch.load(), STATE_FLOATING)
                 assert took, "hot spans are only transitioned by their owner"
                 lab.hot_spans[sc] = None
+                self._retire_empty(hot, took, tid)
                 hot = None
         finally:
             if latches is not None:
@@ -364,23 +365,17 @@ class Frontend:
         state and owner come from one load of its epoch word, and a TLAB
         free into a span the caller owns pushes on the local list inline
         (link word, then head and count), as `SpanHeader.free_local`
-        does; every other free goes through `free_remote`.
+        does; every other free goes through `free_remote` and then loads
+        the epoch word again, and only that word decides its state work.
 
-        The epoch snapshot, owner included, comes from before the push:
-        a transition below fails if anything moved since. A hot snapshot
-        has no state work. Any other free counts its span's free blocks
-        once, after its push, and reads the other list's count then, so
-        the free with the last push sees every block. Under eager
-        reclamation the free that counts the span empty retires it with
-        one conditional replace from its snapshot, floating or reusable,
-        to free, and puts it in the pool. Another free may count it
-        empty too (one that counts after the last push), and a floating
-        -> free may race a marking from the same snapshot word: one CAS
-        wins, and a loser has nothing left to do, since a winning
-        marking tests the span for emptiness afresh (see `_settle`).
-        Short of empty, a floating snapshot above the reuse threshold
-        goes to the marking, `_settle`, and a free into a reusable span
-        makes no further call.
+        A hot or free word has none. Any other free counts its span's
+        free blocks once, after its push, so the free with the last push
+        sees every block. Under eager reclamation the free that counts
+        the span empty retires it from its word, floating or reusable,
+        to free, and pools it; short of empty, a floating word above the
+        reuse threshold goes to the marking, `_settle`. A free whose CAS
+        fails has nothing left to do: the thread that moved the word
+        tests the span for emptiness from the word it installed.
         """
         space = self.space
         base = space.arena_base
@@ -412,7 +407,9 @@ class Frontend:
         else:
             span.free_remote(addr)
             stats.frees_remote += 1
-        if old_state == STATE_HOT:
+            old_epoch = span.epoch.load()
+            old_state = old_epoch >> EPOCH_STATE_SHIFT
+        if old_state < STATE_FLOATING:      # hot, or free after the re-read
             return
         blocks = span.blocks_per_span
         free = span.local_count + (span.remote.load() >> REMOTE_COUNT_SHIFT) \
@@ -425,10 +422,11 @@ class Frontend:
             self._settle(span, old_epoch, lab, tid, stats, mine)
 
     def _settle(self, span, old_epoch, lab, tid, stats, mine):
-        """The marking of a span whose floating epoch read `old_epoch`
-        before a free that pushed it over the reuse threshold without
-        retiring it: floating -> reusable, then a put in its owner's
-        set.
+        """The marking of a span whose floating epoch word the calling
+        free read as `old_epoch`, and which its push took over the reuse
+        threshold short of empty: floating -> reusable, a put in its
+        owner's set, then, under eager reclamation, one emptiness test
+        from the word the marking or adoption installed.
 
         The marking's own epoch word stamps the span's entry in its
         owner's set. A free that pools a span leaves any entry of it
@@ -440,33 +438,16 @@ class Frontend:
         only this free holds, installs the caller as owner, and the
         word it installs stamps the new entry.
 
-        The marking CAS fails when another free from the same floating
-        word marked or retired the span first. When it wins, a last
-        free from that word fails its floating -> free, so under eager
-        reclamation this free tests the span for emptiness itself,
-        fresh, right after the marking (an empty span skips the set)
-        and again after the put or adoption; one CAS on the word it
-        installed picks one retirement against any last free that
-        snapshotted the marking. If the later test ran before the last
-        push, the span stays reusable and empty in its owner's set
-        until the owner's next take, which reuses it: that delays
-        reclamation and loses no span.
-
-        A last free that snapshotted the marking's word fails its
-        retire once the adoption lands first, and if the adopter tested
-        for emptiness before that push, the span stays reusable and
-        empty in the adopter's set, as above. Should the adopter
-        terminate first, its termination pools the empty span."""
+        The marking CAS fails when another free marked or retired the
+        span first. A last push before the test is seen by it; a remote
+        or CLAB last free after it reads the marking's or adoption's
+        word and retires the span itself. Only an owner's own last free
+        that read the floating word before the marking and pushes after
+        the test leaves the span empty in the owner's set, until the
+        owner's next take of the class reuses it or its termination
+        pools it: that delays reclamation and loses no span."""
         old_epoch = span.try_transition(old_epoch, STATE_REUSABLE)
         if not old_epoch:
-            return
-        if self.eager_reclaim and span.is_empty():
-            # No set holds a live entry of it, and no live block is left
-            # for another free. Only a concurrent last free that
-            # snapshotted this marking can race for reusable -> free;
-            # the epoch CAS picks one.
-            if span.try_transition(old_epoch, STATE_FREE):
-                self.pool.put(span, tid)
             return
         sc = span.size_class
         if not self.labs[owner_lab_ref(old_epoch)].put(sc, span, old_epoch) \
@@ -474,9 +455,8 @@ class Frontend:
             stats.adopts += 1
             old_epoch = adopted
             lab.put(sc, span, old_epoch)
-        if self.eager_reclaim and span.is_empty():
-            if span.try_transition(old_epoch, STATE_FREE):
-                self.pool.put(span, tid)
+        if self.eager_reclaim:
+            self._retire_empty(span, old_epoch, tid)
 
     # -- termination --------------------------------------------------------
 
@@ -494,10 +474,8 @@ class Frontend:
         too, since no slow path of this LAB is left to reclaim it: an
         empty entry goes reusable -> free from its stamp, and a floated
         span that is empty goes floating -> free from the word its float
-        installed. That one CAS picks one retirement against a last free
-        that snapshotted the same word. A last free that read the epoch
-        before the float, and pushes after the emptiness test here,
-        fails its retire, and the span floats empty (ROADMAP item 1)."""
+        installed. A last free that pushes after that test reads the new
+        word after its push and retires the span itself."""
         lab.owner_word.store(TERMINATED)
         for sc, hot in enumerate(lab.hot_spans):
             if hot is not None:

@@ -102,13 +102,8 @@ def census(allocator, live=None):
     pool stack, where no other span sits. Hot: its class's hot span in
     its owner's LAB, and that owner alive (the LAB's word still equals
     the span's owner). Reusable: a live entry in its live owner's set.
-    Floating: a dead owner, or free blocks at or below the threshold, so
-    that a later free marks it. "A floating span holds a live block" is
-    left out: a remote free that read a hot snapshot does no state work,
-    so when its push lands after the owner floated the span, the span
-    floats empty for good (the hot-snapshot leak, a strict xfail in
-    test_races.py). Termination no longer floats empty spans: it pools
-    them (leak 1, fixed).
+    Floating: a live block, and a dead owner or free blocks at or below
+    the threshold, so that a later free marks or retires it.
 
     A span adds up when, pooled, it holds no live block (decommit may
     have wiped its list words), or else when its walked free-list,
@@ -157,8 +152,9 @@ def census(allocator, live=None):
             elif state == STATE_REUSABLE:
                 home = alive and live_entry(lab, h)
             else:
-                home = not alive \
-                    or h.free_block_count() <= h.reuse_threshold_blocks
+                home = not h.is_empty() and (
+                    not alive
+                    or h.free_block_count() <= h.reuse_threshold_blocks)
             home = home and h.slot not in in_pool
         if not home:
             lost.append((h.slot, STATE_NAMES[state]))

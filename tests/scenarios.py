@@ -7,30 +7,30 @@ but for the two that race a bare span (`push_vs_drain`) or stack
 fills a span and floats it with one more malloc (`blocks`, `extra`),
 and thread 0 frees its first blocks down to the reuse threshold (6 of
 8 at 128K, 12 of 16 at 32K). A scenario's `bound` is 2 unless it says
-why it is 1: a schedule takes 1-3 ms on the 2-vCPU host, and a body
-with tens of yield points (a span's round trip through another LAB), or
-a third racing thread, makes hundreds to thousands of schedules at
-bound 2.
+why it is 1: a schedule takes 1-3 ms on the 2-vCPU host, and a third
+racing thread with tens of yield points makes thousands of schedules
+at bound 2.
 """
 
 from explore import Scenario
 from helpers import check_heap, floated_span, make_allocator, pooled_slots
 from spanalloc.size_classes import class_for_size
 from spanalloc.span import (
-    STATE_FLOATING, STATE_FREE, STATE_HOT, STATE_REUSABLE, TERMINATED,
-    epoch_owner, epoch_state,
+    STATE_FREE, STATE_REUSABLE, TERMINATED, epoch_owner, epoch_state,
 )
 from spanalloc.span_pool import TaggedStack
 
 K128, K32 = 1 << 17, 1 << 15
 
 
-def floated(size=K128, owner=0, labs=2, freed=None, orphan=False):
-    """The common start; with `orphan` LAB `owner` terminates before the
-    race. An `after` step `malloc_again(n)` keeps the census (`heap`),
-    the span's epoch (`epoch`) and emptiness (`empty`), then mallocs n
-    blocks (`again`) and counts the arena spans they took (`grew`)."""
-    alloc = make_allocator(instrument=True)
+def floated(size=K128, owner=0, labs=2, freed=None, orphan=False,
+            **config):
+    """The common start, on an allocator with `config`'s fields; with
+    `orphan` LAB `owner` terminates before the race. An `after` step
+    `malloc_again(n)` keeps the census (`heap`), the span's epoch
+    (`epoch`) and emptiness (`empty`), then mallocs n blocks (`again`)
+    and counts the arena spans they took (`grew`)."""
+    alloc = make_allocator(instrument=True, **config)
     w = Scenario(alloc=alloc, check=lambda w: check_heap(alloc))
     free, malloc = alloc.free, alloc.malloc
 
@@ -65,16 +65,16 @@ def retire_race():
     return w
 
 
-def terminate_race():
+def terminate_race(**config):
     """LAB 0 terminates holding a reusable span with one live block,
     against another thread's free of that block."""
-    w = floated(freed=7)
+    w = floated(freed=7, **config)
     w.threads = [w.alloc.detach_thread, w.free(7)]
     return w
 
 
 def send_round(w):
-    """LAB 1's body, 45 yield points (744 to 951 schedules at bound 2):
+    """LAB 1's body, 49 yield points (698 to 1,061 schedules at bound 2):
     it frees the span's last block, takes the span back from the pool,
     fills and floats it, and frees it down to reusable in its own set."""
     def body():
@@ -89,7 +89,7 @@ def late_put():
     """LAB 0's marking free, between its marking and its set put,
     against the span's round through LAB 1."""
     w = floated()
-    w.threads, w.bound = [w.free(6), send_round(w)], 1
+    w.threads = [w.free(6), send_round(w)]
     return w
 
 
@@ -101,16 +101,22 @@ def late_take():
         w.alloc.malloc(K128) for _ in range(7)])))
     w.threads = [lambda: w.fills.append(w.alloc.malloc(K128)),
                  send_round(w)]
-    w.bound = 1
     return w
 
 
-def late_float():
+def late_float(**config):
     """LAB 0's termination, which floats the span from its set entry,
     against the span's round through LAB 1."""
-    w = floated(freed=7)
+    w = floated(freed=7, **config)
     w.threads = [w.alloc.detach_thread, send_round(w)]
-    w.bound = 1         # send_round: 897 schedules at 2
+    return w
+
+
+def marking_vs_own_last_free():
+    """LAB 0's free that marks LAB 1's span, against LAB 1's own free of
+    the span's last block."""
+    w = floated(owner=1)
+    w.threads = [w.free(6), w.free(7)]
     return w
 
 
@@ -129,15 +135,15 @@ def marking_vs_termination_and_push():
     w = floated(K32, owner=1, labs=3)
     w.threads = [w.free(12), w.alloc.detach_thread, w.free(13)]
     w.after = [(0, w.malloc_again)]
-    w.bound = 1         # three racing threads: 2,898 schedules at 2
+    w.bound = 1         # three racing threads: 3,100 schedules at 2
     return w
 
 
-def marking_vs_reuse():
+def marking_vs_reuse(**config):
     """LAB 0's free that marks LAB 1's orphaned span, against LAB 2,
     which adopts the span with the free of another block, takes it hot,
     floats it and frees it back to its threshold."""
-    w = floated(owner=1, labs=3, orphan=True)
+    w = floated(owner=1, labs=3, orphan=True, **config)
 
     def adopt_and_reuse():
         w.alloc.free(w.blocks[6])
@@ -147,7 +153,6 @@ def marking_vs_reuse():
 
     w.threads = [w.free(7), None, adopt_and_reuse]
     w.after = [(2, lambda: w.malloc_again(8))]
-    w.bound = 1         # LAB 2's body has 30 yield points
     return w
 
 
@@ -170,7 +175,7 @@ def adoption_in_the_next_life():
 
     w.threads = [w.free(6), next_life, mark_again]
     w.after = [(2, w.malloc_again)]
-    # 74 yield points: 5,301 schedules at bound 2, though its recorded
+    # 74 yield points: 5,684 schedules at bound 2, though its recorded
     # schedule preempts twice
     w.bound = 1
     return w
@@ -185,19 +190,11 @@ def last_free_vs_adoption():
     return w
 
 
-def hot_snapshot():
+def hot_snapshot(**config):
     """LAB 0's malloc that exhausts and floats its hot 1M span, against a
-    remote free of its one block; the oracle adds the clause `check_heap`
-    leaves out: a floating span holds a live block."""
-    alloc = make_allocator(instrument=True)
-
-    def check(w):
-        assert not [h.slot for h in alloc.space.iter_headers()
-                    if epoch_state(h.epoch.load()) == STATE_FLOATING
-                    and h.is_empty()], "an empty span floats"
-        check_heap(alloc)
-
-    w = Scenario(alloc=alloc, check=check)
+    remote free of its one block."""
+    alloc = make_allocator(instrument=True, **config)
+    w = Scenario(alloc=alloc, check=lambda w: check_heap(alloc))
     w.steps = [(0, lambda: setattr(w, "block", alloc.malloc(1 << 20))),
                (1, alloc.attach_thread)]
     w.threads = [lambda: alloc.malloc(1 << 20), lambda: alloc.free(w.block)]
@@ -276,12 +273,16 @@ def retired_by(*last_edges):
     return check
 
 
-def retired_once(counts, *last_edges):
-    """`retired_by`, with no set put, one remote free and one pool put."""
+def retired_once(counts, puts, *last_edges, stale=0):
+    """`retired_by`, with `puts` set puts, one remote free and one pool
+    put; LAB 0's set keeps `stale` entries of the class."""
     def check(w):
         retired_by(*last_edges)(w)
-        assert counts == {"put": 0} and w.alloc.stats()["frees_remote"] == 1
+        assert counts == {"put": puts} \
+            and w.alloc.stats()["frees_remote"] == 1
         assert w.alloc.pool.puts.load() == 1
+        assert len(w.alloc.frontend.labs[0].reusable[w.span.size_class]) \
+            == stale
     return check
 
 
@@ -294,10 +295,10 @@ def went_round(w):
                for p in getattr(w, "fills", ()))
 
 
-def adopted_into(lab, terminated=None, empty=False):
-    """At the race's end the span was reusable in LAB `lab`'s set alone
-    (and `empty`, none pooled), adopted once; that LAB's next malloc of
-    the class reused it. LAB `terminated` ended."""
+def adopted_into(lab, terminated=None):
+    """At the race's end the span was reusable in LAB `lab`'s set alone,
+    adopted once; that LAB's next malloc of the class reused it. LAB
+    `terminated` ended."""
     def check(w):
         labs = w.alloc.frontend.labs
         assert epoch_state(w.epoch) == STATE_REUSABLE
@@ -307,7 +308,4 @@ def adopted_into(lab, terminated=None, empty=False):
         assert w.alloc.space.span_of(w.again[-1]) is w.span and w.grew == 0
         assert terminated is None \
             or labs[terminated].owner_word.load() == TERMINATED
-        if empty:
-            assert w.empty and w.alloc.stats()["pool_puts"] == 0
-            assert epoch_state(w.span.epoch.load()) == STATE_HOT
     return check

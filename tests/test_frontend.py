@@ -14,6 +14,7 @@ from helpers import (
 )
 from scenarios import span_edges
 from spanalloc import atomic
+from spanalloc.bench import WorkloadConfig
 from spanalloc.config import CLAB
 from spanalloc.frontend import LAB, Frontend
 from spanalloc.size_classes import NUM_CLASSES, TABLE, class_for_size
@@ -22,6 +23,8 @@ from spanalloc.span import (
     STATE_HOT, STATE_REUSABLE, TERMINATED, epoch_owner,
     epoch_state, owner_lab_ref, pack_owner,
 )
+from spanalloc.traces import make_trace
+from spanalloc.traces import replay as replay_trace
 
 C64 = class_for_size(64)       # 508 blocks, threshold 406
 B64 = TABLE[C64].blocks_per_span
@@ -452,7 +455,7 @@ def test_get_span_skips_span_raced_to_free():
         assert span_of(w.alloc, w.fills[-1]) is w.span
         assert state_of(w.span) == STATE_HOT
         assert len(w.alloc.frontend.labs[0].reusable[w.span.size_class]) == 0
-    replay(scenarios.late_take, [0] * 5 + [1] * 9 + [0], check)
+    replay(scenarios.late_take, [0] * 5 + [1] * 10 + [0], check)
 
 
 def test_clab_contention_stress_conserves_blocks():
@@ -751,6 +754,43 @@ def test_thread_churn_retires_empty_spans(size, eager):
     assert alloc.stats()["arena_spans"] <= 2
 
 
+def containers(alloc):
+    """Everything an allocator keeps between workloads: arena spans,
+    headers, pool depth, each LAB's set lengths (stale entries too),
+    LABs, the provider's slot records and committed bytes."""
+    pool, labs = alloc.pool, alloc.frontend.labs
+    return {
+        "arena_spans": alloc.stats()["arena_spans"],
+        "headers": len(list(alloc.space.iter_headers())),
+        "pool_depth": pool.puts.load() - pool.gets_from_pool.load(),
+        "set_lengths": [[len(s) for s in lab.reusable] for lab in labs],
+        "labs": len(labs),
+        "slots": len(alloc.provider._slots),
+        "committed_bytes": alloc.committed_bytes,
+    }
+
+
+@pytest.mark.parametrize("config", [
+    WorkloadConfig(name="larson_like", threads=2, handoffs=8, rounds=20,
+                   objects_per_round=200, size_range=(16, 4096), seed=11),
+    WorkloadConfig(name="prodcons", threads=4, rounds=3,
+                   objects_per_round=200, size_range=(16, 1 << 21), seed=11),
+], ids=lambda config: config.name)
+def test_a_replayed_trace_plateaus(config):
+    # A long-lived allocator runs one workload again and again: after 10
+    # replays of one trace, 10 more change nothing it keeps. One trace,
+    # since a fresh seed may reach a new peak without leaking.
+    alloc = make_allocator(arena_bytes=1 << 31)
+    trace = make_trace(config)
+    marks = []
+    for _ in range(2):
+        for _ in range(10):
+            replay_trace(trace, alloc)
+        check_heap(alloc, live=())
+        marks.append(containers(alloc))
+    assert marks[0] == marks[1]
+
+
 def test_adopting_free_that_marks_puts_in_adopters_set():
     # A free that adopts an orphan and crosses its threshold in the same
     # call marks it reusable for the adopter: the dead owner's set is
@@ -790,25 +830,39 @@ def test_adopting_free_that_marks_puts_in_adopters_set():
 def test_last_free_retires_before_the_crossing_free_marks(monkeypatch):
     # The crossing free waits at its marking while the last free retires.
     replay(scenarios.retire_race, [0, 0, 0, 1], scenarios.retired_once(
-        count_set_ops(monkeypatch),
+        count_set_ops(monkeypatch), 0,
         (STATE_HOT, STATE_FLOATING), (STATE_FLOATING, STATE_FREE)))
 
 
 def test_crossing_free_marks_before_the_last_free_retires(monkeypatch):
     # The crossing free waits at its marking while the last free pushes
-    # and reaches its retire, which then waits until the crossing free,
-    # whose fresh emptiness test sees the push, has retired the span.
+    # and reads the floating word again. The crossing free then marks,
+    # puts the span in LAB 0's set and, testing after the put, retires
+    # it, which leaves that entry stale; the last free's retire from the
+    # floating word fails.
     replay(scenarios.retire_race, [0] * 3 + [1] * 5 + [0],
            scenarios.retired_once(
-               count_set_ops(monkeypatch), (STATE_HOT, STATE_FLOATING),
-               (STATE_FLOATING, STATE_REUSABLE), (STATE_REUSABLE, STATE_FREE)))
+               count_set_ops(monkeypatch), 1, (STATE_HOT, STATE_FLOATING),
+               (STATE_FLOATING, STATE_REUSABLE), (STATE_REUSABLE, STATE_FREE),
+               stale=1))
 
 
 def test_marking_free_loses_retirement_to_racing_last_free(monkeypatch):
-    # Between the marking and its emptiness test, the last free retires.
+    # Between the marking and its put, the last free pushes, reads the
+    # marking's word and retires the span from it: the put is refused.
     replay(scenarios.retire_race, [0] * 4 + [1], scenarios.retired_once(
-        count_set_ops(monkeypatch),
+        count_set_ops(monkeypatch), 1,
         (STATE_FLOATING, STATE_REUSABLE), (STATE_REUSABLE, STATE_FREE)))
+
+
+def test_marking_free_retires_the_span_its_owners_last_free_emptied():
+    # LAB 1's own last free reads the floating word and pushes after
+    # LAB 0's free counted and before it marks: the owner's retire from
+    # the floating word fails, and only the marking free's emptiness
+    # test after its put can retire the span.
+    replay(scenarios.marking_vs_own_last_free, [0] * 6 + [1] * 2 + [0],
+           scenarios.retired_by((STATE_FLOATING, STATE_REUSABLE),
+                                (STATE_REUSABLE, STATE_FREE)))
 
 
 def test_terminate_races_last_free_single_winner():
@@ -867,12 +921,22 @@ def test_late_adoption_leaves_the_spans_next_life_alone():
            [0] * 7 + [1] * 25 + [2] * 31 + [0], scenarios.adopted_into(2))
 
 
-def test_last_free_that_read_the_marking_loses_to_the_adoption():
+def test_last_free_that_read_the_marking_retires_the_adopted_span():
     # LAB 2's last free reads the marking's word and waits before its
-    # push until LAB 0 has adopted the span: its retire fails, and the
-    # span stays empty in LAB 0's set until that LAB reuses it.
-    replay(scenarios.last_free_vs_adoption, [0] * 9 + [2, 2, 0],
-           scenarios.adopted_into(0, empty=True))
+    # push until LAB 0 has adopted the span and tested it live. Read
+    # again after the push, the epoch is the adoption's word, so that
+    # free retires the span, and LAB 0's next malloc of the class takes
+    # it back from the pool.
+    def check(w):
+        assert span_edges(w.alloc, w.span)[-3:] == [
+            (STATE_REUSABLE, STATE_REUSABLE), (STATE_REUSABLE, STATE_FREE),
+            (STATE_FREE, STATE_HOT)]
+        assert state_of(w.span) == STATE_HOT and w.empty
+        assert w.alloc.frontend.labs[0].hot_spans[w.span.size_class] \
+            is w.span and w.grew == 0
+        stats = w.alloc.stats()
+        assert (stats["adopts"], stats["pool_puts"]) == (1, 1)
+    replay(scenarios.last_free_vs_adoption, [0] * 9 + [2, 2, 0], check)
 
 
 # -- the attachment record caches its LAB's owner word ------------------------
