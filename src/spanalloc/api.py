@@ -49,7 +49,7 @@ class Allocator:
             reuse_percent=config.reuse_percent,
             ledger=self.ledger,
         )
-        self.pool = SpanPool(self.space, config.effective_pool_width(),
+        self.pool = SpanPool(self.space, config.pool_width,
                              decommit_enabled=config.decommit_enabled)
         self.frontend = Frontend(self.space, self.pool, config)
 

@@ -99,7 +99,7 @@ class WorkloadConfig:
 class RunReport:
     """One run, written by `write_json` as one JSON line."""
     workload: WorkloadConfig        # objects_per_round as in effect
-    allocator: AllocatorConfig      # pool_width as in effect
+    allocator: AllocatorConfig
     ops: int
     elapsed_s: float                # the replay's wall time
     ops_per_sec: float
@@ -164,10 +164,9 @@ def run(config, allocator=None):
     stats = allocator.stats()
     extra["leaked_blocks"] = stats["allocs"] - stats["frees"]
     ops = stats["allocs"] + stats["frees"]
-    c = allocator.config
     return RunReport(
         workload=replace(config, objects_per_round=config.objects()),
-        allocator=replace(c, pool_width=c.effective_pool_width()),
+        allocator=allocator.config,
         ops=ops, elapsed_s=round(elapsed, 6),
         ops_per_sec=round(ops / elapsed if elapsed > 0 else 0.0, 1),
         # A mark begins a new window, so the run's peak is the largest

@@ -33,8 +33,8 @@ class AllocatorConfig:
     # "sim" = byte-array backed provider with exact page accounting,
     # "os" = real anonymous mappings with madvise decommit.
     provider: str = "sim"
-    # Width of the span pool's stack arrays; None = detected core count.
-    pool_width: int | None = None
+    # Width of the span pool's stack arrays.
+    pool_width: int = CPU_COUNT
     # A span becomes reusable when strictly more than this percentage of
     # its blocks are free.
     reuse_percent: int = 80
@@ -55,10 +55,5 @@ class AllocatorConfig:
             raise ValueError("lab_mode must be 'tlab' or 'clab'")
         if not (0 <= self.reuse_percent <= 100):
             raise ValueError("reuse_percent must be in [0, 100]")
-        if self.pool_width is not None and self.pool_width < 1:
+        if self.pool_width < 1:
             raise ValueError("pool_width must be >= 1")
-
-    def effective_pool_width(self):
-        if self.pool_width is not None:
-            return self.pool_width
-        return CPU_COUNT

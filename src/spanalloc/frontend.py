@@ -36,15 +36,16 @@ under eager reclamation the free that counts the span empty retires it
 from its word and pools it in that same call (so a span that crosses
 the reuse threshold and empties in one free never enters a set), and a
 floating span above the threshold gets the floating -> reusable
-marking. Every thread that moves the word (the malloc that floats an
-exhausted hot span, the marking free after its set put or adoption,
-termination after each float) ends with one emptiness test from the
-word it installed, `_retire_empty`. So between a last push and a move
-of the word, one of the two threads sees both, and one conditional
-replace picks one retirement; a loser never retries. A span changes
-owner in one place only: a marking free whose put the owner's set
-refuses, because the owner terminated, adopts the span into the
-caller's set with one conditional replace from its marking's word.
+marking, which makes its set entry in the same critical section of the
+owner LAB's latch. Every thread that moves the word (the malloc that
+floats an exhausted hot span, the marking free, termination after each
+float) ends with one emptiness test from the word it installed,
+`_retire_empty`. So between a last push and a move of the word, one of
+the two threads sees both, and one conditional replace picks one
+retirement; a loser never retries. A span changes owner only when it
+is taken hot from the pool and when the owner's set refuses a marking
+because the owner terminated: then the marking itself, one
+floating -> reusable replace into the caller's set, adopts the span.
 """
 
 import itertools
@@ -58,9 +59,9 @@ from .config import CLAB, CPU_COUNT, SPAN_SHIFT, TLAB
 from .errors import WildFree
 from .size_classes import NUM_CLASSES
 from .span import (
-    EPOCH_OWNER_FIELD, EPOCH_OWNER_SHIFT, EPOCH_STATE_SHIFT,
+    EPOCH_OWNER_FIELD, EPOCH_OWNER_SHIFT, EPOCH_STATE_SHIFT, OWNER_REF_MASK,
     REMOTE_COUNT_SHIFT, STATE_FLOATING, STATE_FREE, STATE_HOT,
-    STATE_REUSABLE, TERMINATED, owner_lab_ref, pack_owner,
+    STATE_REUSABLE, TERMINATED, pack_owner,
 )
 
 
@@ -69,12 +70,13 @@ class LAB:
     span -> stamp in FIFO order (a plain dict would walk the deleted
     slots left at its front on every take). `latch` guards all of the
     sets, taken with `acquire()` and released in `finally` (cheaper than
-    `with`, see `atomic.py`). `put` is refused unless the owner in the
-    stamp equals the owner word, the only record of whether the sets
-    accept puts (a stale generation or TERMINATED is refused), or when
-    the span's epoch has moved past the stamp. An entry is live while
-    its stamp equals its span's epoch; a stale one stays until taken and
-    then fails the taker's conditional replace."""
+    `with`, see `atomic.py`). An entry is made only by `mark`, whose
+    floating -> reusable replace installs its stamp under the latch, and
+    only while the marking's owner equals the owner word, the only
+    record of whether the sets accept markings (a stale generation or
+    TERMINATED is refused). An entry is live while its stamp equals its
+    span's epoch; a stale one stays until taken and then fails the
+    taker's conditional replace."""
 
     __slots__ = ("index", "generation", "owner_word", "hot_spans",
                  "reusable", "latch", "class_latches", "attached")
@@ -100,27 +102,27 @@ class LAB:
         self.generation = (self.generation + 1) & 0xFFFF
         self.owner_word.store(pack_owner(self.generation, self.index))
 
-    def put(self, sc, span, stamp):
-        """Enter `span` in set `sc`, stamped `stamp`; False if refused."""
+    def mark(self, sc, span, word, owner):
+        """In one critical section: unless `owner` is the owner word,
+        None, with nothing changed; else the floating -> reusable replace
+        of `span` from `word` that installs `owner`, and, when it wins,
+        an entry in set `sc` stamped with the installed word, which is
+        returned (False when the replace fails). An entry is made only
+        by the replace that made its stamp, so it cannot overwrite a
+        later marking's entry."""
         latch = self.latch
         latch.acquire()
         try:
-            if self.owner_word.load() != \
-                    (stamp & EPOCH_OWNER_FIELD) >> EPOCH_OWNER_SHIFT:
-                return False
-            if span.epoch.load() != stamp:
-                # The span moved on between its marking and this put
-                # (emptied and pooled, or reused and marked again). An
-                # entry that goes stale after this check is harmless;
-                # this one is refused so that it cannot overwrite a
-                # live entry of a later marking.
-                return False
-            # A stale entry of the same span makes way for the new one
-            # at the back: take order is marking order.
-            stamps = self.reusable[sc]
-            stamps[span] = stamp
-            stamps.move_to_end(span)
-            return True
+            if self.owner_word.load() != owner:
+                return None
+            stamp = span.try_transition(word, STATE_REUSABLE, owner)
+            if stamp:
+                # A stale entry of the same span makes way for the new
+                # one at the back: take order is marking order.
+                stamps = self.reusable[sc]
+                stamps[span] = stamp
+                stamps.move_to_end(span)
+            return stamp
         finally:
             latch.release()
 
@@ -424,39 +426,37 @@ class Frontend:
     def _settle(self, span, old_epoch, lab, tid, stats, mine):
         """The marking of a span whose floating epoch word the calling
         free read as `old_epoch`, and which its push took over the reuse
-        threshold short of empty: floating -> reusable, a put in its
-        owner's set, then, under eager reclamation, one emptiness test
-        from the word the marking or adoption installed.
+        threshold short of empty: `LAB.mark` in its owner's LAB, then,
+        under eager reclamation, one emptiness test from the word the
+        marking installed.
 
-        The marking's own epoch word stamps the span's entry in its
-        owner's set. A free that pools a span leaves any entry of it
-        there, stale: the owner's take fails its conditional replace
-        from the stamp and skips it. When the owner terminated (before
-        the marking or between it and the put), its set refuses the
-        entry, and this free adopts the span into the caller's set,
-        `lab`: one conditional replace from the marking's word, which
-        only this free holds, installs the caller as owner, and the
-        word it installs stamps the new entry.
+        The marking's word stamps the span's entry in the set that the
+        marking's critical section entered it in. A free that pools a
+        span leaves any entry of it there, stale: the owner's take fails
+        its conditional replace from the stamp and skips it. When the
+        owner terminated, its LAB refuses the marking with nothing
+        changed, and this free marks the span into the caller's set,
+        `lab`, with the caller's owner word: that one replace from the
+        floating word adopts the span.
 
-        The marking CAS fails when another free marked or retired the
-        span first. A last push before the test is seen by it; a remote
-        or CLAB last free after it reads the marking's or adoption's
-        word and retires the span itself. Only an owner's own last free
-        that read the floating word before the marking and pushes after
-        the test leaves the span empty in the owner's set, until the
-        owner's next take of the class reuses it or its termination
-        pools it: that delays reclamation and loses no span."""
-        old_epoch = span.try_transition(old_epoch, STATE_REUSABLE)
-        if not old_epoch:
-            return
+        The marking's replace fails when another free marked or retired
+        the span first. A last push before the test is seen by it; a
+        remote or CLAB last free after it reads the marking's word and
+        retires the span itself. Only an owner's own last free that read
+        the floating word before the marking and pushes after the test
+        leaves the span empty in the owner's set, until the owner's next
+        take of the class reuses it or its termination pools it: that
+        delays reclamation and loses no span."""
         sc = span.size_class
-        if not self.labs[owner_lab_ref(old_epoch)].put(sc, span, old_epoch) \
-                and (adopted := span.try_adopt(old_epoch, mine)):
-            stats.adopts += 1
-            old_epoch = adopted
-            lab.put(sc, span, old_epoch)
-        if self.eager_reclaim:
-            self._retire_empty(span, old_epoch, tid)
+        owner = (old_epoch & EPOCH_OWNER_FIELD) >> EPOCH_OWNER_SHIFT
+        word = self.labs[owner & OWNER_REF_MASK].mark(
+            sc, span, old_epoch, owner)
+        if word is None:
+            word = lab.mark(sc, span, old_epoch, mine)
+            if word:
+                stats.adopts += 1
+        if word and self.eager_reclaim:
+            self._retire_empty(span, word, tid)
 
     # -- termination --------------------------------------------------------
 
@@ -465,10 +465,12 @@ class Frontend:
         every hot span, then take every set entry in one critical
         section of the LAB latch and float each entry's span; spans with
         live blocks become orphans, adopted by the free that next marks
-        each reusable. A put reads the owner word and inserts under the
-        LAB latch, and the take runs under it after the store, so each
-        put lands before the take or is refused. Adoption follows a
-        marking, so no hot span changes owner meanwhile.
+        each reusable. A marking reads the owner word, replaces the
+        epoch word and makes its entry under the LAB latch, and the take
+        runs under it after the store, so each marking's entry lands
+        before the take, or the marking is refused with the span left
+        floating. Adoption is a marking, so no hot span changes owner
+        meanwhile.
 
         An empty span goes to the pool instead, under lazy reclamation
         too, since no slow path of this LAB is left to reclaim it: an

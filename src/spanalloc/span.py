@@ -22,7 +22,8 @@ arena slots are implicitly "expected" until their header is first
 written. Every successful transition is a single conditional replace
 of the epoch word, recorded in the ledger's trace when instrumented.
 The word holds the owner too, so one load is a consistent snapshot.
-Only free -> hot and adoption (reusable -> reusable) change the owner.
+Only free -> hot and an adopting marking (floating -> reusable into a
+live thread's set, when the owner terminated) change the owner.
 """
 
 import threading
@@ -58,7 +59,6 @@ LEGAL_EDGES = frozenset([
     (STATE_REUSABLE, STATE_HOT),
     (STATE_REUSABLE, STATE_FREE),
     (STATE_REUSABLE, STATE_FLOATING),   # thread termination
-    (STATE_REUSABLE, STATE_REUSABLE),   # adoption: the owner alone changes
 ])
 
 # Owner word: 16-bit generation above a 48-bit LAB reference.
@@ -263,20 +263,10 @@ class SpanHeader:
         return new
 
     def try_adopt(self, stamp, new_owner):
-        """Claim a span for `new_owner` while its epoch still reads
-        `stamp`, the word of the caller's own reusable marking: one
-        reusable -> reusable CAS that installs the new owner and bumps
-        the counter, its own rather than a try_transition call, so a
-        trace counts adoptions apart. The installed word, or False."""
-        new = (STATE_REUSABLE << EPOCH_STATE_SHIFT) \
-            | (new_owner << EPOCH_OWNER_SHIFT) \
-            | ((stamp + 1) & EPOCH_COUNTER_MASK)
-        if not self.epoch.compare_exchange(stamp, new):
-            return False
-        ledger = self.space.ledger
-        if ledger is not None:
-            ledger.trace.append((self.slot, stamp, new))
-        return new
+        """The adopting marking's replace, floating -> reusable from
+        `stamp` with `new_owner` installed; `LAB.mark` makes it through
+        `try_transition`, and per-layer tracing wraps this name."""
+        return self.try_transition(stamp, STATE_REUSABLE, new_owner)
 
     # -- test / debug helpers --------------------------------------------
 

@@ -215,7 +215,7 @@ def check_heap(allocator, live=None):
 def validate_transition_trace(allocator):
     """Check a recorded transition trace: legal edges only, strictly
     increasing per-span epoch counters, and an owner that only free ->
-    hot may set and only reusable -> reusable (adoption) must change."""
+    hot and floating -> reusable (an adopting marking) may change."""
     from spanalloc.span import LEGAL_EDGES
 
     assert allocator.ledger is not None, "allocator not instrumented"
@@ -229,11 +229,10 @@ def validate_transition_trace(allocator):
             edge = (epoch_state(old), epoch_state(new))
             assert edge in LEGAL_EDGES, f"illegal edge {edge} on span {slot}"
             assert epoch_counter(new) == epoch_counter(old) + 1
-            if edge != (STATE_FREE, STATE_HOT):
-                kept = epoch_owner(new) == epoch_owner(old)
-                assert kept != (edge == (STATE_REUSABLE, STATE_REUSABLE)), \
-                    f"owner {'kept' if kept else 'changed'} on {edge} " \
-                    f"of span {slot}"
+            if edge not in ((STATE_FREE, STATE_HOT),
+                            (STATE_FLOATING, STATE_REUSABLE)):
+                assert epoch_owner(new) == epoch_owner(old), \
+                    f"owner changed on {edge} of span {slot}"
             if prev_new is not None:
                 assert old == prev_new, f"gap in span {slot} transition chain"
             prev_new = new

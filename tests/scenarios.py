@@ -74,7 +74,7 @@ def terminate_race(**config):
 
 
 def send_round(w):
-    """LAB 1's body, 49 yield points (698 to 1,061 schedules at bound 2):
+    """LAB 1's body, 47 yield points (624 to 1,040 schedules at bound 2):
     it frees the span's last block, takes the span back from the pool,
     fills and floats it, and frees it down to reusable in its own set."""
     def body():
@@ -86,8 +86,8 @@ def send_round(w):
 
 
 def late_put():
-    """LAB 0's marking free, between its marking and its set put,
-    against the span's round through LAB 1."""
+    """LAB 0's marking free, between its count and its marking, against
+    the span's round through LAB 1."""
     w = floated()
     w.threads = [w.free(6), send_round(w)]
     return w
@@ -135,7 +135,7 @@ def marking_vs_termination_and_push():
     w = floated(K32, owner=1, labs=3)
     w.threads = [w.free(12), w.alloc.detach_thread, w.free(13)]
     w.after = [(0, w.malloc_again)]
-    w.bound = 1         # three racing threads: 3,100 schedules at 2
+    w.bound = 1         # three racing threads: 3,106 schedules at 2
     return w
 
 
@@ -175,7 +175,7 @@ def adoption_in_the_next_life():
 
     w.threads = [w.free(6), next_life, mark_again]
     w.after = [(2, w.malloc_again)]
-    # 74 yield points: 5,684 schedules at bound 2, though its recorded
+    # 71 yield points: 5,064 schedules at bound 2, though its recorded
     # schedule preempts twice
     w.bound = 1
     return w
@@ -273,12 +273,12 @@ def retired_by(*last_edges):
     return check
 
 
-def retired_once(counts, puts, *last_edges, stale=0):
-    """`retired_by`, with `puts` set puts, one remote free and one pool
-    put; LAB 0's set keeps `stale` entries of the class."""
+def retired_once(counts, marks, *last_edges, stale=0):
+    """`retired_by`, with `marks` calls of `LAB.mark`, one remote free
+    and one pool put; LAB 0's set keeps `stale` entries of the class."""
     def check(w):
         retired_by(*last_edges)(w)
-        assert counts == {"put": puts} \
+        assert counts == {"mark": marks} \
             and w.alloc.stats()["frees_remote"] == 1
         assert w.alloc.pool.puts.load() == 1
         assert len(w.alloc.frontend.labs[0].reusable[w.span.size_class]) \

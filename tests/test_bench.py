@@ -111,7 +111,7 @@ def test_ablate_flag_validation_and_effects():
         ablate(("bogus",))
     a = ablate(tuple(ABLATIONS), arena_bytes=SMALL_ARENA)
     assert not a.config.decommit_enabled
-    assert a.config.effective_pool_width() == 1
+    assert a.config.pool_width == 1
     assert not a.config.eager_reclaim
     b = ablate(("no_decommit",), arena_bytes=SMALL_ARENA, reuse_percent=70)
     assert b.config.reuse_percent == 70 and not b.config.decommit_enabled

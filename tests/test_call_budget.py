@@ -10,7 +10,9 @@ into the shared LAB's hot span, a local free into the caller's own
 floating span that leaves it below the reuse threshold, a local free
 into the caller's own reusable 64 B span that leaves it live, a remote
 free into a floating span below the threshold, a remote free into a
-live owner's hot span, and a marking free that adopts an orphaned span;
+live owner's hot span, and three marking frees: an own one into the
+caller's set, a remote one into a live owner's set, and one that adopts
+an orphaned span into the caller's set;
 of its malloc: a small malloc served from the hot span, in TLAB and in
 CLAB mode, a malloc that takes its span from the reusable set, a 1M
 malloc that takes a pooled span, one that takes a fresh arena slot,
@@ -304,29 +306,72 @@ def test_remote_free_into_a_live_owners_hot_span():
     assert alloc.stats()["frees_remote"] == 1
 
 
+def floated_128k_span_at_its_threshold(alloc):
+    """A 128K span of the caller's filled, floated and freed down to its
+    threshold (6 of 8 blocks); returns the span and its two live
+    blocks, the first one's page written."""
+    blocks = [alloc.malloc(128 * KB) for _ in range(8)]
+    alloc.malloc(128 * KB)               # floats the full span
+    for p in blocks[:6]:
+        alloc.free(p)
+    alloc.provider.write_word(blocks[6], 1)
+    span = alloc.space.span_of(blocks[0])
+    assert epoch_state(span.epoch.load()) == STATE_FLOATING
+    return span, blocks[6:]
+
+
+def test_own_marking_free_into_the_callers_set():
+    # A local push and one count take the caller's own floating span
+    # over the threshold: the marking's owner check, replace and set
+    # entry are one critical section of the caller's LAB latch, and one
+    # emptiness test from the marking's word follows.
+    alloc = make_allocator()
+    span, left = floated_128k_span_at_its_threshold(alloc)
+    assert_budget(calls_in(alloc.free, left[0]), 13)
+    assert epoch_state(span.epoch.load()) == STATE_REUSABLE
+    assert live_entry(alloc.frontend.labs[0], span)
+    assert alloc.stats()["adopts"] == 0
+
+
+def test_remote_marking_free_into_a_live_owners_set():
+    # The same marking from an attached thread's free: a push on the
+    # remote list and a second epoch load come first, and the marking
+    # enters the span in its live owner's set, not the caller's.
+    alloc = make_allocator()
+    span, left = floated_128k_span_at_its_threshold(alloc)
+    calls = []
+
+    def remote():
+        alloc.attach_thread()
+        calls.append(calls_in(alloc.free, left[0]))
+        alloc.detach_thread()
+
+    run_in_thread(remote)
+    assert len(calls) == 1
+    assert_budget(calls[0], 17)
+    assert epoch_state(span.epoch.load()) == STATE_REUSABLE
+    assert live_entry(alloc.frontend.labs[0], span)
+    assert alloc.stats()["adopts"] == 0
+
+
 def test_marking_free_that_adopts_an_orphan():
     # Another thread fills and floats a 128K span, frees it down to the
-    # threshold and detaches. The main thread's free marks the orphan;
-    # the dead owner's set refuses the put, and the free adopts the span
-    # with one conditional replace and puts it in its own set.
+    # threshold and detaches. The main thread's free marks the orphan:
+    # the dead owner's LAB refuses the marking with nothing changed, and
+    # the free marks the span into its own set with its own owner word,
+    # one replace from the floating word that adopts it.
     alloc = make_allocator()
     alloc.attach_thread()                # LAB 0
     left = []
 
     def producer():
-        blocks = [alloc.malloc(128 * KB) for _ in range(8)]
-        alloc.malloc(128 * KB)           # floats the full span
-        for p in blocks[:6]:             # down to the threshold
-            alloc.free(p)
+        left.extend(floated_128k_span_at_its_threshold(alloc)[1])
         alloc.detach_thread()            # orphans the span
-        left.extend(blocks[6:])
 
     run_in_thread(producer)
-    p = left[0]
-    alloc.provider.write_word(p, 1)
-    span = alloc.space.span_of(p)
+    span = alloc.space.span_of(left[0])
     assert epoch_state(span.epoch.load()) == STATE_FLOATING
-    assert_budget(calls_in(alloc.free, p), 23)
+    assert_budget(calls_in(alloc.free, left[0]), 19)
     assert epoch_state(span.epoch.load()) == STATE_REUSABLE
     assert live_entry(alloc.frontend.labs[0], span)
     assert alloc.stats()["adopts"] == 1

@@ -304,32 +304,36 @@ def test_thread_termination_orphans_adopted_and_reclaimed(alloc):
     check_heap(alloc)
 
 
-def make_reusable(span, owner):
-    """Walk a fresh span to the reusable state via legal transitions,
-    taking it hot for `owner`."""
+def make_floating(span, owner):
+    """Walk a span from free to floating via legal transitions, taking
+    it hot for `owner`; returns the float's word."""
     assert span.try_transition(span.epoch.load(), STATE_HOT, owner)
-    for target in (STATE_FLOATING, STATE_REUSABLE):
-        assert span.try_transition(span.epoch.load(), target)
+    return span.try_transition(span.epoch.load(), STATE_FLOATING)
+
 
 def test_generation_gating_after_lab_reuse(alloc):
     lab = LAB(0, latched=False)
     span = alloc.space.header_for_base(alloc.arena.acquire_virtual_span())
     span.init_for_class(C64)
     lab.activate()                         # generation 1
-    make_reusable(span, lab.owner_word.load())
-    stamp = span.epoch.load()
-    assert lab.put(C64, span, stamp)
+    word1 = lab.owner_word.load()
+    stamp = lab.mark(C64, span, make_floating(span, word1), word1)
+    assert epoch_state(stamp) == STATE_REUSABLE \
+        and epoch_owner(stamp) == word1
     assert lab.take(C64) == (span, stamp)
+    floating = span.try_transition(stamp, STATE_FLOATING)
     lab.owner_word.store(TERMINATED)
-    assert not lab.put(C64, span, stamp)   # closed: LAB terminated
+    # Closed: LAB terminated. A refused marking changes nothing.
+    assert lab.mark(C64, span, floating, word1) is None
+    assert span.epoch.load() == floating
     lab.activate()                         # LAB reused, new generation
     word2 = lab.owner_word.load()
     assert word2 == pack_owner(2, 0)
-    assert not lab.put(C64, span, stamp)   # stale generation rejected
-    adopted = span.try_adopt(stamp, word2)  # re-marked for the new one
-    assert adopted and epoch_owner(adopted) == word2
-    assert not lab.put(C64, span, stamp)   # the old stamp is stale now
-    assert lab.put(C64, span, adopted)
+    assert lab.mark(C64, span, floating, word1) is None     # stale generation
+    assert span.epoch.load() == floating and lab.take(C64) is None
+    adopted = lab.mark(C64, span, floating, word2)  # the adopting marking
+    assert adopted == span.epoch.load() and epoch_owner(adopted) == word2
+    assert lab.mark(C64, span, floating, word2) is False    # word moved on
     assert lab.take(C64) == (span, adopted)
     assert lab.take(C64) is None
 
@@ -342,31 +346,31 @@ def test_reusable_set_take_order_and_stale_entries(alloc):
     for i in range(3):
         sp = alloc.space.header_for_base(alloc.arena.acquire_virtual_span())
         sp.init_for_class(C64)
-        make_reusable(sp, word)
         spans.append(sp)
-    stamps = [sp.epoch.load() for sp in spans]
-    for sp, stamp in zip(spans, stamps):
-        assert lab.put(C64, sp, stamp)
+    floats = [make_floating(sp, word) for sp in spans]
+    stamps = [lab.mark(C64, sp, f, word) for sp, f in zip(spans, floats)]
+    assert all(stamps)
     assert len(stamps_of) == 3 and all(live_entry(lab, sp) for sp in spans)
-    # A stamp the span's epoch has moved past is refused.
-    assert not lab.put(C64, spans[0], stamps[0] - 1)
+    # A marking from a word the span's epoch has moved past fails its
+    # replace and makes no entry; the live one stays in place.
+    assert lab.mark(C64, spans[0], floats[0], word) is False
+    assert list(stamps_of.items()) == list(zip(spans, stamps))
     # Span 1 moves on (reusable -> free): its entry stays, stale, in
     # place. len() counts it, `live_entry` does not.
     assert spans[1].try_transition(stamps[1], STATE_FREE)
     assert len(stamps_of) == 3 and not live_entry(lab, spans[1])
-    # Back through hot and floating to reusable: the new marking's
-    # entry replaces the stale one at the back, as a fresh put would.
-    make_reusable(spans[1], word)
-    renewed = spans[1].epoch.load()
-    assert lab.put(C64, spans[1], renewed)
+    # Back through hot and floating: the new marking's entry replaces
+    # the stale one at the back.
+    renewed = lab.mark(C64, spans[1], make_floating(spans[1], word), word)
     assert len(stamps_of) == 3 and live_entry(lab, spans[1])
     assert [lab.take(C64) for _ in range(3)] == [
         (spans[0], stamps[0]), (spans[2], stamps[2]), (spans[1], renewed)]
     assert lab.take(C64) is None and len(stamps_of) == 0
     # take_all empties every set in one go, each in take order.
-    assert lab.put(C64, spans[2], stamps[2])
-    assert lab.put(C64, spans[0], stamps[0])
-    assert lab.take_all() == [(spans[2], stamps[2]), (spans[0], stamps[0])]
+    again = [lab.mark(C64, spans[i],
+                      spans[i].try_transition(stamps[i], STATE_FLOATING),
+                      word) for i in (2, 0)]
+    assert lab.take_all() == [(spans[2], again[0]), (spans[0], again[1])]
     assert lab.take(C64) is None
 
 
@@ -481,22 +485,24 @@ def test_clab_contention_stress_conserves_blocks():
 
 
 def test_set_put_rejects_span_no_longer_reusable():
-    # LAB 0's marking free waits before its put while the last free
-    # retires the span. The late put must be refused, and so must a put
-    # of that stamp once the pooled span is hot again.
+    # LAB 0's marking free holds its set's latch and waits before its
+    # replace while the last free retires the span. The late marking
+    # must make no entry, and so must a marking from that floating word
+    # once the pooled span is hot again.
     def check(w):
-        scenarios.retired_by((STATE_FLOATING, STATE_REUSABLE),
-                             (STATE_REUSABLE, STATE_FREE))(w)
+        scenarios.retired_by((STATE_HOT, STATE_FLOATING),
+                             (STATE_FLOATING, STATE_FREE))(w)
         lab, sc = w.alloc.frontend.labs[0], w.span.size_class
         assert len(lab.reusable[sc]) == 0
-        stamp = [new for slot, _, new in w.alloc.ledger.trace
-                 if slot == w.span.slot][-2]
+        floating = [new for slot, _, new in w.alloc.ledger.trace
+                    if slot == w.span.slot][-2]
         got = w.alloc.pool.get(sc, 0)
         assert got is w.span
         got.init_for_class(sc)
-        assert got.try_transition(got.epoch.load(), STATE_HOT,
-                                  lab.owner_word.load())
-        assert not lab.put(sc, got, stamp)
+        owner = lab.owner_word.load()
+        assert got.try_transition(got.epoch.load(), STATE_HOT, owner)
+        assert lab.mark(sc, got, floating, owner) is False
+        assert len(lab.reusable[sc]) == 0
     replay(scenarios.retire_race, [0] * 5 + [1], check)
 
 
@@ -595,14 +601,14 @@ def test_settle_runs_only_when_state_can_change(alloc, monkeypatch):
 # -- retirement: a free that marks and empties a span skips the set -----------
 
 def count_set_ops(monkeypatch):
-    """Patch LAB.put to count its calls; returns the counts."""
-    counts, real = {"put": 0}, LAB.put
+    """Patch LAB.mark to count its calls; returns the counts."""
+    counts, real = {"mark": 0}, LAB.mark
 
-    def put(lab, *args):
-        counts["put"] += 1
+    def mark(lab, *args):
+        counts["mark"] += 1
         return real(lab, *args)
 
-    monkeypatch.setattr(LAB, "put", put)
+    monkeypatch.setattr(LAB, "mark", mark)
     return counts
 
 
@@ -625,7 +631,7 @@ def test_marking_free_that_empties_skips_the_set(size, remote, monkeypatch):
         assert alloc.stats()["frees_remote"] == 1
     else:
         alloc.free(blocks[-1])
-    assert counts == {"put": 0}
+    assert counts == {"mark": 0}
     assert alloc.pool.puts.load() == puts_before + 1
     assert state_of(span) == STATE_FREE and not in_a_set(alloc, span)
     assert len(alloc.frontend.labs[0].reusable[span.size_class]) == 0
@@ -640,7 +646,7 @@ def test_lazy_marking_free_that_empties_stays_in_the_set(monkeypatch):
     span, blocks, extra = floated_span(alloc, 1 << 20)
     counts = count_set_ops(monkeypatch)
     alloc.free(blocks[0])
-    assert counts == {"put": 1}
+    assert counts == {"mark": 1}
     assert alloc.pool.puts.load() == 0
     assert state_of(span) == STATE_REUSABLE
     assert live_entry(alloc.frontend.labs[0], span)
@@ -654,10 +660,10 @@ def test_crossing_then_emptying_uses_the_set(monkeypatch):
         alloc.free(b)
     counts = count_set_ops(monkeypatch)
     alloc.free(blocks[6])
-    assert counts == {"put": 1}
+    assert counts == {"mark": 1}
     assert state_of(span) == STATE_REUSABLE and in_a_set(alloc, span)
     alloc.free(blocks[7])
-    assert counts == {"put": 1}
+    assert counts == {"mark": 1}
     assert alloc.pool.puts.load() == 1
     assert state_of(span) == STATE_FREE and not in_a_set(alloc, span)
     # Its entry stays behind, stale, until the owner's take skips it.
@@ -828,16 +834,17 @@ def test_adopting_free_that_marks_puts_in_adopters_set():
 # scenarios.py (test_races.py explores each one) with their end checks ----
 
 def test_last_free_retires_before_the_crossing_free_marks(monkeypatch):
-    # The crossing free waits at its marking while the last free retires.
+    # The crossing free waits at its marking's latch while the last free
+    # retires; its one `mark` call then fails the replace.
     replay(scenarios.retire_race, [0, 0, 0, 1], scenarios.retired_once(
-        count_set_ops(monkeypatch), 0,
+        count_set_ops(monkeypatch), 1,
         (STATE_HOT, STATE_FLOATING), (STATE_FLOATING, STATE_FREE)))
 
 
 def test_crossing_free_marks_before_the_last_free_retires(monkeypatch):
     # The crossing free waits at its marking while the last free pushes
-    # and reads the floating word again. The crossing free then marks,
-    # puts the span in LAB 0's set and, testing after the put, retires
+    # and reads the floating word again. The crossing free then marks
+    # the span into LAB 0's set and, testing after the marking, retires
     # it, which leaves that entry stale; the last free's retire from the
     # floating word fails.
     replay(scenarios.retire_race, [0] * 3 + [1] * 5 + [0],
@@ -848,18 +855,20 @@ def test_crossing_free_marks_before_the_last_free_retires(monkeypatch):
 
 
 def test_marking_free_loses_retirement_to_racing_last_free(monkeypatch):
-    # Between the marking and its put, the last free pushes, reads the
-    # marking's word and retires the span from it: the put is refused.
-    replay(scenarios.retire_race, [0] * 4 + [1], scenarios.retired_once(
+    # Between the marking and its emptiness test, the last free pushes,
+    # reads the marking's word and retires the span from it: the
+    # marking's entry is left stale and its own retire fails.
+    replay(scenarios.retire_race, [0] * 6 + [1], scenarios.retired_once(
         count_set_ops(monkeypatch), 1,
-        (STATE_FLOATING, STATE_REUSABLE), (STATE_REUSABLE, STATE_FREE)))
+        (STATE_FLOATING, STATE_REUSABLE), (STATE_REUSABLE, STATE_FREE),
+        stale=1))
 
 
 def test_marking_free_retires_the_span_its_owners_last_free_emptied():
     # LAB 1's own last free reads the floating word and pushes after
     # LAB 0's free counted and before it marks: the owner's retire from
     # the floating word fails, and only the marking free's emptiness
-    # test after its put can retire the span.
+    # test after its marking can retire the span.
     replay(scenarios.marking_vs_own_last_free, [0] * 6 + [1] * 2 + [0],
            scenarios.retired_by((STATE_FLOATING, STATE_REUSABLE),
                                 (STATE_REUSABLE, STATE_FREE)))
@@ -873,7 +882,8 @@ def test_terminate_races_last_free_single_winner():
 
 
 def test_late_set_put_is_refused_after_the_span_went_round():
-    # LAB 0's marking free waits before its put.
+    # LAB 0's marking free holds its set's latch and waits before its
+    # replace, which then fails: no entry is made.
     replay(scenarios.late_put, [0] * 5 + [1], scenarios.went_round)
 
 
@@ -888,7 +898,8 @@ def test_lab_termination_skips_a_span_that_went_round():
 
 
 def test_refused_set_put_is_adopted_by_the_freeing_thread():
-    # LAB 1 terminates while LAB 0's marking free waits before its put.
+    # LAB 1 terminates up to its take while LAB 0's marking holds LAB
+    # 1's latch; the marking then reads TERMINATED and is refused.
     replay(scenarios.marking_vs_termination, [0] * 7 + [1],
            scenarios.adopted_into(0, terminated=1))
 
@@ -901,10 +912,13 @@ def test_marking_during_termination_is_adopted_by_the_freeing_thread():
 
 
 def test_only_the_marking_free_adopts_a_refused_span():
-    # While LAB 0 waits before its put, LAB 1 terminates and LAB 2 frees
-    # another block: a plain push, which adopts nothing.
+    # While LAB 0's marking holds LAB 1's latch, LAB 1 terminates up to
+    # its take and LAB 2's free of another block crosses the threshold
+    # too and waits for that latch. LAB 0's marking is refused and
+    # adopts the span; LAB 2's, refused in turn, fails its replace and
+    # adopts nothing.
     replay(scenarios.marking_vs_termination_and_push,
-           [0] * 7 + [1] * 7 + [2], scenarios.adopted_into(0))
+           [0] * 7 + [1] * 6 + [2], scenarios.adopted_into(0))
 
 
 def test_marking_free_reads_its_owner_after_its_epoch():
@@ -914,22 +928,25 @@ def test_marking_free_reads_its_owner_after_its_epoch():
 
 
 def test_late_adoption_leaves_the_spans_next_life_alone():
-    # LAB 0 waits before its put while the span lives again in LAB 1
-    # under the same owner word and LAB 2 marks it and waits before its
-    # own put. LAB 0's adoption from its stale stamp fails; LAB 2's wins.
+    # LAB 0 waits before its marking while the span lives again in LAB 1
+    # under the same owner word and LAB 1 terminates; LAB 2's marking is
+    # refused and waits before its adopting one. LAB 0's marking is
+    # refused too, and its adopting one, from its stale floating word,
+    # fails; LAB 2's wins.
     replay(scenarios.adoption_in_the_next_life,
-           [0] * 7 + [1] * 25 + [2] * 31 + [0], scenarios.adopted_into(2))
+           [0] * 6 + [1] * 26 + [2] * 38 + [0], scenarios.adopted_into(2))
 
 
 def test_last_free_that_read_the_marking_retires_the_adopted_span():
-    # LAB 2's last free reads the marking's word and waits before its
-    # push until LAB 0 has adopted the span and tested it live. Read
-    # again after the push, the epoch is the adoption's word, so that
-    # free retires the span, and LAB 0's next malloc of the class takes
-    # it back from the pool.
+    # LAB 2's last free reads the floating word while LAB 0 holds its own
+    # latch for the adopting marking, and waits before its push until
+    # LAB 0 has adopted the span and tested it live. Read again after
+    # the push, the epoch is the adoption's word, so that free retires
+    # the span, and LAB 0's next malloc of the class takes it back from
+    # the pool.
     def check(w):
         assert span_edges(w.alloc, w.span)[-3:] == [
-            (STATE_REUSABLE, STATE_REUSABLE), (STATE_REUSABLE, STATE_FREE),
+            (STATE_FLOATING, STATE_REUSABLE), (STATE_REUSABLE, STATE_FREE),
             (STATE_FREE, STATE_HOT)]
         assert state_of(w.span) == STATE_HOT and w.empty
         assert w.alloc.frontend.labs[0].hot_spans[w.span.size_class] \

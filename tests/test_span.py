@@ -33,13 +33,12 @@ def fresh_span(space, arena, size=64):
     return span
 
 
-def reusable_span(space, arena):
-    """A fresh span taken hot by OWNER, floated and marked reusable;
-    returns it and its marking's word."""
+def floating_span(space, arena):
+    """A fresh span taken hot by OWNER and floated; returns it and its
+    float's word."""
     span = fresh_span(space, arena)
     assert span.try_transition(span.epoch.load(), STATE_HOT, OWNER)
-    assert span.try_transition(span.epoch.load(), STATE_FLOATING)
-    stamp = span.try_transition(span.epoch.load(), STATE_REUSABLE)
+    stamp = span.try_transition(span.epoch.load(), STATE_FLOATING)
     assert stamp == span.epoch.load() and epoch_owner(stamp) == OWNER
     return span, stamp
 
@@ -233,9 +232,24 @@ def test_illegal_edge_asserts():
     assert space.ledger.trace == []
 
 
+def test_reusable_to_reusable_asserts():
+    # An owner changes on free -> hot and on an adopting marking from
+    # the floating word, never on a span already reusable.
+    space, provider, arena = make_space(ledger=FragLedger())
+    span, floating = floating_span(space, arena)
+    reusable = span.try_transition(floating, STATE_REUSABLE)
+    trace = list(space.ledger.trace)
+    for owner in (None, OTHER):
+        with pytest.raises(AssertionError, match="reusable -> reusable"):
+            span.try_transition(reusable, STATE_REUSABLE, owner)
+    with pytest.raises(AssertionError, match="reusable -> reusable"):
+        span.try_adopt(reusable, OTHER)
+    assert span.epoch.load() == reusable and space.ledger.trace == trace
+
+
 def test_adopt_single_winner():
     space, provider, arena = make_space()
-    span, stamp = reusable_span(space, arena)
+    span, stamp = floating_span(space, arena)
     results = []
     barrier = threading.Barrier(2, timeout=BARRIER_TIMEOUT)
 
@@ -258,17 +272,17 @@ def test_adopt_fails_once_the_epoch_moved_past_the_stamp():
     # The owner word alone recurs: the span's next life may have the
     # same owner, but not the same epoch.
     space, provider, arena = make_space()
-    span, stamp = reusable_span(space, arena)
+    span, stamp = floating_span(space, arena)
     free = span.try_transition(stamp, STATE_FREE)
     hot = span.try_transition(free, STATE_HOT, OWNER)   # the owner recurs
-    floating = span.try_transition(hot, STATE_FLOATING)
-    again = span.try_transition(floating, STATE_REUSABLE)
-    assert epoch_state(again) == STATE_REUSABLE and again != stamp
+    again = span.try_transition(hot, STATE_FLOATING)
+    assert epoch_state(again) == STATE_FLOATING and again != stamp
     assert epoch_owner(again) == epoch_owner(stamp) == OWNER
     assert not span.try_adopt(stamp, OTHER)
     assert span.epoch.load() == again
     adopted = span.try_adopt(again, OTHER)
     assert adopted == span.epoch.load() and epoch_owner(adopted) == OTHER
+    assert epoch_state(adopted) == STATE_REUSABLE
 
 
 def test_reinit_same_real_span_is_header_rewrite():
