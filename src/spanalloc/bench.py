@@ -47,13 +47,6 @@ from .config import AllocatorConfig
 from .size_classes import TABLE
 from .traces import WORKLOADS, make_trace, replay, results
 
-# Each ablation flag and the AllocatorConfig fields it sets.
-ABLATIONS = {
-    "no_decommit": {"decommit_enabled": False},
-    "pool_width_1": {"pool_width": 1},
-    "lazy_reclaim": {"eager_reclaim": False},
-}
-
 _RSS_SAMPLE_PERIOD = 0.010
 
 
@@ -108,21 +101,6 @@ class RunReport:
     stats: dict                     # Allocator.stats() after the run
     stacks: list                    # SpanPool.stack_counters() rows
     extra: dict = field(default_factory=dict)   # workload-specific results
-
-
-def ablate(flags=(), **overrides):
-    """Allocator configured with the named ablations applied.
-
-    no_decommit disables the pooled-span decommit, pool_width_1 funnels
-    every thread onto one stack per real-span size, lazy_reclaim defers
-    empty-span returns to the next slow-path allocation.
-    """
-    unknown = set(flags) - set(ABLATIONS)
-    if unknown:
-        raise ValueError(f"unknown ablation flags: {sorted(unknown)}")
-    for flag in flags:
-        overrides.update(ABLATIONS[flag])
-    return Allocator(**overrides)
 
 
 # -- runs -----------------------------------------------------------------------
@@ -215,16 +193,23 @@ def build_arg_parser():
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", type=str, default=None, metavar="PATH",
                         help="append the run's record as one JSON line")
-    parser.add_argument("--ablate", type=str, default="",
-                        help="comma list of " + ",".join(ABLATIONS))
     # Allocator flags default to None: an omitted flag leaves its field
     # to the library default.
     parser.add_argument("--provider", choices=("os", "sim"), default=None)
-    parser.add_argument("--pool-width", type=int, default=None)
+    parser.add_argument("--pool-width", type=int, default=None,
+                        help="1 funnels every thread onto one stack per "
+                        "real-span size")
     parser.add_argument("--reuse-threshold", dest="reuse_percent", type=int,
                         default=None, metavar="PCT")
     parser.add_argument("--arena-bytes", type=int, default=None)
     parser.add_argument("--lab-mode", choices=("tlab", "clab"), default=None)
+    parser.add_argument("--no-decommit", dest="decommit_enabled",
+                        action="store_const", const=False, default=None,
+                        help="keep pooled spans committed")
+    parser.add_argument("--lazy-reclaim", dest="eager_reclaim",
+                        action="store_const", const=False, default=None,
+                        help="return empty spans from the next slow-path "
+                        "allocation, not from the free that empties them")
     parser.add_argument("--no-touch", dest="touch_objects",
                         action="store_false", help="skip writing into objects")
     parser.add_argument("--instrument", action="store_true",
@@ -244,11 +229,10 @@ def main(argv=None):
     values = vars(args)
     overrides = {f.name: values[f.name] for f in fields(AllocatorConfig)
                  if values.get(f.name) is not None}
-    flags = tuple(f for f in args.ablate.split(",") if f)
     try:
         config = WorkloadConfig(
             **{f.name: values[f.name] for f in fields(WorkloadConfig)})
-        allocator = ablate(flags, **overrides)
+        allocator = Allocator(**overrides)
     except ValueError as exc:
         parser.error(str(exc))          # exits with status 2
     report = run(config, allocator)

@@ -1,8 +1,7 @@
 """Allocator configuration.
 
 Every tunable is an `AllocatorConfig` field; the library, the tests and
-the bench CLI (through its flags and `--ablate`) all set the same
-fields.
+the bench CLI (through one flag per field) all set the same fields.
 """
 
 import os
@@ -39,7 +38,7 @@ class AllocatorConfig:
     # its blocks are free.
     reuse_percent: int = 80
     lab_mode: str = TLAB
-    # Ablation toggles (see bench.ablate).
+    # Ablation toggles (the bench CLI's --no-decommit, --lazy-reclaim).
     decommit_enabled: bool = True
     eager_reclaim: bool = True
     # Test-build instrumentation: one FragLedger (fragmentation total,

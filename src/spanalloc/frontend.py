@@ -37,15 +37,17 @@ from its word and pools it in that same call (so a span that crosses
 the reuse threshold and empties in one free never enters a set), and a
 floating span above the threshold gets the floating -> reusable
 marking, which makes its set entry in the same critical section of the
-owner LAB's latch. Every thread that moves the word (the malloc that
-floats an exhausted hot span, the marking free, termination after each
-float) ends with one emptiness test from the word it installed,
-`_retire_empty`. So between a last push and a move of the word, one of
-the two threads sees both, and one conditional replace picks one
-retirement; a loser never retries. A span changes owner only when it
-is taken hot from the pool and when the owner's set refuses a marking
-because the owner terminated: then the marking itself, one
-floating -> reusable replace into the caller's set, adopts the span.
+owner LAB's latch. Every thread that moves the word ends with one count
+from the word it installed: the malloc that floats an exhausted hot
+span settles it as a free would (a push since its drain test read the
+hot word and did nothing), and the marking free and termination after
+each float test for emptiness, `_retire_empty`. So between a last push
+and a move of the word, one of the two threads sees both, and one
+conditional replace picks one retirement; a loser never retries. A
+span changes owner only when it is taken hot from the pool and when
+the owner's set refuses a marking because the owner terminated: then
+the marking itself, one floating -> reusable replace into the
+caller's set, adopts the span.
 """
 
 import itertools
@@ -55,7 +57,7 @@ from collections import OrderedDict
 
 from . import atomic
 from .atomic import AtomicWord
-from .config import CLAB, CPU_COUNT, SPAN_SHIFT, TLAB
+from .config import CPU_COUNT, SPAN_SHIFT, TLAB
 from .errors import WildFree
 from .size_classes import NUM_CLASSES
 from .span import (
@@ -291,8 +293,14 @@ class Frontend:
         taken with `acquire()` and released in `finally`, on every exit
         (see `atomic.py`). The hot span serves the block; one that runs
         dry drains its remote list if enough blocks accumulated, and
-        otherwise goes floating, is retired if a remote push emptied it
-        after the drain test, and `_get_span` fetches a replacement.
+        otherwise goes floating and `_get_span` fetches a replacement.
+
+        A remote push between the drain test and the float reads a hot
+        word and leaves the span to its owner, so the float settles it
+        as that free would have, from one count after the float: an
+        empty span retires (under lazy reclamation too, as no slow path
+        would find it), and one over the reuse threshold goes to the
+        marking, `_settle`, into this LAB's set.
         """
         try:
             lab, tid, stats, mine, _ = self._tls.attached
@@ -321,11 +329,18 @@ class Frontend:
                 if hot.drain_remotes() > 0:
                     stats.drains += 1
                     continue
-                # Exhausted and not worth draining: float it and refetch.
+                # Exhausted and not worth draining: float it, settle it
+                # from one count of its remote blocks (its only free
+                # ones), as a free would, and refetch.
                 took = hot.try_transition(hot.epoch.load(), STATE_FLOATING)
                 assert took, "hot spans are only transitioned by their owner"
                 lab.hot_spans[sc] = None
-                self._retire_empty(hot, took, tid)
+                free = hot.remote.load() >> REMOTE_COUNT_SHIFT
+                if free == hot.blocks_per_span:
+                    if hot.try_transition(took, STATE_FREE):
+                        self.pool.put(hot, tid)
+                elif free > hot.reuse_threshold_blocks:
+                    self._settle(hot, took, lab, tid, stats, mine)
                 hot = None
         finally:
             if latches is not None:
@@ -425,8 +440,9 @@ class Frontend:
 
     def _settle(self, span, old_epoch, lab, tid, stats, mine):
         """The marking of a span whose floating epoch word the calling
-        free read as `old_epoch`, and which its push took over the reuse
-        threshold short of empty: `LAB.mark` in its owner's LAB, then,
+        free read as `old_epoch` (or the calling float installed), and
+        which a push took over the reuse threshold short of empty:
+        `LAB.mark` in its owner's LAB, then,
         under eager reclamation, one emptiness test from the word the
         marking installed.
 

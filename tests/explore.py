@@ -1,14 +1,22 @@
 """A stateless schedule explorer, in the style of CHESS (Musuvathi et al.,
-OSDI 2008): a scenario runs from scratch once per schedule that preempts
-a running thread at most `bound` times, and its oracle runs after each.
-Each logical thread is a real thread that runs only while it holds its
-baton, a lock used as a binary semaphore. Every
+OSDI 2008): a scenario runs from scratch once per schedule, and its
+oracle runs after each. Each logical thread is a real thread that runs
+only while it holds its baton, a lock used as a binary semaphore. Every
 `AtomicWord` method call and every acquire of a latch built through
 `atomic.Latch` is a yield point, where the next thread to go on is
 picked; a thread paused at the acquire of a held latch cannot be. A
 schedule is the list of picks; past its end the running thread goes on
-while it can, then the lowest id that can. A failing run's error spells
-its schedule as a list expression for `replay`.
+while it can, then the lowest id that can.
+
+Two entry points pick the schedules. `explore` runs every one that
+preempts a running thread at most `bound` times. `sample` runs one seeded
+schedule per seed, for scenarios too long to enumerate: at each yield
+point, with probability `SWITCH`, the pick is random among the threads
+that can go on, and otherwise it is the default. This is a coin per
+yield point, not PCT's few priority-change points (Burckhardt et al.,
+ASPLOS 2010): a churn meets each racy window many times over. A failing
+run's error spells its schedule as a list expression for `replay`,
+and a failing sample names its seed too.
 
 `build()` returns a `Scenario`: `threads`, the raced bodies (None for a
 thread with steps only); `steps` and `after`, (thread id, callable)
@@ -17,6 +25,7 @@ pairs run in order, with no yield point, before and after the race;
 """
 
 import itertools
+import random
 import threading
 from types import SimpleNamespace as Scenario
 
@@ -25,6 +34,7 @@ from spanalloc import atomic
 from spanalloc.atomic import AtomicWord
 
 BOUND = 2
+SWITCH = 0.1        # a sampled pick's chance of being random
 _OPS = ("load", "store", "compare_exchange", "exchange", "fetch_add")
 
 
@@ -56,10 +66,11 @@ class Latch:
 
 
 class Run:
-    """One execution of a scenario under a schedule `prefix`."""
+    """One execution of a scenario under a schedule `prefix`, and past
+    it the default or, with `rng`, a seeded pick."""
 
-    def __init__(self, prefix):
-        self.prefix = prefix
+    def __init__(self, prefix, rng=None):
+        self.prefix, self.rng = prefix, rng
         self.picks, self.options, self.errors = [], [], []
         self.tids = {}          # thread ident -> logical id, while running
         self.current, self.preemptions = None, 0
@@ -84,7 +95,9 @@ class Run:
     def pick(self):
         """The next thread to go on, or None; `options` records the
         threads that could, the running one if it could, the preemptions
-        so far and the pick past the schedule's end."""
+        so far and the default pick past the schedule's end, which a
+        seeded pick leaves as it is, so `schedule` spells what `replay`
+        follows."""
         enabled = [t for t, done in enumerate(self.done) if not done
                    and not (self.pending[t] and self.pending[t].held)]
         if not enabled:
@@ -94,7 +107,12 @@ class Run:
         cur = self.current if self.current in enabled else None
         default = enabled[0] if cur is None else cur
         i = len(self.picks)
-        nxt = self.prefix[i] if i < len(self.prefix) else default
+        if i < len(self.prefix):
+            nxt = self.prefix[i]
+        elif self.rng is not None and self.rng.random() < SWITCH:
+            nxt = self.rng.choice(enabled)
+        else:
+            nxt = default
         assert nxt in enabled, f"step {i}: thread {nxt} cannot run"
         self.options.append((enabled, cur, self.preemptions, default))
         self.preemptions += cur is not None and nxt != cur
@@ -190,10 +208,11 @@ class Run:
                           for t, n in runs) or "[]"
 
 
-def execute(build, prefix, then=None):
-    """Build and run a scenario under `prefix`; its `check` and `then` see
-    it before the Thread objects (and what they left attached) go."""
-    run = Run(prefix)
+def execute(build, prefix, then=None, rng=None):
+    """Build and run a scenario under `prefix`, then picks from `rng`;
+    its `check` and `then` see it before the Thread objects (and what
+    they left attached) go."""
+    run = Run(prefix, rng)
     saved = {name: getattr(AtomicWord, name) for name in _OPS}
 
     def yielding(real):
@@ -230,6 +249,21 @@ def execute(build, prefix, then=None):
 def replay(build, schedule, then=None):
     """Run one schedule; `then(scenario)` runs after its oracle."""
     execute(build, list(schedule), then)
+
+
+def sample(build, seeds, then=None):
+    """Run `build(seed)`'s scenario once per seed, its picks drawn from
+    `random.Random(seed)`; `then(scenario)` runs after each oracle. A
+    failure names the seed; `replay(partial(build, seed), schedule)`
+    reproduces it. Returns how many runs there were."""
+    runs = 0
+    for seed in seeds:
+        try:
+            execute(lambda: build(seed), [], then, random.Random(seed))
+        except AssertionError as exc:
+            raise AssertionError(f"seed {seed}: {exc}") from exc.__cause__
+        runs += 1
+    return runs
 
 
 def explore(build):

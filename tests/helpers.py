@@ -275,36 +275,6 @@ def run_in_thread(fn, *args):
     return out.get("result")
 
 
-def run_parked(allocator, threads_n, work):
-    """Run `work(i, park)` on threads i < `threads_n` through `run_threads`,
-    each attached to `allocator` until it ends. `park()` waits for every
-    worker, has worker 0 take the census's broken entries while the rest
-    wait, then lets all go on. Fails with the first error or broken
-    entry."""
-    parked = threading.Barrier(threads_n, timeout=60)
-    errors = []
-
-    def park(i):
-        parked.wait()
-        if i == 0:
-            errors.extend(census(allocator).bad)
-        parked.wait()
-
-    def body(i):
-        allocator.attach_thread()
-        try:
-            work(i, lambda: park(i))
-        except Exception as exc:
-            errors.append(exc)
-            parked.abort()
-        finally:
-            allocator.detach_thread()
-
-    run_threads([threading.Thread(target=body, args=(i,))
-                 for i in range(threads_n)])
-    assert not errors, errors
-
-
 def in_threads(work, threads_n):
     """Run `work(i)` in threads i = 0 .. threads_n - 1, switching every
     microsecond, and restore the switch interval afterwards; returns the

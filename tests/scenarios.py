@@ -12,6 +12,8 @@ racing thread with tens of yield points makes thousands of schedules
 at bound 2.
 """
 
+import random
+
 from explore import Scenario
 from helpers import check_heap, floated_span, make_allocator, pooled_slots
 from spanalloc.size_classes import class_for_size
@@ -21,6 +23,10 @@ from spanalloc.span import (
 from spanalloc.span_pool import TaggedStack
 
 K128, K32 = 1 << 17, 1 << 15
+# `inbox_churn`'s size mixes: classes of many blocks per span, and
+# spans of 1 to 16 blocks, where a marking free and a last free meet.
+SMALL_SIZES = (16, 64, 256, 512)
+LARGE_SIZES = (1 << 14, K128, 1 << 18, 1 << 19, 1 << 20)
 
 
 def floated(size=K128, owner=0, labs=2, freed=None, orphan=False,
@@ -198,6 +204,76 @@ def hot_snapshot(**config):
     w.steps = [(0, lambda: setattr(w, "block", alloc.malloc(1 << 20))),
                (1, alloc.attach_thread)]
     w.threads = [lambda: alloc.malloc(1 << 20), lambda: alloc.free(w.block)]
+    return w
+
+
+def float_vs_crossing_push():
+    """LAB 0's malloc that floats its exhausted hot 128K span, against
+    LAB 1's free of a seventh block, which takes the span over the reuse
+    threshold: a push between the drain test and the float reads a hot
+    word, so the float must settle the span."""
+    alloc = make_allocator(instrument=True)
+    w = Scenario(alloc=alloc, check=lambda w: check_heap(alloc))
+
+    def fill():
+        w.blocks = [alloc.malloc(K128) for _ in range(8)]
+        w.span = alloc.space.span_of(w.blocks[0])
+
+    def free_six():
+        for p in w.blocks[:6]:
+            alloc.free(p)
+
+    w.steps = [(0, alloc.attach_thread), (1, alloc.attach_thread),
+               (0, fill), (1, free_six)]
+    w.threads = [lambda: setattr(w, "got", alloc.malloc(K128)),
+                 lambda: alloc.free(w.blocks[6])]
+    return w
+
+
+def inbox_churn(threads, ops, sizes, seed, **config):
+    """Each thread, `ops` times: with even odds it mallocs a size from
+    `sizes`, asserts the block is not live, writes a tag into it and
+    sends it to a random thread's inbox; else it frees its own inbox,
+    checking each tag first. Its choices come from `seed` and its id.
+    Inboxes need no lock: only the thread holding its baton runs. After
+    the race the census runs with every LAB attached; then each thread
+    frees its leftovers and detaches, and the oracle sees no live
+    block."""
+    config.setdefault("arena_bytes", 1 << 31)
+    alloc = make_allocator(instrument=True, **config)
+    provider = alloc.provider
+    inboxes = [[] for _ in range(threads)]
+    tags = {}                           # live block -> its tag
+
+    def empty(me):
+        box = inboxes[me]
+        while box:
+            p = box.pop()
+            assert provider.read_word(p) == tags.pop(p), f"{p:#x} overwritten"
+            alloc.free(p)
+
+    def body(me):
+        rng = random.Random(seed * threads + me)
+
+        def churn():
+            for n in range(ops):
+                if rng.random() < 0.5:
+                    p = alloc.malloc(rng.choice(sizes))
+                    assert p not in tags, f"{p:#x} handed out twice"
+                    tags[p] = (n << 8) | me
+                    provider.write_word(p, tags[p])
+                    inboxes[rng.randrange(threads)].append(p)
+                else:
+                    empty(me)
+        return churn
+
+    w = Scenario(alloc=alloc,
+                 check=lambda w: check_heap(alloc, live=()))
+    w.steps = [(i, alloc.attach_thread) for i in range(threads)]
+    w.threads = [body(i) for i in range(threads)]
+    w.after = [(0, lambda: check_heap(alloc, tags))] \
+        + [(i, lambda i=i: empty(i)) for i in range(threads)] \
+        + [(i, alloc.detach_thread) for i in range(threads)]
     return w
 
 

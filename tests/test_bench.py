@@ -6,18 +6,13 @@ from dataclasses import asdict
 
 import pytest
 
-from helpers import SMALL_ARENA, check_heap
+from helpers import SMALL_ARENA, check_heap, make_allocator
 from spanalloc.bench import (
-    ABLATIONS, WorkloadConfig, ablate, main, run, write_json,
+    WorkloadConfig, build_arg_parser, main, run, write_json,
 )
 from spanalloc.config import CLAB, AllocatorConfig
 from spanalloc.size_classes import NUM_CLASSES, NUM_REAL_SPAN_SIZES
 from spanalloc.traces import FREE, MALLOC, WORKLOADS, make_trace, replay
-
-
-def bench_alloc(**kw):
-    kw.setdefault("arena_bytes", SMALL_ARENA)
-    return ablate((), **kw)
 
 
 def small(name, **kw):
@@ -42,7 +37,7 @@ def read_records(path):
     "falseshare_active", "falseshare_passive", "locality",
 ])
 def test_workloads_run_clean(name):
-    alloc = bench_alloc()
+    alloc = make_allocator()
     report = run(small(name), alloc)
     check_heap(alloc, live=())
     assert report.ops > 0
@@ -63,7 +58,7 @@ def test_workloads_run_clean(name):
 def test_larson_runs_clean():
     cfg = WorkloadConfig(name="larson_like", threads=2, rounds=30,
                          objects_per_round=50, handoffs=4)
-    alloc = bench_alloc()
+    alloc = make_allocator()
     report = run(cfg, alloc)
     check_heap(alloc, live=())
     assert report.extra["leaked_blocks"] == 0
@@ -77,8 +72,9 @@ def test_larson_runs_clean():
 def test_sizesweep_exercises_huge_path():
     # sizesweep crosses every class, re-classes slots through the pool
     # and maps huge objects; no configuration leaves a stray page.
-    for flags in ((), ("no_decommit",), ("lazy_reclaim",), ("pool_width_1",)):
-        alloc = ablate(flags, arena_bytes=1 << 31)
+    for flags in ({}, {"decommit_enabled": False}, {"eager_reclaim": False},
+                  {"pool_width": 1}):
+        alloc = make_allocator(arena_bytes=1 << 31, **flags)
         cfg = WorkloadConfig(name="sizesweep", threads=1, rounds=2)
         report = run(cfg, alloc)
         assert report.extra["leaked_blocks"] == 0, flags
@@ -88,40 +84,44 @@ def test_sizesweep_exercises_huge_path():
         record = exported(report)
         assert "20" in record["extra"]["interval_times"], flags
         assert record["allocator"]["decommit_enabled"] \
-            == ("no_decommit" not in flags), flags
+            == flags.get("decommit_enabled", True), flags
 
 
 def test_prodcons_remote_fraction_half_for_two_threads():
     cfg = WorkloadConfig(name="prodcons", threads=2, rounds=10,
                          objects_per_round=400, seed=3)
-    report = run(cfg, bench_alloc())
+    report = run(cfg, make_allocator())
     assert abs(report.stats["remote_free_fraction"] - 0.5) < 0.05
 
 
 def test_prodcons_split_roles_all_remote():
     cfg = WorkloadConfig(name="prodcons", threads=4, rounds=4,
                          objects_per_round=200, producers=2)
-    report = run(cfg, bench_alloc())
+    report = run(cfg, make_allocator())
     assert report.stats["remote_free_fraction"] == 1.0
     assert report.extra["leaked_blocks"] == 0
 
 
 def test_ablate_flag_validation_and_effects():
-    with pytest.raises(ValueError):
-        ablate(("bogus",))
-    a = ablate(tuple(ABLATIONS), arena_bytes=SMALL_ARENA)
-    assert not a.config.decommit_enabled
-    assert a.config.pool_width == 1
-    assert not a.config.eager_reclaim
-    b = ablate(("no_decommit",), arena_bytes=SMALL_ARENA, reuse_percent=70)
-    assert b.config.reuse_percent == 70 and not b.config.decommit_enabled
+    # Each ablation is the CLI flag of its config field; an omitted one
+    # leaves the field to the library default.
+    parse = build_arg_parser().parse_args
+    args = vars(parse(["--no-decommit", "--lazy-reclaim", "--pool-width",
+                       "1"]))
+    assert (args["decommit_enabled"], args["eager_reclaim"],
+            args["pool_width"]) == (False, False, 1)
+    args = vars(parse([]))
+    assert (args["decommit_enabled"], args["eager_reclaim"],
+            args["pool_width"]) == (None, None, None)
+    with pytest.raises(SystemExit):
+        parse(["--ablate", "no_decommit"])
 
 
 def test_same_trace_reproduces_run():
     # One trace replayed under one configuration: memory to the byte and
     # every counter, run after run.
     def one(cfg, **kw):
-        alloc = bench_alloc(arena_bytes=1 << 31, **kw)
+        alloc = make_allocator(arena_bytes=1 << 31, **kw)
         report = run(cfg, alloc)
         check_heap(alloc, live=())
         return (report.ops, report.peak_committed_bytes,
@@ -168,7 +168,7 @@ def test_run_peak_covers_every_window():
     cfg = WorkloadConfig(name="prodcons", threads=2, rounds=12,
                          objects_per_round=30, size_range=(1000, 300000),
                          seed=1)
-    report = run(cfg, bench_alloc())
+    report = run(cfg, make_allocator())
     assert report.peak_committed_bytes >= max(report.extra["epoch_peaks"])
 
 
@@ -182,7 +182,7 @@ def caller_attached(alloc, attached):
 @pytest.mark.parametrize("attached", [False, True],
                          ids=["caller_detached", "caller_attached"])
 def test_replay_keeps_the_callers_own_attachment(attached):
-    alloc = bench_alloc()
+    alloc = make_allocator()
     mine = caller_attached(alloc, attached)
     replay(make_trace(small("threadtest")), alloc)
     assert getattr(alloc.frontend._tls, "attached", None) is mine
@@ -197,7 +197,7 @@ def test_a_failing_replay_raises_its_error_and_leaves_only_the_caller():
     at = next(i for i, op in enumerate(trace) if op[0] == 1 and op[1] == FREE)
     broken = trace[:at] + [(1, FREE, -1, None)] + trace[at:]
     for attached in (False, True):
-        alloc = bench_alloc()
+        alloc = make_allocator()
         mine = caller_attached(alloc, attached)
         with pytest.raises(KeyError):
             replay(broken, alloc)
@@ -208,7 +208,7 @@ def test_a_failing_replay_raises_its_error_and_leaves_only_the_caller():
 def test_csv_schema_stable(tmp_path):
     # Each run appends one JSON record.
     path = tmp_path / "runs.jsonl"
-    alloc = bench_alloc()
+    alloc = make_allocator()
     report = run(small("threadtest", threads=1), alloc)
     write_json(str(path), report)
     write_json(str(path), report)
@@ -227,7 +227,7 @@ def test_csv_schema_stable(tmp_path):
     # The record holds the object count in effect, not the None that
     # asks for the default.
     report = run(small("threadtest", threads=4, rounds=0,
-                       objects_per_round=None), bench_alloc())
+                       objects_per_round=None), make_allocator())
     assert exported(report)["workload"]["objects_per_round"] == 25_000
 
 
@@ -248,7 +248,7 @@ def test_cli_end_to_end(tmp_path):
          "--workload", "threadtest", "--threads", "2", "--rounds", "2",
          "--objects", "100", "--size", "64", "--seed", "1",
          "--provider", "sim", "--arena-bytes", str(SMALL_ARENA),
-         "--json", str(path), "--ablate", "no_decommit"],
+         "--json", str(path), "--no-decommit"],
         capture_output=True, text=True, check=True)
     assert "ops/s=" in out.stdout
     [record] = read_records(path)
@@ -279,7 +279,7 @@ MALFORMED_RANGES = ("1:x", "5")
     ["--workload", "prodcons", "--threads", "2", "--producers", "2"],
     ["--threads", "0"],
     ["--reuse-threshold", "101"],
-    ["--ablate", "bogus"],
+    ["--pool-width", "0"],
     ["--size-range", "8:1"],
     ["--size", "-5"],
     *(["--size-range", text] for text in MALFORMED_RANGES),
@@ -343,7 +343,7 @@ def test_workload_config_validation():
 
 
 def test_threadtest_committed_within_spans_in_flight_bound():
-    alloc = bench_alloc()
+    alloc = make_allocator()
     objects, threads = 2000, 4
     cfg = WorkloadConfig(name="threadtest", threads=threads, rounds=3,
                          objects_per_round=objects, object_size=64)
@@ -359,7 +359,7 @@ def test_threadtest_committed_within_spans_in_flight_bound():
 
 def test_os_provider_run_uses_rss_sampler():
     try:
-        alloc = ablate((), provider="os", arena_bytes=1 << 27)
+        alloc = make_allocator(provider="os", arena_bytes=1 << 27)
     except Exception:                      # pragma: no cover
         pytest.skip("os provider unavailable here")
     report = run(small("threadtest", threads=2, rounds=2,
@@ -369,7 +369,7 @@ def test_os_provider_run_uses_rss_sampler():
 
 
 def test_lazy_reclaim_prodcons_interplay():
-    alloc = ablate(("lazy_reclaim",), arena_bytes=SMALL_ARENA)
+    alloc = make_allocator(eager_reclaim=False)
     cfg = WorkloadConfig(name="prodcons", threads=4, rounds=6,
                          objects_per_round=300, seed=8)
     report = run(cfg, alloc)

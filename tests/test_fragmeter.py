@@ -112,30 +112,6 @@ def test_lazy_reclaim_keeps_oracle_equality():
     assert alloc.ledger.f == frag_oracle(alloc)
 
 
-def test_multithreaded_checked_at_quiescence():
-    alloc = instrumented()
-    n = 4
-
-    def worker(seed):
-        alloc.attach_thread()
-        rng = random.Random(seed)
-        mine = []
-        for _ in range(2000):
-            if mine and rng.random() < 0.5:
-                alloc.free(mine.pop(rng.randrange(len(mine))))
-            else:
-                mine.append(alloc.malloc(rng.choice([16, 64, 256])))
-        for p in mine:
-            alloc.free(p)
-        alloc.detach_thread()
-
-    ts = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
-    run_threads(ts)
-    # Only meaningful at global quiescence: frees and their follow-up
-    # state work are non-atomic while threads run.
-    check_heap(alloc, live=())
-
-
 def test_double_free_raises_and_leaves_the_lists_alone():
     alloc = instrumented()
     keep = alloc.malloc(64)                 # keeps the span out of the pool

@@ -1,16 +1,15 @@
 import gc
 import random
-import sys
 import threading
 import weakref
 
 import pytest
 
 import scenarios
-from explore import replay
+from explore import Scenario, replay, sample
 from helpers import (
     BARRIER_TIMEOUT, check_heap, floated_span, live_entry, make_allocator,
-    run_in_thread, run_parked, run_threads, validate_transition_trace,
+    run_in_thread, run_threads, validate_transition_trace,
 )
 from scenarios import span_edges
 from spanalloc import atomic
@@ -232,21 +231,26 @@ def test_transition_trace_validates(traced_alloc):
     assert count >= 4
 
 
-def test_active_false_sharing_probe(alloc):
-    spans_seen = [set(), set()]
-    barrier = threading.Barrier(2, timeout=BARRIER_TIMEOUT)
+def test_active_false_sharing_probe():
+    # Two threads' mallocs race under seeded schedules; no span serves
+    # both.
+    def build(seed):
+        alloc = make_allocator()
+        seen = [set(), set()]
 
-    def worker(i):
-        alloc.attach_thread()
-        barrier.wait()
-        for _ in range(600):
-            p = alloc.malloc(64)
-            spans_seen[i].add(span_of(alloc, p).slot)
-        alloc.detach_thread()
+        def fill(i):
+            return lambda: seen[i].update(
+                span_of(alloc, alloc.malloc(64)).slot for _ in range(600))
 
-    ts = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
-    run_threads(ts)
-    assert not (spans_seen[0] & spans_seen[1])
+        def check(w):
+            assert not seen[0] & seen[1]
+
+        return Scenario(
+            steps=[(i, alloc.attach_thread) for i in range(2)],
+            threads=[fill(0), fill(1)],
+            after=[(i, alloc.detach_thread) for i in range(2)], check=check)
+
+    assert sample(build, range(5)) == 5
 
 
 def test_passive_false_sharing_probe(alloc):
@@ -390,27 +394,34 @@ def test_one_latch_guards_all_of_a_labs_sets(monkeypatch, latched):
 
 
 def test_clab_mode_shares_lab_and_frees_remotely():
-    alloc = make_allocator(lab_mode=CLAB)
-    width = alloc.frontend.clab_width
-    results = {}
-
-    def worker(i):
-        alloc.attach_thread()
-        ptrs = [alloc.malloc(64) for _ in range(100)]
-        results[i] = ptrs
-        barrier.wait()
-        for p in results[(i + 1) % n]:
-            alloc.free(p)
-        alloc.detach_thread()
-
+    # Four threads malloc in turn on the shared LABs, then each frees its
+    # neighbour's blocks under seeded schedules.
     n = 4
-    barrier = threading.Barrier(n, timeout=BARRIER_TIMEOUT)
-    ts = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
-    run_threads(ts)
-    stats = alloc.stats()
-    assert stats["frees_local"] == 0           # CLAB frees are remote
-    assert stats["frees"] == 400
-    assert len(alloc.frontend.labs) <= width
+
+    def build(seed):
+        alloc = make_allocator(lab_mode=CLAB)
+        got = {}
+
+        def fill(i):
+            got[i] = [alloc.malloc(64) for _ in range(100)]
+
+        def free_neighbours(i):
+            return lambda: [alloc.free(p) for p in got[(i + 1) % n]]
+
+        def check(w):
+            stats = alloc.stats()
+            assert stats["frees_local"] == 0       # CLAB frees are remote
+            assert stats["frees"] == 400
+            assert len(alloc.frontend.labs) <= alloc.frontend.clab_width
+            check_heap(alloc, live=())
+
+        return Scenario(
+            steps=[(i, alloc.attach_thread) for i in range(n)]
+            + [(i, lambda i=i: fill(i)) for i in range(n)],
+            threads=[free_neighbours(i) for i in range(n)],
+            after=[(i, alloc.detach_thread) for i in range(n)], check=check)
+
+    assert sample(build, range(5)) == 5
 
 
 def test_clab_latch_is_released_when_the_span_fetch_raises():
@@ -460,28 +471,6 @@ def test_get_span_skips_span_raced_to_free():
         assert state_of(w.span) == STATE_HOT
         assert len(w.alloc.frontend.labs[0].reusable[w.span.size_class]) == 0
     replay(scenarios.late_take, [0] * 5 + [1] * 10 + [0], check)
-
-
-def test_clab_contention_stress_conserves_blocks():
-    alloc = make_allocator(lab_mode=CLAB, arena_bytes=1 << 31)
-
-    def work(seed, park):
-        rng, mine = random.Random(seed), []
-        for _ in range(5000):
-            if mine and rng.random() < 0.5:
-                alloc.free(mine.pop(rng.randrange(len(mine))))
-            else:
-                p = alloc.malloc(rng.choice([16, 64, 256]))
-                assert p != 0
-                mine.append(p)
-        park()                  # worker 0 checks the sets of live LABs
-        for p in mine:
-            alloc.free(p)
-
-    run_parked(alloc, 6, work)          # more threads than cores
-    stats = alloc.stats()
-    assert stats["allocs"] == stats["frees"]
-    check_heap(alloc, live=())
 
 
 def test_set_put_rejects_span_no_longer_reusable():
@@ -672,44 +661,6 @@ def test_crossing_then_emptying_uses_the_set(monkeypatch):
         and not live_entry(lab, span)
 
 
-def test_span_retirement_under_dense_interleaving():
-    # Spans of 1..16 blocks, freed by other threads, with preemption
-    # inside the retire path: the free that marks a span and the free
-    # that empties it can be one call or two racing ones. Each emptied
-    # span must end up pooled exactly once and in no reusable set.
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        alloc = make_allocator(arena_bytes=1 << 32, instrument=True)
-        n = 4                                   # more threads than cores
-        inboxes = [[] for _ in range(n)]
-        locks = [threading.Lock() for _ in range(n)]
-
-        def work(tid, park):
-            rng = random.Random(9100 + tid)
-            for _ in range(500):
-                if rng.random() < 0.5:
-                    p = alloc.malloc(rng.choice(
-                        (1 << 14, 1 << 17, 1 << 18, 1 << 19, 1 << 20)))
-                    target = rng.randrange(n)
-                    with locks[target]:
-                        inboxes[target].append(p)
-                else:
-                    with locks[tid]:
-                        mine, inboxes[tid][:] = inboxes[tid][:], []
-                    for p in mine:
-                        alloc.free(p)
-            park()              # worker 0 checks the sets of live LABs
-
-        run_parked(alloc, n, work)
-        for box in inboxes:
-            for p in box:
-                alloc.free(p)
-        check_heap(alloc, live=())
-    finally:
-        sys.setswitchinterval(old)
-
-
 def churn_span_rounds(alloc, size, rounds):
     """`rounds` times: malloc one span's worth of `size` blocks, then
     free the previous round's. Then free the last round."""
@@ -872,6 +823,22 @@ def test_marking_free_retires_the_span_its_owners_last_free_emptied():
     replay(scenarios.marking_vs_own_last_free, [0] * 6 + [1] * 2 + [0],
            scenarios.retired_by((STATE_FLOATING, STATE_REUSABLE),
                                 (STATE_REUSABLE, STATE_FREE)))
+
+
+def test_float_marks_the_span_a_racing_push_took_over_its_threshold():
+    # LAB 1's seventh free reads the hot word before LAB 0's drain test
+    # and pushes after it, which leaves the span to LAB 0's float. The
+    # float counts 7 free blocks and marks the span into LAB 0's set;
+    # the refetch takes it straight back hot and drains it.
+    def check(w):
+        assert span_edges(w.alloc, w.span)[-3:] == [
+            (STATE_HOT, STATE_FLOATING), (STATE_FLOATING, STATE_REUSABLE),
+            (STATE_REUSABLE, STATE_HOT)]
+        assert span_of(w.alloc, w.got) is w.span
+        stats = w.alloc.stats()
+        assert (stats["set_fetches"], stats["drains"], stats["arena_spans"]) \
+            == (1, 1, 1)
+    replay(scenarios.float_vs_crossing_push, [1] + [0] * 2 + [1], check)
 
 
 def test_terminate_races_last_free_single_winner():
