@@ -2,17 +2,19 @@
 
 Each attached thread owns a LAB (TLAB mode, the default); in CLAB mode
 threads with equal ids modulo the core count share one LAB and the
-per-class fast path takes that LAB's class latch. Per class a LAB holds
-the unique hot span serving allocations and a FIFO set of reusable
-spans (spans whose free-block count crossed the reusability threshold);
-one latch per LAB guards all of its sets. Each set entry is stamped
-with the epoch word the span's reusable-marking installed, and every
-hand-off out of a set (to hot, to free under lazy reclamation or at
-termination, to floating at termination) is one conditional replace
-from that stamp. A span that moved on since its marking (emptied and
-pooled, or reused and marked again elsewhere) leaves a stale entry
-behind, which nothing removes: the take that reaches it fails its
-replace and skips it.
+per-class fast path takes that LAB's class latch. A LAB lives once: the
+attach of its first thread builds it, and the thread's id, which no
+other thread ever has, is its owner; it is dropped when it terminates.
+Per class a LAB holds the unique hot span serving allocations and a
+FIFO set of reusable spans (spans whose free-block count crossed the
+reusability threshold); one latch per LAB guards all of its sets. Each
+set entry is stamped with the epoch word the span's reusable-marking
+installed, and every hand-off out of a set (to hot, to free under lazy
+reclamation or at termination, to floating at termination) is one
+conditional replace from that stamp. A span that moved on since its
+marking (emptied and pooled, or reused and marked again elsewhere)
+leaves a stale entry behind, which nothing removes: the take that
+reaches it fails its replace and skips it.
 
 Allocation serves from the hot span's local list or bump region. When
 that runs dry it drains the remote list if enough blocks accumulated,
@@ -24,8 +26,7 @@ address that is not a handed-out block of a live span (WildFree) and,
 when instrumented, a block that is not live (DoubleFree). A TLAB free
 into a span the caller owns pushes on the local list; every other free
 (remote, CLAB, or into an orphan) is a push on the remote list. The
-caller's owner word comes from its attachment record, read once at
-attach (it cannot change while any thread is attached to the LAB).
+caller's owner comes from its attachment record, read once at attach.
 
 One rule settles a span's state. A remote or CLAB free decides from
 the epoch word it reads after its push; an own TLAB free may keep the
@@ -45,9 +46,9 @@ each float test for emptiness, `_retire_empty`. So between a last push
 and a move of the word, one of the two threads sees both, and one
 conditional replace picks one retirement; a loser never retries. A
 span changes owner only when it is taken hot from the pool and when
-the owner's set refuses a marking because the owner terminated: then
-the marking itself, one floating -> reusable replace into the
-caller's set, adopts the span.
+its owner terminated, so that the owner's set refuses a marking or the
+owner's LAB is gone: then the marking itself, one floating -> reusable
+replace into the caller's set, adopts the span.
 """
 
 import itertools
@@ -61,9 +62,9 @@ from .config import CPU_COUNT, SPAN_SHIFT, TLAB
 from .errors import WildFree
 from .size_classes import NUM_CLASSES
 from .span import (
-    EPOCH_OWNER_FIELD, EPOCH_OWNER_SHIFT, EPOCH_STATE_SHIFT, OWNER_REF_MASK,
+    EPOCH_OWNER_FIELD, EPOCH_OWNER_SHIFT, EPOCH_STATE_SHIFT,
     REMOTE_COUNT_SHIFT, STATE_FLOATING, STATE_FREE, STATE_HOT,
-    STATE_REUSABLE, TERMINATED, pack_owner,
+    STATE_REUSABLE, TERMINATED,
 )
 
 
@@ -74,19 +75,18 @@ class LAB:
     sets, taken with `acquire()` and released in `finally` (cheaper than
     `with`, see `atomic.py`). An entry is made only by `mark`, whose
     floating -> reusable replace installs its stamp under the latch, and
-    only while the marking's owner equals the owner word, the only
-    record of whether the sets accept markings (a stale generation or
-    TERMINATED is refused). An entry is live while its stamp equals its
+    only while the marking's owner equals the owner word: `owner`, the
+    LAB's id, until termination stores TERMINATED, which refuses every
+    marking from then on. An entry is live while its stamp equals its
     span's epoch; a stale one stays until taken and then fails the
     taker's conditional replace."""
 
-    __slots__ = ("index", "generation", "owner_word", "hot_spans",
-                 "reusable", "latch", "class_latches", "attached")
+    __slots__ = ("owner", "owner_word", "hot_spans", "reusable", "latch",
+                 "class_latches", "attached")
 
-    def __init__(self, index, latched):
-        self.index = index
-        self.generation = 0
-        self.owner_word = AtomicWord(TERMINATED)
+    def __init__(self, owner, latched):
+        self.owner = owner
+        self.owner_word = AtomicWord(owner)
         self.hot_spans = [None] * NUM_CLASSES
         self.reusable = [OrderedDict() for _ in range(NUM_CLASSES)]
         self.latch = atomic.Latch()
@@ -98,11 +98,6 @@ class LAB:
         self.class_latches = \
             [atomic.Latch() for _ in range(NUM_CLASSES)] if latched else None
         self.attached = 0
-
-    def activate(self):
-        """Install a fresh generation; the sets accept puts for it."""
-        self.generation = (self.generation + 1) & 0xFFFF
-        self.owner_word.store(pack_owner(self.generation, self.index))
 
     def mark(self, sc, span, word, owner):
         """In one critical section: unless `owner` is the owner word,
@@ -194,12 +189,13 @@ class Frontend:
         self.tlab = config.lab_mode == TLAB
         self.eager_reclaim = config.eager_reclaim
         self.clab_width = CPU_COUNT
-        self.labs = []
-        self._free_labs = []
+        self.labs = {}                      # owner -> LAB, live LABs only
+        # CLAB only: per slot, the LAB its threads last shared.
+        self._clab_slots = [None] * self.clab_width
         self._mgr_lock = atomic.Latch()
         # Per thread, one attribute: the (lab, tid, stats, mine, release)
         # record of its attachment, absent while detached; `mine` is the
-        # LAB's owner word (see attach), `release` its finalizer. Its one
+        # LAB's owner (see attach), `release` its finalizer. Its one
         # user outside this module is `traces.replay`, which switches
         # records in and out to run many logical threads on one OS thread.
         self._tls = threading.local()
@@ -210,7 +206,12 @@ class Frontend:
     # -- thread registration ----------------------------------------------
 
     def attach(self):
-        """Register the calling thread; idempotent."""
+        """Register the calling thread; idempotent. A TLAB thread gets
+        a fresh LAB; a CLAB thread shares its slot's LAB while a thread
+        is attached to it, and otherwise gets a fresh one for the slot.
+        A LAB's owner is fixed for its one life, which ends when its
+        last attachment is released, so the record keeps the owner and
+        the free and span-fetch paths never reload it."""
         tls = self._tls
         attached = getattr(tls, "attached", None)
         if attached is not None:
@@ -218,34 +219,22 @@ class Frontend:
         with self._mgr_lock:
             tid = next(self._tid_counter)
             if self.tlab:
-                if self._free_labs:
-                    lab = self.labs[self._free_labs.pop()]
-                else:
-                    lab = self._new_lab()
-                lab.activate()
+                lab = self._new_lab(tid)
             else:
-                idx = tid % self.clab_width
-                while len(self.labs) <= idx:
-                    self._new_lab()
-                lab = self.labs[idx]
-                if lab.attached == 0:
-                    lab.activate()
+                slot = tid % self.clab_width
+                lab = self._clab_slots[slot]
+                if lab is None or lab.attached == 0:
+                    lab = self._clab_slots[slot] = self._new_lab(tid)
             lab.attached += 1
             stats = ThreadStats(tid)
             self.thread_stats[tid] = stats
-            # The owner word changes only in activate (no thread
-            # attached) and in _terminate_lab (the last one released),
-            # both under this lock, so it stays fixed for as long as
-            # this attachment lasts, in CLAB mode too: the record keeps
-            # it and the free and span-fetch paths never reload it.
-            mine = lab.owner_word.load()
         # The release runs once: from detach, or, for a thread that never
         # detaches, when its Thread object is collected after exit. Once
         # run, the finalizer holds nothing, so a detached attachment
         # keeps no reference to this frontend.
         release = weakref.finalize(
             threading.current_thread(), self._release, lab, tid)
-        tls.attached = (lab, tid, stats, mine, release)
+        tls.attached = (lab, tid, stats, lab.owner, release)
         return lab
 
     def detach(self):
@@ -269,12 +258,12 @@ class Frontend:
             if lab.attached > 0:
                 return
             self._terminate_lab(lab, tid)
-            if self.tlab:
-                self._free_labs.append(lab.index)
+            del self.labs[lab.owner]
 
-    def _new_lab(self):
-        lab = LAB(len(self.labs), latched=not self.tlab)
-        self.labs.append(lab)
+    def _new_lab(self, tid):
+        """A live LAB owned by `tid`, the attaching thread's id, which
+        never recurs; under `_mgr_lock`."""
+        lab = self.labs[tid] = LAB(tid, latched=not self.tlab)
         return lab
 
     def _current(self):
@@ -451,9 +440,9 @@ class Frontend:
         span leaves any entry of it there, stale: the owner's take fails
         its conditional replace from the stamp and skips it. When the
         owner terminated, its LAB refuses the marking with nothing
-        changed, and this free marks the span into the caller's set,
-        `lab`, with the caller's owner word: that one replace from the
-        floating word adopts the span.
+        changed, or is gone from `labs` already, and this free marks the
+        span into the caller's set, `lab`, with the caller's owner: that
+        one replace from the floating word adopts the span.
 
         The marking's replace fails when another free marked or retired
         the span first. A last push before the test is seen by it; a
@@ -465,8 +454,9 @@ class Frontend:
         delays reclamation and loses no span."""
         sc = span.size_class
         owner = (old_epoch & EPOCH_OWNER_FIELD) >> EPOCH_OWNER_SHIFT
-        word = self.labs[owner & OWNER_REF_MASK].mark(
-            sc, span, old_epoch, owner)
+        owner_lab = self.labs.get(owner)
+        word = None if owner_lab is None \
+            else owner_lab.mark(sc, span, old_epoch, owner)
         if word is None:
             word = lab.mark(sc, span, old_epoch, mine)
             if word:

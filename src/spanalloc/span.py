@@ -22,8 +22,9 @@ arena slots are implicitly "expected" until their header is first
 written. Every successful transition is a single conditional replace
 of the epoch word, recorded in the ledger's trace when instrumented.
 The word holds the owner too, so one load is a consistent snapshot.
-Only free -> hot and an adopting marking (floating -> reusable into a
-live thread's set, when the owner terminated) change the owner.
+An owner is the id of one LAB's one life, never reused. Only free -> hot
+and an adopting marking (floating -> reusable into a live thread's set,
+when the owner terminated) change the owner.
 """
 
 import threading
@@ -61,8 +62,7 @@ LEGAL_EDGES = frozenset([
     (STATE_REUSABLE, STATE_FLOATING),   # thread termination
 ])
 
-# Owner word: 16-bit generation above a 48-bit LAB reference.
-OWNER_REF_MASK = (1 << 48) - 1
+# A terminated LAB's owner word: no owner id is negative.
 TERMINATED = -1
 
 # Remote free list word: 16-bit element count above the 48-bit arena
@@ -88,15 +88,6 @@ def next_epoch_word(observed, target_state):
     installs."""
     return (target_state << EPOCH_STATE_SHIFT) \
         | (observed & EPOCH_OWNER_FIELD) | ((observed + 1) & EPOCH_COUNTER_MASK)
-
-
-def pack_owner(generation, lab_ref):
-    return (generation << 48) | lab_ref
-
-
-def owner_lab_ref(word):
-    """The LAB reference of the owner in epoch word `word`."""
-    return (word >> EPOCH_OWNER_SHIFT) & OWNER_REF_MASK
 
 
 class SpanHeader:

@@ -15,7 +15,7 @@ from spanalloc.config import DECOMMIT_THRESHOLD, PAGE_SIZE, SPAN_SHIFT
 from spanalloc.size_classes import TABLE, class_for_size
 from spanalloc.span import (
     STATE_FLOATING, STATE_FREE, STATE_HOT, STATE_NAMES, STATE_REUSABLE,
-    epoch_counter, epoch_owner, epoch_state, owner_lab_ref,
+    epoch_counter, epoch_owner, epoch_state,
 )
 from spanalloc.span_pool import TOP_REF_MASK
 
@@ -80,7 +80,8 @@ def pooled_slots(pool):
 class Census:
     """One walk of an allocator's spans; see `census`."""
     pooled: list        # slots on the pool stacks, in walk order
-    holders: dict       # slot -> LABs holding the span hot or in a live entry
+    holders: dict       # slot -> owners of the LABs holding the span hot
+                        # or in a live entry
     entries: int        # live reusable-set entries
     lost: list          # (slot, state name) of each span with no home
     bad: list           # broken live entries, spans that do not add up
@@ -96,14 +97,14 @@ def census(allocator, live=None):
 
     A set entry is live while its stamp equals its span's epoch. It is
     broken unless its span is reusable, of the set's class, owned by
-    the LAB's current owner word, not pooled, and in no other entry.
+    the LAB's owner, not pooled, and in no other entry.
 
     A span has a home when its state matches one. Free: on exactly one
     pool stack, where no other span sits. Hot: its class's hot span in
-    its owner's LAB, and that owner alive (the LAB's word still equals
-    the span's owner). Reusable: a live entry in its live owner's set.
-    Floating: a live block, and a dead owner or free blocks at or below
-    the threshold, so that a later free marks or retires it.
+    its owner's LAB, and that owner alive (a key of `frontend.labs`,
+    which holds live LABs only). Reusable: a live entry in its live
+    owner's set. Floating: a live block, and a dead owner or free blocks
+    at or below the threshold, so that a later free marks or retires it.
 
     A span adds up when, pooled, it holds no live block (decommit may
     have wiped its list words), or else when its walked free-list,
@@ -120,10 +121,10 @@ def census(allocator, live=None):
     pooled = pooled_slots(allocator.pool)
     in_pool = set(pooled)
     holders, bad, entered = {}, [], set()
-    for lab in labs:
+    for owner, lab in labs.items():
         for span in lab.hot_spans:
             if span is not None:
-                holders.setdefault(span.slot, []).append(lab.index)
+                holders.setdefault(span.slot, []).append(owner)
         for sc, stamps in enumerate(lab.reusable):
             for span, stamp in list(stamps.items()):
                 epoch = span.epoch.load()
@@ -131,12 +132,12 @@ def census(allocator, live=None):
                     continue
                 if epoch_state(epoch) != STATE_REUSABLE \
                         or span.size_class != sc \
-                        or epoch_owner(epoch) != lab.owner_word.load() \
+                        or epoch_owner(epoch) != owner \
                         or span.slot in in_pool or span.slot in entered:
                     bad.append(f"broken entry: span in slot {span.slot}, "
-                               f"LAB {lab.index}")
+                               f"LAB {owner}")
                 entered.add(span.slot)
-                holders.setdefault(span.slot, []).append(lab.index)
+                holders.setdefault(span.slot, []).append(owner)
     live_in = Counter((addr - arena.base) >> SPAN_SHIFT for addr in live or ())
     lost, frag_walked = [], 0
     for h in space.iter_headers():
@@ -145,8 +146,8 @@ def census(allocator, live=None):
         if state == STATE_FREE:
             home = h.slot in in_pool
         else:
-            lab = labs[owner_lab_ref(epoch)]
-            alive = lab.owner_word.load() == epoch_owner(epoch)
+            lab = labs.get(epoch_owner(epoch))
+            alive = lab is not None
             if state == STATE_HOT:
                 home = alive and lab.hot_spans[h.size_class] is h
             elif state == STATE_REUSABLE:

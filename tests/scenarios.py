@@ -3,9 +3,10 @@ checks of their replays in test_frontend.py.
 
 Each scenario's oracle is `check_heap` on an instrumented allocator,
 but for the two that race a bare span (`push_vs_drain`) or stack
-(`aba`). In `floated`'s steps thread i attaches LAB i, LAB `owner`
-fills a span and floats it with one more malloc (`blocks`, `extra`),
-and thread 0 frees its first blocks down to the reuse threshold (6 of
+(`aba`). In `floated`'s steps thread i attaches LAB i, whose owner is
+i (the id of the thread whose attach built it); LAB `owner` fills a
+span and floats it with one more malloc (`blocks`, `extra`), and
+thread 0 frees its first blocks down to the reuse threshold (6 of
 8 at 128K, 12 of 16 at 32K). A scenario's `bound` is 2 unless it says
 why it is 1: a schedule takes 1-3 ms on the 2-vCPU host, and a third
 racing thread with tens of yield points makes thousands of schedules
@@ -18,7 +19,7 @@ from explore import Scenario
 from helpers import check_heap, floated_span, make_allocator, pooled_slots
 from spanalloc.size_classes import class_for_size
 from spanalloc.span import (
-    STATE_FREE, STATE_REUSABLE, TERMINATED, epoch_owner, epoch_state,
+    STATE_FREE, STATE_REUSABLE, epoch_owner, epoch_state,
 )
 from spanalloc.span_pool import TaggedStack
 
@@ -371,17 +372,18 @@ def went_round(w):
                for p in getattr(w, "fills", ()))
 
 
-def adopted_into(lab, terminated=None):
-    """At the race's end the span was reusable in LAB `lab`'s set alone,
-    adopted once; that LAB's next malloc of the class reused it. LAB
-    `terminated` ended."""
+def adopted_into(owner, terminated=None):
+    """At the race's end the span was reusable in the set of the live
+    LAB of owner `owner` alone, adopted once; that LAB's next malloc of
+    the class reused it. The LAB of owner `terminated` ended, and so is
+    gone from `frontend.labs`."""
     def check(w):
         labs = w.alloc.frontend.labs
         assert epoch_state(w.epoch) == STATE_REUSABLE
-        assert epoch_owner(w.epoch) == labs[lab].owner_word.load()
-        assert w.heap.holders[w.span.slot] == [lab] and w.heap.entries == 1
+        assert epoch_owner(w.epoch) == owner and owner in labs
+        assert w.heap.holders[w.span.slot] == [owner] \
+            and w.heap.entries == 1
         assert w.alloc.stats()["adopts"] == 1
         assert w.alloc.space.span_of(w.again[-1]) is w.span and w.grew == 0
-        assert terminated is None \
-            or labs[terminated].owner_word.load() == TERMINATED
+        assert terminated not in labs
     return check

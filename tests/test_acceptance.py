@@ -31,7 +31,7 @@ from spanalloc.config import PAGE_SIZE, VIRTUAL_SPAN_SIZE
 from spanalloc.errors import ArenaExhausted
 from spanalloc.size_classes import TABLE, class_for_size
 from spanalloc.span import STATE_FREE, epoch_state
-from spanalloc.traces import make_trace, replay
+from spanalloc.traces import ATTACH, DETACH, make_trace, replay
 from spanalloc.vmem import SimProvider
 
 MB2 = VIRTUAL_SPAN_SIZE
@@ -301,6 +301,18 @@ def test_c09_prodcons_boundedness():
 
 # -- 10: thread termination ------------------------------------------------------------------
 
+def peak_attached(trace):
+    """The most logical threads of `trace` attached at once."""
+    attached = peak = 0
+    for _, op, _, _ in trace:
+        if op == ATTACH:
+            attached += 1
+            peak = max(peak, attached)
+        elif op == DETACH:
+            attached -= 1
+    return peak
+
+
 def test_c10_thread_termination_larson():
     alloc = make_allocator(arena_bytes=1 << 31)
     baseline = alloc.committed_bytes
@@ -309,8 +321,9 @@ def test_c10_thread_termination_larson():
     report = run(cfg, alloc)
     stats = alloc.stats()
     heap = check_heap(alloc, live=())
-    labs = len(alloc.frontend.labs)
-    bound = 2 * 32768 * max(labs, 1)
+    # One LAB per attached thread, each holding at most 2 real spans.
+    labs = peak_attached(make_trace(cfg))
+    bound = 2 * 32768 * labs
     delta = alloc.committed_bytes - baseline
     ok = (report.extra["leaked_blocks"] == 0 and stats["adopts"] > 0
           and delta <= bound)
@@ -318,7 +331,7 @@ def test_c10_thread_termination_larson():
             f"8 hand-offs x2 chains: adopts={stats['adopts']}, heap whole "
             f"with no live block and {len(heap.pooled)} spans pooled, "
             f"committed delta={delta} <= {bound} (2 real spans x {labs} "
-            f"LABs)")
+            f"LABs at the peak)")
 
 
 # -- 11: directional scalability (soft) ------------------------------------------------------------

@@ -17,7 +17,7 @@ of its malloc: a small malloc served from the hot span, in TLAB and in
 CLAB mode, a malloc that takes its span from the reusable set, a 1M
 malloc that takes a pooled span, one that takes a fresh arena slot,
 and a huge malloc; of `Allocator.realloc`, a 64 B block moved to
-128 B; and one attach and detach of a thread on a recycled LAB.
+128 B; and one attach and detach of a thread, which builds its LAB.
 Builtins and C methods (dict and set operations, lock acquire and
 release) make no "call" event and are not counted.
 
@@ -357,9 +357,9 @@ def test_remote_marking_free_into_a_live_owners_set():
 def test_marking_free_that_adopts_an_orphan():
     # Another thread fills and floats a 128K span, frees it down to the
     # threshold and detaches. The main thread's free marks the orphan:
-    # the dead owner's LAB refuses the marking with nothing changed, and
-    # the free marks the span into its own set with its own owner word,
-    # one replace from the floating word that adopts it.
+    # the dead owner's LAB is gone from `labs`, so the free marks the
+    # span into its own set with its own owner, one replace from the
+    # floating word that adopts it, and locks no other LAB.
     alloc = make_allocator()
     alloc.attach_thread()                # LAB 0
     left = []
@@ -371,7 +371,7 @@ def test_marking_free_that_adopts_an_orphan():
     run_in_thread(producer)
     span = alloc.space.span_of(left[0])
     assert epoch_state(span.epoch.load()) == STATE_FLOATING
-    assert_budget(calls_in(alloc.free, left[0]), 19)
+    assert_budget(calls_in(alloc.free, left[0]), 17)
     assert epoch_state(span.epoch.load()) == STATE_REUSABLE
     assert live_entry(alloc.frontend.labs[0], span)
     assert alloc.stats()["adopts"] == 1
@@ -393,25 +393,21 @@ def test_realloc_of_a_64b_block_to_128b():
 
 
 def test_attach_and_detach_of_a_tlab_thread():
-    # Activation stores the recycled LAB's owner word, and termination's
-    # one TERMINATED store closes all of its reusable sets and one
-    # `take_all` empties them under the LAB's one latch: neither makes
-    # a call per set. Detach calls the attachment's finalizer,
+    # Attach builds the thread's LAB, owned by the thread's id, and
+    # termination's one TERMINATED store closes all of its reusable sets
+    # and one `take_all` empties them under the LAB's one latch: neither
+    # makes a call per set. Detach calls the attachment's finalizer,
     # which calls the release: one call more than a direct release, and
-    # no finalizer left behind holding the allocator.
+    # no finalizer left behind holding the allocator. The released LAB
+    # leaves `labs`.
     alloc = make_allocator()
     calls = []
-
-    def warm_up():
-        alloc.attach_thread()
-        alloc.detach_thread()               # leaves a free LAB behind
 
     def counted():
         calls.append(calls_in(alloc.attach_thread)
                       + calls_in(alloc.detach_thread))
 
-    run_in_thread(warm_up)                  # a fresh thread each
     run_in_thread(counted)
     assert len(calls) == 1
     assert_budget(calls[0], 17)
-    assert len(alloc.frontend.labs) == 1
+    assert len(alloc.frontend.labs) == 0

@@ -18,9 +18,8 @@ from spanalloc.config import CLAB
 from spanalloc.frontend import LAB, Frontend
 from spanalloc.size_classes import NUM_CLASSES, TABLE, class_for_size
 from spanalloc.span import (
-    OWNER_REF_MASK, REMOTE_COUNT_SHIFT, STATE_FLOATING, STATE_FREE,
-    STATE_HOT, STATE_REUSABLE, TERMINATED, epoch_owner,
-    epoch_state, owner_lab_ref, pack_owner,
+    REMOTE_COUNT_SHIFT, STATE_FLOATING, STATE_FREE, STATE_HOT,
+    STATE_REUSABLE, TERMINATED, epoch_owner, epoch_state,
 )
 from spanalloc.traces import make_trace
 from spanalloc.traces import replay as replay_trace
@@ -44,7 +43,7 @@ def owner_of(span):
 
 def in_a_set(alloc, span):
     """Whether any LAB's reusable set holds a live entry of `span`."""
-    return any(live_entry(lab, span) for lab in alloc.frontend.labs)
+    return any(live_entry(lab, span) for lab in alloc.frontend.labs.values())
 
 
 def test_warm_fast_path_no_extra_fetches(alloc):
@@ -283,14 +282,13 @@ def test_thread_termination_orphans_adopted_and_reclaimed(alloc):
     blocks = holder["blocks"]
     span = span_of(alloc, blocks[0])
     assert state_of(span) == STATE_FLOATING       # floated by terminate
-    lab0 = alloc.frontend.labs[owner_lab_ref(span.epoch.load())]
-    assert lab0.owner_word.load() == TERMINATED
+    assert owner_of(span) not in alloc.frontend.labs   # its LAB is gone
     adopts_before = alloc.stats()["adopts"]
     alloc.free(blocks[0])                          # a plain remote push
     assert alloc.stats()["adopts"] == adopts_before
     my_word = alloc.frontend._tls.attached[3]
     # The free that crosses the reuse threshold marks the span; the dead
-    # owner's set refuses it, and that free adopts it.
+    # owner's LAB is gone, so that free adopts it.
     crossing = span.reuse_threshold_blocks + 1 - span.free_block_count()
     for b in blocks[1:crossing]:
         alloc.free(b)
@@ -315,37 +313,37 @@ def make_floating(span, owner):
     return span.try_transition(span.epoch.load(), STATE_FLOATING)
 
 
-def test_generation_gating_after_lab_reuse(alloc):
+def test_terminated_lab_refuses_every_marking_and_the_next_gets_a_new_owner(
+        alloc):
     lab = LAB(0, latched=False)
     span = alloc.space.header_for_base(alloc.arena.acquire_virtual_span())
     span.init_for_class(C64)
-    lab.activate()                         # generation 1
-    word1 = lab.owner_word.load()
-    stamp = lab.mark(C64, span, make_floating(span, word1), word1)
-    assert epoch_state(stamp) == STATE_REUSABLE \
-        and epoch_owner(stamp) == word1
+    stamp = lab.mark(C64, span, make_floating(span, 0), 0)
+    assert epoch_state(stamp) == STATE_REUSABLE and epoch_owner(stamp) == 0
     assert lab.take(C64) == (span, stamp)
     floating = span.try_transition(stamp, STATE_FLOATING)
     lab.owner_word.store(TERMINATED)
     # Closed: LAB terminated. A refused marking changes nothing.
-    assert lab.mark(C64, span, floating, word1) is None
-    assert span.epoch.load() == floating
-    lab.activate()                         # LAB reused, new generation
-    word2 = lab.owner_word.load()
-    assert word2 == pack_owner(2, 0)
-    assert lab.mark(C64, span, floating, word1) is None     # stale generation
+    assert lab.mark(C64, span, floating, 0) is None
     assert span.epoch.load() == floating and lab.take(C64) is None
-    adopted = lab.mark(C64, span, floating, word2)  # the adopting marking
-    assert adopted == span.epoch.load() and epoch_owner(adopted) == word2
-    assert lab.mark(C64, span, floating, word2) is False    # word moved on
-    assert lab.take(C64) == (span, adopted)
-    assert lab.take(C64) is None
+    adopter = LAB(1, latched=False)
+    adopted = adopter.mark(C64, span, floating, 1)  # the adopting marking
+    assert adopted == span.epoch.load() and epoch_owner(adopted) == 1
+    assert adopter.mark(C64, span, floating, 1) is False    # word moved on
+    assert adopter.take(C64) == (span, adopted)
+    assert adopter.take(C64) is None
+    # Each attachment gets a fresh LAB, whose owner no LAB had before,
+    # and the LAB leaves `labs` when it terminates.
+    frontend = alloc.frontend
+    owners = [run_in_thread(lambda: (frontend.attach().owner,
+                                     frontend.detach())[0])
+              for _ in range(3)]
+    assert owners == [0, 1, 2] and frontend.labs == {}
 
 
 def test_reusable_set_take_order_and_stale_entries(alloc):
-    lab = LAB(0, latched=False)
-    lab.activate()
-    word, stamps_of = lab.owner_word.load(), lab.reusable[C64]
+    lab = LAB(7, latched=False)
+    word, stamps_of = lab.owner, lab.reusable[C64]
     spans = []
     for i in range(3):
         sp = alloc.space.header_for_base(alloc.arena.acquire_virtual_span())
@@ -450,7 +448,7 @@ def test_clab_latch_is_released_when_the_span_fetch_raises():
     assert not latch.locked()
 
 
-def test_lab_indices_recycled_tlab(alloc):
+def test_terminated_labs_leave_labs_tlab(alloc):
     def use_and_exit():
         alloc.attach_thread()
         alloc.malloc(64)
@@ -458,8 +456,8 @@ def test_lab_indices_recycled_tlab(alloc):
 
     for _ in range(5):
         run_in_thread(use_and_exit)
-    # All worker LABs terminated; indices get reused instead of growing.
-    assert len(alloc.frontend.labs) <= 2
+    # Each worker had a LAB of its own, dropped when it terminated.
+    assert alloc.frontend.labs == {}
 
 
 def test_get_span_skips_span_raced_to_free():
@@ -720,7 +718,8 @@ def containers(alloc):
         "arena_spans": alloc.stats()["arena_spans"],
         "headers": len(list(alloc.space.iter_headers())),
         "pool_depth": pool.puts.load() - pool.gets_from_pool.load(),
-        "set_lengths": [[len(s) for s in lab.reusable] for lab in labs],
+        "set_lengths": [[len(s) for s in lab.reusable]
+                        for lab in labs.values()],
         "labs": len(labs),
         "slots": len(alloc.provider._slots),
         "committed_bytes": alloc.committed_bytes,
@@ -750,8 +749,8 @@ def test_a_replayed_trace_plateaus(config):
 
 def test_adopting_free_that_marks_puts_in_adopters_set():
     # A free that adopts an orphan and crosses its threshold in the same
-    # call marks it reusable for the adopter: the dead owner's set is
-    # closed and would refuse it, leaving it reusable in no set.
+    # call marks it reusable for the adopter: the dead owner's LAB is
+    # gone, and its sets were closed, so none of them can take it.
     alloc = make_allocator(instrument=True)
     alloc.attach_thread()                               # LAB 0
 
@@ -923,18 +922,19 @@ def test_last_free_that_read_the_marking_retires_the_adopted_span():
     replay(scenarios.last_free_vs_adoption, [0] * 9 + [2, 2, 0], check)
 
 
-# -- the attachment record caches its LAB's owner word ------------------------
+# -- the attachment record caches its LAB's owner -----------------------------
 
 def attach_and_detach(alloc):
     run_in_thread(lambda: (alloc.attach_thread(), alloc.detach_thread()))
 
 
 def attached_word(alloc):
-    """Attach the calling thread; the owner word its record holds,
-    checked against its LAB's current one."""
+    """Attach the calling thread; the owner its record holds, checked
+    against its live LAB's owner and owner word."""
     alloc.attach_thread()
     lab, _, _, mine, _ = alloc.frontend._tls.attached
-    assert mine == lab.owner_word.load() != TERMINATED
+    assert mine == lab.owner == lab.owner_word.load()
+    assert alloc.frontend.labs[mine] is lab
     return mine
 
 
@@ -942,21 +942,20 @@ def attached_word(alloc):
 def test_attachment_record_holds_the_current_owner_word(lab_mode):
     alloc = make_allocator(lab_mode=lab_mode)
     width = alloc.frontend.clab_width
-    first = attached_word(alloc)                        # tid 0: LAB 0
+    first = attached_word(alloc)            # tid 0: CLAB slot 0
     p, q = alloc.malloc(64), alloc.malloc(64)
     span = span_of(alloc, p)
-    alloc.detach_thread()                               # orphans the span
-    for _ in range(width - 1):                          # tids 1..width-1
+    alloc.detach_thread()                   # orphans the span
+    for _ in range(width - 1):              # tids 1..width-1
         attach_and_detach(alloc)
-    second = attached_word(alloc)                       # tid width: LAB 0
-    assert second & OWNER_REF_MASK == first & OWNER_REF_MASK == 0
-    assert second >> 48 > first >> 48                   # a new generation
+    second = attached_word(alloc)           # tid width: CLAB slot 0
+    assert second != first                  # a new LAB, a new owner
     for _ in range(width - 1):
         attach_and_detach(alloc)
 
     def sharer():
-        # tid 2 * width: LAB 0 again in CLAB mode, shared with the main
-        # thread; a LAB of its own in TLAB mode.
+        # tid 2 * width: CLAB slot 0 again, whose LAB it shares with the
+        # main thread; a LAB of its own in TLAB mode.
         word = attached_word(alloc)
         alloc.detach_thread()
         return word

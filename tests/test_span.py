@@ -12,12 +12,12 @@ from spanalloc.span import (
     EPOCH_COUNTER_MASK, EPOCH_OWNER_SHIFT, EPOCH_STATE_SHIFT, LEGAL_EDGES,
     STATE_FLOATING, STATE_FREE, STATE_HOT, STATE_NAMES, STATE_REUSABLE,
     SpanHeader, SpanSpace, epoch_counter, epoch_owner, epoch_state,
-    next_epoch_word, pack_owner,
+    next_epoch_word,
 )
 from spanalloc.vmem import SimProvider
 
-OWNER = pack_owner(1, 0)
-OTHER = pack_owner(1, 1)
+OWNER = 1
+OTHER = 2
 
 
 def make_space(spans=16, **kw):
@@ -257,13 +257,13 @@ def test_adopt_single_winner():
         barrier.wait()
         results.append(span.try_adopt(stamp, word))
 
-    a = threading.Thread(target=adopter, args=(pack_owner(2, 5),))
-    b = threading.Thread(target=adopter, args=(pack_owner(3, 6),))
+    a = threading.Thread(target=adopter, args=(5,))
+    b = threading.Thread(target=adopter, args=(6,))
     run_threads([a, b])
     assert results.count(False) == 1
     won = next(r for r in results if r is not False)
     assert won == span.epoch.load()
-    assert epoch_owner(won) in (pack_owner(2, 5), pack_owner(3, 6))
+    assert epoch_owner(won) in (5, 6)
     assert epoch_state(won) == STATE_REUSABLE
     assert epoch_counter(won) == epoch_counter(stamp) + 1
 
