@@ -1,7 +1,8 @@
 """Public allocator facade.
 
-Routes requests by size: anything that fits a class goes through the
-frontend; a larger request is its own page mapping, returned at the
+Routes requests by size, each in the entry point's own frame: anything
+that fits a class goes through the frontend, its class one index into
+`CLASS_OF`; a larger request is its own page mapping, returned at the
 mapping's base. The provider's mapping record (base and length) is the
 huge object's header: a free unmaps exactly a live mapping's base, and
 anything else fails there, before it changes anything. So a huge malloc
@@ -17,7 +18,9 @@ from .config import PAGE_SIZE, AllocatorConfig
 from .errors import OutOfMemory, ReservationError, WildFree
 from .fragmeter import FragLedger
 from .frontend import Frontend
-from .size_classes import HUGE, class_for_size
+# class_for_size is not called here (malloc indexes CLASS_OF itself);
+# perfbench/tracing.py wraps it under this module's name.
+from .size_classes import CLASS_OF, MAX_CLASS_BLOCK, class_for_size
 from .span import SpanSpace
 from .span_pool import SpanPool
 from .vmem import make_provider
@@ -58,11 +61,16 @@ class Allocator:
     def malloc(self, size):
         """A block of at least `size` bytes; NULL on out-of-memory,
         ValueError for a negative size."""
-        sc = class_for_size(size)
-        if sc == HUGE:
-            return self._huge_alloc(size)
+        if size > MAX_CLASS_BLOCK:
+            try:
+                return self.provider.map_pages(
+                    -(-size // PAGE_SIZE) * PAGE_SIZE)
+            except ReservationError:
+                return NULL
+        if size < 0:
+            raise ValueError(f"negative size {size}")
         try:
-            return self.frontend.allocate(sc)
+            return self.frontend.allocate(CLASS_OF[(size + 15) >> 4])
         except OutOfMemory:
             return NULL
 
@@ -71,8 +79,13 @@ class Allocator:
             return
         if self._arena_lo <= addr < self._arena_hi:
             self.frontend.deallocate(addr)
-        else:
-            self._huge_free(addr)
+            return
+        # unmap checks that `addr` is a live mapping's base before it
+        # drops anything.
+        try:
+            self.provider.unmap(addr)
+        except ValueError:
+            raise WildFree(f"{addr:#x} is not an allocated address") from None
 
     def calloc(self, nmemb, size):
         if nmemb < 0 or size < 0:
@@ -130,22 +143,6 @@ class Allocator:
         if length is None:
             raise WildFree(f"{addr:#x} is not an allocated address")
         return length
-
-    # -- huge objects -------------------------------------------------------
-
-    def _huge_alloc(self, size):
-        try:
-            return self.provider.map_pages(-(-size // PAGE_SIZE) * PAGE_SIZE)
-        except ReservationError:
-            return NULL
-
-    def _huge_free(self, addr):
-        # unmap checks that `addr` is a live mapping's base before it
-        # drops anything.
-        try:
-            self.provider.unmap(addr)
-        except ValueError:
-            raise WildFree(f"{addr:#x} is not an allocated address") from None
 
     # -- threads ------------------------------------------------------------
 

@@ -54,7 +54,7 @@ replace into the caller's set, adopts the span.
 import itertools
 import threading
 import weakref
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 
 from . import atomic
 from .atomic import AtomicWord
@@ -71,9 +71,9 @@ from .span import (
 class LAB:
     """Per size class, the hot span and the reusable set: an OrderedDict
     span -> stamp in FIFO order (a plain dict would walk the deleted
-    slots left at its front on every take). `latch` guards all of the
-    sets, taken with `acquire()` and released in `finally` (cheaper than
-    `with`, see `atomic.py`). An entry is made only by `mark`, whose
+    slots left at its front on every take), built at the class's first
+    marking. `latch` guards all of the sets, taken with `acquire()` and
+    released in `finally` (cheaper than `with`, see `atomic.py`). An entry is made only by `mark`, whose
     floating -> reusable replace installs its stamp under the latch, and
     only while the marking's owner equals the owner word: `owner`, the
     LAB's id, until termination stores TERMINATED, which refuses every
@@ -88,7 +88,7 @@ class LAB:
         self.owner = owner
         self.owner_word = AtomicWord(owner)
         self.hot_spans = [None] * NUM_CLASSES
-        self.reusable = [OrderedDict() for _ in range(NUM_CLASSES)]
+        self.reusable = defaultdict(OrderedDict)
         self.latch = atomic.Latch()
         # CLAB only. A plain lock: nothing re-enters allocate while it
         # holds a class latch (under it allocate reaches only the set,
@@ -128,7 +128,7 @@ class LAB:
         latch = self.latch
         latch.acquire()
         try:
-            stamps = self.reusable[sc]
+            stamps = self.reusable.get(sc)
             return stamps.popitem(last=False) if stamps else None
         finally:
             latch.release()
@@ -140,9 +140,9 @@ class LAB:
         latch.acquire()
         try:
             entries = []
-            for stamps in self.reusable:
+            for stamps in self.reusable.values():
                 entries += stamps.items()
-                stamps.clear()
+            self.reusable.clear()
             return entries
         finally:
             latch.release()

@@ -15,6 +15,10 @@ decommit threshold:
 That yields 28 classes over 6 distinct real-span sizes, with block
 internal fragmentation below 50% for every request above 16 bytes.
 Anything above 1MB bypasses spans entirely (HUGE).
+
+A request's class is one index, `CLASS_OF[(size + 15) >> 4]`: a byte
+per 16-byte granule up to 1MB, exact since every block size is a
+multiple of 16.
 """
 
 from typing import NamedTuple
@@ -23,7 +27,6 @@ KB = 1024
 SMALL_HEADER_SIZE = 256
 LARGE_HEADER_SIZE = 4096
 SMALL_REAL_SPAN = 32 * KB
-MAX_SMALL_BLOCK = 256
 MAX_CLASS_BLOCK = 1024 * KB
 
 HUGE = -1
@@ -67,15 +70,17 @@ def _build_table():
     distinct = sorted({rs for _, rs, _ in rows})
     rs_index = {rs: i for i, rs in enumerate(distinct)}
 
-    table = []
+    table, class_of = [], bytearray()
     for cid, (block, rs, header) in enumerate(rows):
         blocks = (rs - header) // block
         assert blocks >= 1
         table.append(SizeClass(cid, block, rs, header, blocks, rs_index[rs]))
-    return tuple(table), tuple(distinct)
+        # One run per class: the granules above the previous block.
+        class_of += bytes([cid]) * (block // 16 + 1 - len(class_of))
+    return tuple(table), tuple(distinct), bytes(class_of)
 
 
-TABLE, REAL_SPAN_SIZES = _build_table()
+TABLE, REAL_SPAN_SIZES, CLASS_OF = _build_table()
 NUM_CLASSES = len(TABLE)
 NUM_REAL_SPAN_SIZES = len(REAL_SPAN_SIZES)
 
@@ -86,17 +91,11 @@ def class_for_size(request):
     Zero-size requests map to class 0 so they still get a unique,
     freeable address; a negative one is a ValueError.
     """
-    if request <= MAX_SMALL_BLOCK:
-        if request <= 16:
-            if request < 0:
-                raise ValueError(f"negative size {request}")
-            return 0
-        return (request + 15) // 16 - 1
     if request > MAX_CLASS_BLOCK:
         return HUGE
-    # Next power of two, at least 512.
-    npow = 1 << (request - 1).bit_length()
-    return 16 + npow.bit_length() - 10
+    if request < 0:
+        raise ValueError(f"negative size {request}")
+    return CLASS_OF[(request + 15) >> 4]
 
 
 def geometry(class_id):

@@ -44,7 +44,8 @@ def live_entry(lab, span):
     """Whether `lab`'s reusable set of `span`'s class holds a live entry
     of it: one whose stamp equals the span's epoch (`in` on the set
     would also see a stale entry)."""
-    return lab.reusable[span.size_class].get(span) == span.epoch.load()
+    stamps = lab.reusable.get(span.size_class, {})
+    return stamps.get(span) == span.epoch.load()
 
 
 def frag_oracle(allocator):
@@ -125,7 +126,7 @@ def census(allocator, live=None):
         for span in lab.hot_spans:
             if span is not None:
                 holders.setdefault(span.slot, []).append(owner)
-        for sc, stamps in enumerate(lab.reusable):
+        for sc, stamps in lab.reusable.items():
             for span, stamp in list(stamps.items()):
                 epoch = span.epoch.load()
                 if stamp != epoch:

@@ -3,7 +3,7 @@ import pytest
 from helpers import census, check_heap, make_allocator
 from spanalloc import NULL, Allocator, ReservationError, WildFree
 from spanalloc.config import CLAB, PAGE_SIZE, TLAB, VIRTUAL_SPAN_SIZE
-from spanalloc.size_classes import TABLE, class_for_size
+from spanalloc.size_classes import MAX_CLASS_BLOCK, TABLE, class_for_size
 
 
 def test_size_routing(alloc):
@@ -17,6 +17,24 @@ def test_size_routing(alloc):
     assert alloc.usable_size(r) == 257 * PAGE_SIZE     # page-rounded
     for x in (p, q, r):
         alloc.free(x)
+
+
+def test_every_class_boundary_routes_by_usable_size(alloc):
+    # A class's own block size is served by that class, one byte more by
+    # the next one up; one byte past the largest class is one mapping.
+    for row, above in zip(TABLE, TABLE[1:]):
+        for size, usable in ((row.block_size, row.block_size),
+                             (row.block_size + 1, above.block_size)):
+            p = alloc.malloc(size)
+            assert alloc.usable_size(p) == usable, size
+            alloc.free(p)
+    p = alloc.malloc(TABLE[-1].block_size)
+    assert alloc.usable_size(p) == MAX_CLASS_BLOCK
+    alloc.free(p)
+    maps = alloc.provider.map_calls
+    p = alloc.malloc(MAX_CLASS_BLOCK + 1)
+    assert alloc.provider.map_calls == maps + 1 and not alloc.arena.contains(p)
+    alloc.free(p)
 
 
 def test_malloc_zero_gives_unique_freeable_address(alloc):
@@ -331,7 +349,7 @@ def test_aligned_alloc(alloc):
             assert alloc.usable_size(p) >= size
             alloc.free(p)
     p = alloc.malloc(64)
-    stats = alloc.stats()
+    stats, committed = alloc.stats(), alloc.committed_bytes
     for call, args in (
         (alloc.aligned_alloc, (48, 100)),      # not a power of two
         (alloc.aligned_alloc, (8192, 100)),    # beyond the 4KB cap
@@ -347,6 +365,7 @@ def test_aligned_alloc(alloc):
         with pytest.raises(ValueError):
             call(*args)
     assert alloc.stats() == stats              # nothing allocated or freed
+    assert alloc.committed_bytes == committed
     alloc.free(p)
 
 

@@ -388,7 +388,8 @@ def test_one_latch_guards_all_of_a_labs_sets(monkeypatch, latched):
     monkeypatch.setattr(atomic, "Latch", latch)
     lab = LAB(0, latched)
     assert len(built) == 1 + NUM_CLASSES * latched
-    assert built[0] is lab.latch and len(lab.reusable) == NUM_CLASSES
+    # No set exists before its class's first marking.
+    assert built[0] is lab.latch and len(lab.reusable) == 0
 
 
 def test_clab_mode_shares_lab_and_frees_remotely():
@@ -718,7 +719,7 @@ def containers(alloc):
         "arena_spans": alloc.stats()["arena_spans"],
         "headers": len(list(alloc.space.iter_headers())),
         "pool_depth": pool.puts.load() - pool.gets_from_pool.load(),
-        "set_lengths": [[len(s) for s in lab.reusable]
+        "set_lengths": [{sc: len(s) for sc, s in lab.reusable.items()}
                         for lab in labs.values()],
         "labs": len(labs),
         "slots": len(alloc.provider._slots),

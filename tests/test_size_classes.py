@@ -1,8 +1,10 @@
 from hypothesis import given, strategies as st
 
+import pytest
+
 from spanalloc.size_classes import (
-    HUGE, NUM_CLASSES, NUM_REAL_SPAN_SIZES, REAL_SPAN_SIZES, TABLE,
-    class_for_size, geometry,
+    CLASS_OF, HUGE, MAX_CLASS_BLOCK, NUM_CLASSES, NUM_REAL_SPAN_SIZES,
+    REAL_SPAN_SIZES, TABLE, class_for_size, geometry,
 )
 
 MAX_CLASS = 1 << 20
@@ -73,6 +75,26 @@ def test_class_for_size_examples():
     assert class_for_size(MAX_CLASS) == 27
     assert class_for_size(MAX_CLASS + 1) == HUGE
     assert TABLE[class_for_size(100)].block_size == 112
+
+
+def smallest_covering_class(request):
+    """The smallest TABLE row whose block covers `request`, by a scan;
+    HUGE when none does."""
+    return next((row.class_id for row in TABLE if row.block_size >= request),
+                HUGE)
+
+
+def test_every_granule_boundary():
+    # Both sides of every 16-byte boundary up to 1MB: 16k is the last
+    # request of granule k and 16k + 1 the first of granule k + 1.
+    assert len(CLASS_OF) == MAX_CLASS_BLOCK // 16 + 1
+    for k in range(MAX_CLASS_BLOCK // 16 + 1):
+        for request in (16 * k, 16 * k + 1):
+            assert class_for_size(request) \
+                == smallest_covering_class(request), request
+    assert class_for_size(MAX_CLASS_BLOCK + 1) == HUGE
+    with pytest.raises(ValueError):
+        class_for_size(-1)
 
 
 def test_round_trip_every_class():
