@@ -21,7 +21,7 @@ from .frontend import Frontend
 # class_for_size is not called here (malloc indexes CLASS_OF itself);
 # perfbench/tracing.py wraps it under this module's name.
 from .size_classes import CLASS_OF, MAX_CLASS_BLOCK, class_for_size
-from .span import SpanSpace
+from .span import EPOCH_STATE_SHIFT, STATE_FREE, SpanSpace
 from .span_pool import SpanPool
 from .vmem import make_provider
 
@@ -166,5 +166,9 @@ class Allocator:
         out.update({f"stack_{k}": v
                     for k, v in self.pool.counter_totals().items()})
         if self.ledger is not None:
-            out["frag_bytes"] = self.ledger.f
+            # The free bytes of every span in the frontend.
+            out["frag_bytes"] = sum(
+                h.free_block_count() * h.block_size
+                for h in self.space.iter_headers()
+                if h.epoch.load() >> EPOCH_STATE_SHIFT != STATE_FREE)
         return out

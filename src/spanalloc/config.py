@@ -41,8 +41,9 @@ class AllocatorConfig:
     # Ablation toggles (the bench CLI's --no-decommit, --lazy-reclaim).
     decommit_enabled: bool = True
     eager_reclaim: bool = True
-    # Test-build instrumentation: one FragLedger (fragmentation total,
-    # live blocks for DoubleFree, transition trace). Off for plain runs.
+    # Test-build instrumentation: one FragLedger (live blocks for
+    # DoubleFree, transition trace), and `frag_bytes` in `stats()`, read
+    # off the span headers. Off for plain runs.
     instrument: bool = False
 
     def __post_init__(self):

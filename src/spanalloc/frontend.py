@@ -46,8 +46,8 @@ each float test for emptiness, `_retire_empty`. So between a last push
 and a move of the word, one of the two threads sees both, and one
 conditional replace picks one retirement; a loser never retries. A
 span changes owner only when it is taken hot from the pool and when
-its owner terminated, so that the owner's set refuses a marking or the
-owner's LAB is gone: then the marking itself, one floating -> reusable
+its owner terminated, so that the owner's LAB is closed and refuses a
+marking, or is gone: then the marking itself, one floating -> reusable
 replace into the caller's set, adopts the span.
 """
 
@@ -57,14 +57,13 @@ import weakref
 from collections import OrderedDict, defaultdict
 
 from . import atomic
-from .atomic import AtomicWord
 from .config import CPU_COUNT, SPAN_SHIFT, TLAB
 from .errors import WildFree
 from .size_classes import NUM_CLASSES
 from .span import (
     EPOCH_OWNER_FIELD, EPOCH_OWNER_SHIFT, EPOCH_STATE_SHIFT,
     REMOTE_COUNT_SHIFT, STATE_FLOATING, STATE_FREE, STATE_HOT,
-    STATE_REUSABLE, TERMINATED,
+    STATE_REUSABLE,
 )
 
 
@@ -72,21 +71,21 @@ class LAB:
     """Per size class, the hot span and the reusable set: an OrderedDict
     span -> stamp in FIFO order (a plain dict would walk the deleted
     slots left at its front on every take), built at the class's first
-    marking. `latch` guards all of the sets, taken with `acquire()` and
-    released in `finally` (cheaper than `with`, see `atomic.py`). An entry is made only by `mark`, whose
-    floating -> reusable replace installs its stamp under the latch, and
-    only while the marking's owner equals the owner word: `owner`, the
-    LAB's id, until termination stores TERMINATED, which refuses every
-    marking from then on. An entry is live while its stamp equals its
-    span's epoch; a stale one stays until taken and then fails the
-    taker's conditional replace."""
+    marking. `latch` guards all of the sets and `closed`, taken with
+    `acquire()` and released in `finally` (cheaper than `with`, see
+    `atomic.py`). An entry is made only by `mark`, whose floating ->
+    reusable replace installs `owner`, the LAB's id, and the entry's
+    stamp under the latch, and only while the LAB is open: termination's
+    `close` sets `closed`, which refuses every marking from then on. An
+    entry is live while its stamp equals its span's epoch; a stale one
+    stays until taken and then fails the taker's conditional replace."""
 
-    __slots__ = ("owner", "owner_word", "hot_spans", "reusable", "latch",
+    __slots__ = ("owner", "closed", "hot_spans", "reusable", "latch",
                  "class_latches", "attached")
 
     def __init__(self, owner, latched):
         self.owner = owner
-        self.owner_word = AtomicWord(owner)
+        self.closed = False
         self.hot_spans = [None] * NUM_CLASSES
         self.reusable = defaultdict(OrderedDict)
         self.latch = atomic.Latch()
@@ -99,20 +98,20 @@ class LAB:
             [atomic.Latch() for _ in range(NUM_CLASSES)] if latched else None
         self.attached = 0
 
-    def mark(self, sc, span, word, owner):
-        """In one critical section: unless `owner` is the owner word,
-        None, with nothing changed; else the floating -> reusable replace
-        of `span` from `word` that installs `owner`, and, when it wins,
-        an entry in set `sc` stamped with the installed word, which is
-        returned (False when the replace fails). An entry is made only
-        by the replace that made its stamp, so it cannot overwrite a
-        later marking's entry."""
+    def mark(self, sc, span, word):
+        """In one critical section: None, with nothing changed, when the
+        LAB is closed; else the floating -> reusable replace of `span`
+        from `word` that installs `owner`, and, when it wins, an entry
+        in set `sc` stamped with the installed word, which is returned
+        (False when the replace fails). An entry is made only by the
+        replace that made its stamp, so it cannot overwrite a later
+        marking's entry."""
         latch = self.latch
         latch.acquire()
         try:
-            if self.owner_word.load() != owner:
+            if self.closed:
                 return None
-            stamp = span.try_transition(word, STATE_REUSABLE, owner)
+            stamp = span.try_transition(word, STATE_REUSABLE, self.owner)
             if stamp:
                 # A stale entry of the same span makes way for the new
                 # one at the back: take order is marking order.
@@ -133,12 +132,14 @@ class LAB:
         finally:
             latch.release()
 
-    def take_all(self):
-        """Every entry of every set, as (span, stamp), in one critical
-        section."""
+    def close(self):
+        """In one critical section: set `closed`, which refuses every
+        later marking, and take every entry of every set, as (span,
+        stamp)."""
         latch = self.latch
         latch.acquire()
         try:
+            self.closed = True
             entries = []
             for stamps in self.reusable.values():
                 entries += stamps.items()
@@ -313,7 +314,7 @@ class Frontend:
                     if fetches and fetches > stats.max_fetches_per_alloc:
                         stats.max_fetches_per_alloc = fetches
                     if self.ledger is not None:
-                        self.ledger.on_alloc(block, hot.block_size)
+                        self.ledger.on_alloc(block)
                     return block
                 if hot.drain_remotes() > 0:
                     stats.drains += 1
@@ -329,7 +330,7 @@ class Frontend:
                     if hot.try_transition(took, STATE_FREE):
                         self.pool.put(hot, tid)
                 elif free > hot.reuse_threshold_blocks:
-                    self._settle(hot, took, lab, tid, stats, mine)
+                    self._settle(hot, took, lab, tid, stats)
                 hot = None
         finally:
             if latches is not None:
@@ -353,8 +354,6 @@ class Frontend:
         took = span.try_transition(span.epoch.load(), STATE_HOT, mine)
         assert took, "free -> hot does not compete with anyone"
         stats.pool_fetches += 1
-        if self.ledger is not None:
-            self.ledger.on_span_in(span.block_size * span.blocks_per_span)
         return span
 
     # -- deallocation ---------------------------------------------------------
@@ -399,7 +398,7 @@ class Frontend:
                 or off >= span.bump_limit * size or off % size:
             raise WildFree(f"{addr:#x} is not a handed-out block of its span")
         if self.ledger is not None:
-            self.ledger.on_free(addr, size)
+            self.ledger.on_free(addr)
         try:
             lab, tid, stats, mine, _ = self._tls.attached
         except AttributeError:
@@ -425,9 +424,9 @@ class Frontend:
                 self.pool.put(span, tid)
         elif old_state == STATE_FLOATING \
                 and free > span.reuse_threshold_blocks:
-            self._settle(span, old_epoch, lab, tid, stats, mine)
+            self._settle(span, old_epoch, lab, tid, stats)
 
-    def _settle(self, span, old_epoch, lab, tid, stats, mine):
+    def _settle(self, span, old_epoch, lab, tid, stats):
         """The marking of a span whose floating epoch word the calling
         free read as `old_epoch` (or the calling float installed), and
         which a push took over the reuse threshold short of empty:
@@ -439,10 +438,11 @@ class Frontend:
         marking's critical section entered it in. A free that pools a
         span leaves any entry of it there, stale: the owner's take fails
         its conditional replace from the stamp and skips it. When the
-        owner terminated, its LAB refuses the marking with nothing
-        changed, or is gone from `labs` already, and this free marks the
-        span into the caller's set, `lab`, with the caller's owner: that
-        one replace from the floating word adopts the span.
+        owner terminated, its LAB is closed and refuses the marking with
+        nothing changed, or is gone from `labs` already, and this free
+        marks the span into the caller's set, `lab`, which installs the
+        caller's owner: that one replace from the floating word adopts
+        the span.
 
         The marking's replace fails when another free marked or retired
         the span first. A last push before the test is seen by it; a
@@ -456,9 +456,9 @@ class Frontend:
         owner = (old_epoch & EPOCH_OWNER_FIELD) >> EPOCH_OWNER_SHIFT
         owner_lab = self.labs.get(owner)
         word = None if owner_lab is None \
-            else owner_lab.mark(sc, span, old_epoch, owner)
+            else owner_lab.mark(sc, span, old_epoch)
         if word is None:
-            word = lab.mark(sc, span, old_epoch, mine)
+            word = lab.mark(sc, span, old_epoch)
             if word:
                 stats.adopts += 1
         if word and self.eager_reclaim:
@@ -467,16 +467,15 @@ class Frontend:
     # -- termination --------------------------------------------------------
 
     def _terminate_lab(self, lab, tid):
-        """Mark the LAB terminated, which closes its sets, then float
-        every hot span, then take every set entry in one critical
-        section of the LAB latch and float each entry's span; spans with
+        """Close the LAB, which in one critical section of its latch
+        refuses every later marking and takes every set entry; then
+        float every hot span, then float each entry's span. Spans with
         live blocks become orphans, adopted by the free that next marks
-        each reusable. A marking reads the owner word, replaces the
-        epoch word and makes its entry under the LAB latch, and the take
-        runs under it after the store, so each marking's entry lands
-        before the take, or the marking is refused with the span left
-        floating. Adoption is a marking, so no hot span changes owner
-        meanwhile.
+        each reusable. A marking tests `closed`, replaces the epoch word
+        and makes its entry under the same latch, so each marking's
+        entry lands before the close takes the entries, or the marking
+        is refused with the span left floating. Adoption is a marking,
+        so no hot span changes owner meanwhile.
 
         An empty span goes to the pool instead, under lazy reclamation
         too, since no slow path of this LAB is left to reclaim it: an
@@ -484,14 +483,14 @@ class Frontend:
         span that is empty goes floating -> free from the word its float
         installed. A last free that pushes after that test reads the new
         word after its push and retires the span itself."""
-        lab.owner_word.store(TERMINATED)
+        entries = lab.close()
         for sc, hot in enumerate(lab.hot_spans):
             if hot is not None:
                 floated = hot.try_transition(hot.epoch.load(), STATE_FLOATING)
                 assert floated, "no one else transitions a hot span"
                 lab.hot_spans[sc] = None
                 self._retire_empty(hot, floated, tid)
-        for span, word in lab.take_all():
+        for span, word in entries:
             if not span.is_empty():
                 # Fails only on a stale entry: the span moved on.
                 word = span.try_transition(word, STATE_FLOATING)

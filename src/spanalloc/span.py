@@ -62,9 +62,6 @@ LEGAL_EDGES = frozenset([
     (STATE_REUSABLE, STATE_FLOATING),   # thread termination
 ])
 
-# A terminated LAB's owner word: no owner id is negative.
-TERMINATED = -1
-
 # Remote free list word: 16-bit element count above the 48-bit arena
 # offset of the head block. Offset 0 is never a block, so 0 is empty.
 REMOTE_OFFSET_MASK = (1 << 48) - 1

@@ -94,11 +94,7 @@ class SpanPool:
         self.gets_from_arena = AtomicWord(0)
 
     def put(self, span, thread_id):
-        """Insert a span in state free; caller holds the only reference.
-        An instrumented allocator's ledger drops the span's payload
-        before the push: once pooled, another thread may re-class it."""
-        if self.space.ledger is not None:
-            self.space.ledger.on_span_out(span.block_size * span.blocks_per_span)
+        """Insert a span in state free; caller holds the only reference."""
         rs = span.real_span_size
         if self.decommit_enabled and rs > DECOMMIT_THRESHOLD:
             self.provider.decommit(span.base + PAGE_SIZE, rs - PAGE_SIZE)

@@ -18,6 +18,15 @@ ASPLOS 2010): a churn meets each racy window many times over. A failing
 run's error spells its schedule as a list expression for `replay`,
 and a failing sample names its seed too.
 
+The exploration is sound only for programs that keep one rule: state
+shared between threads is an `AtomicWord`, or is read and written only
+under a latch, as `LAB.reusable` and `LAB.closed` are. A plain store
+made outside every latch is no yield point, so no schedule can place
+another thread between it and the code around it: setting `closed`
+just after `LAB.close` returns, outside the latch, passes every
+exploration in test_races.py, though a marking may then slip in
+between the take of the entries and the store.
+
 `build()` returns a `Scenario`: `threads`, the raced bodies (None for a
 thread with steps only); `steps` and `after`, (thread id, callable)
 pairs run in order, with no yield point, before and after the race;

@@ -195,7 +195,8 @@ def check_heap(allocator, live=None):
     """Assert the whole census at quiescence: nothing broken, lost or
     stray; the pool's depth equals `puts - gets_from_pool`; the walked
     fragmentation equals `frag_oracle` and, when instrumented, the
-    ledger's `f`, with a valid transition trace. Returns the census."""
+    `frag_bytes` of `stats()`, with a valid transition trace. Returns
+    the census."""
     heap = census(allocator, live)
     assert not heap.bad, heap.bad
     assert not heap.lost, f"spans with no home: {heap.lost}"
@@ -208,8 +209,9 @@ def check_heap(allocator, live=None):
     assert heap.frag_walked == counted, \
         f"walked frag {heap.frag_walked} != counted {counted}"
     if allocator.ledger is not None:
-        assert heap.frag_walked == allocator.ledger.f, \
-            f"walked frag {heap.frag_walked} != ledger {allocator.ledger.f}"
+        frag_bytes = allocator.stats()["frag_bytes"]
+        assert heap.frag_walked == frag_bytes, \
+            f"walked frag {heap.frag_walked} != frag_bytes {frag_bytes}"
         validate_transition_trace(allocator)
     return heap
 

@@ -81,7 +81,7 @@ def terminate_race(**config):
 
 
 def send_round(w):
-    """LAB 1's body, 47 yield points (624 to 1,040 schedules at bound 2):
+    """LAB 1's body, 45 yield points (552 to 1,019 schedules at bound 2):
     it frees the span's last block, takes the span back from the pool,
     fills and floats it, and frees it down to reusable in its own set."""
     def body():
@@ -142,7 +142,7 @@ def marking_vs_termination_and_push():
     w = floated(K32, owner=1, labs=3)
     w.threads = [w.free(12), w.alloc.detach_thread, w.free(13)]
     w.after = [(0, w.malloc_again)]
-    w.bound = 1         # three racing threads: 3,106 schedules at 2
+    w.bound = 1         # three racing threads: 2,126 schedules at 2
     return w
 
 
@@ -166,7 +166,8 @@ def marking_vs_reuse(**config):
 def adoption_in_the_next_life():
     """LAB 0's free that marks LAB 1's span, against its next life: LAB 1
     frees its last block, takes it back from the pool under the same
-    owner word and terminates; LAB 2 frees it down and marks it again."""
+    owner and terminates, which closes its LAB; LAB 2 frees it down and
+    marks it again."""
     w = floated(owner=1, labs=3)
     w.got = []
 
@@ -182,7 +183,7 @@ def adoption_in_the_next_life():
 
     w.threads = [w.free(6), next_life, mark_again]
     w.after = [(2, w.malloc_again)]
-    # 71 yield points: 5,064 schedules at bound 2, though its recorded
+    # 72 yield points: 4,316 schedules at bound 2, though its recorded
     # schedule preempts twice
     w.bound = 1
     return w

@@ -118,7 +118,7 @@ def test_c03_fragmentation_ledger_exact_equality():
             alloc.free(live.pop(rng.randrange(len(live))))
         else:
             live.append(alloc.malloc(rng.choice(sizes)))
-        if alloc.ledger.f != frag_oracle(alloc):
+        if alloc.stats()["frag_bytes"] != frag_oracle(alloc):
             failures += 1
             break
         if step % 5000 == 0:
@@ -128,7 +128,7 @@ def test_c03_fragmentation_ledger_exact_equality():
     check_heap(alloc, live=())
     elapsed = time.perf_counter() - started
     _report(3, failures == 0,
-            f"ledger == brute-force free-payload sum after each of {ops} "
+            f"frag_bytes == brute-force free-payload sum after each of {ops} "
             f"ops (exact; {elapsed:.1f}s)")
 
 

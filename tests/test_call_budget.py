@@ -2,26 +2,28 @@
 
 Each test counts the Python-level function calls (`sys.setprofile`
 "call" events, the outer `malloc` or `free` included) that one call
-makes on an uninstrumented `sim` allocator, on one path of the paper's
-free: a retirement of a floating 1M-class span to the pool, a free
-that empties a reusable 128K-class span with 8 committed block pages, a
-huge free, a local free into the caller's own hot span, a CLAB free
-into the shared LAB's hot span, a local free into the caller's own
-floating span that leaves it below the reuse threshold, a local free
-into the caller's own reusable 64 B span that leaves it live, a remote
-free into a floating span below the threshold, a remote free into a
-live owner's hot span, and three marking frees: an own one into the
-caller's set, a remote one into a live owner's set, and one that adopts
-an orphaned span into the caller's set;
+makes on a `sim` allocator, uninstrumented but for one path, on one
+path of the paper's free: a retirement of a floating 1M-class span to
+the pool, a free that empties a reusable 128K-class span with 8
+committed block pages, a huge free, a local free into the caller's own
+hot span, a CLAB free into the shared LAB's hot span, a local free into
+the caller's own floating span that leaves it below the reuse
+threshold, a local free into the caller's own reusable 64 B span that
+leaves it live, a remote free into a floating span below the
+threshold, a remote free into a live owner's hot span, and three
+marking frees: an own one into the caller's set, a remote one into a
+live owner's set, and one that adopts an orphaned span into the
+caller's set;
 of its malloc: a small malloc served from the hot span's bump region,
 in TLAB and in CLAB mode, one that pops the hot span's local list (the
 commonest malloc of a churn), a malloc that takes its span from the
 reusable set, a 1M malloc that takes a pooled span, one that takes a
 fresh arena slot, and a huge malloc; of `Allocator.realloc`, a 64 B
-block moved to 128 B; and one attach and detach of a thread, which
-builds its LAB. `malloc` and `free` route every request in their own
-frame: the size class is an index into `CLASS_OF`, and a huge object
-is mapped and unmapped there.
+block moved to 128 B; of a small malloc from the hot span and its local
+free on an instrumented allocator; and one attach and detach of a
+thread, which builds its LAB. `malloc` and `free` route every request
+in their own frame: the size class is an index into `CLASS_OF`, and a
+huge object is mapped and unmapped there.
 Builtins and C methods (dict and set operations, lock acquire and
 release) make no "call" event and are not counted.
 
@@ -342,12 +344,12 @@ def floated_128k_span_at_its_threshold(alloc):
 
 def test_own_marking_free_into_the_callers_set():
     # A local push and one count take the caller's own floating span
-    # over the threshold: the marking's owner check, replace and set
-    # entry are one critical section of the caller's LAB latch, and one
-    # emptiness test from the marking's word follows.
+    # over the threshold: the marking's test of `closed`, replace and
+    # set entry are one critical section of the caller's LAB latch, and
+    # one emptiness test from the marking's word follows.
     alloc = make_allocator()
     span, left = floated_128k_span_at_its_threshold(alloc)
-    assert_budget(calls_in(alloc.free, left[0]), 13)
+    assert_budget(calls_in(alloc.free, left[0]), 12)
     assert epoch_state(span.epoch.load()) == STATE_REUSABLE
     assert live_entry(alloc.frontend.labs[0], span)
     assert alloc.stats()["adopts"] == 0
@@ -368,7 +370,7 @@ def test_remote_marking_free_into_a_live_owners_set():
 
     run_in_thread(remote)
     assert len(calls) == 1
-    assert_budget(calls[0], 17)
+    assert_budget(calls[0], 16)
     assert epoch_state(span.epoch.load()) == STATE_REUSABLE
     assert live_entry(alloc.frontend.labs[0], span)
     assert alloc.stats()["adopts"] == 0
@@ -391,10 +393,28 @@ def test_marking_free_that_adopts_an_orphan():
     run_in_thread(producer)
     span = alloc.space.span_of(left[0])
     assert epoch_state(span.epoch.load()) == STATE_FLOATING
-    assert_budget(calls_in(alloc.free, left[0]), 17)
+    assert_budget(calls_in(alloc.free, left[0]), 16)
     assert epoch_state(span.epoch.load()) == STATE_REUSABLE
     assert live_entry(alloc.frontend.labs[0], span)
     assert alloc.stats()["adopts"] == 1
+
+
+def test_instrumented_small_malloc_and_its_local_free():
+    # An instrumented malloc from the hot span adds its block to the
+    # ledger's live set; its local free's DoubleFree test and removal
+    # are one call, `FragLedger.on_free`.
+    alloc = make_allocator(instrument=True)
+    first = alloc.malloc(64)
+    p = first + 64                       # the hot span's next bump
+    calls = calls_in(alloc.malloc, 64)
+    assert alloc.ledger.live == {first, p}
+    alloc.provider.write_word(p, 1)
+    calls += calls_in(alloc.free, p)
+    assert_budget(calls, 9)
+    assert calls.count("spanalloc.fragmeter:FragLedger.on_free") == 1
+    assert alloc.ledger.live == {first}
+    assert state(alloc, p) == STATE_HOT
+    assert alloc.space.span_of(p).local_count == 1
 
 
 def test_realloc_of_a_64b_block_to_128b():
@@ -414,10 +434,10 @@ def test_realloc_of_a_64b_block_to_128b():
 
 def test_attach_and_detach_of_a_tlab_thread():
     # Attach builds the thread's LAB, owned by the thread's id, and
-    # termination's one TERMINATED store closes all of its reusable sets
-    # and one `take_all` empties them under the LAB's one latch: neither
-    # makes a call per set, and attach builds no set, since a class's set
-    # is built at its first marking. Detach calls the attachment's finalizer,
+    # termination's one `close` closes all of its reusable sets and
+    # empties them under the LAB's one latch: neither makes a call per
+    # set, and attach builds no set, since a class's set is built at its
+    # first marking. Detach calls the attachment's finalizer,
     # which calls the release: one call more than a direct release, and
     # no finalizer left behind holding the allocator. The released LAB
     # leaves `labs`.
@@ -430,5 +450,5 @@ def test_attach_and_detach_of_a_tlab_thread():
 
     run_in_thread(counted)
     assert len(calls) == 1
-    assert_budget(calls[0], 16)
+    assert_budget(calls[0], 14)
     assert len(alloc.frontend.labs) == 0

@@ -17,38 +17,42 @@ def instrumented(**kw):
     return make_allocator(**kw)
 
 
+def frag(alloc):
+    return alloc.stats()["frag_bytes"]
+
+
 def test_first_alloc_charges_whole_span():
     alloc = instrumented()
     alloc.malloc(64)
-    assert alloc.ledger.f == U64 - 64 == 32512 - 64
-    assert alloc.ledger.f == frag_oracle(alloc)
+    assert frag(alloc) == U64 - 64 == 32512 - 64
+    assert frag(alloc) == frag_oracle(alloc)
 
 
 def test_alloc_from_hot_span_decreases():
     alloc = instrumented()
     alloc.malloc(64)
-    before = alloc.ledger.f
+    before = frag(alloc)
     alloc.malloc(64)
-    assert alloc.ledger.f == before - 64
+    assert frag(alloc) == before - 64
 
 
 def test_exhausting_span_takes_new_span_branch():
     alloc = instrumented()
     for _ in range(B64):
         alloc.malloc(64)
-    assert alloc.ledger.f == U64 - B64 * 64 == 0
+    assert frag(alloc) == U64 - B64 * 64 == 0
     alloc.malloc(64)                       # forces a fresh span
-    assert alloc.ledger.f == U64 - 64
-    assert alloc.ledger.f == frag_oracle(alloc)
+    assert frag(alloc) == U64 - 64
+    assert frag(alloc) == frag_oracle(alloc)
 
 
 def test_ordinary_free_increases_by_class_size():
     alloc = instrumented()
     p = alloc.malloc(64)
     alloc.malloc(64)
-    before = alloc.ledger.f
+    before = frag(alloc)
     alloc.free(p)
-    assert alloc.ledger.f == before + 64
+    assert frag(alloc) == before + 64
 
 
 def test_last_block_free_releases_whole_payload():
@@ -57,24 +61,24 @@ def test_last_block_free_releases_whole_payload():
     alloc.malloc(64)                       # float the first span
     for b in blocks[:-1]:
         alloc.free(b)
-    before = alloc.ledger.f
+    before = frag(alloc)
     alloc.free(blocks[-1])                 # empties + pools the span
-    assert alloc.ledger.f == before + 64 - U64
-    assert alloc.ledger.f == frag_oracle(alloc)
+    assert frag(alloc) == before + 64 - U64
+    assert frag(alloc) == frag_oracle(alloc)
 
 
 def test_span_lifecycle_telescopes_to_zero_net():
     alloc = instrumented()
     blocks = [alloc.malloc(64) for _ in range(B64)]
     extra = alloc.malloc(64)               # new span's first block
-    f_after_extra = alloc.ledger.f
+    f_after_extra = frag(alloc)
     for b in blocks:
         alloc.free(b)
     # The first span's whole life nets out once it returns to the pool.
-    assert alloc.ledger.f == f_after_extra - U64 + 64 * B64
-    assert alloc.ledger.f == frag_oracle(alloc)
+    assert frag(alloc) == f_after_extra - U64 + 64 * B64
+    assert frag(alloc) == frag_oracle(alloc)
     alloc.free(extra)
-    assert alloc.ledger.f == frag_oracle(alloc)
+    assert frag(alloc) == frag_oracle(alloc)
 
 
 def test_ledger_matches_oracle_after_every_op():
@@ -87,14 +91,14 @@ def test_ledger_matches_oracle_after_every_op():
             alloc.free(live.pop(rng.randrange(len(live))))
         else:
             live.append(alloc.malloc(rng.choice(sizes)))
-        assert alloc.ledger.f == frag_oracle(alloc), step
+        assert frag(alloc) == frag_oracle(alloc), step
         if step % 500 == 0:
             check_heap(alloc, live)
     while live:
         alloc.free(live.pop())
-        assert alloc.ledger.f == frag_oracle(alloc)
+        assert frag(alloc) == frag_oracle(alloc)
     check_heap(alloc, live=())
-    assert alloc.ledger.f >= 0
+    assert frag(alloc) >= 0
 
 
 def test_lazy_reclaim_keeps_oracle_equality():
@@ -106,10 +110,10 @@ def test_lazy_reclaim_keeps_oracle_equality():
             alloc.free(live.pop(rng.randrange(len(live))))
         else:
             live.append(alloc.malloc(rng.choice([64, 256])))
-        assert alloc.ledger.f == frag_oracle(alloc), step
+        assert frag(alloc) == frag_oracle(alloc), step
     while live:
         alloc.free(live.pop())
-    assert alloc.ledger.f == frag_oracle(alloc)
+    assert frag(alloc) == frag_oracle(alloc)
 
 
 def test_double_free_raises_and_leaves_the_lists_alone():
@@ -122,7 +126,7 @@ def test_double_free_raises_and_leaves_the_lists_alone():
         return span.walk_local(), span.walk_remote()
 
     alloc.free(p)
-    before, f = lists(), alloc.ledger.f
+    before, f = lists(), frag(alloc)
     with pytest.raises(DoubleFree):         # local repeat free
         alloc.free(p)
 
@@ -138,7 +142,7 @@ def test_double_free_raises_and_leaves_the_lists_alone():
     t = threading.Thread(target=free_elsewhere)
     run_threads([t])
     assert raised == [True]
-    assert lists() == before and alloc.ledger.f == f
+    assert lists() == before and frag(alloc) == f
     assert alloc.stats()["frees"] == 1
 
     q = alloc.malloc(64)                    # the block handed out again
@@ -159,12 +163,12 @@ def test_realloc_of_freed_block_raises_before_allocating():
     p = alloc.malloc(64)
     alloc.free(p)
     allocs, live, f = alloc.stats()["allocs"], set(alloc.ledger.live), \
-        alloc.ledger.f
+        frag(alloc)
     with pytest.raises(DoubleFree):
         alloc.realloc(p, 128)
     assert alloc.stats()["allocs"] == allocs
     assert alloc.ledger.live == live == {keep}
-    assert alloc.ledger.f == f
+    assert frag(alloc) == f
 
 
 def test_live_set_empties_when_every_block_is_freed():

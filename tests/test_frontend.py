@@ -19,7 +19,7 @@ from spanalloc.frontend import LAB, Frontend
 from spanalloc.size_classes import NUM_CLASSES, TABLE, class_for_size
 from spanalloc.span import (
     REMOTE_COUNT_SHIFT, STATE_FLOATING, STATE_FREE, STATE_HOT,
-    STATE_REUSABLE, TERMINATED, epoch_owner, epoch_state,
+    STATE_REUSABLE, epoch_owner, epoch_state,
 )
 from spanalloc.traces import make_trace
 from spanalloc.traces import replay as replay_trace
@@ -318,18 +318,18 @@ def test_terminated_lab_refuses_every_marking_and_the_next_gets_a_new_owner(
     lab = LAB(0, latched=False)
     span = alloc.space.header_for_base(alloc.arena.acquire_virtual_span())
     span.init_for_class(C64)
-    stamp = lab.mark(C64, span, make_floating(span, 0), 0)
+    stamp = lab.mark(C64, span, make_floating(span, 0))
     assert epoch_state(stamp) == STATE_REUSABLE and epoch_owner(stamp) == 0
     assert lab.take(C64) == (span, stamp)
     floating = span.try_transition(stamp, STATE_FLOATING)
-    lab.owner_word.store(TERMINATED)
+    assert lab.close() == []
     # Closed: LAB terminated. A refused marking changes nothing.
-    assert lab.mark(C64, span, floating, 0) is None
+    assert lab.mark(C64, span, floating) is None
     assert span.epoch.load() == floating and lab.take(C64) is None
     adopter = LAB(1, latched=False)
-    adopted = adopter.mark(C64, span, floating, 1)  # the adopting marking
+    adopted = adopter.mark(C64, span, floating)     # the adopting marking
     assert adopted == span.epoch.load() and epoch_owner(adopted) == 1
-    assert adopter.mark(C64, span, floating, 1) is False    # word moved on
+    assert adopter.mark(C64, span, floating) is False       # word moved on
     assert adopter.take(C64) == (span, adopted)
     assert adopter.take(C64) is None
     # Each attachment gets a fresh LAB, whose owner no LAB had before,
@@ -350,12 +350,12 @@ def test_reusable_set_take_order_and_stale_entries(alloc):
         sp.init_for_class(C64)
         spans.append(sp)
     floats = [make_floating(sp, word) for sp in spans]
-    stamps = [lab.mark(C64, sp, f, word) for sp, f in zip(spans, floats)]
+    stamps = [lab.mark(C64, sp, f) for sp, f in zip(spans, floats)]
     assert all(stamps)
     assert len(stamps_of) == 3 and all(live_entry(lab, sp) for sp in spans)
     # A marking from a word the span's epoch has moved past fails its
     # replace and makes no entry; the live one stays in place.
-    assert lab.mark(C64, spans[0], floats[0], word) is False
+    assert lab.mark(C64, spans[0], floats[0]) is False
     assert list(stamps_of.items()) == list(zip(spans, stamps))
     # Span 1 moves on (reusable -> free): its entry stays, stale, in
     # place. len() counts it, `live_entry` does not.
@@ -363,17 +363,18 @@ def test_reusable_set_take_order_and_stale_entries(alloc):
     assert len(stamps_of) == 3 and not live_entry(lab, spans[1])
     # Back through hot and floating: the new marking's entry replaces
     # the stale one at the back.
-    renewed = lab.mark(C64, spans[1], make_floating(spans[1], word), word)
+    renewed = lab.mark(C64, spans[1], make_floating(spans[1], word))
     assert len(stamps_of) == 3 and live_entry(lab, spans[1])
     assert [lab.take(C64) for _ in range(3)] == [
         (spans[0], stamps[0]), (spans[2], stamps[2]), (spans[1], renewed)]
     assert lab.take(C64) is None and len(stamps_of) == 0
-    # take_all empties every set in one go, each in take order.
+    # close empties every set in one go, each in take order, and refuses
+    # every marking after it.
     again = [lab.mark(C64, spans[i],
-                      spans[i].try_transition(stamps[i], STATE_FLOATING),
-                      word) for i in (2, 0)]
-    assert lab.take_all() == [(spans[2], again[0]), (spans[0], again[1])]
-    assert lab.take(C64) is None
+                      spans[i].try_transition(stamps[i], STATE_FLOATING))
+             for i in (2, 0)]
+    assert lab.close() == [(spans[2], again[0]), (spans[0], again[1])]
+    assert lab.take(C64) is None and lab.closed
 
 
 @pytest.mark.parametrize("latched", [False, True], ids=["tlab", "clab"])
@@ -487,11 +488,10 @@ def test_set_put_rejects_span_no_longer_reusable():
         got = w.alloc.pool.get(sc, 0)
         assert got is w.span
         got.init_for_class(sc)
-        owner = lab.owner_word.load()
-        assert got.try_transition(got.epoch.load(), STATE_HOT, owner)
-        assert lab.mark(sc, got, floating, owner) is False
+        assert got.try_transition(got.epoch.load(), STATE_HOT, lab.owner)
+        assert lab.mark(sc, got, floating) is False
         assert len(lab.reusable[sc]) == 0
-    replay(scenarios.retire_race, [0] * 5 + [1], check)
+    replay(scenarios.retire_race, [0] * 4 + [1], check)
 
 
 def test_crossing_and_emptying_in_one_free_still_pools(alloc):
@@ -769,7 +769,7 @@ def test_adopting_free_that_marks_puts_in_adopters_set():
     alloc.free(left[0])                                 # adopts and marks
     assert alloc.stats()["adopts"] == adopts + 1
     assert state_of(span) == STATE_REUSABLE
-    assert owner_of(span) == alloc.frontend.labs[0].owner_word.load()
+    assert owner_of(span) == alloc.frontend.labs[0].owner
     heap = check_heap(alloc)
     assert heap.holders[span.slot] == [0] and heap.entries == 1
     arena_spans = alloc.stats()["arena_spans"]
@@ -865,27 +865,28 @@ def test_lab_termination_skips_a_span_that_went_round():
 
 
 def test_refused_set_put_is_adopted_by_the_freeing_thread():
-    # LAB 1 terminates up to its take while LAB 0's marking holds LAB
-    # 1's latch; the marking then reads TERMINATED and is refused.
-    replay(scenarios.marking_vs_termination, [0] * 7 + [1],
+    # LAB 0's marking waits to take LAB 1's latch while LAB 1 closes and
+    # terminates; the marking then finds the LAB closed and is refused.
+    replay(scenarios.marking_vs_termination, [0] * 6 + [1],
            scenarios.adopted_into(0, terminated=1))
 
 
 def test_marking_during_termination_is_adopted_by_the_freeing_thread():
     # LAB 0 marks while LAB 1's termination waits at its first float,
-    # after the TERMINATED store.
+    # after its close.
     replay(scenarios.marking_vs_termination, [1] * 4 + [0],
            scenarios.adopted_into(0))
 
 
 def test_only_the_marking_free_adopts_a_refused_span():
-    # While LAB 0's marking holds LAB 1's latch, LAB 1 terminates up to
-    # its take and LAB 2's free of another block crosses the threshold
-    # too and waits for that latch. LAB 0's marking is refused and
-    # adopts the span; LAB 2's, refused in turn, fails its replace and
-    # adopts nothing.
+    # While LAB 0's marking waits to take LAB 1's latch, LAB 1 closes
+    # and waits at its first float, and LAB 2's free of another block
+    # crosses the threshold too: LAB 1's closed LAB refuses its marking,
+    # and it waits before its adopting replace. LAB 0's marking is
+    # refused in turn and adopts the span; LAB 2's replace then fails
+    # and adopts nothing.
     replay(scenarios.marking_vs_termination_and_push,
-           [0] * 7 + [1] * 6 + [2], scenarios.adopted_into(0))
+           [0] * 6 + [1] * 3 + [2] * 8 + [0], scenarios.adopted_into(0))
 
 
 def test_marking_free_reads_its_owner_after_its_epoch():
@@ -895,22 +896,22 @@ def test_marking_free_reads_its_owner_after_its_epoch():
 
 
 def test_late_adoption_leaves_the_spans_next_life_alone():
-    # LAB 0 waits before its marking while the span lives again in LAB 1
-    # under the same owner word and LAB 1 terminates; LAB 2's marking is
-    # refused and waits before its adopting one. LAB 0's marking is
-    # refused too, and its adopting one, from its stale floating word,
+    # LAB 0's marking waits to take LAB 1's latch while the span lives
+    # again in LAB 1 under the same owner, and LAB 1 closes and
+    # terminates; LAB 2's free finds no LAB of that owner and waits
+    # before its adopting replace. LAB 0's marking is refused by the
+    # closed LAB, and its adopting one, from its stale floating word,
     # fails; LAB 2's wins.
     replay(scenarios.adoption_in_the_next_life,
-           [0] * 6 + [1] * 26 + [2] * 38 + [0], scenarios.adopted_into(2))
+           [0] * 6 + [1] * 25 + [2] * 37 + [0], scenarios.adopted_into(2))
 
 
 def test_last_free_that_read_the_marking_retires_the_adopted_span():
-    # LAB 2's last free reads the floating word while LAB 0 holds its own
-    # latch for the adopting marking, and waits before its push until
-    # LAB 0 has adopted the span and tested it live. Read again after
-    # the push, the epoch is the adoption's word, so that free retires
-    # the span, and LAB 0's next malloc of the class takes it back from
-    # the pool.
+    # LAB 2's last free starts once LAB 0's adopting marking has
+    # replaced the span's word, and waits before its push until LAB 0
+    # has tested the span live. Read after the push, the epoch is the
+    # adoption's word, so that free retires the span, and LAB 0's next
+    # malloc of the class takes it back from the pool.
     def check(w):
         assert span_edges(w.alloc, w.span)[-3:] == [
             (STATE_FLOATING, STATE_REUSABLE), (STATE_REUSABLE, STATE_FREE),
@@ -920,7 +921,7 @@ def test_last_free_that_read_the_marking_retires_the_adopted_span():
             is w.span and w.grew == 0
         stats = w.alloc.stats()
         assert (stats["adopts"], stats["pool_puts"]) == (1, 1)
-    replay(scenarios.last_free_vs_adoption, [0] * 9 + [2, 2, 0], check)
+    replay(scenarios.last_free_vs_adoption, [0] * 8 + [2, 2, 0], check)
 
 
 # -- the attachment record caches its LAB's owner -----------------------------
@@ -931,16 +932,16 @@ def attach_and_detach(alloc):
 
 def attached_word(alloc):
     """Attach the calling thread; the owner its record holds, checked
-    against its live LAB's owner and owner word."""
+    against its live LAB's owner."""
     alloc.attach_thread()
     lab, _, _, mine, _ = alloc.frontend._tls.attached
-    assert mine == lab.owner == lab.owner_word.load()
+    assert mine == lab.owner and not lab.closed
     assert alloc.frontend.labs[mine] is lab
     return mine
 
 
 @pytest.mark.parametrize("lab_mode", ["tlab", CLAB])
-def test_attachment_record_holds_the_current_owner_word(lab_mode):
+def test_attachment_record_holds_its_labs_owner(lab_mode):
     alloc = make_allocator(lab_mode=lab_mode)
     width = alloc.frontend.clab_width
     first = attached_word(alloc)            # tid 0: CLAB slot 0
@@ -1109,7 +1110,7 @@ def test_clab_finalizer_does_not_release_a_detached_thread_again():
         parked.wait()
         parked.wait()
         lab = alloc.frontend.labs[0]
-        lab0.append((lab.attached, lab.owner_word.load() != TERMINATED))
+        lab0.append((lab.attached, not lab.closed))
         alloc.free(p)
         alloc.detach_thread()
 
