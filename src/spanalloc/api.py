@@ -41,8 +41,7 @@ class Allocator:
             config = dataclasses.replace(config, **overrides)
         self.config = config
         self.provider = make_provider(config)
-        self.region = self.provider.reserve(config.arena_bytes)
-        self.arena = Arena(self.region)
+        self.arena = Arena(self.provider.reserve(config.arena_bytes))
         # The arena range, for the routing test of free, realloc, calloc
         # and usable_size, without a call.
         self._arena_lo, self._arena_hi = self.arena.base, self.arena.end
@@ -159,12 +158,16 @@ class Allocator:
         return self.provider.committed_bytes
 
     def stats(self):
+        """The frontend's counters, the pool's and the arena's, each
+        counted once; the keys that restate them are derived here."""
         out = self.frontend.aggregate_stats()
-        out["pool_puts"] = self.pool.puts.load()
-        out["pool_gets"] = self.pool.gets_from_pool.load()
+        pool = self.pool
+        out["pool_puts"] = out["stack_pushes"] = pool.puts.load()
+        out["pool_gets"] = out["stack_pops"] = pool.gets_from_pool.load()
         out["arena_spans"] = self.arena.spans_handed_out()
-        out.update({f"stack_{k}": v
-                    for k, v in self.pool.counter_totals().items()})
+        out["pool_fetches"] = out["pool_gets"] + out["arena_spans"]
+        out["stack_retries"] = sum(
+            retries for _, _, retries in pool.stack_counters())
         if self.ledger is not None:
             # The free bytes of every span in the frontend.
             out["frag_bytes"] = sum(

@@ -14,7 +14,6 @@ from .errors import ArenaExhausted
 
 class Arena:
     def __init__(self, region):
-        self.region = region
         self.base = region.base
         self.end = region.base + region.length
         self.capacity = region.length >> SPAN_SHIFT

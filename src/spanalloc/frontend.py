@@ -150,26 +150,18 @@ class LAB:
 
 
 # ThreadStats counters that add up across threads; the other one,
-# max_fetches_per_alloc, takes the maximum.
-_SUMMED_STATS = ("allocs", "frees_local", "frees_remote", "pool_fetches",
-                 "set_fetches", "drains", "adopts")
+# max_fetches_per_alloc, takes the maximum. A span fetch from the pool
+# or the arena is counted by the pool, not here.
+_SUMMED_STATS = ("allocs", "frees_local", "frees_remote", "set_fetches",
+                 "drains", "adopts")
 
 
 class ThreadStats:
-    __slots__ = ("thread_id", "allocs", "frees_local", "frees_remote",
-                 "pool_fetches", "set_fetches", "drains", "adopts",
-                 "max_fetches_per_alloc")
+    __slots__ = _SUMMED_STATS + ("max_fetches_per_alloc",)
 
-    def __init__(self, thread_id):
-        self.thread_id = thread_id
-        self.allocs = 0
-        self.frees_local = 0
-        self.frees_remote = 0
-        self.pool_fetches = 0
-        self.set_fetches = 0
-        self.drains = 0
-        self.adopts = 0
-        self.max_fetches_per_alloc = 0
+    def __init__(self):
+        for key in self.__slots__:
+            setattr(self, key, 0)
 
     def as_dict(self):
         return {k: getattr(self, k) for k in self.__slots__}
@@ -202,7 +194,7 @@ class Frontend:
         self._tls = threading.local()
         self._tid_counter = itertools.count()
         self.thread_stats = {}              # attached threads only
-        self.retired_stats = ThreadStats(None)
+        self.retired_stats = ThreadStats()
 
     # -- thread registration ----------------------------------------------
 
@@ -227,7 +219,7 @@ class Frontend:
                 if lab is None or lab.attached == 0:
                     lab = self._clab_slots[slot] = self._new_lab(tid)
             lab.attached += 1
-            stats = ThreadStats(tid)
+            stats = ThreadStats()
             self.thread_stats[tid] = stats
         # The release runs once: from detach, or, for a thread that never
         # detaches, when its Thread object is collected after exit. Once
@@ -353,7 +345,6 @@ class Frontend:
         span.init_for_class(sc)
         took = span.try_transition(span.epoch.load(), STATE_HOT, mine)
         assert took, "free -> hot does not compete with anyone"
-        stats.pool_fetches += 1
         return span
 
     # -- deallocation ---------------------------------------------------------
@@ -505,13 +496,12 @@ class Frontend:
     # -- reporting ----------------------------------------------------------
 
     def aggregate_stats(self):
-        totals = ThreadStats(None)
+        totals = ThreadStats()
         with self._mgr_lock:
             self.retired_stats.fold_into(totals)
             for s in self.thread_stats.values():
                 s.fold_into(totals)
         out = totals.as_dict()
-        del out["thread_id"]
         frees = totals.frees_local + totals.frees_remote
         out["frees"] = frees
         out["remote_free_fraction"] = \

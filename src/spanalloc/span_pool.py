@@ -20,6 +20,11 @@ scans every other stack in ascending (real-span index, pool index)
 order, and only then falls back to the arena. Emptiness is not
 linearizable: a get may reach the arena while puts are in flight, by
 design.
+
+Each event is counted once: `puts` and `gets_from_pool` count every
+push and pop of every stack, `gets_from_arena` every fresh slot, and a
+stack counts only its own CAS retries. `Allocator.stats()` derives the
+per-stack totals and the frontend's span fetches from these.
 """
 
 from .atomic import AtomicWord
@@ -33,17 +38,16 @@ TAG_SHIFT = 48
 class TaggedStack:
     """Treiber stack over span headers with a tagged top word.
 
-    The push/pop/retry counters are plain increments: exact when the
-    stack is uncontended, best-effort under contention (bench output
-    only; correctness tests count spans, not counters).
+    `retries` counts failed replacements of the top word: a plain
+    increment, exact when the stack is uncontended, best-effort under
+    contention (bench output only). It is the one counter a stack keeps;
+    the pool counts the pushes and pops of all its stacks.
     """
 
-    __slots__ = ("_top", "pushes", "pops", "retries")
+    __slots__ = ("_top", "retries")
 
     def __init__(self):
         self._top = AtomicWord(0)
-        self.pushes = 0
-        self.pops = 0
         self.retries = 0
 
     def load_top(self):
@@ -57,7 +61,6 @@ class TaggedStack:
             span.link = old & TOP_REF_MASK
             new = ((((old >> TAG_SHIFT) + 1) & 0xFFFF) << TAG_SHIFT) | ref
             if top.compare_exchange(old, new):
-                self.pushes += 1
                 return
             self.retries += 1
 
@@ -72,7 +75,6 @@ class TaggedStack:
             new = ((((old >> TAG_SHIFT) + 1) & 0xFFFF) << TAG_SHIFT) \
                 | span.link
             if top.compare_exchange(old, new):
-                self.pops += 1
                 return span
             self.retries += 1
 
@@ -135,18 +137,7 @@ class SpanPool:
         return self.space.header_for_base(base)
 
     def stack_counters(self):
-        """Per-stack (rs_index, pool_index, pushes, pops, retries) rows."""
-        rows = []
-        for i, row in enumerate(self.stacks):
-            for j, stack in enumerate(row):
-                rows.append((i, j, stack.pushes, stack.pops, stack.retries))
-        return rows
-
-    def counter_totals(self):
-        pushes = pops = retries = 0
-        for row in self.stacks:
-            for stack in row:
-                pushes += stack.pushes
-                pops += stack.pops
-                retries += stack.retries
-        return {"pushes": pushes, "pops": pops, "retries": retries}
+        """Per-stack (rs_index, pool_index, retries) rows."""
+        return [(i, j, stack.retries)
+                for i, row in enumerate(self.stacks)
+                for j, stack in enumerate(row)]

@@ -5,7 +5,7 @@ through a provider that reserves address space and releases physical
 backing (decommit). Two implementations:
 
 * SimProvider - keeps a sparse page table with exact accounting:
-  committed bytes are precisely page_size times the number of pages
+  committed bytes are page_size times the size of that table, the pages
   touched or written and not since decommitted. A committed page gets
   its bytearray on its first write; until then it reads as zeros, so a
   page committed only for the accounting (a large span's header page,
@@ -76,9 +76,8 @@ class VmRegion:
 
 @dataclass
 class VmStats:
-    committed_bytes: int = 0
+    """Provider counters that no table of the provider already holds."""
     decommit_calls: int = 0
-    reserve_calls: int = 0
 
 
 class _Provider:
@@ -112,7 +111,6 @@ class _Provider:
         with self._lock:
             record = self._claim(length, length)
             self._regions.append(record)
-            self.stats.reserve_calls += 1
         return VmRegion(record[0], length)
 
     def map_pages(self, length):
@@ -316,7 +314,7 @@ class SimProvider(_Provider):
 
     @property
     def committed_bytes(self):
-        return self.stats.committed_bytes
+        return len(self._pages) << _PAGE_SHIFT
 
     def committed_in(self, base, length):
         """Committed bytes inside [base, base+length), page-exact."""
@@ -334,10 +332,11 @@ class SimProvider(_Provider):
     # -- internals --------------------------------------------------------
 
     def _commit_page(self, idx, write=False):
-        """Commit page `idx` if it is not, counting it once; for a
-        `write`, also give it its bytearray if it has none, and return
-        that. A page outside every reservation and mapping fails in
-        `_locate` before any bookkeeping changes."""
+        """Commit page `idx` if it is not, raising `window_peak` to the
+        page table's new size; for a `write`, also give it its bytearray
+        if it has none, and return that. A page outside every
+        reservation and mapping fails in `_locate` before any
+        bookkeeping changes."""
         lock = self._lock
         lock.acquire()
         try:
@@ -348,8 +347,7 @@ class SimProvider(_Provider):
             if idx not in pages:
                 self._locate(idx * PAGE_SIZE, PAGE_SIZE)
                 self._committed[idx >> _SLOT_PAGE_SHIFT].add(idx)
-                committed = self.stats.committed_bytes + PAGE_SIZE
-                self.stats.committed_bytes = committed
+                committed = (len(pages) + 1) << _PAGE_SHIFT
                 if committed > self.window_peak:
                     self.window_peak = committed
             page = pages[idx] = bytearray(PAGE_SIZE) if write else None
@@ -365,7 +363,6 @@ class SimProvider(_Provider):
         end = base + length
         lo, hi = base >> _PAGE_SHIFT, end >> _PAGE_SHIFT
         committed, pages = self._committed, self._pages
-        dropped = 0
         for slot in range(base >> SPAN_SHIFT, ((end - 1) >> SPAN_SHIFT) + 1):
             held = committed.get(slot)
             if held:
@@ -373,10 +370,8 @@ class SimProvider(_Provider):
                     if lo <= idx < hi:
                         held.remove(idx)
                         del pages[idx]
-                        dropped += 1
                 if not held:
                     del committed[slot]
-        self.stats.committed_bytes -= dropped * PAGE_SIZE
 
     def _release(self, record):
         self._decommit(record, record[0], record[1])

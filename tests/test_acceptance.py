@@ -24,7 +24,7 @@ import pytest
 
 import scenarios
 from explore import explore, sample
-from helpers import check_heap, frag_oracle, make_allocator, run_threads
+from helpers import check_heap, make_allocator, run_threads
 from spanalloc.arena import Arena
 from spanalloc.bench import WorkloadConfig, run
 from spanalloc.config import PAGE_SIZE, VIRTUAL_SPAN_SIZE
@@ -109,27 +109,38 @@ def test_c03_fragmentation_ledger_exact_equality():
     alloc = make_allocator(instrument=True, arena_bytes=1 << 31)
     rng = random.Random(1234)
     sizes = [16, 64, 64, 256, 512, 4096, 65536]
-    live = []
+    live = []                   # (address, its class's block size)
+    live_bytes = 0              # the sum of those block sizes
     ops = 100_000
     failures = 0
     started = time.perf_counter()
     for step in range(ops):
         if live and (rng.random() < 0.5 or len(live) > 1200):
-            alloc.free(live.pop(rng.randrange(len(live))))
+            addr, block = live.pop(rng.randrange(len(live)))
+            alloc.free(addr)
+            live_bytes -= block
         else:
-            live.append(alloc.malloc(rng.choice(sizes)))
-        if alloc.stats()["frag_bytes"] != frag_oracle(alloc):
+            size = rng.choice(sizes)
+            block = TABLE[class_for_size(size)].block_size
+            live.append((alloc.malloc(size), block))
+            live_bytes += block
+        # Free bytes, from no free count: the block bytes of every span
+        # in the frontend less the live blocks'.
+        span_bytes = sum(h.blocks_per_span * h.block_size
+                         for h in alloc.space.iter_headers()
+                         if epoch_state(h.epoch.load()) != STATE_FREE)
+        if alloc.stats()["frag_bytes"] != span_bytes - live_bytes:
             failures += 1
             break
         if step % 5000 == 0:
-            check_heap(alloc, live)
-    for p in live:
-        alloc.free(p)
+            check_heap(alloc, [addr for addr, _ in live])
+    for addr, _ in live:
+        alloc.free(addr)
     check_heap(alloc, live=())
     elapsed = time.perf_counter() - started
     _report(3, failures == 0,
-            f"frag_bytes == brute-force free-payload sum after each of {ops} "
-            f"ops (exact; {elapsed:.1f}s)")
+            f"frag_bytes == span block bytes - live block bytes after each "
+            f"of {ops} ops (exact; {elapsed:.1f}s)")
 
 
 # -- 4: decommit behavior ------------------------------------------------------------

@@ -1,9 +1,13 @@
 import pytest
 
-from helpers import census, check_heap, make_allocator
-from spanalloc import NULL, Allocator, ReservationError, WildFree
+from helpers import SMALL_ARENA, census, check_heap, make_allocator
+from spanalloc import (
+    NULL, Allocator, AllocatorConfig, ReservationError, WildFree,
+)
+from spanalloc.bench import WorkloadConfig
 from spanalloc.config import CLAB, PAGE_SIZE, TLAB, VIRTUAL_SPAN_SIZE
 from spanalloc.size_classes import MAX_CLASS_BLOCK, TABLE, class_for_size
+from spanalloc.traces import make_trace, replay
 
 
 def test_size_routing(alloc):
@@ -265,6 +269,8 @@ def test_usable_size_validates_like_free(alloc):
     for slot in (15, 20):                   # a gap slot, an unused header
         with pytest.raises(WildFree):
             alloc.usable_size(alloc.arena.base_of_slot(slot) + PAGE_SIZE)
+    with pytest.raises(KeyError):           # span_of at the gap
+        alloc.space.span_of(alloc.arena.base_of_slot(15))
     a = alloc.malloc(1 << 20)
     alloc.malloc(1 << 20)                   # floats a's span
     alloc.free(a)                           # empties and pools it
@@ -467,11 +473,47 @@ def test_reclassed_slot_commits_only_its_real_span(decommit):
     assert census(alloc).stray == tail
 
 
-def test_stats_shape(alloc):
-    p = alloc.malloc(64)
-    alloc.free(p)
-    s = alloc.stats()
-    for key in ("allocs", "frees", "pool_puts", "remote_free_fraction",
-                "stack_pushes", "arena_spans"):
-        assert key in s
-    assert s["allocs"] == 1 and s["frees"] == 1
+# The keys of `stats()`; an instrumented allocator adds `frag_bytes`.
+STATS_KEYS = {
+    "allocs", "frees_local", "frees_remote", "set_fetches", "drains",
+    "adopts", "max_fetches_per_alloc", "frees", "remote_free_fraction",
+    "pool_puts", "pool_gets", "arena_spans", "pool_fetches",
+    "stack_pushes", "stack_pops", "stack_retries",
+}
+
+
+def test_stats_shape():
+    # A seeded two-thread prodcons replay pools spans and takes them
+    # back. Each restated key reads the one counter it restates: a stack
+    # push is a pool put, a pop a pool get, and a span fetch a pool get
+    # or an arena span.
+    trace = make_trace(WorkloadConfig(name="prodcons", threads=2, rounds=6,
+                                      objects_per_round=1500, seed=5))
+    for instrument in (False, True):
+        alloc = make_allocator(instrument=instrument)
+        replay(trace, alloc)
+        s = alloc.stats()
+        assert set(s) == STATS_KEYS | ({"frag_bytes"} if instrument else set())
+        assert s["allocs"] == s["frees"] == 18000
+        assert s["pool_puts"] > s["pool_gets"] > 0 and s["arena_spans"] > 0
+        assert s["stack_pushes"] == s["pool_puts"]
+        assert s["stack_pops"] == s["pool_gets"]
+        assert s["pool_fetches"] == s["pool_gets"] + s["arena_spans"]
+        assert s["stack_retries"] \
+            == sum(row[-1] for row in alloc.pool.stack_counters())
+
+
+@pytest.mark.parametrize("bad", [
+    {"arena_bytes": VIRTUAL_SPAN_SIZE + PAGE_SIZE},
+    {"provider": "mmap"},
+    {"lab_mode": "per_core"},
+])
+def test_config_fields_are_validated_as_fields_and_as_overrides(bad):
+    with pytest.raises(ValueError):
+        AllocatorConfig(**bad)
+    with pytest.raises(ValueError):
+        Allocator(AllocatorConfig(arena_bytes=SMALL_ARENA), **bad)
+    # A valid override replaces its field and keeps the others.
+    alloc = Allocator(AllocatorConfig(arena_bytes=SMALL_ARENA), pool_width=1)
+    assert (alloc.config.arena_bytes, alloc.config.pool_width) \
+        == (SMALL_ARENA, 1)

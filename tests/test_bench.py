@@ -258,7 +258,8 @@ def test_cli_end_to_end(tmp_path):
 
 
 def test_cli_stacks_csv_counts_every_push(tmp_path):
-    # The record's stacks are the per-stack pool counters.
+    # The record's stacks are the per-stack pool counters: each stack's
+    # CAS retries, which sum to the stats' total.
     path = tmp_path / "runs.jsonl"
     assert main(["--workload", "threadtest", "--threads", "2",
                  "--rounds", "2", "--objects", "2000", "--provider", "sim",
@@ -268,8 +269,11 @@ def test_cli_stacks_csv_counts_every_push(tmp_path):
     stacks = record["stacks"]
     assert record["allocator"]["pool_width"] == 3
     assert len(stacks) == NUM_REAL_SPAN_SIZES * 3
-    assert sum(pushes for _, _, pushes, _, _ in stacks) \
-        == record["stats"]["stack_pushes"] > 0
+    assert [row[:2] for row in stacks] == [
+        [i, j] for i in range(NUM_REAL_SPAN_SIZES) for j in range(3)]
+    assert sum(retries for _, _, retries in stacks) \
+        == record["stats"]["stack_retries"]
+    assert record["stats"]["stack_pushes"] > 0
 
 
 MALFORMED_RANGES = ("1:x", "5")

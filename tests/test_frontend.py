@@ -934,7 +934,12 @@ def attached_word(alloc):
     """Attach the calling thread; the owner its record holds, checked
     against its live LAB's owner."""
     alloc.attach_thread()
-    lab, _, _, mine, _ = alloc.frontend._tls.attached
+    record = alloc.frontend._tls.attached
+    stats = dict(alloc.frontend.thread_stats)
+    alloc.attach_thread()                   # a second attach changes nothing
+    assert alloc.frontend._tls.attached is record
+    assert alloc.frontend.thread_stats == stats
+    lab, _, _, mine, _ = record
     assert mine == lab.owner and not lab.closed
     assert alloc.frontend.labs[mine] is lab
     return mine

@@ -26,7 +26,7 @@ def test_reserve_multiple_regions_disjoint():
     spans = sorted((r.base, r.end) for r in regions)
     for (b1, e1), (b2, e2) in zip(spans, spans[1:]):
         assert e1 <= b2
-    assert p.stats.reserve_calls == 5
+    assert len(p._regions) == 5
 
 
 def test_reserve_validates_arguments():
@@ -100,9 +100,8 @@ def test_decommit_full_span_and_untouched_range():
     p.write(r.base, b"x" * PAGE_SIZE * 3)
     p.decommit(r.base, PAGE_SIZE * 3)
     assert p.committed_bytes == 0
-    before = p.stats.committed_bytes
     p.decommit(r.base + (1 << 20), PAGE_SIZE * 4)   # never touched
-    assert p.stats.committed_bytes == before
+    assert p.committed_bytes == 0 and p.stats.decommit_calls == 2
 
 
 def test_decommit_validates_range():
