@@ -135,10 +135,12 @@ def run(config, allocator=None):
             halt.release()
             sampler.join()
 
-    times = [started] + [t for t, _ in marks]
-    peaks = [peak for _, peak in marks]
+    times = [started] + [t for t, _, _ in marks]
+    peaks = [peak for _, peak, _ in marks]
     extra = results(config, allocator, trace, addresses,
                     [b - a for a, b in zip(times, times[1:])], peaks)
+    if allocator.ledger is not None:
+        extra["phase_frag_bytes"] = [frag for _, _, frag in marks]
     stats = allocator.stats()
     extra["leaked_blocks"] = stats["allocs"] - stats["frees"]
     ops = stats["allocs"] + stats["frees"]
@@ -246,8 +248,15 @@ def main(argv=None):
     for key in ("probe_ok", "leaked_blocks"):
         if key in report.extra:
             print(f"  {key}={report.extra[key]}")
-    if "frag_bytes" in stats:
-        print(f"  frag_bytes={stats['frag_bytes']}")
+    # The end of a run frees every block, so its frag_bytes reads 0:
+    # the largest phase-end sample is the figure that shows something.
+    frags = report.extra.get("phase_frag_bytes")
+    if frags:
+        peak = max(frags)
+        print(f"  frag_bytes={peak} (largest at a phase end: phase "
+              f"{frags.index(peak) + 1} of {len(frags)})")
+    elif frags is not None:
+        print("  frag_bytes not sampled: the trace has no phase end")
     if args.json:
         write_json(args.json, report)
         print(f"record appended to {args.json}")

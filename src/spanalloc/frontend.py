@@ -16,17 +16,22 @@ marking (emptied and pooled, or reused and marked again elsewhere)
 leaves a stale entry behind, which nothing removes: the take that
 reaches it fails its replace and skips it.
 
-Allocation serves from the hot span's local list or bump region. When
-that runs dry it drains the remote list if enough blocks accumulated,
-otherwise the hot span goes floating and a replacement comes from the
-reusable set, the span pool, or the arena.
+The fast paths run in the facade's own frames (`api.py`), and this
+module keeps the slow paths. `Allocator.malloc` serves a block from the
+hot span's local list or bump region, and calls `Frontend.allocate`
+only when the hot span is missing or dry: that drains the remote list
+if enough blocks accumulated, and otherwise floats the hot span and
+fetches a replacement from the reusable set, the span pool, or the
+arena.
 
-Deallocation first rejects, in O(1) and before any list push, an
+`Allocator.free` first rejects, in O(1) and before any list push, an
 address that is not a handed-out block of a live span (WildFree) and,
 when instrumented, a block that is not live (DoubleFree). A TLAB free
 into a span the caller owns pushes on the local list; every other free
 (remote, CLAB, or into an orphan) is a push on the remote list. The
 caller's owner comes from its attachment record, read once at attach.
+The free calls `Frontend.deallocate` only when its one count calls for
+a state change: a retirement to the pool, or a marking.
 
 One rule settles a span's state. A remote or CLAB free decides from
 the epoch word it reads after its push; an own TLAB free may keep the
@@ -44,7 +49,9 @@ span settles it as a free would (a push since its drain test read the
 hot word and did nothing), and the marking free and termination after
 each float test for emptiness, `_retire_empty`. So between a last push
 and a move of the word, one of the two threads sees both, and one
-conditional replace picks one retirement; a loser never retries. A
+conditional replace picks one retirement; a loser never retries, but
+for an own free, whose word may predate a remote marking: it loads the
+word once more and retires the span from the marking's word. A
 span changes owner only when it is taken hot from the pool and when
 its owner terminated, so that the owner's LAB is closed and refuses a
 marking, or is gone: then the marking itself, one floating -> reusable
@@ -57,8 +64,7 @@ import weakref
 from collections import OrderedDict, defaultdict
 
 from . import atomic
-from .config import CPU_COUNT, SPAN_SHIFT, TLAB
-from .errors import WildFree
+from .config import CPU_COUNT, TLAB
 from .size_classes import NUM_CLASSES
 from .span import (
     EPOCH_OWNER_FIELD, EPOCH_OWNER_SHIFT, EPOCH_STATE_SHIFT,
@@ -89,8 +95,8 @@ class LAB:
         self.hot_spans = [None] * NUM_CLASSES
         self.reusable = defaultdict(OrderedDict)
         self.latch = atomic.Latch()
-        # CLAB only. A plain lock: nothing re-enters allocate while it
-        # holds a class latch (under it allocate reaches only the set,
+        # CLAB only. A plain lock: nothing re-enters malloc while it
+        # holds a class latch (under it malloc reaches only the set,
         # the pool, the span and the ledger). The lock order is class
         # latch, then `latch`, never the reverse: termination and the
         # free path take no class latch.
@@ -178,7 +184,6 @@ class Frontend:
     def __init__(self, space, pool, config):
         self.space = space
         self.pool = pool
-        self.ledger = space.ledger
         self.tlab = config.lab_mode == TLAB
         self.eager_reclaim = config.eager_reclaim
         self.clab_width = CPU_COUNT
@@ -268,14 +273,14 @@ class Frontend:
 
     # -- allocation ---------------------------------------------------------
 
-    def allocate(self, sc):
-        """One block of class `sc` from the caller's LAB, in this one
-        frame: the attachment record comes from one thread-local read
-        (attaching on first use), and in CLAB mode the class latch is
-        taken with `acquire()` and released in `finally`, on every exit
-        (see `atomic.py`). The hot span serves the block; one that runs
-        dry drains its remote list if enough blocks accumulated, and
-        otherwise goes floating and `_get_span` fetches a replacement.
+    def allocate(self, lab, tid, stats, mine, sc):
+        """The malloc slow path: one block of class `sc` for the caller,
+        whose attachment record is (`lab`, `tid`, `stats`, `mine`), when
+        `Allocator.malloc` finds `lab`'s hot span of the class missing or
+        dry. The caller holds the class latch in CLAB mode. A dry hot
+        span drains its remote list if enough blocks accumulated, and
+        otherwise goes floating and `_get_span` fetches a replacement;
+        `SpanHeader.alloc_block` serves the block.
 
         A remote push between the drain test and the float reads a hot
         word and leaves the span to its owner, so the float settles it
@@ -284,33 +289,16 @@ class Frontend:
         would find it), and one over the reuse threshold goes to the
         marking, `_settle`, into this LAB's set.
         """
-        try:
-            lab, tid, stats, mine, _ = self._tls.attached
-        except AttributeError:
-            lab, tid, stats, mine, _ = self._current()
-        latches = lab.class_latches
-        if latches is not None:
-            latch = latches[sc]
-            latch.acquire()
-        try:
-            stats.allocs += 1
-            fetches = 0
-            hot = lab.hot_spans[sc]
-            while True:
-                if hot is None:
-                    hot = self._get_span(lab, tid, stats, mine, sc)
-                    lab.hot_spans[sc] = hot
-                    fetches += 1
-                block = hot.alloc_block()
-                if block:
-                    if fetches and fetches > stats.max_fetches_per_alloc:
-                        stats.max_fetches_per_alloc = fetches
-                    if self.ledger is not None:
-                        self.ledger.on_alloc(block)
-                    return block
-                if hot.drain_remotes() > 0:
-                    stats.drains += 1
-                    continue
+        fetches = 0
+        hot = lab.hot_spans[sc]
+        while True:
+            if hot is None:
+                hot = lab.hot_spans[sc] = \
+                    self._get_span(lab, tid, stats, mine, sc)
+                fetches += 1
+            elif hot.drain_remotes() > 0:
+                stats.drains += 1
+            else:
                 # Exhausted and not worth draining: float it, settle it
                 # from one count of its remote blocks (its only free
                 # ones), as a free would, and refetch.
@@ -324,9 +312,12 @@ class Frontend:
                 elif free > hot.reuse_threshold_blocks:
                     self._settle(hot, took, lab, tid, stats)
                 hot = None
-        finally:
-            if latches is not None:
-                latch.release()
+                continue
+            block = hot.alloc_block()
+            if block:
+                if fetches > stats.max_fetches_per_alloc:
+                    stats.max_fetches_per_alloc = fetches
+                return block
 
     def _get_span(self, lab, tid, stats, mine, sc):
         """Next hot span: the reusable set first, then pool or arena."""
@@ -349,73 +340,33 @@ class Frontend:
 
     # -- deallocation ---------------------------------------------------------
 
-    def deallocate(self, addr):
-        """Free `addr`, an in-arena address, then settle its span's state
-        from one count, all in this one frame.
+    def deallocate(self, span, word, retire, own, lab, tid, stats):
+        """The free slow path: the state change that `Allocator.free`'s
+        one count of `span`'s free blocks called for, from `word`, the
+        epoch word the free decided on, floating or reusable. The caller,
+        whose attachment record is (`lab`, `tid`, `stats`), pushed on the
+        local list when `own`, else on the remote list.
 
-        The checks come first, each O(1) and before any list push:
-        WildFree when the slot has no header, or when the span is free
-        (or was never initialized) or `addr` is not a block below its
-        bump limit, the rule `SpanSpace.block_span` makes, inlined here;
-        then, when instrumented, the ledger's DoubleFree. The span's
-        state and owner come from one load of its epoch word, and a TLAB
-        free into a span the caller owns pushes on the local list inline
-        (link word, then head and count), as `SpanHeader.free_local`
-        does; every other free goes through `free_remote` and then loads
-        the epoch word again, and only that word decides its state work.
-
-        A hot or free word has none. Any other free counts its span's
-        free blocks once, after its push, so the free with the last push
-        sees every block. Under eager reclamation the free that counts
-        the span empty retires it from its word, floating or reusable,
-        to free, and pools it; short of empty, a floating word above the
-        reuse threshold goes to the marking, `_settle`. A free whose CAS
-        fails has nothing left to do: the thread that moved the word
-        tests the span for emptiness from the word it installed.
+        With `retire` (eager reclamation, and the count found the span
+        empty) the span goes from `word` to free and is pooled. A failed
+        replace leaves the rest to the thread that moved the word, which
+        tests the span for emptiness from the word it installed, but for
+        an own free: it read its word before its push, so a remote
+        marking may have moved the word and made that test before the
+        push. It loads the word once more, and retires the span from a
+        reusable one. One load is enough: the owner is this thread, so
+        a reusable word next moves only by its own take or termination,
+        or by a retirement. Without `retire` the word is floating and
+        the count above the reuse threshold: the marking, `_settle`.
         """
-        space = self.space
-        base = space.arena_base
-        try:
-            span = space.headers[(addr - base) >> SPAN_SHIFT]
-        except IndexError:
-            span = None
-        if span is None:
-            raise WildFree(f"{addr:#x} is in the arena but not in any span")
-        old_epoch = span.epoch.load()
-        old_state = old_epoch >> EPOCH_STATE_SHIFT
-        off = addr - span.payload
-        size = span.block_size
-        if old_state == STATE_FREE or off < 0 \
-                or off >= span.bump_limit * size or off % size:
-            raise WildFree(f"{addr:#x} is not a handed-out block of its span")
-        if self.ledger is not None:
-            self.ledger.on_free(addr)
-        try:
-            lab, tid, stats, mine, _ = self._tls.attached
-        except AttributeError:
-            lab, tid, stats, mine, _ = self._current()
-        if (old_epoch & EPOCH_OWNER_FIELD) >> EPOCH_OWNER_SHIFT == mine \
-                and self.tlab:
-            space.provider.write_word(addr, span.local_head)
-            span.local_head = addr - base
-            span.local_count += 1
-            stats.frees_local += 1
-        else:
-            span.free_remote(addr)
-            stats.frees_remote += 1
-            old_epoch = span.epoch.load()
-            old_state = old_epoch >> EPOCH_STATE_SHIFT
-        if old_state < STATE_FLOATING:      # hot, or free after the re-read
-            return
-        blocks = span.blocks_per_span
-        free = span.local_count + (span.remote.load() >> REMOTE_COUNT_SHIFT) \
-            + blocks - span.bump_limit
-        if free == blocks and self.eager_reclaim:
-            if span.try_transition(old_epoch, STATE_FREE):
-                self.pool.put(span, tid)
-        elif old_state == STATE_FLOATING \
-                and free > span.reuse_threshold_blocks:
-            self._settle(span, old_epoch, lab, tid, stats)
+        if not retire:
+            self._settle(span, word, lab, tid, stats)
+        elif span.try_transition(word, STATE_FREE):
+            self.pool.put(span, tid)
+        elif own:
+            word = span.epoch.load()
+            if word >> EPOCH_STATE_SHIFT == STATE_REUSABLE:
+                self._retire_empty(span, word, tid)
 
     def _settle(self, span, old_epoch, lab, tid, stats):
         """The marking of a span whose floating epoch word the calling
@@ -438,11 +389,9 @@ class Frontend:
         The marking's replace fails when another free marked or retired
         the span first. A last push before the test is seen by it; a
         remote or CLAB last free after it reads the marking's word and
-        retires the span itself. Only an owner's own last free that read
-        the floating word before the marking and pushes after the test
-        leaves the span empty in the owner's set, until the owner's next
-        take of the class reuses it or its termination pools it: that
-        delays reclamation and loses no span."""
+        retires the span itself, and an owner's own last free, whose
+        retire from the floating word it read then fails, loads the
+        marking's word and retires the span from it (`deallocate`)."""
         sc = span.size_class
         owner = (old_epoch & EPOCH_OWNER_FIELD) >> EPOCH_OWNER_SHIFT
         owner_lab = self.labs.get(owner)

@@ -138,7 +138,11 @@ class SpanHeader:
     # -- block allocation (owning thread only) ---------------------------
 
     def alloc_block(self):
-        """Pop the local free list, else bump; 0 when exhausted."""
+        """Pop the local free list, else bump; 0 when exhausted.
+
+        `Allocator.malloc` makes this same pop and bump inline, in its
+        own frame, for the hot span; this method serves the block of
+        `Frontend.allocate`, the slow path, after a drain or a fetch."""
         head = self.local_head
         if head:
             space = self.space
@@ -155,9 +159,9 @@ class SpanHeader:
     def free_local(self, addr):
         """Push onto the local list (LIFO); returns the new local count.
 
-        `Frontend.deallocate` makes this same push inline, to keep a
-        free to one frame; this method serves span-level tests and
-        per-layer tracing, which wraps it by name."""
+        `Allocator.free` makes this same push inline, in its own frame;
+        this method serves span-level tests and per-layer tracing, which
+        wraps it by name."""
         space = self.space
         space.provider.write_word(addr, self.local_head)
         self.local_head = addr - space.arena_base
@@ -339,7 +343,7 @@ class SpanSpace:
         A LookupError when its slot has no header: IndexError past the
         end of `headers`, KeyError for a None slot (a gap below the last
         header, or a grown slot past it). The WildFree checks,
-        `block_span` and `Frontend.deallocate`, make the same index
+        `block_span` and `Allocator.free`, make the same index
         themselves."""
         header = self.headers[(addr - self.arena_base) >> SPAN_SHIFT]
         if header is None:
@@ -352,8 +356,8 @@ class SpanSpace:
         WildFree when the slot has no header, the span is free (or was
         never initialized), or `addr` is not a block below the bump
         limit. This is the check of `realloc` and of `usable_size`
-        (`interior`); `Frontend.deallocate` inlines the same rule, with
-        the same messages."""
+        (`interior`); `Allocator.free` inlines the same rule, with the
+        same messages."""
         try:
             span = self.headers[(addr - self.arena_base) >> SPAN_SHIFT]
         except IndexError:

@@ -274,8 +274,9 @@ def replay(trace, allocator, touch=False):
     saved record installed, or with none before its first op, which
     then attaches it afresh as a new OS thread would, and ends by saving
     whatever record is left. With `touch`, a malloc writes a tag word
-    into its block. A mark records `(perf_counter, window_peak)` and
-    begins a new window. After an error, every logical thread still
+    into its block. A mark records `(perf_counter, window_peak,
+    frag_bytes)`, the last read off an instrumented allocator's
+    `stats()` and None otherwise, and begins a new window. After an error, every logical thread still
     attached detaches and the error propagates; either way the caller's
     own record is restored. Returns each handle's address, the marks,
     and the time each logical thread's runs took."""
@@ -303,7 +304,10 @@ def replay(trace, allocator, touch=False):
                         if touch:
                             write_word(addr, addr ^ size)
                     elif op == MARK:
-                        marks.append((perf_counter(), provider.window_peak))
+                        frag = None if allocator.ledger is None \
+                            else allocator.stats()["frag_bytes"]
+                        marks.append((perf_counter(), provider.window_peak,
+                                      frag))
                         provider.begin_window()
                     elif op == ATTACH:
                         allocator.attach_thread()

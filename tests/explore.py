@@ -2,9 +2,10 @@
 OSDI 2008): a scenario runs from scratch once per schedule, and its
 oracle runs after each. Each logical thread is a real thread that runs
 only while it holds its baton, a lock used as a binary semaphore. Every
-`AtomicWord` method call and every acquire of a latch built through
-`atomic.Latch` is a yield point, where the next thread to go on is
-picked; a thread paused at the acquire of a held latch cannot be. A
+`AtomicWord` method call, every `SimProvider.write_word` and every
+acquire of a latch built through `atomic.Latch` is a yield point, where
+the next thread to go on is picked; a thread paused at the acquire of a
+held latch cannot be. A
 schedule is the list of picks; past its end the running thread goes on
 while it can, then the lowest id that can.
 
@@ -25,7 +26,11 @@ made outside every latch is no yield point, so no schedule can place
 another thread between it and the code around it: setting `closed`
 just after `LAB.close` returns, outside the latch, passes every
 exploration in test_races.py, though a marking may then slip in
-between the take of the entries and the store.
+between the take of the entries and the store. The one exception is a
+free-list push: an owner's local push is plain stores that other
+threads read through `is_empty`, so its first step, the write of the
+block's link word, is a yield point, which places other threads
+between the free's epoch load and its push.
 
 `build()` returns a `Scenario`: `threads`, the raced bodies (None for a
 thread with steps only); `steps` and `after`, (thread id, callable)
@@ -41,6 +46,7 @@ from types import SimpleNamespace as Scenario
 from helpers import run_threads
 from spanalloc import atomic
 from spanalloc.atomic import AtomicWord
+from spanalloc.vmem import SimProvider
 
 BOUND = 2
 SWITCH = 0.1        # a sampled pick's chance of being random
@@ -230,9 +236,11 @@ def execute(build, prefix, then=None, rng=None):
             return real(word, *args)
         return op
 
+    write_word = SimProvider.write_word
     try:
         for name, real in saved.items():
             setattr(AtomicWord, name, yielding(real))
+        SimProvider.write_word = yielding(write_word)
         atomic.Latch = lambda: Latch(run.point)
         scenario = build()
         threads = run.start(scenario)
@@ -247,6 +255,7 @@ def execute(build, prefix, then=None, rng=None):
     finally:
         for name, real in saved.items():
             setattr(AtomicWord, name, real)
+        SimProvider.write_word = write_word
         atomic.Latch = threading.Lock
     if run.errors:
         raise AssertionError(

@@ -104,8 +104,10 @@ def census(allocator, live=None):
     pool stack, where no other span sits. Hot: its class's hot span in
     its owner's LAB, and that owner alive (a key of `frontend.labs`,
     which holds live LABs only). Reusable: a live entry in its live
-    owner's set. Floating: a live block, and a dead owner or free blocks
-    at or below the threshold, so that a later free marks or retires it.
+    owner's set and, under eager reclamation, a live block, since the
+    free or the marking that empties a span pools it. Floating: a live
+    block, and a dead owner or free blocks at or below the threshold, so
+    that a later free marks or retires it.
 
     A span adds up when, pooled, it holds no live block (decommit may
     have wiped its list words), or else when its walked free-list,
@@ -119,6 +121,7 @@ def census(allocator, live=None):
         live = allocator.ledger.live
     space, arena = allocator.space, allocator.arena
     labs = allocator.frontend.labs
+    eager = allocator.config.eager_reclaim
     pooled = pooled_slots(allocator.pool)
     in_pool = set(pooled)
     holders, bad, entered = {}, [], set()
@@ -152,7 +155,8 @@ def census(allocator, live=None):
             if state == STATE_HOT:
                 home = alive and lab.hot_spans[h.size_class] is h
             elif state == STATE_REUSABLE:
-                home = alive and live_entry(lab, h)
+                home = alive and live_entry(lab, h) \
+                    and not (eager and h.is_empty())
             else:
                 home = not h.is_empty() and (
                     not alive

@@ -23,6 +23,31 @@ def test_size_routing(alloc):
         alloc.free(x)
 
 
+@pytest.mark.parametrize("lab_mode", [TLAB, CLAB])
+def test_the_hot_span_pops_its_local_list_lifo_and_bumps_ascending(lab_mode):
+    # `malloc`'s inline fast path makes the pop and the bump of
+    # `SpanHeader.alloc_block`. A 32 KB span has 16 blocks and reuse
+    # threshold 12: 14 are bumped and 13 of them freed. A TLAB free is a
+    # local push, popped before the two bumps left; a CLAB free is a
+    # remote push, so the span bumps to its end first, and a drain moves
+    # the 13 to the local list.
+    size = 1 << 15
+    alloc = make_allocator(lab_mode=lab_mode)
+    blocks = [alloc.malloc(size) for _ in range(14)]
+    span = alloc.space.span_of(blocks[0])
+    assert (span.blocks_per_span, span.reuse_threshold_blocks) == (16, 12)
+    bumps = [span.payload + i * size for i in range(16)]
+    assert blocks == bumps[:14]
+    for p in blocks[:13]:
+        alloc.free(p)
+    lifo = blocks[12::-1]
+    expected = lifo + bumps[14:] if lab_mode == TLAB else bumps[14:] + lifo
+    assert [alloc.malloc(size) for _ in range(15)] == expected
+    assert alloc.stats()["drains"] == (lab_mode == CLAB)
+    assert span.local_count == 0 and span.bump_limit == 16
+    assert alloc.space.span_of(alloc.malloc(size)) is not span
+
+
 def test_every_class_boundary_routes_by_usable_size(alloc):
     # A class's own block size is served by that class, one byte more by
     # the next one up; one byte past the largest class is one mapping.

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -318,6 +319,24 @@ def test_cli_instrument_prints_frag_bytes():
          "--instrument"],
         capture_output=True, text=True, check=True)
     assert "frag_bytes=" in out.stdout
+
+
+def test_cli_instrument_prints_the_largest_phase_end_frag_bytes(capsys):
+    # The replay frees every block and detaches every thread before the
+    # run ends, so the end-of-run frag_bytes reads 0; the figure printed
+    # is the largest sample taken at a mark. sizesweep ends a phase per
+    # size interval.
+    args = ["--workload", "sizesweep", "--rounds", "1", "--objects", "200",
+            "--seed", "41", "--arena-bytes", str(1 << 31)]
+    assert main(args + ["--instrument"]) == 0
+    line = next(x for x in capsys.readouterr().out.splitlines()
+                if "frag_bytes=" in x)
+    value, phase = re.fullmatch(
+        r"  frag_bytes=(\d+) \(largest at a phase end: phase (\d+) of 9\)",
+        line).groups()
+    assert int(value) > 0 and 1 <= int(phase) <= 9
+    assert main(args) == 0
+    assert "frag_bytes" not in capsys.readouterr().out
 
 
 def test_cli_default_provider_is_the_library_default(tmp_path):

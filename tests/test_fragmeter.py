@@ -3,9 +3,10 @@ import threading
 
 import pytest
 
-from helpers import check_heap, frag_oracle, make_allocator, run_threads
+from helpers import check_heap, make_allocator, run_threads
 from spanalloc import DoubleFree
 from spanalloc.size_classes import TABLE, class_for_size
+from spanalloc.span import STATE_FREE, epoch_state
 
 C64 = class_for_size(64)
 B64 = TABLE[C64].blocks_per_span
@@ -21,11 +22,22 @@ def frag(alloc):
     return alloc.stats()["frag_bytes"]
 
 
+def frag_from_live(alloc, sizes):
+    """The free payload bytes, from no free count: the block bytes of
+    every span in the frontend, less the class block size of each
+    request size in `sizes`, one per block the test holds live."""
+    span_bytes = sum(h.blocks_per_span * h.block_size
+                     for h in alloc.space.iter_headers()
+                     if epoch_state(h.epoch.load()) != STATE_FREE)
+    return span_bytes - sum(TABLE[class_for_size(size)].block_size
+                            for size in sizes)
+
+
 def test_first_alloc_charges_whole_span():
     alloc = instrumented()
     alloc.malloc(64)
     assert frag(alloc) == U64 - 64 == 32512 - 64
-    assert frag(alloc) == frag_oracle(alloc)
+    assert frag(alloc) == frag_from_live(alloc, [64])
 
 
 def test_alloc_from_hot_span_decreases():
@@ -43,7 +55,7 @@ def test_exhausting_span_takes_new_span_branch():
     assert frag(alloc) == U64 - B64 * 64 == 0
     alloc.malloc(64)                       # forces a fresh span
     assert frag(alloc) == U64 - 64
-    assert frag(alloc) == frag_oracle(alloc)
+    assert frag(alloc) == frag_from_live(alloc, [64] * (B64 + 1))
 
 
 def test_ordinary_free_increases_by_class_size():
@@ -64,7 +76,7 @@ def test_last_block_free_releases_whole_payload():
     before = frag(alloc)
     alloc.free(blocks[-1])                 # empties + pools the span
     assert frag(alloc) == before + 64 - U64
-    assert frag(alloc) == frag_oracle(alloc)
+    assert frag(alloc) == frag_from_live(alloc, [64])   # the extra block
 
 
 def test_span_lifecycle_telescopes_to_zero_net():
@@ -76,27 +88,30 @@ def test_span_lifecycle_telescopes_to_zero_net():
         alloc.free(b)
     # The first span's whole life nets out once it returns to the pool.
     assert frag(alloc) == f_after_extra - U64 + 64 * B64
-    assert frag(alloc) == frag_oracle(alloc)
+    assert frag(alloc) == frag_from_live(alloc, [64])
     alloc.free(extra)
-    assert frag(alloc) == frag_oracle(alloc)
+    assert frag(alloc) == frag_from_live(alloc, []) == U64
 
 
 def test_ledger_matches_oracle_after_every_op():
     alloc = instrumented()
     rng = random.Random(11)
     sizes = [16, 48, 64, 256, 512, 4096]
-    live = []
+    live = []                              # (address, request size)
     for step in range(4000):
         if live and (rng.random() < 0.48 or len(live) > 900):
-            alloc.free(live.pop(rng.randrange(len(live))))
+            alloc.free(live.pop(rng.randrange(len(live)))[0])
         else:
-            live.append(alloc.malloc(rng.choice(sizes)))
-        assert frag(alloc) == frag_oracle(alloc), step
+            size = rng.choice(sizes)
+            live.append((alloc.malloc(size), size))
+        assert frag(alloc) == frag_from_live(
+            alloc, [size for _, size in live]), step
         if step % 500 == 0:
-            check_heap(alloc, live)
+            check_heap(alloc, [addr for addr, _ in live])
     while live:
-        alloc.free(live.pop())
-        assert frag(alloc) == frag_oracle(alloc)
+        alloc.free(live.pop()[0])
+        assert frag(alloc) == frag_from_live(
+            alloc, [size for _, size in live])
     check_heap(alloc, live=())
     assert frag(alloc) >= 0
 
@@ -104,16 +119,18 @@ def test_ledger_matches_oracle_after_every_op():
 def test_lazy_reclaim_keeps_oracle_equality():
     alloc = instrumented(eager_reclaim=False)
     rng = random.Random(5)
-    live = []
+    live = []                              # (address, request size)
     for step in range(3000):
         if live and rng.random() < 0.5:
-            alloc.free(live.pop(rng.randrange(len(live))))
+            alloc.free(live.pop(rng.randrange(len(live)))[0])
         else:
-            live.append(alloc.malloc(rng.choice([64, 256])))
-        assert frag(alloc) == frag_oracle(alloc), step
+            size = rng.choice([64, 256])
+            live.append((alloc.malloc(size), size))
+        assert frag(alloc) == frag_from_live(
+            alloc, [size for _, size in live]), step
     while live:
-        alloc.free(live.pop())
-    assert frag(alloc) == frag_oracle(alloc)
+        alloc.free(live.pop()[0])
+    assert frag(alloc) == frag_from_live(alloc, [])
 
 
 def test_double_free_raises_and_leaves_the_lists_alone():

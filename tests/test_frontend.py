@@ -470,7 +470,7 @@ def test_get_span_skips_span_raced_to_free():
         assert span_of(w.alloc, w.fills[-1]) is w.span
         assert state_of(w.span) == STATE_HOT
         assert len(w.alloc.frontend.labs[0].reusable[w.span.size_class]) == 0
-    replay(scenarios.late_take, [0] * 5 + [1] * 10 + [0], check)
+    replay(scenarios.late_take, [0] * 5 + [1] * 11 + [0], check)
 
 
 def test_set_put_rejects_span_no_longer_reusable():
@@ -491,7 +491,7 @@ def test_set_put_rejects_span_no_longer_reusable():
         assert got.try_transition(got.epoch.load(), STATE_HOT, lab.owner)
         assert lab.mark(sc, got, floating) is False
         assert len(lab.reusable[sc]) == 0
-    replay(scenarios.retire_race, [0] * 4 + [1], check)
+    replay(scenarios.retire_race, [0] * 5 + [1], check)
 
 
 def test_crossing_and_emptying_in_one_free_still_pools(alloc):
@@ -787,7 +787,7 @@ def test_adopting_free_that_marks_puts_in_adopters_set():
 def test_last_free_retires_before_the_crossing_free_marks(monkeypatch):
     # The crossing free waits at its marking's latch while the last free
     # retires; its one `mark` call then fails the replace.
-    replay(scenarios.retire_race, [0, 0, 0, 1], scenarios.retired_once(
+    replay(scenarios.retire_race, [0] * 4 + [1], scenarios.retired_once(
         count_set_ops(monkeypatch), 1,
         (STATE_HOT, STATE_FLOATING), (STATE_FLOATING, STATE_FREE)))
 
@@ -798,7 +798,7 @@ def test_crossing_free_marks_before_the_last_free_retires(monkeypatch):
     # the span into LAB 0's set and, testing after the marking, retires
     # it, which leaves that entry stale; the last free's retire from the
     # floating word fails.
-    replay(scenarios.retire_race, [0] * 3 + [1] * 5 + [0],
+    replay(scenarios.retire_race, [0] * 4 + [1] * 6 + [0],
            scenarios.retired_once(
                count_set_ops(monkeypatch), 1, (STATE_HOT, STATE_FLOATING),
                (STATE_FLOATING, STATE_REUSABLE), (STATE_REUSABLE, STATE_FREE),
@@ -816,11 +816,23 @@ def test_marking_free_loses_retirement_to_racing_last_free(monkeypatch):
 
 
 def test_marking_free_retires_the_span_its_owners_last_free_emptied():
-    # LAB 1's own last free reads the floating word and pushes after
-    # LAB 0's free counted and before it marks: the owner's retire from
-    # the floating word fails, and only the marking free's emptiness
-    # test after its marking can retire the span.
-    replay(scenarios.marking_vs_own_last_free, [0] * 6 + [1] * 2 + [0],
+    # LAB 1's own last free reads the floating word, pushes and counts
+    # the span empty after LAB 0's free counted and before it marks.
+    # LAB 0 then marks the span and, testing after its marking, retires
+    # it: the owner's retire from the floating word fails, and its one
+    # reload reads a free word.
+    replay(scenarios.marking_vs_own_last_free, [0] * 7 + [1] * 3 + [0],
+           scenarios.retired_by((STATE_FLOATING, STATE_REUSABLE),
+                                (STATE_REUSABLE, STATE_FREE)))
+
+
+def test_owners_last_free_retires_the_span_a_remote_marking_left_empty():
+    # LAB 1's own last free reads the floating word and waits before its
+    # push, while LAB 0's free counts, marks the span into LAB 1's set
+    # and tests it live. The owner's retire from the floating word then
+    # fails, and it loads the word once more: the marking's word, from
+    # which it retires the span, so no empty span stays reusable.
+    replay(scenarios.marking_vs_own_last_free, [1] * 2 + [0],
            scenarios.retired_by((STATE_FLOATING, STATE_REUSABLE),
                                 (STATE_REUSABLE, STATE_FREE)))
 
@@ -844,14 +856,14 @@ def test_float_marks_the_span_a_racing_push_took_over_its_threshold():
 def test_terminate_races_last_free_single_winner():
     # The last free has counted the span empty when LAB 0's termination
     # retires the empty entry from its stamp; the free's retire fails.
-    replay(scenarios.terminate_race, [1] * 5 + [0],
+    replay(scenarios.terminate_race, [1] * 6 + [0],
            scenarios.retired_by((STATE_REUSABLE, STATE_FREE)))
 
 
 def test_late_set_put_is_refused_after_the_span_went_round():
     # LAB 0's marking free holds its set's latch and waits before its
     # replace, which then fails: no entry is made.
-    replay(scenarios.late_put, [0] * 5 + [1], scenarios.went_round)
+    replay(scenarios.late_put, [0] * 6 + [1], scenarios.went_round)
 
 
 def test_set_take_skips_a_span_that_went_round():
@@ -867,7 +879,7 @@ def test_lab_termination_skips_a_span_that_went_round():
 def test_refused_set_put_is_adopted_by_the_freeing_thread():
     # LAB 0's marking waits to take LAB 1's latch while LAB 1 closes and
     # terminates; the marking then finds the LAB closed and is refused.
-    replay(scenarios.marking_vs_termination, [0] * 6 + [1],
+    replay(scenarios.marking_vs_termination, [0] * 7 + [1],
            scenarios.adopted_into(0, terminated=1))
 
 
@@ -886,7 +898,7 @@ def test_only_the_marking_free_adopts_a_refused_span():
     # refused in turn and adopts the span; LAB 2's replace then fails
     # and adopts nothing.
     replay(scenarios.marking_vs_termination_and_push,
-           [0] * 6 + [1] * 3 + [2] * 8 + [0], scenarios.adopted_into(0))
+           [0] * 7 + [1] * 3 + [2] * 9 + [0], scenarios.adopted_into(0))
 
 
 def test_marking_free_reads_its_owner_after_its_epoch():
@@ -903,7 +915,7 @@ def test_late_adoption_leaves_the_spans_next_life_alone():
     # closed LAB, and its adopting one, from its stale floating word,
     # fails; LAB 2's wins.
     replay(scenarios.adoption_in_the_next_life,
-           [0] * 6 + [1] * 25 + [2] * 37 + [0], scenarios.adopted_into(2))
+           [0] * 7 + [1] * 26 + [2] * 44 + [0], scenarios.adopted_into(2))
 
 
 def test_last_free_that_read_the_marking_retires_the_adopted_span():
@@ -921,7 +933,7 @@ def test_last_free_that_read_the_marking_retires_the_adopted_span():
             is w.span and w.grew == 0
         stats = w.alloc.stats()
         assert (stats["adopts"], stats["pool_puts"]) == (1, 1)
-    replay(scenarios.last_free_vs_adoption, [0] * 8 + [2, 2, 0], check)
+    replay(scenarios.last_free_vs_adoption, [0] * 9 + [2] * 2 + [0], check)
 
 
 # -- the attachment record caches its LAB's owner -----------------------------
