@@ -31,13 +31,15 @@ from .fragmeter import FragLedger
 from .frontend import Frontend
 # Names kept only because perfbench/tracing.py wraps them by name, and
 # which go with its wrap list: `class_for_size` in this module (malloc
-# indexes CLASS_OF itself), `SpanHeader.free_local` (free pushes inline;
-# the span tests call it) and `SpanHeader.try_adopt` (`LAB.mark` adopts
-# through `try_transition`).
+# indexes CLASS_OF itself), `SpanHeader.free_local` and
+# `SpanHeader.free_remote` (free pushes inline; the span tests call
+# them) and `SpanHeader.try_adopt` (`LAB.mark` adopts through
+# `try_transition`).
 from .size_classes import CLASS_OF, MAX_CLASS_BLOCK, class_for_size
 from .span import (
     EPOCH_OWNER_FIELD, EPOCH_OWNER_SHIFT, EPOCH_STATE_SHIFT,
-    REMOTE_COUNT_SHIFT, STATE_FLOATING, STATE_FREE, SpanSpace,
+    REMOTE_COUNT_SHIFT, REMOTE_OFFSET_MASK, STATE_FLOATING, STATE_FREE,
+    SpanSpace,
 )
 from .span_pool import SpanPool
 from .vmem import make_provider
@@ -132,8 +134,8 @@ class Allocator:
         when instrumented, the ledger's DoubleFree. The span's state and
         owner come from one load of its epoch word. A TLAB free into a
         span the caller owns pushes on the local list; every other free
-        goes through `free_remote` and then loads the epoch word again,
-        and only that word decides its state work.
+        makes the remote list's Treiber push and then loads the epoch
+        word again, and only that word decides its state work.
 
         A hot or free word has none. Any other free counts its span's
         free blocks once, after its push, so the free with the last push
@@ -183,13 +185,23 @@ class Allocator:
             span.local_count += 1
             stats.frees_local += 1
         else:
-            span.free_remote(addr)
+            # The push of `SpanHeader.free_remote`.
+            remote = span.remote
+            while True:
+                old = remote.load()
+                self.provider.write_word(addr, old & REMOTE_OFFSET_MASK)
+                if remote.compare_exchange(
+                        old, (((old >> REMOTE_COUNT_SHIFT) + 1)
+                              << REMOTE_COUNT_SHIFT) | (addr - lo)):
+                    break
             stats.frees_remote += 1
             epoch = span.epoch.load()
             state = epoch >> EPOCH_STATE_SHIFT
         if state < STATE_FLOATING:      # hot, or free after the re-read
             return
         blocks = span.blocks_per_span
+        # A fresh load, not the push's count: a drain since the push may
+        # have moved the pushed block onto the local list.
         free = span.local_count + (span.remote.load() >> REMOTE_COUNT_SHIFT) \
             + blocks - span.bump_limit
         retire = free == blocks and self._eager_reclaim

@@ -172,12 +172,15 @@ class SpanHeader:
     # -- remote free list (any non-owning thread) -------------------------
 
     def free_remote(self, addr):
-        """Treiber push carrying the count in the top word; lock-free.
+        """Treiber push carrying the count in the top word; lock-free;
+        returns the new remote count.
 
-        The remote word carries no ABA tag on purpose: pushes only ever
-        grow the list and the one consumer takes everything in a single
-        swap, so a top value coming back around changes nothing the
-        consumer relies on.
+        `Allocator.free` makes this same push inline, in its own frame;
+        this method serves span-level tests and per-layer tracing, which
+        wraps it by name. The remote word carries no ABA tag on purpose:
+        pushes only ever grow the list and the one consumer takes
+        everything in a single swap, so a top value coming back around
+        changes nothing the consumer relies on.
         """
         off = addr - self.space.arena_base
         provider = self.space.provider

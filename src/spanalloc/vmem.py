@@ -7,10 +7,14 @@ backing (decommit). Two implementations:
 * SimProvider - keeps a sparse page table with exact accounting:
   committed bytes are page_size times the size of that table, the pages
   touched or written and not since decommitted. A committed page gets
-  its bytearray on its first write; until then it reads as zeros, so a
-  page committed only for the accounting (a large span's header page,
-  whose fields live in the SpanHeader object) costs no buffer. This is
-  what makes memory-consumption claims assertable in tests.
+  its bytearray on its first write, one that ends at the word that write
+  ends in; a later write past that end grows it to the full page, once.
+  Bytes past a buffer's end, and all of a page with none yet, read as
+  zeros. So a page committed only for the accounting (a large span's
+  header page, whose fields live in the SpanHeader object) costs no
+  buffer, and one whose only write is a large block's first word (its
+  free-list link) costs a few bytes, not a page. This is what makes
+  memory-consumption claims assertable in tests.
 
 * OsProvider - real anonymous mappings, reserved with MAP_NORESERVE so a
   large arena costs no swap or overcommit charge until it is touched;
@@ -211,19 +215,26 @@ class SimProvider(_Provider):
     Pages commit on first write or on `touch` (reads of uncommitted
     pages return zeros without committing, mirroring on-demand zero
     pages). A committed page's entry in `_pages` is None until its
-    first write gives it a bytearray; reads, `zero_committed` and
-    `copy` treat such a page as committed zeros, and decommit drops it
-    like any other. All bookkeeping mutations are serialized
-    internally; data writes to already-committed pages rely on callers
-    targeting disjoint ranges.
+    first write gives it a bytearray, which ends at the 8-byte word
+    that write ends in. A later write past that end grows it in place
+    to PAGE_SIZE, once, under the lock, so two writers cannot both
+    extend it; the word paths find a short buffer in the `except` of
+    their pack or unpack, which costs the common case nothing. Reads,
+    `zero_committed` and `copy` treat the bytes past a buffer's end,
+    and a page with no buffer, as committed zeros; decommit drops any
+    page alike. Word access is 8-byte aligned, so a word is wholly
+    inside a buffer or wholly past its end. All bookkeeping mutations
+    are serialized internally; data writes to already-committed pages
+    rely on callers targeting disjoint ranges.
     """
 
     name = "sim"
 
     def __init__(self, reservation_cap=RESERVATION_CAP):
         super().__init__(reservation_cap)
-        self._pages = {}              # page index -> bytearray(PAGE_SIZE), or
-                                      # None while committed and unwritten
+        self._pages = {}              # page index -> bytearray of up to
+                                      # PAGE_SIZE bytes, or None while
+                                      # committed and unwritten
         self._committed = defaultdict(set)  # 2MB slot -> its page indices in _pages
 
     # -- data access ------------------------------------------------------
@@ -236,7 +247,9 @@ class SimProvider(_Provider):
             take = min(PAGE_SIZE - off, n - pos)
             page = self._pages.get(idx)
             if page is None:
-                page = self._commit_page(idx, True)
+                page = self._commit_page(idx, (off + take + 7) & -8)
+            if len(page) < off + take:
+                self._grow_page(page)
             page[off:off + take] = data[pos:pos + take]
             pos += take
 
@@ -248,44 +261,56 @@ class SimProvider(_Provider):
             take = min(PAGE_SIZE - off, n - pos)
             page = self._pages.get(idx)
             if page is not None:
-                out[pos:pos + take] = page[off:off + take]
+                chunk = page[off:off + take]
+                out[pos:pos + len(chunk)] = chunk
             pos += take
         return bytes(out)
 
     def copy(self, dst, src, n):
         """Copy n bytes from src to dst, committing no destination page
-        the copy would only fill with zeros: a chunk of an uncommitted
-        source page zeroes the destination's committed bytes instead. A
-        chunk of a committed source page with no bytes yet commits its
-        destination as zeros, as a chunk of written zeros would."""
+        the copy would only fill with zeros: the zeros of an uncommitted
+        source page zero the destination's committed bytes instead. The
+        zeros of a committed source page (past its buffer's end, or all
+        of it before its first write) commit their destination, as
+        written zeros would, and give it no bytes."""
         pages = self._pages
         pos = 0
         while pos < n:
             idx, off = divmod(src + pos, PAGE_SIZE)
             take = min(PAGE_SIZE - off, n - pos)
             page = pages.get(idx)
-            if page is None:
+            chunk = page[off:off + take] if page is not None else b""
+            if chunk:
+                self.write(dst + pos, chunk)
+            rest = len(chunk)
+            if rest < take:
                 if idx in pages:
-                    self.touch(dst + pos, take)
-                self.zero_committed(dst + pos, take)
-            else:
-                self.write(dst + pos, page[off:off + take])
+                    self.touch(dst + pos + rest, take - rest)
+                self.zero_committed(dst + pos + rest, take - rest)
             pos += take
 
     def write_word(self, addr, value):
         # Word writes are 8 bytes at 8-byte-aligned addresses, so they
-        # never straddle a page boundary.
+        # never straddle a page boundary. A pack past a short buffer's
+        # end fails and grows it; a value out of range fails again.
         idx = addr >> 12
         page = self._pages.get(idx)
         if page is None:
-            page = self._commit_page(idx, True)
-        _pack_word(page, addr & 0xFFF, value)
+            page = self._commit_page(idx, (addr & 0xFFF) + 8)
+        try:
+            _pack_word(page, addr & 0xFFF, value)
+        except struct.error:
+            self._grow_page(page)
+            _pack_word(page, addr & 0xFFF, value)
 
     def read_word(self, addr):
         page = self._pages.get(addr >> 12)
         if page is None:
             return 0
-        return _unpack_word(page, addr & 0xFFF)[0]
+        try:
+            return _unpack_word(page, addr & 0xFFF)[0]
+        except struct.error:            # past the buffer's end
+            return 0
 
     def touch(self, addr, nbytes):
         """Commit every page overlapping [addr, addr+nbytes), giving none
@@ -307,7 +332,10 @@ class SimProvider(_Provider):
             take = min(PAGE_SIZE - off, nbytes - pos)
             page = self._pages.get(idx)
             if page is not None:
-                page[off:off + take] = bytes(take)
+                # Past the buffer's end the page already reads as zeros.
+                end = min(off + take, len(page))
+                if off < end:
+                    page[off:end] = bytes(end - off)
             pos += take
 
     # -- accounting -------------------------------------------------------
@@ -331,10 +359,12 @@ class SimProvider(_Provider):
 
     # -- internals --------------------------------------------------------
 
-    def _commit_page(self, idx, write=False):
+    def _commit_page(self, idx, end=0):
         """Commit page `idx` if it is not, raising `window_peak` to the
-        page table's new size; for a `write`, also give it its bytearray
-        if it has none, and return that. A page outside every
+        page table's new size. For a write, whose bytes end at `end` (a
+        multiple of 8), also give the page a bytearray of `end` zeros
+        if it has none, and return the page's bytearray: one that
+        another writer gave it first may be shorter. A page outside every
         reservation and mapping fails in `_locate` before any
         bookkeeping changes."""
         lock = self._lock
@@ -350,8 +380,19 @@ class SimProvider(_Provider):
                 committed = (len(pages) + 1) << _PAGE_SHIFT
                 if committed > self.window_peak:
                     self.window_peak = committed
-            page = pages[idx] = bytearray(PAGE_SIZE) if write else None
+            page = pages[idx] = bytearray(end) if end else None
             return page
+        finally:
+            lock.release()
+
+    def _grow_page(self, page):
+        """Extend a page's bytearray in place with zeros to PAGE_SIZE.
+        The length is read again under the lock, so of two writers that
+        both found the buffer short only the first extends it."""
+        lock = self._lock
+        lock.acquire()
+        try:
+            page.extend(bytes(PAGE_SIZE - len(page)))
         finally:
             lock.release()
 

@@ -1,13 +1,16 @@
 import random
+import struct
+import threading
 
 import pytest
 
-from helpers import make_allocator
+from helpers import BARRIER_TIMEOUT, in_threads, make_allocator
 from spanalloc.config import PAGE_SIZE, VIRTUAL_SPAN_SIZE
 from spanalloc.errors import ReservationError
 from spanalloc.vmem import OsProvider, SimProvider
 
 MB2 = VIRTUAL_SPAN_SIZE
+KB = 1024
 
 
 def test_reserve_postconditions():
@@ -387,6 +390,213 @@ def test_huge_cycles_leave_the_slot_indexes_as_they_were():
         alloc.free(addr)
     assert (len(p._committed), len(p._slots)) == (committed, slots)
     assert all(p._committed.values())
+
+
+# -- page buffers: a page's bytes end at its last written word -----------------
+
+class FullPages:
+    """The page model with a whole page of bytes behind every committed
+    page, which the provider kept before a page's buffer ended at its
+    last written word: the reference of the differential test below.
+    Pages commit on touch and on write; a copy writes each committed
+    source page's chunk, zeros included, and zeroes the destination's
+    committed bytes for an uncommitted one."""
+
+    def __init__(self):
+        self.pages = {}                    # page index -> bytearray(PAGE_SIZE)
+
+    @staticmethod
+    def chunks(addr, n):
+        """(page index, offset, position, length) of each page's part of
+        [addr, addr+n)."""
+        pos = 0
+        while pos < n:
+            idx, off = divmod(addr + pos, PAGE_SIZE)
+            take = min(PAGE_SIZE - off, n - pos)
+            yield idx, off, pos, take
+            pos += take
+
+    def touch(self, addr, n):
+        for idx, _, _, _ in self.chunks(addr, n):
+            self.pages.setdefault(idx, bytearray(PAGE_SIZE))
+
+    def write(self, addr, data):
+        for idx, off, pos, take in self.chunks(addr, len(data)):
+            page = self.pages.setdefault(idx, bytearray(PAGE_SIZE))
+            page[off:off + take] = data[pos:pos + take]
+
+    def read(self, addr, n):
+        out = bytearray(n)
+        for idx, off, pos, take in self.chunks(addr, n):
+            if idx in self.pages:
+                out[pos:pos + take] = self.pages[idx][off:off + take]
+        return bytes(out)
+
+    def zero_committed(self, addr, n):
+        for idx, off, _, take in self.chunks(addr, n):
+            if idx in self.pages:
+                self.pages[idx][off:off + take] = bytes(take)
+
+    def copy(self, dst, src, n):
+        for idx, off, pos, take in self.chunks(src, n):
+            if idx in self.pages:
+                self.write(dst + pos, self.pages[idx][off:off + take])
+            else:
+                self.zero_committed(dst + pos, take)
+
+    def drop(self, addr, n):
+        for idx, _, _, _ in self.chunks(addr, n):
+            self.pages.pop(idx, None)
+
+
+def test_short_page_buffers_read_as_full_pages():
+    # One seeded sequence of every data, commit and release operation
+    # on the provider and on the full-page model; after each, both hold
+    # the same committed pages with the same bytes. Accesses crowd the
+    # first and last pages of each range, so word writes land past a
+    # short buffer's end, byte writes straddle pages, and copies read
+    # short, grown and bufferless pages.
+    p = SimProvider()
+    ref = FullPages()
+    r = p.reserve(2 * MB2)
+    ranges = {r.base: r.length}            # the arena and live mappings
+    rng = random.Random(5)
+    short = grown = 0
+
+    def pick(align=1):
+        base, length = rng.choice(list(ranges.items()))
+        pages = length // PAGE_SIZE
+        page = rng.choice([*range(min(pages, 5)), pages - 1])
+        off = rng.randrange(0, PAGE_SIZE, align)
+        return base + page * PAGE_SIZE + off, base + length
+
+    def extent(limit, most):
+        return lambda addr: min(rng.randint(1, most), limit - addr)
+
+    for _ in range(2500):
+        op = rng.random()
+        if op < 0.25:
+            addr, _ = pick(8)
+            value = rng.getrandbits(64)
+            p.write_word(addr, value)
+            ref.write(addr, value.to_bytes(8, "little"))
+        elif op < 0.4:
+            addr, end = pick()
+            data = rng.randbytes(extent(end, 300)(addr))
+            p.write(addr, data)
+            ref.write(addr, data)
+        elif op < 0.5:
+            addr, end = pick()
+            n = extent(end, 2 * PAGE_SIZE)(addr)
+            p.touch(addr, n)
+            ref.touch(addr, n)
+        elif op < 0.6:
+            addr, end = pick()
+            n = extent(end, 2 * PAGE_SIZE)(addr)
+            assert p.read(addr, n) == ref.read(addr, n)
+            addr, _ = pick(8)
+            assert p.read_word(addr) == \
+                int.from_bytes(ref.read(addr, 8), "little")
+        elif op < 0.7:
+            src, src_end = pick()
+            dst, dst_end = pick()
+            n = min(rng.randint(1, 2 * PAGE_SIZE), src_end - src,
+                    dst_end - dst)
+            if src + n <= dst or dst + n <= src:   # copies never overlap
+                p.copy(dst, src, n)
+                ref.copy(dst, src, n)
+        elif op < 0.78:
+            addr, end = pick()
+            n = extent(end, 2 * PAGE_SIZE)(addr)
+            p.zero_committed(addr, n)
+            ref.zero_committed(addr, n)
+        elif op < 0.9:
+            addr, end = pick()
+            addr -= addr % PAGE_SIZE
+            n = min(rng.randint(1, 4) * PAGE_SIZE, end - addr)
+            p.decommit(addr, n)
+            ref.drop(addr, n)
+        elif op < 0.96 or len(ranges) == 1:
+            if len(ranges) < 5:
+                length = rng.randint(1, 12) * PAGE_SIZE
+                ranges[p.map_pages(length)] = length
+        else:
+            base = rng.choice([b for b in ranges if b != r.base])
+            p.unmap(base)
+            ref.drop(base, ranges.pop(base))
+        assert p.committed_page_indices() == set(ref.pages)
+        for idx, page in ref.pages.items():
+            assert p.read(idx * PAGE_SIZE, PAGE_SIZE) == page
+        for buf in p._pages.values():
+            if buf is not None:
+                assert len(buf) % 8 == 0 and len(buf) <= PAGE_SIZE
+                short += len(buf) < PAGE_SIZE
+                grown += len(buf) == PAGE_SIZE
+    assert short and grown                 # both kinds of buffer were met
+
+
+@pytest.mark.parametrize("value", [-1, 1 << 64])
+def test_write_word_of_a_value_out_of_range_changes_no_byte(value):
+    # The pack clears its word before it checks the value (CPython's
+    # struct does), so each target word holds zeros: one inside a short
+    # buffer, one past its end, one inside a full buffer, and one on a
+    # page with no bytes yet.
+    p = SimProvider()
+    base = p.reserve(2 * MB2).base
+    p.write_word(base + 8, 0x1122)                     # a 16-byte buffer
+    p.write(base + 2 * PAGE_SIZE - 96, b"\x5a" * 96)   # a full one
+    before = p.read(base, 3 * PAGE_SIZE)
+    for addr in (base, base + 64, base + PAGE_SIZE + 8,
+                 base + 2 * PAGE_SIZE):
+        with pytest.raises(struct.error):
+            p.write_word(addr, value)
+        assert p.read(base, 3 * PAGE_SIZE) == before
+    assert p.read_word(base + 8) == 0x1122
+
+
+def test_page_buffers_of_a_large_object_churn_stay_small():
+    # Blocks of 4 KB to 1 MB, each tagged in its first word: a page
+    # whose only write is a tag or a free-list link keeps a buffer of a
+    # few bytes, so the buffers hold far less than the committed bytes.
+    alloc = make_allocator(arena_bytes=1 << 30)
+    p = alloc.provider
+    rng = random.Random(17)
+    live = {}                              # address -> tag
+    for step in range(3000):
+        if live and (len(live) >= 200 or rng.random() < 0.5):
+            addr = rng.choice(list(live))
+            assert p.read_word(addr) == live.pop(addr)
+            alloc.free(addr)
+        else:
+            addr = alloc.malloc(int(4 * KB * 256 ** rng.random()))
+            p.write_word(addr, step + 1)
+            live[addr] = step + 1
+    held = sum(len(buf) for buf in p._pages.values() if buf is not None)
+    assert held < p.committed_bytes / 8
+
+
+def test_racing_first_writes_to_a_page_keep_every_word():
+    # Four threads write words at their own offsets into the same fresh
+    # pages, so one thread's first write leaves a short buffer that the
+    # others find and grow (unless the first ended at the last word, at
+    # 3000). A growth that ran twice would leave a buffer past
+    # PAGE_SIZE; one that replaced the buffer would lose a word written
+    # into the old one.
+    p = SimProvider()
+    base = p.reserve(2 * MB2).base
+    pages, threads_n = 1024, 4             # every page of the reservation
+    barrier = threading.Barrier(threads_n, timeout=BARRIER_TIMEOUT)
+
+    def work(i):
+        for k in range(pages):
+            barrier.wait()                 # all threads on the same page
+            p.write_word(base + k * PAGE_SIZE + i * 1000, k * 8 + i)
+
+    in_threads(work, threads_n)
+    for k in range(pages):
+        assert len(p._pages[base // PAGE_SIZE + k]) in (3008, PAGE_SIZE)
+        for i in range(threads_n):
+            assert p.read_word(base + k * PAGE_SIZE + i * 1000) == k * 8 + i
 
 
 def test_window_peak():
