@@ -11,14 +11,14 @@ Addresses are integers; 0 is the null sentinel (returned on
 out-of-memory, ignored by free, POSIX style).
 
 The hot-span fast paths run here too, in the same frames. `malloc`
-pops the hot span's local list or bumps, under the class latch in CLAB
-mode, and calls the slow path `Frontend.allocate` only when the hot
-span is missing or dry. `free` makes the WildFree and DoubleFree
-checks, the local or remote push and the one count of the span's free
-blocks, and calls the slow path `Frontend.deallocate` only when that
-count calls for a retirement or a marking. `SpanHeader.alloc_block`
-makes the same pop or bump for the slow path's block, and
-`SpanSpace.block_span` the same WildFree test for `realloc` and
+serves every block, under the class latch in CLAB mode, with its one
+pop of the hot span's local list or bump; when the hot span is missing
+or dry it first calls the slow path `Frontend.allocate`, a refill that
+returns a hot span holding a block. `free` makes the WildFree and
+DoubleFree checks, the local or remote push and the one count of the
+span's free blocks, and calls the slow path `Frontend.deallocate` only
+when that count calls for a retirement or a marking.
+`SpanSpace.block_span` makes the same WildFree test for `realloc` and
 `usable_size`.
 """
 
@@ -31,10 +31,10 @@ from .fragmeter import FragLedger
 from .frontend import Frontend
 # Names kept only because perfbench/tracing.py wraps them by name, and
 # which go with its wrap list: `class_for_size` in this module (malloc
-# indexes CLASS_OF itself), `SpanHeader.free_local` and
-# `SpanHeader.free_remote` (free pushes inline; the span tests call
-# them) and `SpanHeader.try_adopt` (`LAB.mark` adopts through
-# `try_transition`).
+# indexes CLASS_OF itself), `SpanHeader.alloc_block` (malloc pops and
+# bumps inline), `SpanHeader.free_local` and `SpanHeader.free_remote`
+# (free pushes inline; the span tests call all three) and
+# `SpanHeader.try_adopt` (`LAB.mark` adopts through `try_transition`).
 from .size_classes import CLASS_OF, MAX_CLASS_BLOCK, class_for_size
 from .span import (
     EPOCH_OWNER_FIELD, EPOCH_OWNER_SHIFT, EPOCH_STATE_SHIFT,
@@ -105,17 +105,20 @@ class Allocator:
         try:
             stats.allocs += 1
             hot = lab.hot_spans[sc]
-            head = hot.local_head if hot is not None else 0
-            if head:
-                # The pop of `SpanHeader.alloc_block`.
-                block = self._arena_lo + head
-                hot.local_head = self.provider.read_word(block)
-                hot.local_count -= 1
-            elif hot is not None and hot.bump_limit < hot.blocks_per_span:
-                block = hot.payload + hot.bump_limit * hot.block_size
-                hot.bump_limit += 1
-            else:
-                block = self.frontend.allocate(lab, tid, stats, mine, sc)
+            while True:
+                head = hot.local_head if hot is not None else 0
+                if head:
+                    # The pop of `SpanHeader.alloc_block`.
+                    block = self._arena_lo + head
+                    hot.local_head = self.provider.read_word(block)
+                    hot.local_count -= 1
+                    break
+                if hot is not None and hot.bump_limit < hot.blocks_per_span:
+                    block = hot.payload + hot.bump_limit * hot.block_size
+                    hot.bump_limit += 1
+                    break
+                # The refill: a hot span that holds a block.
+                hot = self.frontend.allocate(lab, tid, stats, mine, sc)
             if self.ledger is not None:
                 self.ledger.on_alloc(block)
             return block
@@ -230,7 +233,7 @@ class Allocator:
             return self.malloc(0)
         if self._arena_lo <= addr < self._arena_hi:
             # WildFree and DoubleFree before, not after, malloc.
-            old_usable = self.space.block_span(addr)[0].block_size
+            old_usable = self.space.block_span(addr).block_size
             if self.ledger is not None:
                 self.ledger.check_live(addr)
         else:
@@ -261,7 +264,7 @@ class Allocator:
         object's whole mapping, page-rounded); WildFree when `addr` is in
         no handed-out block and is no huge mapping's base."""
         if self._arena_lo <= addr < self._arena_hi:
-            return self.space.block_span(addr, interior=True)[0].block_size
+            return self.space.block_span(addr, interior=True).block_size
         length = self.provider.mapping_length(addr)
         if length is None:
             raise WildFree(f"{addr:#x} is not an allocated address")

@@ -2,9 +2,10 @@
 
 Fresh spans come from an atomic bump cursor (fetch-increment, wait-free),
 so a slot is handed out exactly once; recycling is entirely the span
-pool's business. The arena also answers the membership question that
-routes frees: in-arena addresses belong to spans, everything else is a
-huge object.
+pool's business, and the pool reads the cursor as its count of fresh
+slots. The arena also answers the membership question that routes
+frees: in-arena addresses belong to spans, everything else is a huge
+object.
 """
 
 from .atomic import AtomicWord
@@ -17,18 +18,21 @@ class Arena:
         self.base = region.base
         self.end = region.base + region.length
         self.capacity = region.length >> SPAN_SHIFT
-        self._cursor = AtomicWord(0)
+        self.cursor = AtomicWord(0)
 
     def acquire_virtual_span(self):
-        """Next untouched 2MB-aligned slot; raises ArenaExhausted at the end."""
-        i = self._cursor.fetch_add(1)
+        """Next untouched 2MB-aligned slot; raises ArenaExhausted at the
+        end, and takes its bump back, so that the cursor counts the
+        slots handed out."""
+        i = self.cursor.fetch_add(1)
         if i >= self.capacity:
+            self.cursor.fetch_add(-1)
             raise ArenaExhausted(
                 f"arena exhausted after {self.capacity} virtual spans")
         return self.base + (i << SPAN_SHIFT)
 
     def spans_handed_out(self):
-        return min(self._cursor.load(), self.capacity)
+        return self.cursor.load()
 
     def contains(self, addr):
         return self.base <= addr < self.end

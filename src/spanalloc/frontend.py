@@ -17,12 +17,13 @@ leaves a stale entry behind, which nothing removes: the take that
 reaches it fails its replace and skips it.
 
 The fast paths run in the facade's own frames (`api.py`), and this
-module keeps the slow paths. `Allocator.malloc` serves a block from the
-hot span's local list or bump region, and calls `Frontend.allocate`
-only when the hot span is missing or dry: that drains the remote list
-if enough blocks accumulated, and otherwise floats the hot span and
-fetches a replacement from the reusable set, the span pool, or the
-arena.
+module keeps the slow paths. `Allocator.malloc` serves every block from
+the hot span's local list or bump region. When the hot span is missing
+or dry it first calls `Frontend.allocate`, a refill, which only finds a
+hot span that holds a block: it drains the remote list if enough blocks
+accumulated, and otherwise floats the hot span and fetches a
+replacement from the reusable set, or from the span pool, which hands
+back a pooled span or a fresh arena slot set up for the class.
 
 `Allocator.free` first rejects, in O(1) and before any list push, an
 address that is not a handed-out block of a live span (WildFree) and,
@@ -274,13 +275,16 @@ class Frontend:
     # -- allocation ---------------------------------------------------------
 
     def allocate(self, lab, tid, stats, mine, sc):
-        """The malloc slow path: one block of class `sc` for the caller,
-        whose attachment record is (`lab`, `tid`, `stats`, `mine`), when
-        `Allocator.malloc` finds `lab`'s hot span of the class missing or
-        dry. The caller holds the class latch in CLAB mode. A dry hot
-        span drains its remote list if enough blocks accumulated, and
-        otherwise goes floating and `_get_span` fetches a replacement;
-        `SpanHeader.alloc_block` serves the block.
+        """The malloc slow path, a refill: `lab`'s hot span of class
+        `sc` once it holds a block, when `Allocator.malloc` finds it
+        missing or dry; `malloc` then serves the block with its one pop
+        or bump. The caller's attachment record is (`lab`, `tid`,
+        `stats`, `mine`), and it holds the class latch in CLAB mode. A
+        dry hot span drains its remote list if enough blocks
+        accumulated, and otherwise goes floating, and another is
+        fetched: from the reusable set first, then from `SpanPool.get`,
+        whose span arrives set up for the class. A span from the set
+        whose free blocks are all on its remote list is drained in turn.
 
         A remote push between the drain test and the float reads a hot
         word and leaves the span to its owner, so the float settles it
@@ -292,16 +296,13 @@ class Frontend:
         fetches = 0
         hot = lab.hot_spans[sc]
         while True:
-            if hot is None:
-                hot = lab.hot_spans[sc] = \
-                    self._get_span(lab, tid, stats, mine, sc)
-                fetches += 1
-            elif hot.drain_remotes() > 0:
-                stats.drains += 1
-            else:
-                # Exhausted and not worth draining: float it, settle it
-                # from one count of its remote blocks (its only free
-                # ones), as a free would, and refetch.
+            if hot is not None:
+                if hot.drain_remotes() > 0:
+                    stats.drains += 1
+                    break
+                # Dry and not worth draining: float it, settle it from
+                # one count of its remote blocks (its only free ones),
+                # as a free would, and fetch another.
                 took = hot.try_transition(hot.epoch.load(), STATE_FLOATING)
                 assert took, "hot spans are only transitioned by their owner"
                 lab.hot_spans[sc] = None
@@ -311,32 +312,29 @@ class Frontend:
                         self.pool.put(hot, tid)
                 elif free > hot.reuse_threshold_blocks:
                     self._settle(hot, took, lab, tid, stats)
-                hot = None
-                continue
-            block = hot.alloc_block()
-            if block:
-                if fetches > stats.max_fetches_per_alloc:
-                    stats.max_fetches_per_alloc = fetches
-                return block
-
-    def _get_span(self, lab, tid, stats, mine, sc):
-        """Next hot span: the reusable set first, then pool or arena."""
-        while (entry := lab.take(sc)) is not None:
-            span, stamp = entry
-            if not self.eager_reclaim and span.is_empty():
-                # Deferred-reclamation ablation: empty spans ride back
-                # to the backend from this slow path instead of from
-                # the free that emptied them.
-                if span.try_transition(stamp, STATE_FREE):
-                    self.pool.put(span, tid)
-            elif span.try_transition(stamp, STATE_HOT):
-                stats.set_fetches += 1
-                return span
-        span = self.pool.get(sc, tid)
-        span.init_for_class(sc)
-        took = span.try_transition(span.epoch.load(), STATE_HOT, mine)
-        assert took, "free -> hot does not compete with anyone"
-        return span
+            fetches += 1
+            while (entry := lab.take(sc)) is not None:
+                hot, stamp = entry
+                if not self.eager_reclaim and hot.is_empty():
+                    # Deferred-reclamation ablation: empty spans ride
+                    # back to the backend from this slow path instead of
+                    # from the free that emptied them.
+                    if hot.try_transition(stamp, STATE_FREE):
+                        self.pool.put(hot, tid)
+                elif hot.try_transition(stamp, STATE_HOT):
+                    stats.set_fetches += 1
+                    break
+            else:
+                # The set had no span to take.
+                hot = self.pool.get(sc, tid)
+                took = hot.try_transition(hot.epoch.load(), STATE_HOT, mine)
+                assert took, "free -> hot does not compete with anyone"
+            lab.hot_spans[sc] = hot
+            if hot.local_head or hot.bump_limit < hot.blocks_per_span:
+                break
+        if fetches > stats.max_fetches_per_alloc:
+            stats.max_fetches_per_alloc = fetches
+        return hot
 
     # -- deallocation ---------------------------------------------------------
 

@@ -7,19 +7,19 @@ every transition, which is what defeats ABA on state changes), the
 owner-private local free list, and the concurrent remote free list
 whose single atomic word carries both the list head and the element
 count. The two atomic words share one lock, as they would share the
-header's cache line. The header's page, the slot's first, is committed
-once, when the header is created, and gets bytes only if a small
-class's block on it is written; no decommit releases it, so
-re-classing a pooled span rewrites the header in place and commits
-nothing. Blocks carry no metadata while live; a freed block's first
+header's cache line. A header is built for the class that first takes
+its slot. Its page, the slot's first, is committed then, once, and gets
+bytes only if a small class's block on it is written; no decommit
+releases it, so re-classing a pooled span rewrites the header in place
+and commits nothing. Blocks carry no metadata while live; a freed block's first
 word becomes the next-pointer of whichever free list it sits on,
 written straight into span memory so page accounting sees it.
 
 Life cycle: free -> hot -> floating -> reusable -> {hot, free}, with
 floating also reachable from reusable at thread termination, and
-floating -> free for the free that empties a floating span. Fresh
-arena slots are implicitly "expected" until their header is first
-written. Every successful transition is a single conditional replace
+floating -> free for the free that empties a floating span. A fresh
+arena slot has no header, and so no state, until the span pool hands it
+out, free. Every successful transition is a single conditional replace
 of the epoch word, recorded in the ledger's trace when instrumented.
 The word holds the owner too, so one load is a consistent snapshot.
 An owner is the id of one LAB's one life, never reused. Only free -> hot
@@ -62,6 +62,14 @@ LEGAL_EDGES = frozenset([
     (STATE_REUSABLE, STATE_FLOATING),   # thread termination
 ])
 
+# Per legal edge, the add that moves an epoch word along it and keeps
+# its owner: the state's change, and 1 on the counter. Indexed by
+# `source << 4 | target`; None for an illegal edge.
+EDGE_ADDS = [None] * ((STATE_REUSABLE << 4 | STATE_REUSABLE) + 1)
+for _src, _dst in LEGAL_EDGES:
+    EDGE_ADDS[_src << 4 | _dst] = ((_dst - _src) << EPOCH_STATE_SHIFT) + 1
+del _src, _dst
+
 # Remote free list word: 16-bit element count above the 48-bit arena
 # offset of the head block. Offset 0 is never a block, so 0 is empty.
 REMOTE_OFFSET_MASK = (1 << 48) - 1
@@ -95,7 +103,9 @@ class SpanHeader:
         "local_head", "local_count", "bump_limit", "remote",
     )
 
-    def __init__(self, space, slot, base):
+    def __init__(self, space, slot, base, class_id):
+        """The header of a fresh slot, built for `class_id`: state free,
+        both atomic words 0, and no block handed out."""
         self.space = space
         self.slot = slot
         self.base = base
@@ -103,26 +113,23 @@ class SpanHeader:
         self.epoch = AtomicWord(STATE_FREE << EPOCH_STATE_SHIFT, lock)
         self.remote = AtomicWord(0, lock)
         self.link = 0
-        self.size_class = -1
-        self.block_size = 0
-        self.blocks_per_span = 0
-        self.real_span_size = 0
-        self.payload = 0
-        self.reuse_threshold_blocks = 0
-        self.local_head = 0
-        self.local_count = 0
-        self.bump_limit = 0
+        self._set_class(class_id)
 
     # -- initialization --------------------------------------------------
 
     def init_for_class(self, class_id):
-        """(Re)write the header for a class; epoch is left untouched.
+        """Re-class a pooled span; epoch is left untouched.
 
         Only called on spans in state free with a single reference, so
         plain stores are safe. Reuse of a pooled span, of any real-span
         size, is exactly this header rewrite: the header page has been
         committed since the header was created, so it touches no memory.
         """
+        self._set_class(class_id)
+        self.remote.store(0)
+
+    def _set_class(self, class_id):
+        """The class fields of `class_id`, and empty local lists."""
         geo = TABLE[class_id]
         self.size_class = class_id
         self.block_size = geo.block_size
@@ -133,7 +140,6 @@ class SpanHeader:
         self.local_head = 0
         self.local_count = 0
         self.bump_limit = 0
-        self.remote.store(0)
 
     # -- block allocation (owning thread only) ---------------------------
 
@@ -141,8 +147,9 @@ class SpanHeader:
         """Pop the local free list, else bump; 0 when exhausted.
 
         `Allocator.malloc` makes this same pop and bump inline, in its
-        own frame, for the hot span; this method serves the block of
-        `Frontend.allocate`, the slow path, after a drain or a fetch."""
+        own frame, for every block, after `Frontend.allocate` refilled
+        the hot span if need be; this method serves span-level tests and
+        per-layer tracing, which wraps it by name."""
         head = self.local_head
         if head:
             space = self.space
@@ -200,7 +207,7 @@ class SpanHeader:
         than the reusability threshold; returns the count moved.
 
         Owner only, and only once the local list is empty: the
-        allocator drains after alloc_block came back 0. One atomic swap
+        refill drains a hot span that holds no block. One atomic swap
         empties the remote word, so pushes racing the swap either come
         along or retry onto the emptied list.
         """
@@ -237,19 +244,25 @@ class SpanHeader:
         word (never 0), or False when the word no longer equals
         `observed_epoch`. The new word carries `target_state`, `owner`
         or else the observed owner, and counter+1 (wrapping at the
-        counter mask), computed inline; without `owner` it equals
-        `next_epoch_word`.
+        counter mask); without `owner` it equals `next_epoch_word`.
+        A word that keeps its owner is the observed word plus the edge's
+        add from `EDGE_ADDS`; an owner install and the counter's wrap
+        compute the word in full.
         Callers check the observed state first; an illegal edge here is
-        a programming error.
+        a programming error, and has no add.
         """
         src = observed_epoch >> EPOCH_STATE_SHIFT
-        assert (src, target_state) in LEGAL_EDGES, \
-            f"illegal span transition {STATE_NAMES.get(src)} -> " \
+        add = EDGE_ADDS[src << 4 | target_state]
+        assert add, f"illegal span transition {STATE_NAMES.get(src)} -> " \
             f"{STATE_NAMES.get(target_state)}"
-        new = (target_state << EPOCH_STATE_SHIFT) \
-            | ((observed_epoch + 1) & EPOCH_COUNTER_MASK) \
-            | (observed_epoch & EPOCH_OWNER_FIELD if owner is None
-               else owner << EPOCH_OWNER_SHIFT)
+        if owner is None and ~observed_epoch & EPOCH_COUNTER_MASK:
+            # The counter is below its mask, so the add does not carry.
+            new = observed_epoch + add
+        else:
+            new = (target_state << EPOCH_STATE_SHIFT) \
+                | ((observed_epoch + 1) & EPOCH_COUNTER_MASK) \
+                | (observed_epoch & EPOCH_OWNER_FIELD if owner is None
+                   else owner << EPOCH_OWNER_SHIFT)
         if not self.epoch.compare_exchange(observed_epoch, new):
             return False
         ledger = self.space.ledger
@@ -316,11 +329,12 @@ class SpanSpace:
         self.headers = []
         self._grow_lock = threading.Lock()
 
-    def header_for_base(self, base):
-        """The header of the slot at `base`, built on the slot's first
-        use, which commits its page (with no bytes: the header's fields
-        live in this object, and only a small class's blocks, which
-        share the page, write to it).
+    def header_for_base(self, base, class_id):
+        """The header of the fresh slot at `base`, which the arena just
+        handed out, built for `class_id`; this commits the slot's first
+        page (with no bytes: the header's fields live in this object,
+        and only a small class's blocks, which share the page, write to
+        it).
 
         Creation takes no lock: the arena hands each slot out exactly
         once, so no two threads create the same header. Only growing
@@ -330,15 +344,13 @@ class SpanSpace:
         """
         slot = (base - self.arena_base) >> SPAN_SHIFT
         headers = self.headers
-        header = headers[slot] if slot < len(headers) else None
-        if header is None:
-            if slot >= len(headers):
-                with self._grow_lock:
-                    n = len(headers)
-                    if slot >= n:
-                        headers.extend([None] * max(n, slot + 1 - n))
-            self.provider.touch(base, PAGE_SIZE)
-            header = headers[slot] = SpanHeader(self, slot, base)
+        if slot >= len(headers):
+            with self._grow_lock:
+                n = len(headers)
+                if slot >= n:
+                    headers.extend([None] * max(n, slot + 1 - n))
+        self.provider.touch(base, PAGE_SIZE)
+        header = headers[slot] = SpanHeader(self, slot, base, class_id)
         return header
 
     def span_of(self, addr):
@@ -354,11 +366,10 @@ class SpanSpace:
         return header
 
     def block_span(self, addr, interior=False):
-        """`(span, epoch word)` for `addr`, a handed-out block (with
-        `interior`, any address inside one), the word read once. O(1)
-        WildFree when the slot has no header, the span is free (or was
-        never initialized), or `addr` is not a block below the bump
-        limit. This is the check of `realloc` and of `usable_size`
+        """The span of `addr`, a handed-out block (with `interior`, any
+        address inside one). O(1) WildFree when the slot has no header,
+        the span is free, or `addr` is not a block below the bump limit.
+        This is the check of `realloc` and of `usable_size`
         (`interior`); `Allocator.free` inlines the same rule, with the
         same messages."""
         try:
@@ -367,14 +378,13 @@ class SpanSpace:
             span = None
         if span is None:
             raise WildFree(f"{addr:#x} is in the arena but not in any span")
-        epoch = span.epoch.load()
         off = addr - span.payload
         size = span.block_size
-        if epoch >> EPOCH_STATE_SHIFT == STATE_FREE or off < 0 \
+        if span.epoch.load() >> EPOCH_STATE_SHIFT == STATE_FREE or off < 0 \
                 or off >= span.bump_limit * size \
                 or (off % size and not interior):
             raise WildFree(f"{addr:#x} is not a handed-out block of its span")
-        return span, epoch
+        return span
 
     def iter_headers(self):
         return (h for h in list(self.headers) if h is not None)

@@ -21,10 +21,14 @@ order, and only then falls back to the arena. Emptiness is not
 linearizable: a get may reach the arena while puts are in flight, by
 design.
 
+get() returns a span set up for the requested class: a pooled one is
+re-classed in place, and a fresh slot's header is built for the class.
+
 Each event is counted once: `puts` and `gets_from_pool` count every
-push and pop of every stack, `gets_from_arena` every fresh slot, and a
-stack counts only its own CAS retries. `Allocator.stats()` derives the
-per-stack totals and the frontend's span fetches from these.
+push and pop of every stack, `gets_from_arena` is the arena's cursor
+word, which counts the fresh slots, and a stack counts only its own CAS
+retries. `Allocator.stats()` derives the per-stack totals and the
+frontend's span fetches from these.
 """
 
 from .atomic import AtomicWord
@@ -93,7 +97,7 @@ class SpanPool:
         # that get() reads before popping anything.
         self.puts = AtomicWord(0)
         self.gets_from_pool = AtomicWord(0)
-        self.gets_from_arena = AtomicWord(0)
+        self.gets_from_arena = self.arena.cursor
 
     def put(self, span, thread_id):
         """Insert a span in state free; caller holds the only reference."""
@@ -105,12 +109,11 @@ class SpanPool:
         self.puts.fetch_add(1)
 
     def get(self, class_id, thread_id):
-        """A span for `class_id`: own stack, then every other stack, then
-        the arena; straight to the arena when the pool is empty.
-
-        The returned span is in state free (pool hit, possibly of a
-        different real-span size) or brand new; either way the caller
-        reinitializes its header for the class.
+        """A span for `class_id`, in state free and set up for the
+        class: own stack, then every other stack, then the arena;
+        straight to the arena when the pool is empty. A pool hit, of any
+        real-span size, is re-classed by `init_for_class`; a fresh
+        slot's header is built for the class.
 
         The depth `puts - gets_from_pool` is a hint, which makes those
         two counters load-bearing: put counts after its push and get
@@ -131,10 +134,10 @@ class SpanPool:
                             break
             if span is not None:
                 self.gets_from_pool.fetch_add(1)
+                span.init_for_class(class_id)
                 return span
-        base = self.arena.acquire_virtual_span()
-        self.gets_from_arena.fetch_add(1)
-        return self.space.header_for_base(base)
+        return self.space.header_for_base(
+            self.arena.acquire_virtual_span(), class_id)
 
     def stack_counters(self):
         """Per-stack (rs_index, pool_index, retries) rows."""

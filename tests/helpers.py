@@ -53,8 +53,6 @@ def frag_oracle(allocator):
     every span currently in the frontend (any state but free)."""
     total = 0
     for h in allocator.space.iter_headers():
-        if h.size_class < 0:
-            continue
         if epoch_state(h.epoch.load()) == STATE_FREE:
             continue
         total += h.free_block_count() * h.block_size
@@ -164,8 +162,6 @@ def census(allocator, live=None):
             home = home and h.slot not in in_pool
         if not home:
             lost.append((h.slot, STATE_NAMES[state]))
-        if h.size_class < 0:
-            continue
         n_live = live_in[h.slot]
         if state == STATE_FREE:
             if h.live_blocks() or n_live:

@@ -284,7 +284,8 @@ def aba():
     thread 1 pops a, pushes b and pushes a back. The oracle: each span
     held or stacked once (a bare stack has no state for `check_heap`)."""
     space = make_allocator().space
-    a, b = (space.header_for_base(space.arena.acquire_virtual_span())
+    a, b = (space.header_for_base(space.arena.acquire_virtual_span(),
+                                  class_for_size(64))
             for _ in range(2))
     stack = TaggedStack()
     stack.push(a)
@@ -312,8 +313,8 @@ def push_vs_drain():
     the remote count matches the list (a bare span has no LAB for
     `check_heap`)."""
     space = make_allocator(reuse_percent=0).space
-    span = space.header_for_base(space.arena.acquire_virtual_span())
-    span.init_for_class(class_for_size(64))
+    span = space.header_for_base(space.arena.acquire_virtual_span(),
+                                 class_for_size(64))
     blocks = [span.alloc_block() for _ in range(2)]
 
     def drain_and_pop():

@@ -217,9 +217,8 @@ def test_c06_pool_counting_lifo_aba():
     pool = SpanPool(space, width=4)
     spans = []
     for _ in range(64):
-        h = space.header_for_base(arena.acquire_virtual_span())
-        h.init_for_class(class_for_size(64))
-        spans.append(h)
+        spans.append(space.header_for_base(arena.acquire_virtual_span(),
+                                           class_for_size(64)))
     for i, s in enumerate(spans):
         pool.put(s, i % 8)
 

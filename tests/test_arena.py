@@ -32,6 +32,8 @@ def test_exhaustion():
         arena.acquire_virtual_span()
     with pytest.raises(ArenaExhausted):
         arena.acquire_virtual_span()       # stays exhausted
+    # A failed acquire takes its bump back: the cursor counts slots.
+    assert arena.cursor.load() == arena.spans_handed_out() == 16
 
 
 def test_default_arena_capacity():

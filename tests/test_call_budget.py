@@ -27,8 +27,10 @@ allocator; and one attach and detach of a thread, which builds its LAB.
 `malloc` and `free` route every request in their own frame: the size
 class is an index into `CLASS_OF`, and a huge object is mapped and
 unmapped there. Each also runs its hot-span fast path in that frame:
-`malloc` pops the hot span's local list or bumps, and calls
-`Frontend.allocate` only when the hot span is missing or dry; `free`
+`malloc` serves every block with its one pop of the hot span's local
+list or bump, and when the hot span is missing or dry first calls
+`Frontend.allocate`, a refill that returns a hot span holding a block,
+whose `SpanPool.get` hands back a span set up for its class; `free`
 makes its checks, its local or remote push and its one count, and
 calls `Frontend.deallocate` only for a retirement or a marking. So a
 bump malloc is one call, a pop two (with `SimProvider.read_word`), a
@@ -188,7 +190,7 @@ def test_malloc_that_takes_its_span_from_the_reusable_set():
     # The hot span runs dry and floats, and the float settles it from
     # one count, a load of its remote word, which finds nothing to do;
     # the replacement is the span that 7 frees marked reusable, taken
-    # from the caller's set.
+    # from the caller's set, and malloc pops its local list.
     alloc = make_allocator()
     blocks = [alloc.malloc(128 * KB) for _ in range(8)]
     alloc.malloc(128 * KB)               # floats the full span
@@ -198,7 +200,7 @@ def test_malloc_that_takes_its_span_from_the_reusable_set():
     assert epoch_state(span.epoch.load()) == STATE_REUSABLE
     for _ in range(7):                   # fills the second span
         alloc.malloc(128 * KB)
-    assert_budget(calls_in(alloc.malloc, 128 * KB), 14)
+    assert_budget(calls_in(alloc.malloc, 128 * KB), 12)
     assert alloc.frontend.labs[0].hot_spans[span.size_class] is span
     assert epoch_state(span.epoch.load()) == STATE_HOT
     stats = alloc.stats()
@@ -208,14 +210,14 @@ def test_malloc_that_takes_its_span_from_the_reusable_set():
 
 def test_1m_malloc_that_takes_a_pooled_span():
     # The float of the exhausted hot span settles it from one count, then
-    # a pooled span is re-classed and taken hot.
+    # the pool re-classes a pooled span, which is taken hot.
     alloc = make_allocator()
     p = alloc.malloc(MB)
     alloc.malloc(MB)                     # floats p's span
     alloc.free(p)                        # and pools it
     span = alloc.space.span_of(p)
     assert epoch_state(span.epoch.load()) == STATE_FREE
-    assert_budget(calls_in(alloc.malloc, MB), 23)
+    assert_budget(calls_in(alloc.malloc, MB), 22)
     assert epoch_state(span.epoch.load()) == STATE_HOT
     assert alloc.stats()["pool_gets"] == 1
     assert alloc.stats()["arena_spans"] == 2
@@ -236,7 +238,7 @@ def test_malloc_that_drains_its_hot_spans_remote_list():
 
     run_in_thread(remote)
     assert span.remote_count() == 7
-    assert_budget(calls_in(alloc.malloc, 128 * KB), 7)
+    assert_budget(calls_in(alloc.malloc, 128 * KB), 6)
     assert alloc.frontend.labs[0].hot_spans[span.size_class] is span
     assert (span.local_count, span.remote_count()) == (6, 0)
     assert alloc.stats()["drains"] == 1
@@ -256,7 +258,7 @@ def test_lazy_malloc_that_floats_and_takes_back_an_empty_reusable_span():
     assert epoch_state(span.epoch.load()) == STATE_REUSABLE
     for _ in range(7):                   # fills the second span
         alloc.malloc(128 * KB)
-    assert_budget(calls_in(alloc.malloc, 128 * KB), 36)
+    assert_budget(calls_in(alloc.malloc, 128 * KB), 35)
     assert alloc.frontend.labs[0].hot_spans[span.size_class] is span
     stats = alloc.stats()
     assert (stats["pool_puts"], stats["pool_gets"], stats["set_fetches"]) \
@@ -265,13 +267,14 @@ def test_lazy_malloc_that_floats_and_takes_back_an_empty_reusable_span():
 
 def test_1m_malloc_from_a_fresh_arena_slot():
     # The float settles the exhausted hot span from one count, as above.
-    # An empty pool sends the get straight to the arena; the new
-    # header's slot is computed inline and its page committed with no
-    # bytes. The header builds two atomic words, epoch and remote.
+    # An empty pool sends the get straight to the arena, whose cursor is
+    # the pool's count of fresh slots; the new header's slot is computed
+    # inline and its page committed with no bytes. The header is built
+    # for its class, with two atomic words, epoch and remote.
     alloc = make_allocator()
     alloc.malloc(MB)
     committed = alloc.committed_bytes
-    assert_budget(calls_in(alloc.malloc, MB), 29)
+    assert_budget(calls_in(alloc.malloc, MB), 25)
     assert alloc.stats()["arena_spans"] == 2
     assert alloc.committed_bytes == committed + PAGE_SIZE
 
@@ -479,7 +482,7 @@ def test_realloc_of_a_64b_block_to_128b():
     alloc = make_allocator()
     p = alloc.malloc(64)
     calls = calls_in(alloc.realloc, p, 128)
-    assert_budget(calls, 33)
+    assert_budget(calls, 29)
     assert calls.count("spanalloc.span:SpanSpace.block_span") == 1
     assert alloc.stats()["frees_local"] == 1
     assert alloc.stats()["arena_spans"] == 2

@@ -316,8 +316,8 @@ def make_floating(span, owner):
 def test_terminated_lab_refuses_every_marking_and_the_next_gets_a_new_owner(
         alloc):
     lab = LAB(0, latched=False)
-    span = alloc.space.header_for_base(alloc.arena.acquire_virtual_span())
-    span.init_for_class(C64)
+    span = alloc.space.header_for_base(alloc.arena.acquire_virtual_span(),
+                                       C64)
     stamp = lab.mark(C64, span, make_floating(span, 0))
     assert epoch_state(stamp) == STATE_REUSABLE and epoch_owner(stamp) == 0
     assert lab.take(C64) == (span, stamp)
@@ -346,9 +346,8 @@ def test_reusable_set_take_order_and_stale_entries(alloc):
     word, stamps_of = lab.owner, lab.reusable[C64]
     spans = []
     for i in range(3):
-        sp = alloc.space.header_for_base(alloc.arena.acquire_virtual_span())
-        sp.init_for_class(C64)
-        spans.append(sp)
+        spans.append(alloc.space.header_for_base(
+            alloc.arena.acquire_virtual_span(), C64))
     floats = [make_floating(sp, word) for sp in spans]
     stamps = [lab.mark(C64, sp, f) for sp, f in zip(spans, floats)]
     assert all(stamps)
@@ -426,7 +425,7 @@ def test_clab_mode_shares_lab_and_frees_remotely():
 
 def test_clab_latch_is_released_when_the_span_fetch_raises():
     # One arena slot: the 64 B span takes it, so the 1M malloc's fetch
-    # raises ArenaExhausted inside _get_span, under the 1M class latch.
+    # raises ArenaExhausted inside the refill, under the 1M class latch.
     # The malloc returns NULL and leaves the latch free: a thread that
     # lands on the same shared LAB gets its own NULL instead of blocking.
     alloc = make_allocator(lab_mode=CLAB, arena_bytes=2 << 20)
@@ -462,10 +461,10 @@ def test_terminated_labs_leave_labs_tlab(alloc):
     assert alloc.frontend.labs == {}
 
 
-def test_get_span_skips_span_raced_to_free():
-    # LAB 0's take waits before its reusable -> hot while LAB 1's free of
-    # the last block retires the span: the take skips the stale entry and
-    # the span comes back hot from the pool.
+def test_refill_skips_span_raced_to_free():
+    # LAB 0's refill waits before its take's reusable -> hot while LAB
+    # 1's free of the last block retires the span: the take skips the
+    # stale entry and the span comes back hot from the pool.
     def check(w):
         assert span_of(w.alloc, w.fills[-1]) is w.span
         assert state_of(w.span) == STATE_HOT
@@ -487,7 +486,6 @@ def test_set_put_rejects_span_no_longer_reusable():
                     if slot == w.span.slot][-2]
         got = w.alloc.pool.get(sc, 0)
         assert got is w.span
-        got.init_for_class(sc)
         assert got.try_transition(got.epoch.load(), STATE_HOT, lab.owner)
         assert lab.mark(sc, got, floating) is False
         assert len(lab.reusable[sc]) == 0

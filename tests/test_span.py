@@ -27,10 +27,8 @@ def make_space(spans=16, **kw):
 
 
 def fresh_span(space, arena, size=64):
-    base = arena.acquire_virtual_span()
-    span = space.header_for_base(base)
-    span.init_for_class(class_for_size(size))
-    return span
+    return space.header_for_base(arena.acquire_virtual_span(),
+                                 class_for_size(size))
 
 
 def floating_span(space, arena):
@@ -53,13 +51,24 @@ def test_init_commits_only_header_page():
 
 
 def test_header_page_is_committed_when_the_header_is_created():
+    # The header is built for its class, free and with no block handed
+    # out, and is the slot's header from then on; its creation commits
+    # the slot's first page, and a re-class commits nothing more.
     space, provider, arena = make_space()
     base = arena.acquire_virtual_span()
-    span = space.header_for_base(base)
-    assert span.size_class == -1                # not yet initialized
+    c1m, c64 = class_for_size(1 << 20), class_for_size(64)
+    span = space.header_for_base(base, c1m)
+    assert (span.size_class, span.block_size, span.real_span_size) == \
+        (c1m, TABLE[c1m].block_size, TABLE[c1m].real_span_size)
+    assert span.payload == base + TABLE[c1m].header_size
+    assert span.reuse_threshold_blocks == space.reuse_thresholds[c1m]
+    assert (span.local_head, span.local_count, span.bump_limit) == (0, 0, 0)
+    assert (span.epoch.load(), span.remote.load(), span.link) == \
+        (STATE_FREE << EPOCH_STATE_SHIFT, 0, 0)
     assert provider.committed_page_indices() == {base // PAGE_SIZE}
     assert space.span_of(base) is span
-    span.init_for_class(class_for_size(1 << 20))
+    span.init_for_class(c64)
+    assert span.payload == base + TABLE[c64].header_size
     assert provider.committed_page_indices() == {base // PAGE_SIZE}
 
 

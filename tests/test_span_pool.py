@@ -27,10 +27,9 @@ def make_pool(spans=64, width=4, **kw):
 
 
 def pooled_span(pool, space, arena, size=64):
-    """A span initialized for `size` in state free, as put() expects."""
-    span = space.header_for_base(arena.acquire_virtual_span())
-    span.init_for_class(class_for_size(size))
-    return span
+    """A span set up for `size` in state free, as put() expects."""
+    return space.header_for_base(arena.acquire_virtual_span(),
+                                 class_for_size(size))
 
 
 def test_put_get_same_thread_fast_path():
@@ -73,6 +72,8 @@ def test_get_empty_pool_falls_back_to_arena():
     span = pool.get(class_for_size(64), thread_id=0)
     assert span.base == arena.base
     assert epoch_state(span.epoch.load()) == STATE_FREE
+    assert span.size_class == class_for_size(64)        # built for it
+    assert (span.bump_limit, span.remote.load()) == (0, 0)
     assert pool.gets_from_arena.load() == 1
 
 
@@ -95,6 +96,7 @@ def test_miss_pops_each_stack_once(monkeypatch):
     big = pooled_span(pool, space, arena, size=1 << 20)
     pool.put(big, thread_id=3)                        # the last stack scanned
     assert pool._scan_order[-1] is pool.stacks[-1][3]
+    fresh = arena.spans_handed_out()
     popped = counting_pops(monkeypatch)
     assert pool.get(class_for_size(64), thread_id=1) is big
     assert len(popped) == NUM_REAL_SPAN_SIZES * 4
@@ -102,17 +104,18 @@ def test_miss_pops_each_stack_once(monkeypatch):
     assert popped[0] is pool.stacks[0][1]             # own stack first
     assert popped[-1] is pool.stacks[-1][3]
     assert pool.gets_from_pool.load() == 1
-    assert pool.gets_from_arena.load() == 0
+    assert arena.spans_handed_out() == fresh
 
 
 def test_empty_pool_miss_pops_nothing(monkeypatch):
     pool, space, provider, arena = make_pool(width=4)
     pool.put(pooled_span(pool, space, arena), thread_id=0)
     pool.get(class_for_size(64), thread_id=0)         # empties the pool
+    fresh = arena.spans_handed_out()
     popped = counting_pops(monkeypatch)
     span = pool.get(class_for_size(64), thread_id=1)
     assert popped == []
-    assert pool.gets_from_arena.load() == 1
+    assert arena.spans_handed_out() == fresh + 1
     assert epoch_state(span.epoch.load()) == STATE_FREE
 
 
@@ -134,7 +137,7 @@ def test_depth_hint_matches_walked_stacks(width):
             fresh = pool.gets_from_arena.load()
             span = pool.get(sc, rng.randrange(8))
             assert (pool.gets_from_arena.load() > fresh) == empty
-            span.init_for_class(sc)
+            assert span.size_class == sc
             held.append(span)
         assert pool.puts.load() - pool.gets_from_pool.load() \
             == len(pooled_slots(pool))
@@ -146,7 +149,8 @@ def test_get_scans_other_sizes_and_indices():
     big = pooled_span(pool, space, arena, size=512)
     pool.put(big, thread_id=2)          # lands on stack [rs=1][idx=2]
     got = pool.get(class_for_size(64), thread_id=0)   # wants rs=0, idx=0
-    assert got is big                   # scan found it; caller reinits
+    assert got is big                   # scan found it, and re-classed it
+    assert got.size_class == class_for_size(64)
     assert pool.gets_from_pool.load() == 1
 
 
@@ -156,6 +160,7 @@ def test_arena_exhaustion_propagates():
     pool.get(class_for_size(64), 0)
     with pytest.raises(ArenaExhausted):
         pool.get(class_for_size(64), 0)
+    assert pool.gets_from_arena.load() == 2
 
 
 def test_stack_lifo_exact_single_thread():
@@ -268,10 +273,11 @@ def test_disjoint_indices_see_no_contention():
             for i in range(len(mine)):
                 mine[i] = pool.get(3, tid)
 
+    fresh = arena.spans_handed_out()
     threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
     run_threads(threads)
     assert all(retries == 0 for _, _, retries in pool.stack_counters())
-    assert pool.gets_from_arena.load() == 0
+    assert arena.spans_handed_out() == fresh
 
 
 def test_pool_width_one_single_stack_per_size():
@@ -300,8 +306,7 @@ def test_pooled_large_span_reads_zero_after_reuse():
     provider.write(big.base + PAGE_SIZE, b"\x7e" * (big.real_span_size - PAGE_SIZE))
     pool.put(big, thread_id=0)
     got = pool.get(class_for_size(2048), thread_id=0)   # scan hit
-    assert got is big
-    got.init_for_class(class_for_size(2048))
+    assert got is big and got.size_class == class_for_size(2048)
     payload = provider.read(got.base + PAGE_SIZE,
                             got.real_span_size - PAGE_SIZE)
     assert payload == bytes(len(payload))
@@ -353,13 +358,11 @@ def test_pool_hit_reclass_through_every_real_span_size_commits_nothing(
     classes = [next(g.class_id for g in TABLE if g.real_span_size == rs)
                for rs in REAL_SPAN_SIZES]
     span = pool.get(classes[-1], 0)             # from the arena
-    span.init_for_class(classes[-1])
     pool.put(span, 0)
     committed = provider.committed_bytes
     calls = count_commits(monkeypatch, provider)
     for sc in classes:
-        assert pool.get(sc, 0) is span          # a pool hit
-        span.init_for_class(sc)
+        assert pool.get(sc, 0) is span          # a pool hit, re-classed
         assert span.real_span_size == TABLE[sc].real_span_size
         pool.put(span, 0)
         assert provider.committed_bytes == committed
